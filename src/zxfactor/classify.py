@@ -24,10 +24,10 @@ from .padics import (
     SquareClass,
     is_prime,
     is_qr_mod_p,
-    is_square_zp,
-    lift_roots_mod_pk,
     prime_power_decompose,
+    root_classes,
     smallest_prime_power_split,
+    square_class,
     valuation,
 )
 from .series import TruncSeries
@@ -38,6 +38,7 @@ __all__ = [
     "Verdict",
     "RULE_INFO",
     "discriminant",
+    "discriminant_square_class",
     "classify_quadratic",
     "classify_general",
     "BETA_ZERO",
@@ -166,6 +167,35 @@ def discriminant(q: QuadInput) -> int:
     return q.p ** (2 * q.m) * q.beta**2 - 4 * q.alpha * q.p**q.n
 
 
+def discriminant_square_class(q: QuadInput) -> SquareClass:
+    """``is_square_zp(discriminant(q), q.p)`` without building p^n.
+
+    The discriminant is p^lo * core with lo = min(2m, n) and core =
+    p^(2m-n)*beta^2 - 4*alpha when 2m >= n, beta^2 - 4*alpha*p^(n-2m)
+    when 2m < n, and -4*alpha (lo = n) when beta = 0.  One of the two
+    terms of core has valuation at most 2 (beta and alpha are units), so
+    once the other carries p^e with e >= 5 it changes neither the
+    valuation of core nor its unit part mod p^3, which decides the class
+    (mod p, or mod 8 for p = 2); core is then that term alone.
+    """
+    p, n, alpha = q.p, q.n, q.alpha
+    if q.beta is None:
+        lo, core = n, -4 * alpha
+    else:
+        gap = 2 * q.m - n
+        lo = min(2 * q.m, n)
+        if gap >= 5:
+            core = -4 * alpha
+        elif gap <= -5:
+            core = q.beta**2
+        else:
+            core = p ** max(gap, 0) * q.beta**2 - 4 * alpha * p ** max(-gap, 0)
+    if core == 0:
+        return SquareClass(is_square=True, is_zero=True)
+    v = valuation(core, p)
+    return square_class(lo + v.t, v.u, p)
+
+
 def classify_quadratic(q: QuadInput, terms: int = 64, attach_factors: bool = True) -> Verdict:
     """Decide p^n + p^m*beta*x + alpha*x^2 in Z[[x]] and attach factors.
 
@@ -176,7 +206,7 @@ def classify_quadratic(q: QuadInput, terms: int = 64, attach_factors: bool = Tru
     if q.tail:
         raise ValueError("tail present: classify the full series with classify_general")
     p, n = q.p, q.n
-    sq = is_square_zp(discriminant(q), p)
+    sq = discriminant_square_class(q)
     section = "S4" if p == 2 else "S3"
     if q.beta is None:
         rule = f"{section}.beta0-{'reducible' if sq.is_square else 'irreducible'}"
@@ -347,14 +377,14 @@ def _classify_quadratic_head(f: TruncSeries, p: int, n: int) -> Verdict:
     if f1 == 0:
         head = QuadInput(p, n, None, None, alpha)
         return _undecided(
-            f, head, is_square_zp(-4 * alpha * p**n, p),
+            f, head, discriminant_square_class(head),
             "beta = 0 with a nonzero tail has no covered criterion",
         )
     v1 = valuation(f1, p)
     m, beta = v1.t, v1.u
     q = QuadInput(p, n, m, beta, alpha, tail=f.coeffs[3:])
     head = QuadInput(p, n, m, beta, alpha)
-    sq = is_square_zp(discriminant(head), p)
+    sq = discriminant_square_class(head)
 
     def verdict(kind, rule, factors=None, conditional=False, assumption=None):
         return Verdict(
@@ -388,10 +418,11 @@ def _classify_quadratic_head(f: TruncSeries, p: int, n: int) -> Verdict:
     # n = 2m
     if p == 2:
         return verdict(VerdictKind.IRREDUCIBLE, "S4.n-eq-2m")
-    roots = lift_roots_mod_pk(1, -beta, alpha, p, m)
-    if not roots:
+    classes = root_classes(1, -beta, alpha, p, m)
+    if not classes:
         return verdict(VerdictKind.IRREDUCIBLE, "S5.no-root")
-    if any((2 * a - beta) % p != 0 for a in roots):
+    # a root is simple or not according to its class mod p
+    if any((2 * r - beta) % p != 0 for r, _ in classes):
         return verdict(
             VerdictKind.REDUCIBLE, "S5.simple-root", engines.factor_simple_root_tail(f, f.order)
         )

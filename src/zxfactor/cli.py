@@ -12,7 +12,15 @@ import json
 import shlex
 import sys
 
-from .classify import QuadInput, Verdict, VerdictKind, classify_general, classify_quadratic, discriminant
+from .classify import (
+    QuadInput,
+    Verdict,
+    VerdictKind,
+    classify_general,
+    classify_quadratic,
+    discriminant,
+    discriminant_square_class,
+)
 from .oracle import verify_factorization
 from .padics import is_square_zp, lift_roots_mod_pk
 from .series import TruncSeries, from_decimal_strings, normalize_head, to_decimal_strings
@@ -77,8 +85,7 @@ def _classify(q: QuadInput, terms: int) -> Verdict:
 
 
 def _verdict_json(q: QuadInput, terms: int, verdict: Verdict) -> dict:
-    delta = discriminant(q)
-    sq = is_square_zp(delta, q.p)
+    sq = discriminant_square_class(q)
     out: dict = {
         "input": {
             "p": str(q.p),
@@ -89,7 +96,7 @@ def _verdict_json(q: QuadInput, terms: int, verdict: Verdict) -> dict:
             "tail": [str(c) for c in q.tail],
         },
         "zp": {
-            "discriminant": str(delta),
+            "discriminant": str(discriminant(q)),
             "square": sq.is_square,
             "valuation": sq.valuation,
             "unit_residue": None if sq.unit_residue is None else str(sq.unit_residue),
@@ -118,18 +125,21 @@ def _verdict_json(q: QuadInput, terms: int, verdict: Verdict) -> dict:
 
 
 def _print_verdict_text(q: QuadInput, verdict: Verdict) -> None:
-    print(f"{verdict.kind.value} (rule {verdict.rule})")
-    print(f"citation: {verdict.citation}")
-    sq = is_square_zp(discriminant(q), q.p)
-    zp_word = "reducible" if sq.is_square else "irreducible"
-    print(f"Z_p[x] verdict: {zp_word} (discriminant {discriminant(q)})")
+    zp_word = "reducible" if discriminant_square_class(q).is_square else "irreducible"
+    lines = [
+        f"{verdict.kind.value} (rule {verdict.rule})",
+        f"citation: {verdict.citation}",
+        f"Z_p[x] verdict: {zp_word} (discriminant {discriminant(q)})",
+    ]
     if verdict.assumption:
-        print(f"assumption: {verdict.assumption}")
+        lines.append(f"assumption: {verdict.assumption}")
     if verdict.factors is not None:
         a, b = verdict.factors
-        print(f"a = [{', '.join(to_decimal_strings(a))}]")
-        print(f"b = [{', '.join(to_decimal_strings(b))}]")
-        print(f"verified through order {verdict.verified_order}")
+        lines.append(f"a = [{', '.join(to_decimal_strings(a))}]")
+        lines.append(f"b = [{', '.join(to_decimal_strings(b))}]")
+        lines.append(f"verified through order {verdict.verified_order}")
+    # a line that cannot be built must not leave the others half printed
+    print("\n".join(lines))
 
 
 def cmd_classify(args) -> int:
@@ -306,11 +316,20 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
+    # Integers cross the boundary as decimal strings of any length, so
+    # Python's cap on int <-> str conversion is lifted while a command
+    # runs and put back afterwards.
+    saved_cap = sys.get_int_max_str_digits() if hasattr(sys, "get_int_max_str_digits") else None
+    if saved_cap is not None:
+        sys.set_int_max_str_digits(0)
     try:
         code = args.func(args)
     except (ValueError, OSError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         code = EXIT_BAD_INPUT
+    finally:
+        if saved_cap is not None:
+            sys.set_int_max_str_digits(saved_cap)
     if argv is None:
         sys.exit(code)
     return code

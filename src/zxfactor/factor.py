@@ -27,9 +27,9 @@ from typing import TYPE_CHECKING
 from .padics import (
     is_prime,
     is_qr_mod_p,
-    lift_roots_mod_pk,
     prime_power_decompose,
     root_certificate,
+    root_classes,
     valuation,
 )
 from .series import TruncSeries
@@ -263,10 +263,10 @@ def factor_2m_lt_n(q: "QuadInput", n: int) -> tuple[TruncSeries, TruncSeries]:
                     return _polynomial_pair(
                         pm, r1, p ** (q.n - q.m), beta - scale * r1, n, targets, "2m<n poly"
                     )
-    roots = lift_roots_mod_pk(scale, -beta, alpha, p, q.m)
-    if not roots:
+    classes = root_classes(scale, -beta, alpha, p, q.m)
+    if not classes:
         raise EngineInvariantError("2m<n: auxiliary quadratic has no root mod p^m")
-    a1 = roots[0]
+    a1 = classes[0][0]
     return _coupled_recurrence(
         pm, pm, p ** (q.n - q.m), scale, beta, a1, targets, n, "2m<n"
     )
@@ -297,10 +297,10 @@ def factor_m_gt_nu(q: "QuadInput", n: int) -> tuple[TruncSeries, TruncSeries]:
         if roots is not None:
             r1, r2 = roots
             return _polynomial_pair(p**nu, r1, p**nu, r2, n, targets, "m>nu poly")
-    lifted = lift_roots_mod_pk(1, -s1, alpha, p, nu)
-    if not lifted:
+    classes = root_classes(1, -s1, alpha, p, nu)
+    if not classes:
         raise EngineInvariantError("m>nu: no root mod p^nu despite reducible classification")
-    return _case1_with_seed(p, nu, s1, lifted[0], targets, n, "m>nu")
+    return _case1_with_seed(p, nu, s1, classes[0][0], targets, n, "m>nu")
 
 
 def factor_m_eq_nu(q: "QuadInput", n: int) -> tuple[TruncSeries, TruncSeries]:
@@ -430,17 +430,16 @@ def factor_beta_zero(q: "QuadInput", n: int) -> tuple[TruncSeries, TruncSeries]:
         return _polynomial_pair(p**nu, -d, p**nu, d, n, targets, "beta0 poly")
     if p == 2:
         _require(alpha % 8 == 7, "p = 2 needs alpha = 7 mod 8")
-        lifted = lift_roots_mod_pk(1, 0, alpha, 2, 2 * nu + 1)
-        a1 = lifted[0]
+        a1 = root_classes(1, 0, alpha, 2, 2 * nu + 1)[0][0]
         t2 = _exact_div(a1 * a1 + alpha, 2 ** (2 * nu + 1), "beta0 p=2 seed")
         return _p2_scaled_recurrence(
             nu, -a1, 0, a1, t2, 2**nu, 2 ** (nu + 1), targets, n, "beta0 p=2"
         )
     _require(is_qr_mod_p(-alpha, p), "-alpha is a non-residue: input is irreducible")
-    lifted = lift_roots_mod_pk(1, 0, alpha, p, nu)
-    if not lifted:
+    classes = root_classes(1, 0, alpha, p, nu)
+    if not classes:
         raise EngineInvariantError("beta0: residue test passed but no root mod p^nu")
-    return _case1_with_seed(p, nu, 0, lifted[0], targets, n, "beta0")
+    return _case1_with_seed(p, nu, 0, classes[0][0], targets, n, "beta0")
 
 
 def factor_p2_m_gt_nu1(q: "QuadInput", n: int) -> tuple[TruncSeries, TruncSeries]:
@@ -468,8 +467,7 @@ def factor_p2_m_gt_nu1(q: "QuadInput", n: int) -> tuple[TruncSeries, TruncSeries
     if roots is not None:
         r1, r2 = roots
         return _polynomial_pair(2**nu, r1, 2**nu, r2, n, targets, "p2 m>nu+1 poly")
-    lifted = lift_roots_mod_pk(1, -s1, alpha, 2, 2 * nu + 1)
-    a1 = lifted[0]
+    a1 = root_classes(1, -s1, alpha, 2, 2 * nu + 1)[0][0]
     t2 = _exact_div(a1 * a1 - s1 * a1 + alpha, 2 ** (2 * nu + 1), "p2 m>nu+1 seed")
     c = 2 ** (q.m - nu - 1) * beta - a1
     return _p2_scaled_recurrence(
@@ -500,8 +498,7 @@ def factor_p2_m_eq_nu1(q: "QuadInput", n: int) -> tuple[TruncSeries, TruncSeries
     _require(dv.u % 8 == 1, "beta^2 - alpha unit is not 1 mod 8: input is irreducible")
     ell = dv.t // 2
     modexp = 2 * ell + nu + 2
-    lifted = lift_roots_mod_pk(1, -2 * beta, alpha, 2, modexp)
-    a1 = lifted[0]
+    a1 = root_classes(1, -2 * beta, alpha, 2, modexp)[0][0]
     t2 = _exact_div(a1 * a1 - 2 * beta * a1 + alpha, 2**modexp, "p2 m=nu+1 seed")
     u = _exact_div(beta - a1, 2**ell, "p2 m=nu+1 u seed")
     if u % 2 == 0:
@@ -570,7 +567,7 @@ def factor_tail(f: TruncSeries, n: int) -> tuple[TruncSeries, TruncSeries]:
     _require(not bad, f"tail coefficients not divisible by p^2 at orders {bad}")
 
     p3 = p**3
-    a1 = lift_roots_mod_pk(1, -beta, alpha, p, 3)[0]
+    a1 = root_classes(1, -beta, alpha, p, 3)[0][0]
     while a1 * a1 - beta * a1 + alpha == 0:
         a1 += p3
     r = _exact_div(a1 * a1 - beta * a1 + alpha, p3, "tail engine root")
@@ -628,9 +625,8 @@ def factor_simple_root_tail(f: TruncSeries, n: int) -> tuple[TruncSeries, TruncS
     beta = v1.u
     alpha = f.coeffs[2]
     _require(gcd(alpha, p) == 1, "quadratic term must be a unit mod p")
-    simple = [
-        a for a in lift_roots_mod_pk(1, -beta, alpha, p, m) if (2 * a - beta) % p != 0
-    ]
+    # whether a root is simple depends on it mod p only, so on its class
+    simple = [r for r, _ in root_classes(1, -beta, alpha, p, m) if (2 * r - beta) % p != 0]
     if not simple:
         raise ValueError("y^2 - beta*y + alpha has no simple root mod p^m")
     targets = _series_targets(f, n)

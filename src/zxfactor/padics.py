@@ -2,9 +2,11 @@
 
 Everything here works with ordinary (arbitrary-precision) integers viewed
 as elements of Z_p: valuations and unit parts, quadratic-residue tests,
-classification of squares in Z_p, and root lifting for quadratic
-congruences modulo prime powers.  Negative integers are handled exactly;
-no residue is taken until one is explicitly requested.
+classification of squares in Z_p, and the roots of quadratic congruences
+modulo prime powers.  Root sets are residue classes r + p^j*Z, found by
+Tonelli-Shanks square roots mod p and Hensel lifting, so the cost grows
+with the bit size of p and K, not with p^K.  Negative integers are
+handled exactly; no residue is taken until one is explicitly requested.
 
 All functions are pure and all returned values are immutable.
 """
@@ -22,6 +24,8 @@ __all__ = [
     "valuation",
     "is_qr_mod_p",
     "is_square_zp",
+    "square_class",
+    "root_classes",
     "lift_roots_mod_pk",
     "root_certificate",
     "prime_power_decompose",
@@ -32,7 +36,13 @@ _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 
 
 def is_prime(n: int) -> bool:
-    """Deterministic Miller-Rabin; exact for every n below 3.3e24."""
+    """Miller-Rabin with the twelve prime bases up to 37.
+
+    Exact for every n below 3.18e23 (318665857834031151167461, the least
+    strong pseudoprime to all twelve bases).  Above that bound it can
+    accept composites, 3317044064679887385961981 among them; ROADMAP item
+    1 replaces it with a Baillie-PSW test there.
+    """
     if n < 2:
         return False
     if n in _MR_BASES:
@@ -75,11 +85,22 @@ def valuation(d: int, p: int) -> Valuation:
     if d == 0:
         raise ValueError("valuation undefined for zero")
     _require_prime(p)
-    t = 0
-    while d % p == 0:
-        d //= p
-        t += 1
-    return Valuation(t, d)
+    return Valuation(*_valuation(d, p))
+
+
+def _valuation(d: int, p: int) -> tuple[int, int]:
+    """(t, u) with d = p^t * u and u not divisible by p, for d != 0.
+
+    Takes out the largest power of p^2 first, recursively, then at most
+    one more p: p, p^2, p^4, ... are each tried once on the way in and
+    divided out once on the way back, so the cost is O(log t) divisions.
+    """
+    if d % p:
+        return 0, d
+    s, e = _valuation(d, p * p)
+    if e % p:
+        return 2 * s, e
+    return 2 * s + 1, e // p
 
 
 def is_qr_mod_p(u: int, p: int) -> bool:
@@ -112,23 +133,93 @@ def is_square_zp(d: int, p: int) -> SquareClass:
     _require_prime(p)
     if d == 0:
         return SquareClass(is_square=True, is_zero=True)
-    v = valuation(d, p)
+    return square_class(*_valuation(d, p), p)
+
+
+def square_class(t: int, u: int, p: int) -> SquareClass:
+    """The class of p^t * u in Z_p, for u coprime to the prime p."""
+    _require_prime(p)
+    if u % p == 0:
+        raise ValueError(f"u = {u} is not coprime to p = {p}")
     if p == 2:
-        residue = v.u % 8
-        square = v.t % 2 == 0 and residue == 1
+        residue = u % 8
+        square = t % 2 == 0 and residue == 1
     else:
-        residue = v.u % p
-        square = v.t % 2 == 0 and is_qr_mod_p(v.u, p)
-    return SquareClass(is_square=square, is_zero=False, valuation=v.t, unit_residue=residue)
+        residue = u % p
+        square = t % 2 == 0 and pow(residue, (p - 1) // 2, p) == 1  # Euler's criterion
+    return SquareClass(is_square=square, is_zero=False, valuation=t, unit_residue=residue)
 
 
-def lift_roots_mod_pk(A: int, B: int, C: int, p: int, K: int) -> list[int]:
-    """All y in [0, p^K) with A*y^2 + B*y + C = 0 mod p^K.
+def _sqrt_mod_prime(a: int, p: int) -> int | None:
+    """A square root of a modulo the odd prime p, or None (Tonelli-Shanks).
 
-    Roots are grown one base-p digit at a time: a root mod p^(j+1) must
-    reduce to a root mod p^j, so each level keeps the surviving
-    extensions of the previous level.  Unlike Newton iteration this is
-    correct for p = 2 and for multiple roots.
+    Cohen, A Course in Computational Algebraic Number Theory, Alg. 1.5.1.
+    """
+    a %= p
+    if a == 0:
+        return 0
+    if pow(a, (p - 1) // 2, p) != 1:
+        return None
+    q, e = p - 1, 0
+    while q % 2 == 0:
+        q //= 2
+        e += 1
+    x = pow(a, (q + 1) // 2, p)
+    b = pow(a, q, p)
+    if b != 1:  # a generator y of the 2-Sylow subgroup, from a non-residue
+        z = 2
+        while pow(z, (p - 1) // 2, p) == 1:
+            z += 1
+        y = pow(z, q, p)
+    while b != 1:
+        # the least m with b^(2^m) = 1; then y^(2^(e-m-1)) fixes the order of b
+        m, b2 = 0, b
+        while b2 != 1:
+            b2 = b2 * b2 % p
+            m += 1
+        t = pow(y, 1 << (e - m - 1), p)
+        y = t * t % p
+        e = m
+        x = x * t % p
+        b = b * y % p
+    return x
+
+
+def _roots_mod_p(a: int, b: int, c: int, p: int) -> list[int]:
+    """The roots in [0, p) of a*t^2 + b*t + c, not all coefficients 0 mod p."""
+    if p == 2:
+        return [t for t in (0, 1) if (a * t * t + b * t + c) % 2 == 0]
+    if a % p == 0:
+        return [] if b % p == 0 else [-c * pow(b, -1, p) % p]
+    s = _sqrt_mod_prime(b * b - 4 * a * c, p)
+    if s is None:
+        return []
+    inv = pow(2 * a, -1, p)
+    return sorted({(-b + s) * inv % p, (-b - s) * inv % p})
+
+
+def _hensel_lift(a: int, b: int, c: int, t: int, p: int, e: int) -> int:
+    """Lift a simple root t mod p of a*t^2 + b*t + c to the root mod p^e."""
+    k = 1
+    while k < e:
+        k = min(2 * k, e)
+        mod = p**k
+        t = (t - (a * t * t + b * t + c) * pow(2 * a * t + b, -1, mod)) % mod
+    return t
+
+
+def root_classes(A: int, B: int, C: int, p: int, K: int) -> list[tuple[int, int]]:
+    """The roots of f(y) = A*y^2 + B*y + C mod p^K as residue classes.
+
+    Returns sorted pairs (r, j) with 1 <= j <= K and 0 <= r < p^j: every y
+    in [0, p^K) with y = r mod p^j is a root, and every root lies in
+    exactly one class, so r is the smallest member of its class.  From a
+    class (r, j) the polynomial g(t) = f(r + p^j*t) is stripped of its
+    content p^w.  If w >= K the whole class consists of roots; otherwise
+    each root t0 mod p of g/p^w either is simple and lifts by Hensel's
+    lemma to one class mod p^(j+K-w), or refines the class to
+    (r + p^j*t0, j + 1).  A quadratic has at most two roots mod p and at
+    most one non-simple one, so the work grows with K, not with p^K.
     """
     _require_prime(p)
     if K < 1:
@@ -136,18 +227,35 @@ def lift_roots_mod_pk(A: int, B: int, C: int, p: int, K: int) -> list[int]:
     pK = p**K
     if A % pK == 0 and B % pK == 0 and C % pK == 0:
         raise ValueError("all coefficients vanish mod p^K; every residue is a root")
-    roots = [y for y in range(p) if (A * y * y + B * y + C) % p == 0]
-    mod = p
-    for _ in range(K - 1):
-        step = mod
-        mod *= p
-        roots = [
-            y
-            for r in roots
-            for y in (r + d * step for d in range(p))
-            if (A * y * y + B * y + C) % mod == 0
-        ]
-    return sorted(roots)
+    classes = []
+    pending = [(0, 0)]
+    while pending:
+        r, j = pending.pop()
+        pj = p**j
+        a, b, c = A * pj * pj, (2 * A * r + B) * pj, (A * r + B) * r + C
+        w = _valuation(gcd(a, b, c), p)[0]
+        if w >= K:
+            classes.append((r, j))
+            continue
+        pw = p**w
+        a, b, c = a // pw, b // pw, c // pw
+        for t0 in _roots_mod_p(a, b, c, p):
+            if (2 * a * t0 + b) % p:
+                e = K - w
+                classes.append((r + pj * _hensel_lift(a, b, c, t0, p, e), j + e))
+            else:
+                pending.append((r + pj * t0, j + 1))
+    return sorted(classes)
+
+
+def lift_roots_mod_pk(A: int, B: int, C: int, p: int, K: int) -> list[int]:
+    """All y in [0, p^K) with A*y^2 + B*y + C = 0 mod p^K, in order.
+
+    The expansion of :func:`root_classes`; a class (r, j) contributes
+    p^(K-j) roots, so only ask for the list when that count is small.
+    """
+    pK = p**K
+    return sorted(y for r, j in root_classes(A, B, C, p, K) for y in range(r, pK, p**j))
 
 
 @dataclass(frozen=True)
@@ -213,11 +321,8 @@ def prime_power_decompose(x: int) -> tuple[int, int] | None:
     if x < 2:
         return None
     p = _smallest_prime_factor(x)
-    n = 0
-    while x % p == 0:
-        x //= p
-        n += 1
-    return (p, n) if x == 1 else None
+    n, rest = _valuation(x, p)
+    return (p, n) if rest == 1 else None
 
 
 def smallest_prime_power_split(f0: int) -> tuple[int, int]:
@@ -246,14 +351,17 @@ def root_certificate(beta: int, alpha: int, p: int, K: int) -> RootCertificate |
     """Certificate for a root of g(y) = y^2 - beta*y + alpha mod p^K.
 
     Returns None when g has no root mod p^K.  Otherwise picks the
-    smallest non-negative lifted root whose value g(a) is nonzero (so the
-    valuation data is finite); only when every lifted root is an exact
+    smallest non-negative root mod p^K whose value g(a) is nonzero (so
+    the valuation data is finite); only when every root is an exact
     integer root of g does the certificate carry the infinite-mu
-    sentinel.
+    sentinel.  g has at most two integer roots, so the pick is among the
+    three smallest members of each root class of :func:`root_classes`.
     """
-    roots = lift_roots_mod_pk(1, -beta, alpha, p, K)
-    if not roots:
+    classes = root_classes(1, -beta, alpha, p, K)
+    if not classes:
         return None
+    pK = p**K
+    roots = sorted(y for r, j in classes for y in (r, r + p**j, r + 2 * p**j) if y < pK)
 
     def g(y: int) -> int:
         return y * y - beta * y + alpha
@@ -264,13 +372,11 @@ def root_certificate(beta: int, alpha: int, p: int, K: int) -> RootCertificate |
         mu: int | None = None
         r = 0
     else:
-        val = valuation(g(a), p)
-        mu, r = val.t, val.u
+        mu, r = _valuation(g(a), p)
     d = beta - 2 * a
     if d == 0:
         ell: int | None = None
         t_unit = 0
     else:
-        dv = valuation(d, p)
-        ell, t_unit = dv.t, dv.u
+        ell, t_unit = _valuation(d, p)
     return RootCertificate(a=a, K=K, mu=mu, r=r, ell=ell, t_unit=t_unit)

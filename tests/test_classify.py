@@ -1,4 +1,5 @@
 import random
+import time
 
 import pytest
 
@@ -9,6 +10,7 @@ from zxfactor.classify import (
     classify_general,
     classify_quadratic,
     discriminant,
+    discriminant_square_class,
 )
 from zxfactor.oracle import verify_factorization
 from zxfactor.padics import is_square_zp
@@ -230,3 +232,87 @@ def test_reducible_factors_have_non_unit_heads():
         a, b = v.factors
         assert abs(a.coeffs[0]) >= 2 and abs(b.coeffs[0]) >= 2
         assert verify_factorization(q.head_series(24), *v.factors).passed
+
+
+def _sweep(count, seed):
+    """The quadratic sweep of acceptance criteria 2 and 4 (same seed and draws)."""
+    rng = random.Random(seed)
+    for _ in range(count):
+        p = rng.choice((2, 3, 5, 7, 11))
+        n, m = rng.randint(1, 8), rng.randint(1, 8)
+        beta = rng.choice([b for b in range(-50, 51) if b and b % p])
+        alpha = rng.choice([a for a in range(-50, 51) if a and a % p])
+        yield QuadInput(p, n, m, beta, alpha)
+
+
+def test_discriminant_square_class_matches_square_test():
+    inputs = list(_sweep(1000, 20260811))
+    for p in (3, 5, 7, 10007):
+        for n in range(1, 20):
+            for alpha in (1, -1, 2, -3, 6, -7):
+                if alpha % p:
+                    inputs.append(QuadInput(p, n, None, None, alpha))
+                    inputs += [QuadInput(p, n, m, b, alpha) for m in range(1, 20) for b in (1, -2, 4)]
+    for q in inputs:
+        assert discriminant_square_class(q) == is_square_zp(discriminant(q), q.p), q
+
+
+def test_discriminant_square_class_p2_every_gap():
+    # 2m - n in -3..6 moves the lower term of the discriminant through
+    # every position relative to the 4*alpha term, including cancellation
+    for gap in range(-3, 7):
+        for n in range(1, 12):
+            if (n + gap) % 2 or n + gap < 2:
+                continue
+            m = (n + gap) // 2
+            for beta in range(-15, 16, 2):
+                for alpha in list(range(-31, 32, 2)) + [beta * beta, beta * beta - 8, beta * beta + 16]:
+                    if alpha % 2 == 0:
+                        continue
+                    q = QuadInput(2, n, m, beta, alpha)
+                    assert discriminant_square_class(q) == is_square_zp(discriminant(q), 2), q
+
+
+def _timed(call):
+    started = time.perf_counter()
+    result = call()
+    return result, time.perf_counter() - started
+
+
+def test_large_p_factorization_is_fast():
+    # the cost must grow with the bit size of p, not with p
+    q = QuadInput(10**12 + 39, 2, 3, 1, 10**12 + 38)
+    v, elapsed = _timed(lambda: classify_quadratic(q, terms=8))
+    assert v.kind is VerdictKind.REDUCIBLE
+    assert verify_factorization(q.head_series(8), *v.factors).passed
+    assert elapsed < 2.0, f"{elapsed:.3f}s"
+
+
+def test_repeated_root_family_p101_is_fast():
+    # two root classes mod p^9 with p^3 members each: none may be listed
+    q = QuadInput(101, 2, 1, 2, 1 - 5 * 101**6)
+    v, elapsed = _timed(lambda: classify_quadratic(q, terms=8))
+    assert v.kind is VerdictKind.REDUCIBLE
+    assert verify_factorization(q.head_series(8), *v.factors).passed
+    assert elapsed < 2.0, f"{elapsed:.3f}s"
+
+
+def test_decision_at_huge_n_is_fast():
+    # the decision never builds p^n (about 1.6 million bits here)
+    for q, rule in (
+        (QuadInput(3, 10**6, 5 * 10**5 + 1, 1, 2), "S3.disc-square"),
+        (QuadInput(3, 10**6, None, None, 1), "S3.beta0-irreducible"),
+        (QuadInput(2, 10**6, 5 * 10**5 + 3, 1, 7), "S4.disc-square"),
+    ):
+        v, elapsed = _timed(lambda: classify_quadratic(q, attach_factors=False))
+        assert v.rule == rule
+        assert elapsed < 2.0, f"{elapsed:.3f}s"
+
+
+def test_general_huge_prime_power_head_is_fast():
+    # valuations of 3^12000 must take O(log n) divisions, not n
+    f = TruncSeries([3**12000, 2 * 3**6001, 5, 1, 1])
+    v, elapsed = _timed(lambda: classify_general(f))
+    assert v.rule == "S5.2m-gt-n-even-qr"
+    assert verify_factorization(f, *v.factors).passed
+    assert elapsed < 2.0, f"{elapsed:.3f}s"

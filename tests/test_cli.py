@@ -1,4 +1,7 @@
 import json
+import sys
+
+import pytest
 
 from zxfactor.cli import main
 
@@ -159,3 +162,24 @@ def test_json_output_is_deterministic(capsys):
     _, first = run(capsys, *args)
     _, second = run(capsys, *args)
     assert first == second
+
+
+@pytest.mark.skipif(not hasattr(sys, "get_int_max_str_digits"), reason="no int/str digit cap")
+def test_classify_integers_above_the_digit_cap(capsys):
+    from zxfactor.classify import QuadInput, discriminant
+
+    argv = ["classify", "--p", "7", "--n", "6000", "--m", "3001", "--beta", "3", "--alpha", "2"]
+    cap = sys.get_int_max_str_digits()
+    code, out = run(capsys, *argv, "--format", "json")
+    assert code == 0
+    delta = discriminant(QuadInput(7, 6000, 3001, 3, 2))
+    assert delta.bit_length() > 4300 * 3.33  # more than 4300 decimal digits
+    sys.set_int_max_str_digits(0)
+    try:
+        assert int(json.loads(out)["zp"]["discriminant"]) == delta
+    finally:
+        sys.set_int_max_str_digits(cap)
+    code, out = run(capsys, *argv)
+    assert code == 0
+    assert out.splitlines()[0] == "irreducible (rule S3.disc-nonsquare)"
+    assert sys.get_int_max_str_digits() == cap

@@ -184,7 +184,7 @@ def test_pinned_p31_repeated_root_pair():
     assert a.coeffs == P31_A and b.coeffs == P31_B
 
 
-# the pair the digit-scan root lifter produced (about 4 s); 194 bits at most
+# the factor pair through order 8 (largest coefficient: 194 bits)
 P31_A = (
     31, 188577031, 5398800295630681, 57258302, 515324718, 314920661, 286291510,
     343549812, 515324718,

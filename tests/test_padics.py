@@ -1,17 +1,20 @@
 import random
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from zxfactor.oracle import brute_roots_mod, brute_square_mod
 from zxfactor.padics import (
+    _sqrt_mod_prime,
     is_prime,
     is_qr_mod_p,
     is_square_zp,
     lift_roots_mod_pk,
     prime_power_decompose,
     root_certificate,
+    root_classes,
     smallest_prime_power_split,
+    square_class,
     valuation,
 )
 
@@ -39,6 +42,31 @@ def test_valuation_reconstructs_exactly(d, p):
     v = valuation(d, p)
     assert p**v.t * v.u == d
     assert v.u % p != 0
+
+
+def _valuation_by_single_division(d, p):
+    t = 0
+    while d % p == 0:
+        d //= p
+        t += 1
+    return t, d
+
+
+@given(
+    st.integers(min_value=-(10**6), max_value=10**6).filter(bool),
+    st.sampled_from(PRIMES + (13, 10007)),
+    st.integers(min_value=0, max_value=3000),
+)
+def test_valuation_matches_single_division(u, p, t):
+    # splitting by the powers p^(2^k) must agree with single divisions
+    d = p**t * u
+    v = valuation(d, p)
+    assert (v.t, v.u) == _valuation_by_single_division(d, p)
+
+
+def test_prime_power_decompose_large_exponent():
+    assert prime_power_decompose(3**12000) == (3, 12000)
+    assert prime_power_decompose(2 * 3**5000) is None
 
 
 def test_qr_examples():
@@ -76,6 +104,13 @@ def test_square_zp_zero():
     assert s.is_square and s.is_zero and s.valuation is None
 
 
+def test_square_class_of_power_times_unit():
+    assert square_class(4, -11, 5) == is_square_zp(-11 * 5**4, 5)
+    assert square_class(3, 7, 2) == is_square_zp(56, 2)
+    with pytest.raises(ValueError):
+        square_class(0, 10, 5)
+
+
 def test_square_zp_against_oracle_grid():
     ks = {2: 9, 3: 8, 5: 6, 7: 6}
     for p, k in ks.items():
@@ -109,6 +144,82 @@ def test_lift_roots_against_oracle():
         if A % p**k == 0 and B % p**k == 0 and C % p**k == 0:
             continue
         assert lift_roots_mod_pk(A, B, C, p, k) == brute_roots_mod(A, B, C, p, k)
+
+
+@st.composite
+def _quadratic_mod_pk(draw):
+    """(A, B, C, p, K) with p^K <= 10^6, weighted towards the hard shapes:
+    p = 2, p | A, double roots and content divisible by p."""
+    p = draw(st.sampled_from((2, 2, 3, 5, 7, 11, 101)))
+    K = draw(st.integers(min_value=1, max_value=6))
+    while p**K > 10**6 or (p**K > 10**4 and draw(st.booleans())):
+        K -= 1
+    small = st.integers(min_value=-40, max_value=40)
+    shape = draw(st.sampled_from(("free", "double", "content")))
+    if shape == "double":  # s*(y - r)^2 + p^k*c: a repeated root mod p^k
+        s = draw(st.sampled_from((1, -1, 3, p, 2 * p, p * p)))
+        r, c = draw(small), draw(small)
+        k = draw(st.integers(min_value=0, max_value=2 * K + 1))
+        A, B, C = s, -2 * s * r, s * r * r + p**k * c
+    elif shape == "content":  # p | A, and p^e divides B and C
+        e = draw(st.integers(min_value=0, max_value=K))
+        A = p ** draw(st.integers(min_value=1, max_value=3)) * draw(small)
+        B, C = p**e * draw(small), p**e * draw(small)
+    else:
+        A, B, C = draw(small), draw(small), draw(small)
+    pK = p**K
+    assume(not (A % pK == 0 and B % pK == 0 and C % pK == 0))
+    return A, B, C, p, K
+
+
+@settings(max_examples=300, deadline=None)
+@given(_quadratic_mod_pk())
+def test_lift_roots_matches_brute_force(case):
+    A, B, C, p, K = case
+    roots = lift_roots_mod_pk(A, B, C, p, K)
+    assert roots == brute_roots_mod(A, B, C, p, K)
+    classes = root_classes(A, B, C, p, K)
+    assert classes == sorted(classes)
+    assert all(1 <= j <= K and 0 <= r < p**j for r, j in classes)
+    assert sum(p ** (K - j) for _, j in classes) == len(roots)  # disjoint
+    if classes:
+        assert classes[0][0] == roots[0]
+
+
+def test_root_classes_keep_repeated_roots_whole():
+    # (y - 1)^2 = 5 * p^6 mod p^9: two classes mod p^6, p^3 roots in each
+    for p in (31, 101, 10**12 + 39):
+        classes = root_classes(1, -2, 1 - 5 * p**6, p, 9)
+        assert [j for _, j in classes] == [6, 6]
+        for r, _ in classes:
+            assert (r - 1) % p**3 == 0
+            assert ((r - 1) // p**3) ** 2 % p**3 == 5 % p**3
+    assert root_classes(1, -2, 1 - 5 * 31**6, 31, 9)[0][0] == 188577031
+
+
+@pytest.mark.parametrize("p", [3, 5, 7, 17, 41, 97, 65537, 998244353, 10**12 + 39])
+def test_sqrt_mod_prime_examples(p):
+    for a in range(min(p, 200)):
+        s = _sqrt_mod_prime(a, p)
+        if pow(a, (p - 1) // 2, p) in (0, 1):
+            assert s is not None and s * s % p == a
+        else:
+            assert s is None
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(min_value=3, max_value=10**12), st.integers(min_value=0, max_value=10**12))
+def test_sqrt_mod_prime_against_sympy(n, a):
+    sympy = pytest.importorskip("sympy")
+    from sympy.ntheory import sqrt_mod
+
+    p = sympy.prevprime(n + 1)
+    s = _sqrt_mod_prime(a, p)
+    expected = sqrt_mod(a, p, all_roots=True)
+    if not expected:
+        assert s is None
+    else:
+        assert s in expected
 
 
 def test_root_certificate_nondegenerate():

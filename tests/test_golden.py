@@ -4,8 +4,11 @@
 ``classify`` invocations to the exit code and the sha256 of the JSON
 line the CLI printed for it when the file was made.  The corpus covers
 every quadratic engine and both tail engines at ``--terms 64``, large-p
-factorizations at ``--terms 8`` and the p = 11 repeated root.  Rebuild
-the file (only on a deliberate change of output) with
+factorizations at ``--terms 8`` and the p = 11 repeated root.
+``tests/data/golden_sweep.json`` holds one sha256 over the concatenated
+JSON lines of a larger corpus, the criterion-2 sweep at ``--terms 64``
+followed by the tailed series of criterion 7, plus its exit-code tally.
+Rebuild both files (only on a deliberate change of output) with
 
     PYTHONPATH=src python tests/test_golden.py
 """
@@ -20,10 +23,12 @@ import sys
 from math import isqrt
 from pathlib import Path
 
+from test_acceptance import SWEEP_SEED, SWEEP_SIZE, _sample_inputs
 from zxfactor.classify import QuadInput, classify_quadratic
 from zxfactor.cli import main
 
 DATA = Path(__file__).parent / "data" / "golden_classify.json"
+SWEEP_DATA = Path(__file__).parent / "data" / "golden_sweep.json"
 SEED = 20071
 
 
@@ -150,6 +155,33 @@ def corpus(seed: int = SEED) -> list[str]:
     return list(dict.fromkeys(lines))
 
 
+def sweep_corpus() -> list[str]:
+    """Criterion 2's sweep at --terms 64, then criterion 7's tailed series."""
+    lines = [
+        _line(q.p, q.n, q.m, q.beta, q.alpha, 64)
+        for q in _sample_inputs(SWEEP_SIZE, SWEEP_SEED)
+    ]
+    long_tail = [9, 0, 0, 27] + [0] * 26  # c_3 .. c_32, all divisible by 9
+    lines += [
+        _line(3, 2, 1, 1, -2, 64, [1]),
+        _line(3, 2, 1, 1, -2, 32, long_tail),
+        _line(3, 2, 1, 1, -2, 64, long_tail),
+        _line(3, 2, 1, 1, -2, 64, [3]),
+    ]
+    return lines
+
+
+def _sweep_record() -> dict:
+    digest = hashlib.sha256()
+    tally: dict[str, int] = {}
+    lines = sweep_corpus()
+    for line in lines:
+        code, out = _run(line)
+        digest.update(out.encode())
+        tally[str(code)] = tally.get(str(code), 0) + 1
+    return {"lines": len(lines), "sha256": digest.hexdigest(), "exit_codes": dict(sorted(tally.items()))}
+
+
 def _neg_residue(rng: random.Random, p: int, bound: int) -> int:
     """A unit alpha with abs(alpha) <= bound and -alpha a residue mod odd p."""
     while True:
@@ -176,6 +208,10 @@ def test_golden_classify_json_is_byte_identical():
     for line in lines:
         code, out = _run(line)
         assert [code, _digest(out)] == golden[line], line
+
+
+def test_golden_sweep_json_is_byte_identical():
+    assert _sweep_record() == json.loads(SWEEP_DATA.read_text())
 
 
 def test_pinned_p31_repeated_root_pair():
@@ -210,3 +246,5 @@ if __name__ == "__main__":
     DATA.parent.mkdir(exist_ok=True)
     DATA.write_text(json.dumps(table, indent=1) + "\n")
     print(f"wrote {len(table)} digests to {DATA}", file=sys.stderr)
+    SWEEP_DATA.write_text(json.dumps(_sweep_record(), indent=1) + "\n")
+    print(f"wrote the sweep digest to {SWEEP_DATA}", file=sys.stderr)

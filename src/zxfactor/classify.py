@@ -17,7 +17,7 @@ exact unresolved hypothesis.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
 from math import gcd
 
 from .padics import (
@@ -41,10 +41,7 @@ __all__ = [
     "discriminant_square_class",
     "classify_quadratic",
     "classify_general",
-    "BETA_ZERO",
 ]
-
-BETA_ZERO = None  # sentinel spelling for the beta = 0 input form
 
 
 class VerdictKind(enum.Enum):
@@ -241,13 +238,9 @@ def classify_quadratic(q: QuadInput, terms: int = 64, attach_factors: bool = Tru
     )
 
 
-def classify_general(f: TruncSeries, p_hint: int | None = None) -> Verdict:
-    """Rule cascade for an arbitrary truncated series.
-
-    ``p_hint`` is accepted for interface compatibility; the prime is
-    always inferred from the constant term, which determines it.
-    """
-    del p_hint
+def classify_general(f: TruncSeries) -> Verdict:
+    """Rule cascade for an arbitrary truncated series; the prime is
+    inferred from the constant term, which determines it."""
     if f.is_zero():
         return Verdict(VerdictKind.ZERO_SERIES, "S2.zero-series")
     f0 = f.coeffs[0]
@@ -275,16 +268,7 @@ def classify_general(f: TruncSeries, p_hint: int | None = None) -> Verdict:
         if verdict.factors is None:
             return verdict
         neg_a = TruncSeries([-c for c in verdict.factors[0].coeffs])
-        return Verdict(
-            kind=verdict.kind,
-            rule=verdict.rule,
-            zp_reducible=verdict.zp_reducible,
-            certificate=verdict.certificate,
-            factors=(neg_a, verdict.factors[1]),
-            verified_order=verdict.verified_order,
-            assumption=verdict.assumption,
-            conditional_on_truncation=verdict.conditional_on_truncation,
-        )
+        return replace(verdict, factors=(neg_a, verdict.factors[1]))
     return _classify_prime_power(f, p, n)
 
 
@@ -344,16 +328,7 @@ def _quadratic_fallback(f: TruncSeries, q_head: QuadInput, reason: str) -> Verdi
         QuadInput(q_head.p, q_head.n, q_head.m, q_head.beta, q_head.alpha),
         terms=f.order,
     )
-    return Verdict(
-        kind=base.kind,
-        rule=base.rule,
-        zp_reducible=base.zp_reducible,
-        certificate=base.certificate,
-        factors=base.factors,
-        verified_order=base.verified_order,
-        assumption=f"{reason}; {_ZERO_EXTENSION}",
-        conditional_on_truncation=True,
-    )
+    return replace(base, assumption=f"{reason}; {_ZERO_EXTENSION}", conditional_on_truncation=True)
 
 
 def _undecided(f: TruncSeries, q_head: QuadInput | None, sq: SquareClass | None, reason: str) -> Verdict:

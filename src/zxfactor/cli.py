@@ -22,13 +22,15 @@ from .classify import (
     discriminant_square_class,
 )
 from .oracle import verify_factorization
-from .padics import is_square_zp, lift_roots_mod_pk
+from .padics import is_square_zp, lift_roots_mod_pk, root_classes
 from .series import TruncSeries, from_decimal_strings, normalize_head, to_decimal_strings
 
 EXIT_OK = 0
 EXIT_NOT_REDUCIBLE = 1
 EXIT_BAD_INPUT = 2
 EXIT_UNKNOWN = 3
+
+MAX_LISTED_ROOTS = 10**6
 
 
 def _parse_int(s: str) -> int:
@@ -84,7 +86,7 @@ def _classify(q: QuadInput, terms: int) -> Verdict:
     return classify_quadratic(q, terms=terms)
 
 
-def _verdict_json(q: QuadInput, terms: int, verdict: Verdict) -> dict:
+def _verdict_json(q: QuadInput, verdict: Verdict) -> dict:
     sq = discriminant_square_class(q)
     out: dict = {
         "input": {
@@ -148,7 +150,7 @@ def cmd_classify(args) -> int:
     q, terms = _build_input(args)
     verdict = _classify(q, terms)
     if args.format == "json":
-        print(json.dumps(_verdict_json(q, terms, verdict)))
+        print(json.dumps(_verdict_json(q, verdict)))
     else:
         _print_verdict_text(q, verdict)
     return EXIT_UNKNOWN if verdict.kind is VerdictKind.UNKNOWN else EXIT_OK
@@ -176,12 +178,12 @@ def cmd_factor(args) -> int:
     verdict = _classify(q, terms)
     if verdict.kind is not VerdictKind.REDUCIBLE or verdict.factors is None:
         if args.format == "json":
-            print(json.dumps(_verdict_json(q, terms, verdict)))
+            print(json.dumps(_verdict_json(q, verdict)))
         else:
             print(verdict.kind.value)
         return EXIT_NOT_REDUCIBLE
     if args.format == "json":
-        print(json.dumps(_verdict_json(q, terms, verdict)))
+        print(json.dumps(_verdict_json(q, verdict)))
     else:
         _print_verdict_text(q, verdict)
     return EXIT_OK
@@ -217,10 +219,14 @@ def cmd_square(args) -> int:
 
 
 def cmd_roots(args) -> int:
-    roots = lift_roots_mod_pk(
-        _parse_int(args.A), _parse_int(args.B), _parse_int(args.C),
-        _parse_int(args.p), _parse_int(args.k),
-    )
+    A, B, C, p, k = (_parse_int(x) for x in (args.A, args.B, args.C, args.p, args.k))
+    # a class (r, j) holds p^(k-j) roots: count them before listing any
+    count = sum(p ** (k - j) for _, j in root_classes(A, B, C, p, k))
+    if count > MAX_LISTED_ROOTS:
+        raise ValueError(
+            f"{count} roots mod {p}^{k}: more than the {MAX_LISTED_ROOTS} this command lists"
+        )
+    roots = lift_roots_mod_pk(A, B, C, p, k)
     if args.format == "json":
         print(json.dumps({"roots": [str(r) for r in roots]}))
     else:

@@ -1,27 +1,41 @@
 """Constructive factorization engines.
 
 Each engine turns a classified-reducible input into an explicit pair of
-power-series factors through a requested order N, by solving the product
-equations coefficient by coefficient.  Every step solves
+power-series factors a, b through a requested order N.  The engines
+differ only in their hypothesis checks and their seeds: the first
+coefficients of a and the head b_0 = scale * a_0.  One core extends the
+seeds order by order.  At stage m it sets a_m = A * ~a_m, where ~a_m is
+the canonical residue modulo a_0 * S / D that keeps order m + lag of the
+product divisible, and b_m then follows exactly from order m.  Each
+stage is one call of :func:`solve_unit_step` with a coefficient c that
+is a unit modulo a_0 * S / D, which is what makes the recurrence total.
+The parameters per engine (l is half the valuation of beta^2 - 4*alpha,
+of beta^2 - alpha when p = 2):
 
-    target = modulus * s_next + c * a_N + v
+    engine                                  (A, S, D)                       lag
+    2m<n, m>nu, beta0, simple-root          (1, 1, 1)                       1
+    p=2 m>nu+1 and beta0 p=2                (2^nu, 2^(nu+1), 2^(nu+1))      1
+    p=2 m=nu+1                              (2^(l+1), 2^(2l+2), 2^(2l+2))   1
+    m=nu, nu<=l                             (p^l, p^(3l-nu), p^(2l))        1
+    p^2-divisible tail                      (p, p^2, p^2)                   1
+    m=nu, nu>l                              A = p^(nu-l)                    2
 
-for the canonical residue a_N in [0, modulus) and the exact quotient
-s_next; the coefficient c is a unit mod p in every engine, which is what
-makes the recurrences total.  After every emitted order the running
-product is checked against the target coefficients; a mismatch raises
-:class:`EngineInvariantError` (a bug, never an input condition).
+Lag one is :func:`_lift`, lag two :func:`_lift2`.  After every emitted
+order the running product is checked against the target coefficients; a
+mismatch raises :class:`EngineInvariantError` (a bug, never an input
+condition).
 
-Whenever the auxiliary quadratic of an engine has an exact integer root
-and the input has no tail, the engine emits the finite polynomial
-factorization directly instead of running the recurrence (the recurrence
-certificates degenerate there).
+Whenever b_0*y^2 - f_1*y + a_0*f_2 has an integer root and the input
+has no tail, the engine emits the finite polynomial factorization
+directly instead of running the recurrence (the recurrence certificates
+degenerate there).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from math import gcd, isqrt
+from operator import mul
 from typing import TYPE_CHECKING
 
 from .padics import (
@@ -60,22 +74,19 @@ class EngineInvariantError(RuntimeError):
 
 @dataclass
 class FactorState:
-    """Growing factor pair plus the case's auxiliary scaled sequences."""
+    """A growing factor pair and the target coefficients it must meet."""
 
     case_tag: str
     targets: tuple[int, ...]
     a: list[int]
     b: list[int]
-    aux: dict[str, list[int]] = field(default_factory=dict)
-    step: int = 0
 
     def check_order(self, k: int) -> None:
-        acc = sum(self.a[j] * self.b[k - j] for j in range(k + 1))
+        acc = sum(map(mul, self.a[: k + 1], self.b[k::-1]))
         if acc != self.targets[k]:
             raise EngineInvariantError(
                 f"{self.case_tag}: product coefficient {k} is {acc}, want {self.targets[k]}"
             )
-        self.step = k
 
     def pair(self, n: int) -> tuple[TruncSeries, TruncSeries]:
         return TruncSeries(self.a[: n + 1]), TruncSeries(self.b[: n + 1])
@@ -104,43 +115,10 @@ def _exact_div(num: int, den: int, what: str) -> int:
     return q
 
 
-def _quad_targets(q: "QuadInput", n: int) -> list[int]:
-    """Coefficients 0..n+1 of the input, absent tail entries taken as zero."""
-    f = [0] * (n + 2)
-    f[0] = q.p**q.n
-    if q.beta is not None:
-        f[1] = q.p**q.m * q.beta
-    f[2] = q.alpha
-    for i, c in enumerate(q.tail):
-        if 3 + i < len(f):
-            f[3 + i] = c
-    return f
-
-
-def _series_targets(f: TruncSeries, n: int) -> list[int]:
+def _series_targets(f: TruncSeries, n: int) -> tuple[int, ...]:
     if n > f.order:
         raise ValueError(f"factoring beyond the input's order {f.order} is refused")
-    return list(f.coeffs[: n + 1]) + [0]
-
-
-def _polynomial_pair(
-    a0: int, a1: int, b0: int, b1: int, n: int, targets, tag: str
-) -> tuple[TruncSeries, TruncSeries]:
-    state = FactorState(tag, tuple(targets), [a0, a1] + [0] * n, [b0, b1] + [0] * n)
-    for k in range(n + 1):
-        state.check_order(k)
-    return state.pair(n)
-
-
-def _monic_int_roots(s1: int, alpha: int) -> tuple[int, int] | None:
-    """Integer roots of y^2 - s1*y + alpha, smaller root first."""
-    disc = s1 * s1 - 4 * alpha
-    if disc < 0:
-        return None
-    d = isqrt(disc)
-    if d * d != disc or (s1 - d) % 2:
-        return None
-    return (s1 - d) // 2, (s1 + d) // 2
+    return f.coeffs[: n + 1] + (0,)
 
 
 def _require(cond: bool, message: str) -> None:
@@ -148,90 +126,97 @@ def _require(cond: bool, message: str) -> None:
         raise ValueError(message)
 
 
+def _smallest_root(A: int, B: int, C: int, p: int, K: int, tag: str) -> int:
+    classes = root_classes(A, B, C, p, K)
+    if not classes:
+        raise EngineInvariantError(f"{tag}: no root mod {p}^{K} despite the reducible hypotheses")
+    return classes[0][0]
+
+
 # ---------------------------------------------------------------------------
-# shared recurrence cores
+# the integer-root shortcut and the lifting core
 
 
-def _coupled_recurrence(
-    modulus: int,
-    a0: int,
-    b0: int,
-    scale: int,
-    t1: int,
-    a1: int,
-    targets: list[int],
-    n: int,
-    tag: str,
-) -> tuple[TruncSeries, TruncSeries]:
-    """Factor with b_k = t_k - scale * a_k and step unit t1 - 2*scale*a1.
+def _integer_split(targets, a0: int, b0: int, n: int, tag: str):
+    """(a_0 + r1*x)(b_0 + r2*x) with r1 the smaller integer root of
+    b_0*y^2 - f_1*y + a_0*f_2, when there is one and the targets have no
+    tail; None otherwise.  Orders 1 and 2 give r2 = (f_1 - b_0*r1)/a_0."""
+    f1, f2 = targets[1], targets[2]
+    disc = f1 * f1 - 4 * a0 * b0 * f2
+    if any(targets[3:]) or disc < 0:
+        return None
+    d = isqrt(disc)
+    roots = [num // (2 * b0) for num in (f1 - d, f1 + d) if d * d == disc and num % (2 * b0) == 0]
+    if not roots:
+        return None
+    pad = [0] * (n - 1)
+    state = FactorState(tag, targets, [a0, roots[0]] + pad, [b0, (f1 - b0 * roots[0]) // a0] + pad)
+    for k in range(n + 1):
+        state.check_order(k)
+    return state.pair(n)
 
-    Covers the 2m < n engine (scale = p^(n-2m)) and, with scale = 1, the
-    balanced a0 = b0 = p^nu engines whose sums s_k play the role of t_k.
-    Stage M consumes target coefficient M+1 and emits (a_M, t_{M+1}).
+
+def _start(tag: str, targets, a: list[int], b0: int) -> tuple[FactorState, int, int]:
+    """Complete the seeds a_0..a_(k-1), b_0 from orders 1..k-1.
+
+    Returns the state, scale = b_0/a_0 and t_k = b_k + scale*a_k, which
+    order k fixes before a_k is known.
     """
-    t2 = _exact_div(scale * a1 * a1 - t1 * a1 + targets[2], modulus, f"{tag}: seed")
-    c = t1 - 2 * scale * a1
-    state = FactorState(
-        tag, tuple(targets), [a0, a1], [b0, t1 - scale * a1], aux={"t": [0, t1, t2]}
-    )
-    t = state.aux["t"]
-    state.check_order(0)
-    state.check_order(1)
-    a = state.a
-    for m in range(2, n + 1):
-        v = a1 * t[m] + sum(
-            a[k] * (t[m + 1 - k] - scale * a[m + 1 - k]) for k in range(2, m)
-        )
-        a_m, t_next = solve_unit_step(modulus, c, v, targets[m + 1])
-        a.append(a_m)
-        t.append(t_next)
-        state.b.append(t[m] - scale * a_m)
+    state = FactorState(tag, targets, list(a), [b0])
+    a, b = state.a, state.b
+    scale = _exact_div(b0, a[0], f"{tag}: head")
+    for m in range(1, len(a) + 1):
+        t = _exact_div(targets[m] - sum(map(mul, a[1:m], b[:0:-1])), a[0], f"{tag}: order {m}")
+        if m < len(a):
+            b.append(t - scale * a[m])
+    for m in range(len(a)):
+        state.check_order(m)
+    return state, scale, t
+
+
+def _lift(tag: str, targets, n: int, a: list[int], b0: int, A: int = 1, S: int = 1, D: int = 1):
+    """Lag one.  With t_m = b_m + scale*a_m, order m + 1 reads
+
+        f_(m+1) = a_0*t_(m+1) + c0*a_m + a_1*t_m + sum_(j=2..m-1) a_j*b_(m+1-j)
+
+    where c0 = b_1 - scale*a_1.  Stage m takes a_m = A*~a_m with the ~a_m
+    that makes t_(m+1) a multiple of S; the equation divided by D has the
+    unit c = c0*A/D.  The seeds make t_k a multiple of S, and D divides
+    A*S and A*A, so every later division by D is exact.
+    """
+    state, scale, t = _start(tag, targets, a, b0)
+    a, b = state.a, state.b
+    modulus = _exact_div(a[0] * S, D, f"{tag}: modulus")
+    c = _exact_div((b[1] - scale * a[1]) * A, D, f"{tag}: step unit")
+    for m in range(len(a), n + 1):
+        v = a[1] * t + sum(map(mul, a[2:m], b[m - 1 : 1 : -1]))
+        atil, t_next = solve_unit_step(modulus, c, _exact_div(v - targets[m + 1], D, tag), 0)
+        a.append(A * atil)
+        b.append(t - scale * a[m])
+        t = S * t_next
         state.check_order(m)
     return state.pair(n)
 
 
-def _p2_scaled_recurrence(
-    nu: int,
-    c_unit: int,
-    s1: int,
-    a1: int,
-    t2: int,
-    a_scale: int,
-    s_scale: int,
-    targets: list[int],
-    n: int,
-    tag: str,
-) -> tuple[TruncSeries, TruncSeries]:
-    """p = 2 engines: a_k = a_scale * ~a_k and s_k = s_scale * t_k for k >= 2.
+def _lift2(tag: str, targets, n: int, a: list[int], A: int):
+    """Lag two, for b_0 = a_0 and the seeds a_0, a_1, a_2.
 
-    Stage M solves 0 = 2^nu * t_{M+1} + c_unit * ~a_M + w_M where w_M is
-    the order-(M+1) product identity divided through by s_scale.
+    With s_m = b_m + a_m, order m + 1 gives s_(m+1) = u_m - t*~a_m with
+    t = (b_1 - a_1)*A/a_0 and u_m free of ~a_m, so it cannot fix ~a_m;
+    order m + 2 does, modulo a_0, with the unit c below.  The quotient of
+    that solve is u_(m+1), the order-(m+2) sum the next stage needs.
     """
-    two_nu = 2**nu
-    cross = _exact_div(a_scale * a_scale, s_scale, f"{tag}: scale ratio")
-    state = FactorState(
-        tag,
-        tuple(targets),
-        [two_nu, a1],
-        [two_nu, s1 - a1],
-        aux={"atil": [0, 0], "t": [0, 0, t2]},
-    )
-    atil, t = state.aux["atil"], state.aux["t"]
-    state.check_order(0)
-    state.check_order(1)
-    s = [0, s1, s_scale * t2]
-    for m in range(2, n + 1):
-        w = (
-            a1 * t[m]
-            + a_scale * sum(atil[k] * t[m + 1 - k] for k in range(2, m))
-            - cross * sum(atil[k] * atil[m + 1 - k] for k in range(2, m))
-        )
-        atil_m, t_next = solve_unit_step(two_nu, c_unit, w, 0)
-        atil.append(atil_m)
-        t.append(t_next)
-        s.append(s_scale * t_next)
-        state.a.append(a_scale * atil_m)
-        state.b.append(s[m] - a_scale * atil_m)
+    state, _, s = _start(tag, targets, a, a[0])
+    a, b = state.a, state.b
+    u = _exact_div(targets[4] - a[1] * s - a[2] * b[2], a[0], f"{tag}: order 4")
+    t = _exact_div((b[1] - a[1]) * A, a[0], f"{tag}: t")
+    c = A * (b[2] - a[2]) - t * a[1]
+    for m in range(3, n + 1):
+        v = a[1] * u + a[2] * s + sum(map(mul, a[3:m], b[m - 1 : 2 : -1]))
+        atil, u_next = solve_unit_step(a[0], c, v, targets[m + 2])
+        a.append(A * atil)
+        b.append(s - a[m])
+        s, u = u - t * atil, u_next
         state.check_order(m)
     return state.pair(n)
 
@@ -243,64 +228,40 @@ def _p2_scaled_recurrence(
 def factor_2m_lt_n(q: "QuadInput", n: int) -> tuple[TruncSeries, TruncSeries]:
     """Split p^n + p^m*beta*x + alpha*x^2 (+ tail) when 2m < n.
 
-    The factor heads are p^m and p^(n-m); the coupling sequence is
-    t_k = b_k + p^(n-2m) * a_k and the step unit is beta - 2p^(n-2m)*a1,
-    a unit because the scale is divisible by p.  Works for p = 2 as well.
+    The factor heads are p^m and p^(n-m), so scale = p^(n-2m), and a_1 is
+    a root of scale*y^2 - beta*y + alpha mod p^m; the step unit
+    beta - 2*scale*a_1 is a unit because the scale is divisible by p.
+    Works for p = 2 as well.
     """
     _require(q.beta is not None and 2 * q.m < q.n, "engine needs beta != 0 and 2m < n")
     _require(n >= 2, "factor order must be at least 2")
-    p, beta, alpha = q.p, q.beta, q.alpha
-    targets = _quad_targets(q, n)
-    scale = p ** (q.n - 2 * q.m)
-    pm = p**q.m
-    if not any(targets[3:]):
-        disc = beta * beta - 4 * alpha * scale
-        if disc >= 0 and isqrt(disc) ** 2 == disc:
-            d = isqrt(disc)
-            for num in (beta - d, beta + d):
-                if num % (2 * scale) == 0:
-                    r1 = num // (2 * scale)
-                    return _polynomial_pair(
-                        pm, r1, p ** (q.n - q.m), beta - scale * r1, n, targets, "2m<n poly"
-                    )
-    classes = root_classes(scale, -beta, alpha, p, q.m)
-    if not classes:
-        raise EngineInvariantError("2m<n: auxiliary quadratic has no root mod p^m")
-    a1 = classes[0][0]
-    return _coupled_recurrence(
-        pm, pm, p ** (q.n - q.m), scale, beta, a1, targets, n, "2m<n"
-    )
-
-
-def _case1_with_seed(
-    p: int, nu: int, s1: int, a1: int, targets: list[int], n: int, tag: str
-) -> tuple[TruncSeries, TruncSeries]:
-    pn = p**nu
-    return _coupled_recurrence(pn, pn, pn, 1, s1, a1, targets, n, tag)
+    pm, pnm = q.p**q.m, q.p ** (q.n - q.m)
+    targets = q.head_series(n + 1).coeffs
+    pair = _integer_split(targets, pm, pnm, n, "2m<n poly")
+    if pair is not None:
+        return pair
+    a1 = _smallest_root(pnm // pm, -q.beta, q.alpha, q.p, q.m, "2m<n")
+    return _lift("2m<n", targets, n, [pm, a1], pnm)
 
 
 def factor_m_gt_nu(q: "QuadInput", n: int) -> tuple[TruncSeries, TruncSeries]:
     """Split p^(2nu) + p^m*beta*x + alpha*x^2 (+ tail) with p odd, m > nu.
 
-    Seeds from a root of y^2 - p^(m-nu)*beta*y + alpha mod p^nu; the step
-    unit is p^(m-nu)*beta - 2*a1, a unit since a1 is.  Accepts a tail
-    (the same recurrence absorbs arbitrary target coefficients).
+    Seeds from a root a_1 of y^2 - p^(m-nu)*beta*y + alpha mod p^nu; the
+    step unit is p^(m-nu)*beta - 2*a_1, a unit since a_1 is.  Accepts a
+    tail (the same recurrence absorbs arbitrary target coefficients).
     """
     _require(q.beta is not None and q.n % 2 == 0 and q.m > q.n // 2, "engine needs m > n/2, n even")
     _require(q.p != 2, "p = 2 is handled by the scaled engines")
     _require(n >= 2, "factor order must be at least 2")
-    p, nu, alpha = q.p, q.n // 2, q.alpha
-    s1 = p ** (q.m - nu) * q.beta
-    targets = _quad_targets(q, n)
-    if not any(targets[3:]):
-        roots = _monic_int_roots(s1, alpha)
-        if roots is not None:
-            r1, r2 = roots
-            return _polynomial_pair(p**nu, r1, p**nu, r2, n, targets, "m>nu poly")
-    classes = root_classes(1, -s1, alpha, p, nu)
-    if not classes:
-        raise EngineInvariantError("m>nu: no root mod p^nu despite reducible classification")
-    return _case1_with_seed(p, nu, s1, classes[0][0], targets, n, "m>nu")
+    p, nu = q.p, q.n // 2
+    pn = p**nu
+    targets = q.head_series(n + 1).coeffs
+    pair = _integer_split(targets, pn, pn, n, "m>nu poly")
+    if pair is not None:
+        return pair
+    a1 = _smallest_root(1, -(p ** (q.m - nu)) * q.beta, q.alpha, p, nu, "m>nu")
+    return _lift("m>nu", targets, n, [pn, a1], pn)
 
 
 def factor_m_eq_nu(q: "QuadInput", n: int) -> tuple[TruncSeries, TruncSeries]:
@@ -308,19 +269,20 @@ def factor_m_eq_nu(q: "QuadInput", n: int) -> tuple[TruncSeries, TruncSeries]:
 
     Needs beta^2 - 4*alpha = p^(2l) * q with q a residue unit mod p (or a
     perfect integer square, which short-circuits to polynomial factors).
-    A root certificate at precision 3*max(l, nu) supplies a1 = a with
-    g(a) = p^mu * r and beta - 2a = p^l * t; the two sub-cases nu > l and
-    nu <= l use differently scaled auxiliary sequences.
+    A root certificate at precision 3*max(l, nu) supplies a_1 = a with
+    g(a) = p^mu * r and beta - 2a = p^l * t.  For nu > l the seed a_2 is
+    0 and the lag-two core runs with A = p^(nu-l); for nu <= l the seed
+    is a_2 = p^(mu-nu-l) * z * a_1 with z = -r/t mod p^nu.
     """
     _require(q.beta is not None and q.n % 2 == 0 and q.m == q.n // 2, "engine needs m = n/2")
     _require(q.p != 2, "p = 2 is handled by the scaled engines")
     _require(n >= 2, "factor order must be at least 2")
     p, nu, beta, alpha = q.p, q.n // 2, q.beta, q.alpha
-    targets = _quad_targets(q, n)
-    roots = _monic_int_roots(beta, alpha)
-    if roots is not None:
-        r1, r2 = roots
-        return _polynomial_pair(p**nu, r1, p**nu, r2, n, targets, "m=nu poly")
+    pn = p**nu
+    targets = q.head_series(n + 2).coeffs
+    pair = _integer_split(targets, pn, pn, n, "m=nu poly")
+    if pair is not None:
+        return pair
     disc = valuation(beta * beta - 4 * alpha, p)
     _require(disc.t % 2 == 0, "discriminant has odd valuation: input is irreducible")
     ell = disc.t // 2
@@ -329,91 +291,12 @@ def factor_m_eq_nu(q: "QuadInput", n: int) -> tuple[TruncSeries, TruncSeries]:
     if cert is None or cert.mu is None or cert.ell != ell:
         raise EngineInvariantError("m=nu: certificate disagrees with the discriminant data")
     if nu > ell:
-        return _m_eq_nu_big_nu(p, nu, ell, beta, cert, targets, n)
-    return _m_eq_nu_small_nu(p, nu, ell, beta, cert, targets, n)
-
-
-def _m_eq_nu_big_nu(p, nu, ell, beta, cert, targets, n):
-    """Sub-case nu > l: a_k = p^(nu-l) * ~a_k, s_(k+1) = u_k - t * ~a_k.
-
-    The seeds u_1 = s_2, u_2 = -a1 * p^(mu-2nu) * r and u_3 = -a1*u_2 / p^nu
-    (with ~a_2 = 0) are forced by the order-3 and order-4 product
-    identities; mu >= 3nu makes them integral.  Stage M >= 3 solves
-    0 = p^nu * u_(M+1) + [p^(nu-l)*(s_2 - 2a_2) - t*a1] * ~a_M + v_M.
-    """
-    pn = p**nu
-    a1, mu, r, t = cert.a, cert.mu, cert.r, cert.t_unit
-    u2 = -a1 * p ** (mu - 2 * nu) * r
-    u3 = _exact_div(-a1 * u2, pn, "m=nu nu>l: u_3 seed")
-    s2 = p ** (mu - nu) * r
-    state = FactorState(
-        "m=nu nu>l",
-        tuple(targets),
-        [pn, a1, 0],
-        [pn, beta - a1, s2],
-        aux={"u": [0, s2, u2, u3], "atil": [0, 0, 0]},
+        return _lift2("m=nu nu>l", targets, n, [pn, cert.a, 0], p ** (nu - ell))
+    z = -cert.r * pow(cert.t_unit, -1, pn) % pn
+    a2 = p ** (cert.mu - nu - ell) * z * cert.a
+    return _lift(
+        "m=nu nu<=l", targets, n, [pn, cert.a, a2], pn, p**ell, p ** (3 * ell - nu), p ** (2 * ell)
     )
-    u, atil = state.aux["u"], state.aux["atil"]
-    s = [0, beta, s2, u2]
-    for k in range(3):
-        state.check_order(k)
-    c = p ** (nu - ell) * (s[2] - 2 * state.a[2]) - t * a1
-    scale = p ** (nu - ell)
-    a = state.a
-    for m in range(3, n + 1):
-        v = (
-            a1 * u[m]
-            + a[2] * s[m]
-            + sum(a[k] * (s[m + 2 - k] - a[m + 2 - k]) for k in range(3, m))
-        )
-        atil_m, u_next = solve_unit_step(pn, c, v, 0)
-        atil.append(atil_m)
-        u.append(u_next)
-        a.append(scale * atil_m)
-        s.append(u[m] - t * atil_m)
-        state.b.append(s[m] - a[m])
-        state.check_order(m)
-    return state.pair(n)
-
-
-def _m_eq_nu_small_nu(p, nu, ell, beta, cert, targets, n):
-    """Sub-case nu <= l: a_k = p^l * ~a_k and s_k = p^(3l-nu) * ~s_k.
-
-    Seeds come from a Bezout solution of p^nu * y + t*z + r = 0; stage
-    M >= 3 solves 0 = p^l * ~s_(M+1) + t * ~a_M + v_M with t a unit.
-    """
-    pn, pl = p**nu, p**ell
-    a1, mu, r, t = cert.a, cert.mu, cert.r, cert.t_unit
-    z = (-r * pow(t, -1, pn)) % pn
-    y = _exact_div(-r - t * z, pn, "m=nu nu<=l: Bezout seed")
-    s_scale = p ** (3 * ell - nu)
-    atil2 = p ** (mu - 2 * ell - nu) * z * a1
-    stil = [0, 0, p ** (mu - 3 * ell) * r, p ** (mu - 3 * ell) * y * a1]
-    state = FactorState(
-        "m=nu nu<=l",
-        tuple(targets),
-        [pn, a1, pl * atil2],
-        [pn, beta - a1, s_scale * stil[2] - pl * atil2],
-        aux={"atil": [0, 0, atil2], "stil": stil},
-    )
-    atil = state.aux["atil"]
-    s = [0, beta, s_scale * stil[2], s_scale * stil[3]]
-    for k in range(3):
-        state.check_order(k)
-    a = state.a
-    for m in range(3, n + 1):
-        v = a1 * p ** (ell - nu) * stil[m] + sum(
-            atil[k] * (p ** (2 * ell - nu) * stil[m + 1 - k] - atil[m + 1 - k])
-            for k in range(2, m)
-        )
-        atil_m, stil_next = solve_unit_step(pl, t, v, 0)
-        atil.append(atil_m)
-        stil.append(stil_next)
-        a.append(pl * atil_m)
-        s.append(s_scale * stil_next)
-        state.b.append(s[m] - a[m])
-        state.check_order(m)
-    return state.pair(n)
 
 
 def factor_beta_zero(q: "QuadInput", n: int) -> tuple[TruncSeries, TruncSeries]:
@@ -423,88 +306,69 @@ def factor_beta_zero(q: "QuadInput", n: int) -> tuple[TruncSeries, TruncSeries]:
     _require(q.n % 2 == 0, "n must be even for a beta-zero split")
     _require(n >= 2, "factor order must be at least 2")
     p, nu, alpha = q.p, q.n // 2, q.alpha
-    targets = _quad_targets(q, n)
-    neg = -alpha
-    if neg >= 0 and isqrt(neg) ** 2 == neg:
-        d = isqrt(neg)
-        return _polynomial_pair(p**nu, -d, p**nu, d, n, targets, "beta0 poly")
+    pn = p**nu
+    targets = q.head_series(n + 1).coeffs
+    pair = _integer_split(targets, pn, pn, n, "beta0 poly")
+    if pair is not None:
+        return pair
     if p == 2:
         _require(alpha % 8 == 7, "p = 2 needs alpha = 7 mod 8")
-        a1 = root_classes(1, 0, alpha, 2, 2 * nu + 1)[0][0]
-        t2 = _exact_div(a1 * a1 + alpha, 2 ** (2 * nu + 1), "beta0 p=2 seed")
-        return _p2_scaled_recurrence(
-            nu, -a1, 0, a1, t2, 2**nu, 2 ** (nu + 1), targets, n, "beta0 p=2"
-        )
+        a1 = _smallest_root(1, 0, alpha, 2, 2 * nu + 1, "beta0 p=2")
+        return _lift("beta0 p=2", targets, n, [pn, a1], pn, pn, 2 * pn, 2 * pn)
     _require(is_qr_mod_p(-alpha, p), "-alpha is a non-residue: input is irreducible")
-    classes = root_classes(1, 0, alpha, p, nu)
-    if not classes:
-        raise EngineInvariantError("beta0: residue test passed but no root mod p^nu")
-    return _case1_with_seed(p, nu, 0, classes[0][0], targets, n, "beta0")
+    return _lift("beta0", targets, n, [pn, _smallest_root(1, 0, alpha, p, nu, "beta0")], pn)
 
 
 def factor_p2_m_gt_nu1(q: "QuadInput", n: int) -> tuple[TruncSeries, TruncSeries]:
     """Split 4^nu + 2^m*beta*x + alpha*x^2 for p = 2 and m > nu + 1.
 
     Reducible exactly when alpha = 3 mod 8 (m - nu - 1 = 1) or
-    alpha = 7 mod 8 (m - nu - 1 >= 2).  Seeds from a root of
-    y^2 - 2^(m-nu)*beta*y + alpha mod 2^(2nu+1); the scaled sequences are
-    a_k = 2^nu * ~a_k, s_k = 2^(nu+1) * t_k with odd step coefficient
-    2^(m-nu-1)*beta - a1.
+    alpha = 7 mod 8 (m - nu - 1 >= 2).  Seeds from a root a_1 of
+    y^2 - 2^(m-nu)*beta*y + alpha mod 2^(2nu+1); the odd step unit is
+    2^(m-nu-1)*beta - a_1.
     """
     _require(q.beta is not None and q.n % 2 == 0, "engine needs beta != 0 and even n")
     nu = q.n // 2
     _require(q.p == 2 and q.m > nu + 1, "engine needs p = 2 and m > nu + 1")
     _require(n >= 2, "factor order must be at least 2")
-    beta, alpha = q.beta, q.alpha
     gap = q.m - nu - 1
     _require(
-        (gap == 1 and alpha % 8 == 3) or (gap >= 2 and alpha % 8 == 7),
+        (gap == 1 and q.alpha % 8 == 3) or (gap >= 2 and q.alpha % 8 == 7),
         "mod-8 reducibility condition fails: input is irreducible",
     )
-    targets = _quad_targets(q, n)
-    s1 = 2 ** (q.m - nu) * beta
-    roots = _monic_int_roots(s1, alpha)
-    if roots is not None:
-        r1, r2 = roots
-        return _polynomial_pair(2**nu, r1, 2**nu, r2, n, targets, "p2 m>nu+1 poly")
-    a1 = root_classes(1, -s1, alpha, 2, 2 * nu + 1)[0][0]
-    t2 = _exact_div(a1 * a1 - s1 * a1 + alpha, 2 ** (2 * nu + 1), "p2 m>nu+1 seed")
-    c = 2 ** (q.m - nu - 1) * beta - a1
-    return _p2_scaled_recurrence(
-        nu, c, s1, a1, t2, 2**nu, 2 ** (nu + 1), targets, n, "p2 m>nu+1"
-    )
+    pn = 2**nu
+    targets = q.head_series(n + 1).coeffs
+    pair = _integer_split(targets, pn, pn, n, "p2 m>nu+1 poly")
+    if pair is not None:
+        return pair
+    a1 = _smallest_root(1, -(2 ** (q.m - nu)) * q.beta, q.alpha, 2, 2 * nu + 1, "p2 m>nu+1")
+    return _lift("p2 m>nu+1", targets, n, [pn, a1], pn, pn, 2 * pn, 2 * pn)
 
 
 def factor_p2_m_eq_nu1(q: "QuadInput", n: int) -> tuple[TruncSeries, TruncSeries]:
     """Split 4^nu + 2^(nu+1)*beta*x + alpha*x^2 for p = 2 and m = nu + 1.
 
     Needs beta^2 - alpha = 2^(2l) * q with q = 1 mod 8 (perfect squares
-    short-circuit).  Seeds from a root of y^2 - 2*beta*y + alpha mod
-    2^(2l+nu+2); beta - a1 = 2^l * u with u odd, and the scales are
-    a_k = 2^(l+1) * ~a_k, s_k = 2^(2l+2) * t_k.
+    short-circuit).  Seeds from a root a_1 of y^2 - 2*beta*y + alpha mod
+    2^(2l+nu+2); the odd step unit is u = (beta - a_1)/2^l.
     """
     _require(q.beta is not None and q.n % 2 == 0, "engine needs beta != 0 and even n")
     nu = q.n // 2
     _require(q.p == 2 and q.m == nu + 1, "engine needs p = 2 and m = nu + 1")
     _require(n >= 2, "factor order must be at least 2")
     beta, alpha = q.beta, q.alpha
-    targets = _quad_targets(q, n)
-    core = beta * beta - alpha
-    if core >= 0 and isqrt(core) ** 2 == core:
-        d = isqrt(core)
-        return _polynomial_pair(2**nu, beta - d, 2**nu, beta + d, n, targets, "p2 m=nu+1 poly")
-    dv = valuation(core, 2)
+    pn = 2**nu
+    targets = q.head_series(n + 1).coeffs
+    pair = _integer_split(targets, pn, pn, n, "p2 m=nu+1 poly")
+    if pair is not None:
+        return pair
+    dv = valuation(beta * beta - alpha, 2)
     _require(dv.t % 2 == 0, "beta^2 - alpha has odd valuation: input is irreducible")
     _require(dv.u % 8 == 1, "beta^2 - alpha unit is not 1 mod 8: input is irreducible")
     ell = dv.t // 2
-    modexp = 2 * ell + nu + 2
-    a1 = root_classes(1, -2 * beta, alpha, 2, modexp)[0][0]
-    t2 = _exact_div(a1 * a1 - 2 * beta * a1 + alpha, 2**modexp, "p2 m=nu+1 seed")
-    u = _exact_div(beta - a1, 2**ell, "p2 m=nu+1 u seed")
-    if u % 2 == 0:
-        raise EngineInvariantError("p2 m=nu+1: beta - a1 has valuation above l")
-    return _p2_scaled_recurrence(
-        nu, u, 2 * beta, a1, t2, 2 ** (ell + 1), 2 ** (2 * ell + 2), targets, n, "p2 m=nu+1"
+    a1 = _smallest_root(1, -2 * beta, alpha, 2, 2 * ell + nu + 2, "p2 m=nu+1")
+    return _lift(
+        "p2 m=nu+1", targets, n, [pn, a1], pn, 2 ** (ell + 1), 4 ** (ell + 1), 4 ** (ell + 1)
     )
 
 
@@ -516,22 +380,19 @@ def factor_coprime_constant(
     Each coefficient equation f_k = u*b_k + v*a_k + (cross terms) has a
     Bezout solution; a_k is taken canonically in [0, |u|).
     """
-    if n > f.order:
-        raise ValueError(f"factoring beyond the input's order {f.order} is refused")
+    targets = _series_targets(f, n)
     if gcd(u, v) != 1:
         raise ValueError("constant-term split must be coprime")
     if abs(u) < 2 or abs(v) < 2 or u * v != f.coeffs[0]:
         raise ValueError("need f_0 = u*v with both parts of size at least 2")
-    state = FactorState("coprime constant", tuple(f.coeffs[: n + 1]), [u], [v])
+    state = FactorState("coprime constant", targets, [u], [v])
     state.check_order(0)
     vinv = pow(v, -1, abs(u))
     a, b = state.a, state.b
     for k in range(1, n + 1):
-        rhs = f.coeffs[k] - sum(a[j] * b[k - j] for j in range(1, k))
-        a_k = rhs * vinv % abs(u)
-        b_k = _exact_div(rhs - v * a_k, u, "coprime split")
-        a.append(a_k)
-        b.append(b_k)
+        rhs = targets[k] - sum(map(mul, a[1:k], b[k - 1 : 0 : -1]))
+        a.append(rhs * vinv % abs(u))
+        b.append(_exact_div(rhs - v * a[k], u, "coprime split"))
         state.check_order(k)
     return state.pair(n)
 
@@ -541,13 +402,12 @@ def factor_tail(f: TruncSeries, n: int) -> tuple[TruncSeries, TruncSeries]:
 
     Preconditions checked here: beta^2 - 4*alpha = p^2 * q with q a
     residue unit mod p, and p^2 | c_k for every provided k >= 3.  The
-    root a of y^2 - beta*y + alpha mod p^3 is bumped past exact integer
-    roots so that g(a) = p^3 * r is nonzero (p may divide r); then
-    beta - 2a = p*t with t a unit and the scaled recurrence solves
-    c_(k+1)/p^2 = p*~s_(k+1) + t*~a_k + ... with a_k = p*~a_k.
+    root a_1 of y^2 - beta*y + alpha mod p^3 is bumped past exact integer
+    roots so that g(a_1) is nonzero; then beta - 2*a_1 = p*t with t the
+    step unit, and the tail's divisibility by p^2 = D keeps every order
+    divisible.
     """
-    if n > f.order:
-        raise ValueError(f"factoring beyond the input's order {f.order} is refused")
+    targets = _series_targets(f, n)
     _require(n >= 2, "factor order must be at least 2")
     f0 = f.coeffs[0]
     p = isqrt(f0) if f0 > 0 else 0
@@ -565,42 +425,10 @@ def factor_tail(f: TruncSeries, n: int) -> tuple[TruncSeries, TruncSeries]:
     _require(is_qr_mod_p(dv.u, p), "discriminant unit must be a residue mod p")
     bad = [k for k in range(3, f.order + 1) if f.coeffs[k] % (p * p) != 0]
     _require(not bad, f"tail coefficients not divisible by p^2 at orders {bad}")
-
-    p3 = p**3
-    a1 = root_classes(1, -beta, alpha, p, 3)[0][0]
+    a1 = _smallest_root(1, -beta, alpha, p, 3, "tail engine")
     while a1 * a1 - beta * a1 + alpha == 0:
-        a1 += p3
-    r = _exact_div(a1 * a1 - beta * a1 + alpha, p3, "tail engine root")
-    t = _exact_div(beta - 2 * a1, p, "tail engine t")
-    if t % p == 0:
-        raise EngineInvariantError("tail engine: beta - 2a has valuation above 1")
-
-    targets = _series_targets(f, n)
-    state = FactorState(
-        "p^2-divisible tail",
-        tuple(targets),
-        [p, a1],
-        [p, beta - a1],
-        aux={"atil": [0, 0], "stil": [0, 0, r]},
-    )
-    atil, stil = state.aux["atil"], state.aux["stil"]
-    s = [0, beta, p * p * r]
-    state.check_order(0)
-    state.check_order(1)
-    a = state.a
-    for k in range(2, n + 1):
-        ctil = _exact_div(targets[k + 1], p * p, "tail target")
-        v = a1 * stil[k] + sum(
-            atil[j] * (p * stil[k + 1 - j] - atil[k + 1 - j]) for j in range(2, k)
-        )
-        atil_k, stil_next = solve_unit_step(p, t, v, ctil)
-        atil.append(atil_k)
-        stil.append(stil_next)
-        a.append(p * atil_k)
-        s.append(p * p * stil_next)
-        state.b.append(s[k] - a[k])
-        state.check_order(k)
-    return state.pair(n)
+        a1 += p**3
+    return _lift("p^2-divisible tail", targets, n, [p, a1], p, p, p * p, p * p)
 
 
 def factor_simple_root_tail(f: TruncSeries, n: int) -> tuple[TruncSeries, TruncSeries]:
@@ -610,8 +438,7 @@ def factor_simple_root_tail(f: TruncSeries, n: int) -> tuple[TruncSeries, TruncS
     2a - beta is a unit; the balanced recurrence then has a unit step
     coefficient beta - 2a and absorbs any tail.
     """
-    if n > f.order:
-        raise ValueError(f"factoring beyond the input's order {f.order} is refused")
+    targets = _series_targets(f, n)
     _require(n >= 2 and f.order >= 2, "need the quadratic head")
     f0 = f.coeffs[0]
     pp = prime_power_decompose(f0) if f0 > 1 else None
@@ -629,8 +456,7 @@ def factor_simple_root_tail(f: TruncSeries, n: int) -> tuple[TruncSeries, TruncS
     simple = [r for r, _ in root_classes(1, -beta, alpha, p, m) if (2 * r - beta) % p != 0]
     if not simple:
         raise ValueError("y^2 - beta*y + alpha has no simple root mod p^m")
-    targets = _series_targets(f, n)
-    return _case1_with_seed(p, m, beta, simple[0], targets, n, "simple root")
+    return _lift("simple root", targets, n, [p**m, simple[0]], p**m)
 
 
 def factor_reducible_quadratic(q: "QuadInput", n: int) -> tuple[TruncSeries, TruncSeries]:

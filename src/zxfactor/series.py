@@ -20,7 +20,6 @@ from .padics import is_prime
 
 __all__ = [
     "TruncSeries",
-    "NormalizeState",
     "mul_trunc",
     "add_trunc",
     "poly_mul",
@@ -128,20 +127,6 @@ def invert_unit(a: TruncSeries, n: int) -> TruncSeries:
         acc = sum(a.coeffs[i] * out[k - i] for i in range(1, k + 1))
         out.append(-a0 * acc)
     return TruncSeries(out)
-
-
-@dataclass(frozen=True)
-class NormalizeState:
-    """Snapshot of the head-normalization system at stage ``stage``.
-
-    ``lam`` is the current target linear coefficient (it only ever moves
-    by multiples of p within the class of a1 mod p); ``u`` holds the
-    integer solution u_1..u_stage of the triangular system for that lam.
-    """
-
-    lam: int
-    u: tuple[int, ...]
-    stage: int
 
 
 def solve_head_system(a: TruncSeries, p: int, lam: int, t: int) -> list[int] | None:

@@ -1,5 +1,6 @@
 import json
 import sys
+import time
 
 import pytest
 
@@ -103,6 +104,23 @@ def test_roots_golden(capsys):
     assert out.strip() == "7, 18"
     code, out = run(capsys, "roots", "--A", "1", "--B", "0", "--C", "1", "--p", "3", "--k", "1")
     assert out.strip() == "none"
+
+
+def test_roots_refuses_to_list_too_many(capsys):
+    # (y - 1)^2 = 5 * 101^6 has two root classes mod 101^6, each holding
+    # 101^3 roots mod 101^9: counted from the classes, never listed
+    C = str(1 - 5 * 101**6)
+    started = time.perf_counter()
+    code = main(["roots", "--A", "1", "--B", "-2", "--C", C, "--p", "101", "--k", "9"])
+    elapsed = time.perf_counter() - started
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert str(2 * 101**3) in captured.err
+    assert elapsed < 1.0, f"took {elapsed:.2f}s"
+    # mod 101^5 the roots are the one class 1 + 101^3*Z: 101^2 of them, listed
+    code, out = run(capsys, "roots", "--A", "1", "--B", "-2", "--C", C, "--p", "101", "--k", "5")
+    assert code == 0 and out.split(", ")[:2] == ["1", str(1 + 101**3)]
+    assert len(out.split(", ")) == 101**2
 
 
 def test_normalize_golden(capsys):

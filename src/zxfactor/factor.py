@@ -20,10 +20,10 @@ of beta^2 - alpha when p = 2):
     p^2-divisible tail                      (p, p^2, p^2)                   1
     m=nu, nu>l                              A = p^(nu-l)                    2
 
-Lag one is :func:`_lift`, lag two :func:`_lift2`.  After every emitted
-order the running product is checked against the target coefficients; a
-mismatch raises :class:`EngineInvariantError` (a bug, never an input
-condition).
+Lag one is :func:`_lift`, lag two :func:`_lift2`.  Every engine checks
+its finished pair once with :func:`~zxfactor.oracle.verify_factorization`
+against the target coefficients; a nonzero residual or a unit head raises
+:class:`EngineInvariantError` (a bug, never an input condition).
 
 Whenever b_0*y^2 - f_1*y + a_0*f_2 has an integer root and the input
 has no tail, the engine emits the finite polynomial factorization
@@ -33,11 +33,11 @@ degenerate there).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import gcd, isqrt
 from operator import mul
 from typing import TYPE_CHECKING
 
+from .oracle import verify_factorization
 from .padics import (
     is_prime,
     is_qr_mod_p,
@@ -53,7 +53,6 @@ if TYPE_CHECKING:  # pragma: no cover
 
 __all__ = [
     "EngineInvariantError",
-    "FactorState",
     "solve_unit_step",
     "factor_2m_lt_n",
     "factor_m_gt_nu",
@@ -70,26 +69,6 @@ __all__ = [
 
 class EngineInvariantError(RuntimeError):
     """An internal step identity failed; indicates a bug, not bad input."""
-
-
-@dataclass
-class FactorState:
-    """A growing factor pair and the target coefficients it must meet."""
-
-    case_tag: str
-    targets: tuple[int, ...]
-    a: list[int]
-    b: list[int]
-
-    def check_order(self, k: int) -> None:
-        acc = sum(map(mul, self.a[: k + 1], self.b[k::-1]))
-        if acc != self.targets[k]:
-            raise EngineInvariantError(
-                f"{self.case_tag}: product coefficient {k} is {acc}, want {self.targets[k]}"
-            )
-
-    def pair(self, n: int) -> tuple[TruncSeries, TruncSeries]:
-        return TruncSeries(self.a[: n + 1]), TruncSeries(self.b[: n + 1])
 
 
 def solve_unit_step(modulus: int, c: int, v: int, target: int) -> tuple[int, int]:
@@ -126,6 +105,19 @@ def _require(cond: bool, message: str) -> None:
         raise ValueError(message)
 
 
+def _verified(tag: str, targets, a: list[int], b: list[int], n: int):
+    """The pair a, b through order n, checked once against the targets."""
+    pair = TruncSeries(a[: n + 1]), TruncSeries(b[: n + 1])
+    report = verify_factorization(TruncSeries(targets[: n + 1]), *pair)
+    if not report.passed:
+        bad = next((k for k, r in enumerate(report.residuals) if r), None)
+        raise EngineInvariantError(
+            f"{tag}: first nonzero residual at product order {bad}; "
+            f"unit head: a_0 {not report.a0_proper}, b_0 {not report.b0_proper}"
+        )
+    return pair
+
+
 def _smallest_root(A: int, B: int, C: int, p: int, K: int, tag: str) -> int:
     classes = root_classes(A, B, C, p, K)
     if not classes:
@@ -150,28 +142,23 @@ def _integer_split(targets, a0: int, b0: int, n: int, tag: str):
     if not roots:
         return None
     pad = [0] * (n - 1)
-    state = FactorState(tag, targets, [a0, roots[0]] + pad, [b0, (f1 - b0 * roots[0]) // a0] + pad)
-    for k in range(n + 1):
-        state.check_order(k)
-    return state.pair(n)
+    a, b = [a0, roots[0]] + pad, [b0, (f1 - b0 * roots[0]) // a0] + pad
+    return _verified(tag, targets, a, b, n)
 
 
-def _start(tag: str, targets, a: list[int], b0: int) -> tuple[FactorState, int, int]:
+def _start(tag: str, targets, seeds: list[int], b0: int) -> tuple[list[int], list[int], int, int]:
     """Complete the seeds a_0..a_(k-1), b_0 from orders 1..k-1.
 
-    Returns the state, scale = b_0/a_0 and t_k = b_k + scale*a_k, which
-    order k fixes before a_k is known.
+    Returns a (a copy of the seeds), b = b_0..b_(k-1), scale = b_0/a_0
+    and t_k = b_k + scale*a_k, which order k fixes before a_k is known.
     """
-    state = FactorState(tag, targets, list(a), [b0])
-    a, b = state.a, state.b
+    a, b = list(seeds), [b0]
     scale = _exact_div(b0, a[0], f"{tag}: head")
     for m in range(1, len(a) + 1):
         t = _exact_div(targets[m] - sum(map(mul, a[1:m], b[:0:-1])), a[0], f"{tag}: order {m}")
         if m < len(a):
             b.append(t - scale * a[m])
-    for m in range(len(a)):
-        state.check_order(m)
-    return state, scale, t
+    return a, b, scale, t
 
 
 def _lift(tag: str, targets, n: int, a: list[int], b0: int, A: int = 1, S: int = 1, D: int = 1):
@@ -184,8 +171,7 @@ def _lift(tag: str, targets, n: int, a: list[int], b0: int, A: int = 1, S: int =
     unit c = c0*A/D.  The seeds make t_k a multiple of S, and D divides
     A*S and A*A, so every later division by D is exact.
     """
-    state, scale, t = _start(tag, targets, a, b0)
-    a, b = state.a, state.b
+    a, b, scale, t = _start(tag, targets, a, b0)
     modulus = _exact_div(a[0] * S, D, f"{tag}: modulus")
     c = _exact_div((b[1] - scale * a[1]) * A, D, f"{tag}: step unit")
     for m in range(len(a), n + 1):
@@ -194,8 +180,7 @@ def _lift(tag: str, targets, n: int, a: list[int], b0: int, A: int = 1, S: int =
         a.append(A * atil)
         b.append(t - scale * a[m])
         t = S * t_next
-        state.check_order(m)
-    return state.pair(n)
+    return _verified(tag, targets, a, b, n)
 
 
 def _lift2(tag: str, targets, n: int, a: list[int], A: int):
@@ -206,8 +191,7 @@ def _lift2(tag: str, targets, n: int, a: list[int], A: int):
     order m + 2 does, modulo a_0, with the unit c below.  The quotient of
     that solve is u_(m+1), the order-(m+2) sum the next stage needs.
     """
-    state, _, s = _start(tag, targets, a, a[0])
-    a, b = state.a, state.b
+    a, b, _, s = _start(tag, targets, a, a[0])
     u = _exact_div(targets[4] - a[1] * s - a[2] * b[2], a[0], f"{tag}: order 4")
     t = _exact_div((b[1] - a[1]) * A, a[0], f"{tag}: t")
     c = A * (b[2] - a[2]) - t * a[1]
@@ -217,8 +201,7 @@ def _lift2(tag: str, targets, n: int, a: list[int], A: int):
         a.append(A * atil)
         b.append(s - a[m])
         s, u = u - t * atil, u_next
-        state.check_order(m)
-    return state.pair(n)
+    return _verified(tag, targets, a, b, n)
 
 
 # ---------------------------------------------------------------------------
@@ -274,6 +257,7 @@ def factor_m_eq_nu(q: "QuadInput", n: int) -> tuple[TruncSeries, TruncSeries]:
     0 and the lag-two core runs with A = p^(nu-l); for nu <= l the seed
     is a_2 = p^(mu-nu-l) * z * a_1 with z = -r/t mod p^nu.
     """
+    _require(not q.tail, "engine takes no tail")
     _require(q.beta is not None and q.n % 2 == 0 and q.m == q.n // 2, "engine needs m = n/2")
     _require(q.p != 2, "p = 2 is handled by the scaled engines")
     _require(n >= 2, "factor order must be at least 2")
@@ -302,6 +286,7 @@ def factor_m_eq_nu(q: "QuadInput", n: int) -> tuple[TruncSeries, TruncSeries]:
 def factor_beta_zero(q: "QuadInput", n: int) -> tuple[TruncSeries, TruncSeries]:
     """Split p^(2nu) + alpha*x^2: odd p with -alpha a residue, or p = 2
     with alpha = 7 mod 8."""
+    _require(not q.tail, "engine takes no tail")
     _require(q.beta is None, "engine needs the beta-zero input form")
     _require(q.n % 2 == 0, "n must be even for a beta-zero split")
     _require(n >= 2, "factor order must be at least 2")
@@ -327,6 +312,7 @@ def factor_p2_m_gt_nu1(q: "QuadInput", n: int) -> tuple[TruncSeries, TruncSeries
     y^2 - 2^(m-nu)*beta*y + alpha mod 2^(2nu+1); the odd step unit is
     2^(m-nu-1)*beta - a_1.
     """
+    _require(not q.tail, "engine takes no tail")
     _require(q.beta is not None and q.n % 2 == 0, "engine needs beta != 0 and even n")
     nu = q.n // 2
     _require(q.p == 2 and q.m > nu + 1, "engine needs p = 2 and m > nu + 1")
@@ -352,6 +338,7 @@ def factor_p2_m_eq_nu1(q: "QuadInput", n: int) -> tuple[TruncSeries, TruncSeries
     short-circuit).  Seeds from a root a_1 of y^2 - 2*beta*y + alpha mod
     2^(2l+nu+2); the odd step unit is u = (beta - a_1)/2^l.
     """
+    _require(not q.tail, "engine takes no tail")
     _require(q.beta is not None and q.n % 2 == 0, "engine needs beta != 0 and even n")
     nu = q.n // 2
     _require(q.p == 2 and q.m == nu + 1, "engine needs p = 2 and m = nu + 1")
@@ -385,16 +372,13 @@ def factor_coprime_constant(
         raise ValueError("constant-term split must be coprime")
     if abs(u) < 2 or abs(v) < 2 or u * v != f.coeffs[0]:
         raise ValueError("need f_0 = u*v with both parts of size at least 2")
-    state = FactorState("coprime constant", targets, [u], [v])
-    state.check_order(0)
     vinv = pow(v, -1, abs(u))
-    a, b = state.a, state.b
+    a, b = [u], [v]
     for k in range(1, n + 1):
         rhs = targets[k] - sum(map(mul, a[1:k], b[k - 1 : 0 : -1]))
         a.append(rhs * vinv % abs(u))
         b.append(_exact_div(rhs - v * a[k], u, "coprime split"))
-        state.check_order(k)
-    return state.pair(n)
+    return _verified("coprime constant", targets, a, b, n)
 
 
 def factor_tail(f: TruncSeries, n: int) -> tuple[TruncSeries, TruncSeries]:

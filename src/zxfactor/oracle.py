@@ -1,7 +1,9 @@
 """Brute-force verifiers, kept independent of the fast paths.
 
 These deliberately re-derive everything by exhaustive scan so that
-agreement with the padics/factor modules is meaningful evidence.  The
+agreement with the padics/factor modules is meaningful evidence; the
+factor engines call ``verify_factorization`` as the one check of each
+finished pair, and nothing here imports them.  The
 only concessions to speed are a cached square table per modulus and,
 in the irreducibility probe, solving each order for b_k instead of
 scanning it and scanning each a_k only modulo the power of p that the
@@ -12,6 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from operator import mul
 from typing import TYPE_CHECKING
 
 from .series import TruncSeries
@@ -73,9 +76,9 @@ def verify_factorization(f: TruncSeries, a: TruncSeries, b: TruncSeries) -> Veri
         raise ValueError(
             f"order mismatch: f through {f.order}, a through {a.order}, b through {b.order}"
         )
+    ac, bc = a.coeffs, b.coeffs
     residuals = tuple(
-        sum(a.coeffs[j] * b.coeffs[k - j] for j in range(k + 1)) - f.coeffs[k]
-        for k in range(f.order + 1)
+        sum(map(mul, ac[: k + 1], bc[k::-1])) - fk for k, fk in enumerate(f.coeffs)
     )
     return VerificationReport(
         residuals=residuals,

@@ -38,7 +38,7 @@ class TruncSeries:
     coeffs: tuple[int, ...]
 
     def __init__(self, coeffs) -> None:
-        coeffs = tuple(int(c) for c in coeffs)
+        coeffs = tuple(map(int, coeffs))
         if not coeffs:
             raise ValueError("a truncated series needs at least the constant term")
         object.__setattr__(self, "coeffs", coeffs)

@@ -81,6 +81,33 @@ def test_factor_irreducible_exits_1(capsys):
     assert out.strip() == "irreducible"
 
 
+def test_factor_json_irreducible_exits_1(capsys):
+    code, out = run(
+        capsys, "factor", "--p", "2", "--n", "2", "--m", "1", "--beta", "1",
+        "--alpha", "1", "--format", "json",
+    )
+    assert code == 1
+    doc = json.loads(out)
+    assert doc["verdict"]["kind"] == "irreducible"
+    assert "factors" not in doc and "verification" not in doc
+
+
+def test_classify_json_does_not_verify_again(monkeypatch, capsys):
+    # the engine checks the pair once; the CLI only reports that order
+    def second_check(*args):
+        raise AssertionError("the CLI verified a pair the engine had checked")
+
+    monkeypatch.setattr("zxfactor.cli.verify_factorization", second_check, raising=False)
+    code, out = run(
+        capsys, "classify", "--p", "7", "--n", "2", "--m", "1", "--beta", "3",
+        "--alpha", "51", "--format", "json", "--terms", "24",
+    )
+    assert code == 0
+    doc = json.loads(out)
+    assert doc["factors"]["order"] == 24
+    assert doc["verification"]["residuals_zero_through"] == 24
+
+
 def test_factor_unknown_exits_1(capsys):
     code, out = run(
         capsys, "factor", "--p", "3", "--n", "2", "--m", "1", "--beta", "1",

@@ -44,6 +44,34 @@ def test_solve_unit_step_rejects_non_unit():
         solve_unit_step(9, 3, 1, 0)
 
 
+def test_engine_check_fires_on_a_wrong_step(monkeypatch):
+    # the third stage of the lag-one core solves a_4; one more than the
+    # canonical a_4 leaves order 5 of the product off its target
+    stages = []
+
+    def off_by_one(*args):
+        a_n, s_next = solve_unit_step(*args)
+        stages.append(a_n)
+        return (a_n + 1 if len(stages) == 3 else a_n), s_next
+
+    monkeypatch.setattr("zxfactor.factor.solve_unit_step", off_by_one)
+    message = "2m<n: first nonzero residual at product order 5;"
+    with pytest.raises(EngineInvariantError, match=message):
+        factor_2m_lt_n(QuadInput(3, 5, 2, 2, 1), 16)
+    assert len(stages) == 15
+
+
+def test_tail_free_engines_reject_a_tail():
+    with pytest.raises(ValueError, match="no tail"):
+        factor_p2_m_gt_nu1(QuadInput(2, 4, 9, 13, 183, tail=(-5,)), 2)
+    with pytest.raises(ValueError, match="no tail"):
+        factor_beta_zero(QuadInput(11, 2, None, None, -16, tail=(-18, 30)), 33)
+    with pytest.raises(ValueError, match="no tail"):
+        factor_m_eq_nu(QuadInput(7, 2, 1, 3, 51, tail=(7,)), 8)
+    with pytest.raises(ValueError, match="no tail"):
+        factor_p2_m_eq_nu1(QuadInput(2, 2, 2, 1, -67, tail=(4,)), 8)
+
+
 def test_2m_lt_n_walkthrough():
     q = QuadInput(5, 3, 1, 1, 1)
     a, b = factor_2m_lt_n(q, 2)

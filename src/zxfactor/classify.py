@@ -17,18 +17,19 @@ exact unresolved hypothesis.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, replace
+from dataclasses import InitVar, dataclass, replace
 from math import gcd
 
+from .limits import LIMITS, require_series, require_terms
 from .padics import (
+    PROVEN_PRIME_BOUND,
     SquareClass,
+    _is_qr,
+    _root_classes,
+    _smallest_block,
+    _square_class,
+    _valuation,
     is_prime,
-    is_qr_mod_p,
-    prime_power_decompose,
-    root_classes,
-    smallest_prime_power_split,
-    square_class,
-    valuation,
 )
 from .series import TruncSeries
 
@@ -89,6 +90,7 @@ RULE_INFO: dict[str, str] = {
 }
 
 _ZERO_EXTENSION = "assumes every coefficient beyond the provided order is zero"
+_PROBABLE_PRIME = "p is a BPSW probable prime"
 
 
 @dataclass(frozen=True)
@@ -97,6 +99,9 @@ class QuadInput:
 
     ``beta is None`` (with ``m is None``) is the beta = 0 form.  The tail
     lists c_3, c_4, ... and is taken as exactly zero beyond its length.
+    Construction proves p prime, once; ``_prime_known`` skips that proof
+    for a p the constant-term search of :func:`classify_general` has
+    already proven.
     """
 
     p: int
@@ -105,13 +110,16 @@ class QuadInput:
     beta: int | None
     alpha: int
     tail: tuple[int, ...] = ()
+    _prime_known: InitVar[bool] = False
 
-    def __post_init__(self) -> None:
+    def __post_init__(self, _prime_known: bool) -> None:
         object.__setattr__(self, "tail", tuple(int(c) for c in self.tail))
         if self.beta == 0:
             object.__setattr__(self, "beta", None)
             object.__setattr__(self, "m", None)
-        if not is_prime(self.p):
+        if self.p.bit_length() > LIMITS.max_p_bits:
+            raise ValueError(f"p has {self.p.bit_length()} bits, beyond the limit of {LIMITS.max_p_bits}")
+        if not (_prime_known or is_prime(self.p)):
             raise ValueError(f"input outside theorem hypotheses: p = {self.p} is not prime")
         if self.n < 1:
             raise ValueError("input outside theorem hypotheses: need n >= 1")
@@ -130,6 +138,7 @@ class QuadInput:
 
     def head_series(self, order: int) -> TruncSeries:
         """The input as an explicit series through ``order`` (zero-extended)."""
+        require_series(self.p, self.n, self.m, order)
         coeffs = [0] * (order + 1)
         coeffs[0] = self.p**self.n
         if self.beta is not None and order >= 1:
@@ -159,6 +168,7 @@ class Verdict:
 
 
 def discriminant(q: QuadInput) -> int:
+    require_series(q.p, q.n, q.m, 0)
     if q.beta is None:
         return -4 * q.alpha * q.p**q.n
     return q.p ** (2 * q.m) * q.beta**2 - 4 * q.alpha * q.p**q.n
@@ -189,8 +199,16 @@ def discriminant_square_class(q: QuadInput) -> SquareClass:
             core = p ** max(gap, 0) * q.beta**2 - 4 * alpha * p ** max(-gap, 0)
     if core == 0:
         return SquareClass(is_square=True, is_zero=True)
-    v = valuation(core, p)
-    return square_class(lo + v.t, v.u, p)
+    t, u = _valuation(core, p)
+    return _square_class(lo + t, u, p)
+
+
+def _with_prime_note(verdict: Verdict, p: int) -> Verdict:
+    """The verdict, noting when the prime p it rests on is only BPSW-probable."""
+    if p < PROVEN_PRIME_BOUND:
+        return verdict
+    note = _PROBABLE_PRIME if verdict.assumption is None else f"{verdict.assumption}; {_PROBABLE_PRIME}"
+    return replace(verdict, assumption=note)
 
 
 def classify_quadratic(q: QuadInput, terms: int = 64, attach_factors: bool = True) -> Verdict:
@@ -228,7 +246,7 @@ def classify_quadratic(q: QuadInput, terms: int = 64, attach_factors: bool = Tru
 
         factors = factor_reducible_quadratic(q, terms)
         verified = terms
-    return Verdict(
+    verdict = Verdict(
         kind=kind,
         rule=rule,
         zp_reducible=sq.is_square,
@@ -236,11 +254,17 @@ def classify_quadratic(q: QuadInput, terms: int = 64, attach_factors: bool = Tru
         factors=factors,
         verified_order=verified,
     )
+    return _with_prime_note(verdict, p)
 
 
 def classify_general(f: TruncSeries) -> Verdict:
     """Rule cascade for an arbitrary truncated series; the prime is
-    inferred from the constant term, which determines it."""
+    inferred from the constant term, which determines it.
+
+    One factor search of |f_0| (:func:`~zxfactor.padics._smallest_block`)
+    both proves the prime and finds the smallest prime-power block.
+    """
+    require_terms(f.order)
     if f.is_zero():
         return Verdict(VerdictKind.ZERO_SERIES, "S2.zero-series")
     f0 = f.coeffs[0]
@@ -248,28 +272,28 @@ def classify_general(f: TruncSeries) -> Verdict:
         return _classify_x_multiple(f)
     if abs(f0) == 1:
         return Verdict(VerdictKind.UNIT, "S2.unit")
-    if is_prime(abs(f0)):
-        return Verdict(VerdictKind.IRREDUCIBLE, "S2.prime")
-    pp = prime_power_decompose(abs(f0))
-    if pp is None:
+    p, n = _smallest_block(abs(f0))
+    u = p**n
+    if u != abs(f0):
         from .factor import factor_coprime_constant
 
-        u, v = smallest_prime_power_split(f0)
-        factors = factor_coprime_constant(f, u, v, f.order)
+        factors = factor_coprime_constant(f, u, f0 // u, f.order)
         return Verdict(
             VerdictKind.REDUCIBLE,
             "S2.coprime-split",
             factors=factors,
             verified_order=f.order,
         )
-    p, n = pp
-    if f0 < 0:
+    if n == 1:
+        return _with_prime_note(Verdict(VerdictKind.IRREDUCIBLE, "S2.prime"), p)
+    if f0 > 0:
+        verdict = _classify_prime_power(f, p, n)
+    else:
         verdict = _classify_prime_power(TruncSeries([-c for c in f.coeffs]), p, n)
-        if verdict.factors is None:
-            return verdict
-        neg_a = TruncSeries([-c for c in verdict.factors[0].coeffs])
-        return replace(verdict, factors=(neg_a, verdict.factors[1]))
-    return _classify_prime_power(f, p, n)
+        if verdict.factors is not None:
+            neg_a = TruncSeries([-c for c in verdict.factors[0].coeffs])
+            verdict = replace(verdict, factors=(neg_a, verdict.factors[1]))
+    return _with_prime_note(verdict, p)
 
 
 def _classify_x_multiple(f: TruncSeries) -> Verdict:
@@ -323,11 +347,12 @@ def _classify_prime_power(f: TruncSeries, p: int, n: int) -> Verdict:
 
 
 def _quadratic_fallback(f: TruncSeries, q_head: QuadInput, reason: str) -> Verdict:
-    """Tail is explicitly all-zero: answer for the zero extension, flagged."""
-    base = classify_quadratic(
-        QuadInput(q_head.p, q_head.n, q_head.m, q_head.beta, q_head.alpha),
-        terms=f.order,
-    )
+    """Tail is explicitly all-zero: answer for the zero extension, flagged.
+
+    The assumption replaces the base verdict's; classify_general adds the
+    probable-prime note, when there is one, to the result.
+    """
+    base = classify_quadratic(q_head, terms=f.order)
     return replace(base, assumption=f"{reason}; {_ZERO_EXTENSION}", conditional_on_truncation=True)
 
 
@@ -350,15 +375,14 @@ def _classify_quadratic_head(f: TruncSeries, p: int, n: int) -> Verdict:
     alpha = f.coeffs[2]
     f1 = f.coeffs[1]
     if f1 == 0:
-        head = QuadInput(p, n, None, None, alpha)
+        head = QuadInput(p, n, None, None, alpha, _prime_known=True)
         return _undecided(
             f, head, discriminant_square_class(head),
             "beta = 0 with a nonzero tail has no covered criterion",
         )
-    v1 = valuation(f1, p)
-    m, beta = v1.t, v1.u
-    q = QuadInput(p, n, m, beta, alpha, tail=f.coeffs[3:])
-    head = QuadInput(p, n, m, beta, alpha)
+    m, beta = _valuation(f1, p)
+    q = QuadInput(p, n, m, beta, alpha, tail=f.coeffs[3:], _prime_known=True)
+    head = replace(q, tail=(), _prime_known=True)
     sq = discriminant_square_class(head)
 
     def verdict(kind, rule, factors=None, conditional=False, assumption=None):
@@ -384,7 +408,7 @@ def _classify_quadratic_head(f: TruncSeries, p: int, n: int) -> Verdict:
             return _undecided(
                 f, head, sq, "p = 2 with 2m > n even and a tail has no covered criterion"
             )
-        if is_qr_mod_p(-alpha, p):
+        if _is_qr(-alpha, p):
             return verdict(
                 VerdictKind.REDUCIBLE, "S5.2m-gt-n-even-qr", engines.factor_m_gt_nu(q, f.order)
             )
@@ -393,7 +417,7 @@ def _classify_quadratic_head(f: TruncSeries, p: int, n: int) -> Verdict:
     # n = 2m
     if p == 2:
         return verdict(VerdictKind.IRREDUCIBLE, "S4.n-eq-2m")
-    classes = root_classes(1, -beta, alpha, p, m)
+    classes = _root_classes(1, -beta, alpha, p, m)
     if not classes:
         return verdict(VerdictKind.IRREDUCIBLE, "S5.no-root")
     # a root is simple or not according to its class mod p
@@ -402,11 +426,11 @@ def _classify_quadratic_head(f: TruncSeries, p: int, n: int) -> Verdict:
             VerdictKind.REDUCIBLE, "S5.simple-root", engines.factor_simple_root_tail(f, f.order)
         )
     core = beta * beta - 4 * alpha
-    if m == 1 and core != 0 and valuation(core, p).t >= 2:
+    t, u = _valuation(core, p) if core else (0, 0)
+    if m == 1 and t >= 2:
         if f.order >= 3 and f.coeffs[3] % p != 0:
             return verdict(VerdictKind.IRREDUCIBLE, "S5.double-root-c3-unit")
-        dv = valuation(core, p)
-        if dv.t == 2 and is_qr_mod_p(dv.u, p) and all(c % (p * p) == 0 for c in f.coeffs[3:]):
+        if t == 2 and _is_qr(u, p) and all(c % (p * p) == 0 for c in f.coeffs[3:]):
             return verdict(
                 VerdictKind.REDUCIBLE,
                 "S5.double-root-divisible-tail",

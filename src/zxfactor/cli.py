@@ -21,6 +21,7 @@ from .classify import (
     discriminant,
     discriminant_square_class,
 )
+from .limits import require_series
 from .oracle import verify_factorization
 from .padics import is_square_zp, lift_roots_mod_pk, root_classes
 from .series import TruncSeries, from_decimal_strings, normalize_head, to_decimal_strings
@@ -77,7 +78,10 @@ def _build_input(args) -> tuple[QuadInput, int]:
         alpha=_parse_int(args.alpha),
         tail=_parse_tail(args.tail),
     )
-    return q, max(terms, 2 + len(q.tail))
+    terms = max(terms, 2 + len(q.tail))
+    # every output prints the discriminant, so p^n is always built
+    require_series(q.p, q.n, q.m, terms)
+    return q, terms
 
 
 def _classify(q: QuadInput, terms: int) -> Verdict:

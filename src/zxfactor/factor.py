@@ -37,15 +37,9 @@ from math import gcd, isqrt
 from operator import mul
 from typing import TYPE_CHECKING
 
+from .limits import require_terms
 from .oracle import verify_factorization
-from .padics import (
-    is_prime,
-    is_qr_mod_p,
-    prime_power_decompose,
-    root_certificate,
-    root_classes,
-    valuation,
-)
+from .padics import _is_qr, _root_certificate, _root_classes, _valuation, prime_power_decompose
 from .series import TruncSeries
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -95,6 +89,7 @@ def _exact_div(num: int, den: int, what: str) -> int:
 
 
 def _series_targets(f: TruncSeries, n: int) -> tuple[int, ...]:
+    require_terms(n)
     if n > f.order:
         raise ValueError(f"factoring beyond the input's order {f.order} is refused")
     return f.coeffs[: n + 1] + (0,)
@@ -119,7 +114,7 @@ def _verified(tag: str, targets, a: list[int], b: list[int], n: int):
 
 
 def _smallest_root(A: int, B: int, C: int, p: int, K: int, tag: str) -> int:
-    classes = root_classes(A, B, C, p, K)
+    classes = _root_classes(A, B, C, p, K)
     if not classes:
         raise EngineInvariantError(f"{tag}: no root mod {p}^{K} despite the reducible hypotheses")
     return classes[0][0]
@@ -267,11 +262,11 @@ def factor_m_eq_nu(q: "QuadInput", n: int) -> tuple[TruncSeries, TruncSeries]:
     pair = _integer_split(targets, pn, pn, n, "m=nu poly")
     if pair is not None:
         return pair
-    disc = valuation(beta * beta - 4 * alpha, p)
-    _require(disc.t % 2 == 0, "discriminant has odd valuation: input is irreducible")
-    ell = disc.t // 2
-    _require(is_qr_mod_p(disc.u, p), "discriminant unit is a non-residue: input is irreducible")
-    cert = root_certificate(beta, alpha, p, 3 * max(ell, nu))
+    t, u = _valuation(beta * beta - 4 * alpha, p)
+    _require(t % 2 == 0, "discriminant has odd valuation: input is irreducible")
+    ell = t // 2
+    _require(_is_qr(u, p), "discriminant unit is a non-residue: input is irreducible")
+    cert = _root_certificate(beta, alpha, p, 3 * max(ell, nu))
     if cert is None or cert.mu is None or cert.ell != ell:
         raise EngineInvariantError("m=nu: certificate disagrees with the discriminant data")
     if nu > ell:
@@ -300,7 +295,7 @@ def factor_beta_zero(q: "QuadInput", n: int) -> tuple[TruncSeries, TruncSeries]:
         _require(alpha % 8 == 7, "p = 2 needs alpha = 7 mod 8")
         a1 = _smallest_root(1, 0, alpha, 2, 2 * nu + 1, "beta0 p=2")
         return _lift("beta0 p=2", targets, n, [pn, a1], pn, pn, 2 * pn, 2 * pn)
-    _require(is_qr_mod_p(-alpha, p), "-alpha is a non-residue: input is irreducible")
+    _require(_is_qr(-alpha, p), "-alpha is a non-residue: input is irreducible")
     return _lift("beta0", targets, n, [pn, _smallest_root(1, 0, alpha, p, nu, "beta0")], pn)
 
 
@@ -349,10 +344,10 @@ def factor_p2_m_eq_nu1(q: "QuadInput", n: int) -> tuple[TruncSeries, TruncSeries
     pair = _integer_split(targets, pn, pn, n, "p2 m=nu+1 poly")
     if pair is not None:
         return pair
-    dv = valuation(beta * beta - alpha, 2)
-    _require(dv.t % 2 == 0, "beta^2 - alpha has odd valuation: input is irreducible")
-    _require(dv.u % 8 == 1, "beta^2 - alpha unit is not 1 mod 8: input is irreducible")
-    ell = dv.t // 2
+    t, u = _valuation(beta * beta - alpha, 2)
+    _require(t % 2 == 0, "beta^2 - alpha has odd valuation: input is irreducible")
+    _require(u % 8 == 1, "beta^2 - alpha unit is not 1 mod 8: input is irreducible")
+    ell = t // 2
     a1 = _smallest_root(1, -2 * beta, alpha, 2, 2 * ell + nu + 2, "p2 m=nu+1")
     return _lift(
         "p2 m=nu+1", targets, n, [pn, a1], pn, 2 ** (ell + 1), 4 ** (ell + 1), 4 ** (ell + 1)
@@ -393,9 +388,9 @@ def factor_tail(f: TruncSeries, n: int) -> tuple[TruncSeries, TruncSeries]:
     """
     targets = _series_targets(f, n)
     _require(n >= 2, "factor order must be at least 2")
-    f0 = f.coeffs[0]
-    p = isqrt(f0) if f0 > 0 else 0
-    _require(p * p == f0 and is_prime(p), "head must start with p^2 for a prime p")
+    pp = prime_power_decompose(f.coeffs[0])
+    _require(pp is not None and pp[1] == 2, "head must start with p^2 for a prime p")
+    p = pp[0]
     _require(f.order >= 2, "need the quadratic head")
     f1 = f.coeffs[1]
     _require(f1 != 0 and f1 % p == 0 and (f1 // p) % p != 0, "linear term must be p * unit")
@@ -404,9 +399,9 @@ def factor_tail(f: TruncSeries, n: int) -> tuple[TruncSeries, TruncSeries]:
     _require(gcd(alpha, p) == 1, "quadratic term must be a unit mod p")
     core = beta * beta - 4 * alpha
     _require(core != 0, "zero discriminant is outside this engine")
-    dv = valuation(core, p)
-    _require(dv.t == 2, "discriminant must be exactly p^2 * unit")
-    _require(is_qr_mod_p(dv.u, p), "discriminant unit must be a residue mod p")
+    t, u = _valuation(core, p)
+    _require(t == 2, "discriminant must be exactly p^2 * unit")
+    _require(_is_qr(u, p), "discriminant unit must be a residue mod p")
     bad = [k for k in range(3, f.order + 1) if f.coeffs[k] % (p * p) != 0]
     _require(not bad, f"tail coefficients not divisible by p^2 at orders {bad}")
     a1 = _smallest_root(1, -beta, alpha, p, 3, "tail engine")
@@ -424,20 +419,18 @@ def factor_simple_root_tail(f: TruncSeries, n: int) -> tuple[TruncSeries, TruncS
     """
     targets = _series_targets(f, n)
     _require(n >= 2 and f.order >= 2, "need the quadratic head")
-    f0 = f.coeffs[0]
-    pp = prime_power_decompose(f0) if f0 > 1 else None
+    pp = prime_power_decompose(f.coeffs[0])
     _require(pp is not None and pp[1] % 2 == 0, "constant term must be an even prime power")
     p, n_exp = pp
     m = n_exp // 2
     f1 = f.coeffs[1]
     _require(f1 != 0, "linear term must be p^m * unit")
-    v1 = valuation(f1, p)
-    _require(v1.t == m, "linear term must have valuation exactly m")
-    beta = v1.u
+    v1, beta = _valuation(f1, p)
+    _require(v1 == m, "linear term must have valuation exactly m")
     alpha = f.coeffs[2]
     _require(gcd(alpha, p) == 1, "quadratic term must be a unit mod p")
     # whether a root is simple depends on it mod p only, so on its class
-    simple = [r for r, _ in root_classes(1, -beta, alpha, p, m) if (2 * r - beta) % p != 0]
+    simple = [r for r, _ in _root_classes(1, -beta, alpha, p, m) if (2 * r - beta) % p != 0]
     if not simple:
         raise ValueError("y^2 - beta*y + alpha has no simple root mod p^m")
     return _lift("simple root", targets, n, [p**m, simple[0]], p**m)

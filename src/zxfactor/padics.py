@@ -1,4 +1,4 @@
-"""Exact p-adic arithmetic over the integers.
+"""Exact p-adic arithmetic over the integers, and the prime layer under it.
 
 Everything here works with ordinary (arbitrary-precision) integers viewed
 as elements of Z_p: valuations and unit parts, quadratic-residue tests,
@@ -8,15 +8,27 @@ Tonelli-Shanks square roots mod p and Hensel lifting, so the cost grows
 with the bit size of p and K, not with p^K.  Negative integers are
 handled exactly; no residue is taken until one is explicitly requested.
 
+The prime layer is :func:`is_prime` (Miller-Rabin with as many bases as
+the size of n needs, Baillie-PSW from ``PROVEN_PRIME_BOUND`` on) and one
+bounded factor search of a constant term, of which
+:func:`prime_power_decompose` and :func:`smallest_prime_power_split` are
+views.  The public functions that take a prime p check it with
+:func:`is_prime`; their private twins (``_is_qr``, ``_square_class``,
+``_root_classes``, ``_root_certificate``) serve the classifier and the
+engines, which prove p once per answer.
+
 All functions are pure and all returned values are immutable.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import gcd
+from math import gcd, isqrt, log2, prod
+
+from .limits import LIMITS
 
 __all__ = [
+    "PROVEN_PRIME_BOUND",
     "Valuation",
     "SquareClass",
     "RootCertificate",
@@ -32,39 +44,133 @@ __all__ = [
     "smallest_prime_power_split",
 ]
 
-_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+_SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+
+#: is_prime proves primality below this bound; at and above it, a True
+#: answer is a Baillie-PSW probable prime (no counterexample is known).
+PROVEN_PRIME_BOUND = 318665857834031151167461
+
+# (psi_k, k) for the rows of the table in the docstring of is_prime
+_MR_TABLE = (
+    (2047, 1),
+    (1373653, 2),
+    (25326001, 3),
+    (3215031751, 4),
+    (2152302898747, 5),
+    (3474749660383, 6),
+    (341550071728321, 7),
+    (3825123056546413051, 9),
+    (PROVEN_PRIME_BOUND, 12),
+)
 
 
 def is_prime(n: int) -> bool:
-    """Miller-Rabin with the twelve prime bases up to 37.
+    """Primality with the number of Miller-Rabin bases matched to n.
 
-    Exact for every n below 3.18e23 (318665857834031151167461, the least
-    strong pseudoprime to all twelve bases).  Above that bound it can
-    accept composites, 3317044064679887385961981 among them; ROADMAP item
-    1 replaces it with a Baillie-PSW test there.
+    After trial division by the primes up to 37, n < 37^2 = 1369 is prime.
+    Below psi_k, the least strong pseudoprime to the first k prime bases,
+    the strong tests to those k bases decide exactly:
+
+    ============================  =========  ==============================
+    n below                       bases      psi_k from
+    ============================  =========  ==============================
+    2,047                         2          PSW, Math. Comp. 35, 1980
+    1,373,653                     2, 3       PSW 1980
+    25,326,001                    2 .. 5     PSW 1980
+    3,215,031,751                 2 .. 7     PSW 1980
+    2,152,302,898,747             2 .. 11    Jaeschke, Math. Comp. 61, 1993
+    3,474,749,660,383             2 .. 13    Jaeschke 1993
+    341,550,071,728,321           2 .. 17    Jaeschke 1993
+    3,825,123,056,546,413,051     2 .. 23    Jiang & Deng, Math. Comp. 83,
+                                             2014
+    3.18e23 (PROVEN_PRIME_BOUND)  2 .. 37    Sorenson & Webster, Math.
+                                             Comp. 86, 2017
+    ============================  =========  ==============================
+
+    (PSW is Pomerance, Selfridge & Wagstaff.)  From PROVEN_PRIME_BOUND
+    on, n is tested by Baillie-PSW: a strong test to base 2 and a strong
+    Lucas test with Selfridge's parameters (Baillie & Wagstaff, Math.
+    Comp. 35, 1980).  No composite is known to pass it, but none is
+    proven not to, so a verdict that rests on such a prime says so.
     """
     if n < 2:
         return False
-    if n in _MR_BASES:
+    for q in _SMALL_PRIMES:
+        if n % q == 0:
+            return n == q
+    if n < 1369:
         return True
-    if any(n % q == 0 for q in _MR_BASES):
+    s = ((n - 1) & (1 - n)).bit_length() - 1
+    d = (n - 1) >> s
+    for bound, k in _MR_TABLE:
+        if n < bound:
+            return all(_strong_probable_prime(n, a, d, s) for a in _SMALL_PRIMES[:k])
+    return _strong_probable_prime(n, 2, d, s) and _strong_lucas_probable_prime(n)
+
+
+def _strong_probable_prime(n: int, a: int, d: int, s: int) -> bool:
+    """The strong (Miller-Rabin) test of the odd n = d*2^s + 1 to base a."""
+    x = pow(a, d, n)
+    if x == 1 or x == n - 1:
+        return True
+    for _ in range(s - 1):
+        x = x * x % n
+        if x == n - 1:
+            return True
+    return False
+
+
+def _jacobi(a: int, n: int) -> int:
+    """The Jacobi symbol (a/n) for odd n > 0."""
+    a %= n
+    sign = 1
+    while a:
+        while a % 2 == 0:
+            a //= 2
+            if n % 8 in (3, 5):
+                sign = -sign
+        a, n = n, a
+        if a % 4 == 3 and n % 4 == 3:
+            sign = -sign
+        a %= n
+    return sign if n == 1 else 0
+
+
+def _strong_lucas_probable_prime(n: int) -> bool:
+    """The strong Lucas test of the odd n > 1 with Selfridge's parameters.
+
+    D is the first of 5, -7, 9, -11, ... with Jacobi symbol (D/n) = -1
+    (a perfect square has none, so it is rejected first), P = 1 and
+    Q = (1 - D)/4.  With n + 1 = d*2^s, d odd, n passes when U_d = 0 or
+    V_(d*2^r) = 0 mod n for some 0 <= r < s.
+    """
+    if isqrt(n) ** 2 == n:
         return False
-    d = n - 1
-    s = 0
-    while d % 2 == 0:
-        d //= 2
-        s += 1
-    for a in _MR_BASES:
-        x = pow(a, d, n)
-        if x in (1, n - 1):
-            continue
-        for _ in range(s - 1):
-            x = x * x % n
-            if x == n - 1:
-                break
-        else:
-            return False
-    return True
+    D = 5
+    while (j := _jacobi(D, n)) != -1:
+        if j == 0:
+            return abs(D) == n
+        D = -D - 2 if D > 0 else -D + 2
+    Q = (1 - D) // 4
+
+    def half(x: int) -> int:
+        x %= n
+        return (x + n) // 2 if x % 2 else x // 2
+
+    s = ((n + 1) & -(n + 1)).bit_length() - 1
+    d = (n + 1) >> s
+    U, V, Qk = 1, 1, Q % n  # U_1, V_1 and Q^1
+    for bit in bin(d)[3:]:
+        U, V, Qk = U * V % n, (V * V - 2 * Qk) % n, Qk * Qk % n
+        if bit == "1":  # k -> k + 1, with P = 1
+            U, V, Qk = half(U + V), half(D * U + V), Qk * Q % n
+    if U == 0 or V == 0:
+        return True
+    for _ in range(s - 1):
+        V, Qk = (V * V - 2 * Qk) % n, Qk * Qk % n
+        if V == 0:
+            return True
+    return False
 
 
 def _require_prime(p: int) -> None:
@@ -82,8 +188,6 @@ class Valuation:
 
 def valuation(d: int, p: int) -> Valuation:
     """Split a nonzero integer as d = p^t * u with u coprime to p."""
-    if d == 0:
-        raise ValueError("valuation undefined for zero")
     _require_prime(p)
     return Valuation(*_valuation(d, p))
 
@@ -95,6 +199,8 @@ def _valuation(d: int, p: int) -> tuple[int, int]:
     one more p: p, p^2, p^4, ... are each tried once on the way in and
     divided out once on the way back, so the cost is O(log t) divisions.
     """
+    if d == 0:
+        raise ValueError("valuation undefined for zero")
     if d % p:
         return 0, d
     s, e = _valuation(d, p * p)
@@ -106,6 +212,11 @@ def _valuation(d: int, p: int) -> tuple[int, int]:
 def is_qr_mod_p(u: int, p: int) -> bool:
     """Euler's criterion: is u a square modulo the odd prime p?"""
     _require_prime(p)
+    return _is_qr(u, p)
+
+
+def _is_qr(u: int, p: int) -> bool:
+    """:func:`is_qr_mod_p` for a p already known to be prime."""
     if p == 2:
         raise ValueError("use the mod-8 unit rule for p = 2, not Euler's criterion")
     if gcd(u, p) != 1:
@@ -133,12 +244,16 @@ def is_square_zp(d: int, p: int) -> SquareClass:
     _require_prime(p)
     if d == 0:
         return SquareClass(is_square=True, is_zero=True)
-    return square_class(*_valuation(d, p), p)
+    return _square_class(*_valuation(d, p), p)
 
 
 def square_class(t: int, u: int, p: int) -> SquareClass:
     """The class of p^t * u in Z_p, for u coprime to the prime p."""
     _require_prime(p)
+    return _square_class(t, u, p)
+
+
+def _square_class(t: int, u: int, p: int) -> SquareClass:
     if u % p == 0:
         raise ValueError(f"u = {u} is not coprime to p = {p}")
     if p == 2:
@@ -222,6 +337,11 @@ def root_classes(A: int, B: int, C: int, p: int, K: int) -> list[tuple[int, int]
     most one non-simple one, so the work grows with K, not with p^K.
     """
     _require_prime(p)
+    return _root_classes(A, B, C, p, K)
+
+
+def _root_classes(A: int, B: int, C: int, p: int, K: int) -> list[tuple[int, int]]:
+    """:func:`root_classes` for a p already known to be prime."""
     if K < 1:
         raise ValueError("K must be a positive integer")
     pK = p**K
@@ -277,52 +397,21 @@ class RootCertificate:
     t_unit: int
 
 
-def _pollard_rho(n: int) -> int:
-    """A nontrivial factor of composite odd n (Brent's cycle variant)."""
-    if n % 2 == 0:
-        return 2
-    import random
+# ---------------------------------------------------------------------------
+# the constant-term factor search
 
-    rng = random.Random(0xC0FFEE ^ n)
-    while True:
-        c = rng.randrange(1, n)
-        x = y = rng.randrange(2, n)
-        d = 1
-        while d == 1:
-            x = (x * x + c) % n
-            y = (y * y + c) % n
-            y = (y * y + c) % n
-            d = gcd(abs(x - y), n)
-        if d != n:
-            return d
-
-
-def _smallest_prime_factor(n: int) -> int:
-    if n < 2:
-        raise ValueError("need n >= 2")
-    for q in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
-        if n % q == 0:
-            return q
-    if is_prime(n):
-        return n
-    q = 41
-    while q * q <= n and q < 10**6:
-        if n % q == 0:
-            return q
-        q += 2
-    if q * q > n:
-        return n
-    d = _pollard_rho(n)
-    return min(_smallest_prime_factor(d), _smallest_prime_factor(n // d))
+_FIRST_RHO_STEPS = 1 << 10
+_HART_STEPS = 4096
+_GCD_BATCH = 128
+_TRIAL_LIMIT = 10**6
 
 
 def prime_power_decompose(x: int) -> tuple[int, int] | None:
     """(p, n) with x = p^n and n >= 1, or None if x is not a prime power."""
     if x < 2:
         return None
-    p = _smallest_prime_factor(x)
-    n, rest = _valuation(x, p)
-    return (p, n) if rest == 1 else None
+    p, n = _smallest_block(x)
+    return (p, n) if p**n == x else None
 
 
 def smallest_prime_power_split(f0: int) -> tuple[int, int]:
@@ -332,19 +421,211 @@ def smallest_prime_power_split(f0: int) -> tuple[int, int]:
     of f0 travels with the cofactor v.
     """
     mag = abs(f0)
-    if mag < 2 or prime_power_decompose(mag) is not None:
-        raise ValueError("constant term must be composite with two distinct primes")
-    blocks = []
-    rest = mag
-    while rest > 1:
-        p = _smallest_prime_factor(rest)
-        block = 1
-        while rest % p == 0:
-            rest //= p
-            block *= p
-        blocks.append(block)
-    u = min(blocks)
-    return u, f0 // u
+    if mag >= 2:
+        p, e = _smallest_block(mag)
+        u = p**e
+        if u != mag:
+            return u, f0 // u
+    raise ValueError("constant term must be composite with two distinct primes")
+
+
+def _smallest_block(x: int) -> tuple[int, int]:
+    """(p, e) with p^e the smallest full prime-power block of x >= 2.
+
+    x is a prime power exactly when p^e == x.  The primes up to 37 are
+    divided out first.  Each cofactor left, of at most
+    ``LIMITS.max_pn_bits`` bits, is then a prime (:func:`is_prime`), a
+    perfect power (its root goes back to the search) or split by
+    :func:`_split`; only the first and the last need it to have at most
+    ``LIMITS.max_p_bits`` bits, so p^n passes whenever p does.  Each prime
+    found takes its whole block out of x.
+
+    The search stops once the smallest block found is provably the
+    smallest: when it is at most ``floor``, below which no cofactor left
+    has a prime factor.  Before a cofactor is split, a smallest block
+    below ``_TRIAL_LIMIT`` is proved so by dividing the cofactors by every
+    odd number up to it.  The search is deterministic, and raises
+    ValueError beyond a limit or when a cofactor outlasts the rho budget.
+    """
+    blocks = []  # (p^e, p, e) for each prime p of x found
+    rest = x
+    for q in _SMALL_PRIMES:
+        if rest % q == 0:
+            e, rest = _valuation(rest, q)
+            blocks.append((q**e, q, e))
+    pending = [rest] if rest > 1 else []  # cofactors of x, with no prime factor in blocks
+    floor = 41  # no cofactor left has a prime factor below floor
+
+    def take(q: int) -> None:  # q is a prime factor of x
+        nonlocal pending
+        e = _valuation(x, q)[0]
+        blocks.append((q**e, q, e))
+        pending = [t for t in (_valuation(t, q)[1] for t in pending) if t > 1]
+
+    while pending and not (blocks and min(blocks)[0] <= floor):
+        r = min(pending)  # small factors first: they settle the search soonest
+        pending.remove(r)
+        bits = r.bit_length()
+        if bits > LIMITS.max_pn_bits:
+            raise ValueError(
+                f"the constant term has a {bits}-bit cofactor, beyond the limit of {LIMITS.max_pn_bits}"
+            )
+        if bits <= LIMITS.max_p_bits and is_prime(r):
+            take(r)
+            continue
+        root = _perfect_power_root(r)
+        if root is not None:
+            pending.append(root)
+        elif blocks and min(blocks)[0] < _TRIAL_LIMIT:
+            pending.append(r)
+            d = floor
+            while d < (u := min(blocks)[0]):
+                left = prod(pending)
+                d = next((t for t in range(d, u, 2) if left % t == 0), u)
+                if d < u:
+                    take(d)  # a prime: no odd number from floor up to d divides
+            floor = d
+        elif bits > LIMITS.max_p_bits:
+            raise ValueError(
+                f"the constant term has a {bits}-bit cofactor that is no perfect power, "
+                f"beyond the limit of {LIMITS.max_p_bits}"
+            )
+        else:
+            d = _split(r)
+            pending += [d, r // d]
+    _, p, e = min(blocks)
+    return p, e
+
+
+def _perfect_power_root(n: int) -> int | None:
+    """r with n = r^k for a prime k, or None; n has no prime factor below 41.
+
+    A k-th power is a k-th power modulo every prime q = 1 mod k, which
+    only about 1/k of the units mod q are, so two such q rule out almost
+    every k before a root is taken.  One sieve gives the primes k and q.
+    """
+    kmax = int(n.bit_length() / 5.35)  # r >= 41 > 2^5.35
+    prime = _sieve(64 * kmax + 2)
+    for k in range(2, kmax + 1):
+        if prime[k] and _may_be_power(n, k, prime):
+            r = _iroot(n, k)
+            if r**k == n:
+                return r
+    return None
+
+
+def _sieve(m: int) -> bytearray:
+    """prime[i] == 1 exactly when i < m is a prime (Eratosthenes)."""
+    prime = bytearray([1]) * m
+    prime[:2] = b"\0\0"
+    for i in range(2, isqrt(m - 1) + 1):
+        if prime[i]:
+            prime[i * i :: i] = bytes(len(range(i * i, m, i)))
+    return prime
+
+
+def _may_be_power(n: int, k: int, prime: bytearray) -> bool:
+    """False when n is no k-th power modulo one of the two least primes
+    q = 1 mod k; True also when the sieve holds fewer than two such q."""
+    found = 0
+    for q in range(2 * k + 1, len(prime), 2 * k):
+        if prime[q]:
+            a = n % q
+            if a and pow(a, (q - 1) // k, q) != 1:
+                return False
+            found += 1
+            if found == 2:
+                break
+    return True
+
+
+def _iroot(n: int, k: int) -> int:
+    """The integer part of the k-th root of n >= 1, for k >= 2.
+
+    Newton's method from above, started within a factor 1 + 2^-30 of the
+    root: log2(n) in floating point is off by far less, so the start is
+    above the root and a few steps reach it, whatever k is.
+    """
+    if k == 2:
+        return isqrt(n)
+    e = log2(n) / k
+    s = max(int(e) - 60, 0)
+    r = (int(2.0 ** (e - s) * (1 + 2.0**-30)) + 1) << s
+    while True:
+        t = ((k - 1) * r + n // r ** (k - 1)) // k
+        if t >= r:
+            return r
+        r = t
+
+
+def _split(n: int) -> int:
+    """A proper factor of n, which is composite, odd and not a perfect power.
+
+    Three stages, each cheap on the factors it finds first:
+
+    1. Brent's rho with batched gcds (Brent, BIT 20, 1980) for
+       ``_FIRST_RHO_STEPS`` iterations: a prime factor up to about 10^5;
+    2. Hart's one-line method (J. Aust. Math. Soc. 92, 2012) for
+       ``_HART_STEPS`` steps: for i = 1, 2, ... it tests whether
+       s^2 - i*n is a square t^2 for s = ceil(sqrt(i*n)), and then
+       gcd(s - t, n) splits n.  It finds two factors of any size whose
+       ratio is near a fraction with a small numerator and denominator;
+    3. rho again, from the start, for ``LIMITS.factor_steps`` iterations.
+
+    Past that budget it raises ValueError.
+    """
+    d = _rho(n, _FIRST_RHO_STEPS) or _hart(n) or _rho(n, LIMITS.factor_steps)
+    if d is None:
+        raise ValueError(
+            f"no factor of the {n.bit_length()}-bit cofactor {n} within the "
+            f"factor-search budget of {LIMITS.factor_steps} rho steps"
+        )
+    return d
+
+
+def _hart(n: int) -> int | None:
+    """A proper factor of n by Hart's one-line method, or None."""
+    for i in range(1, _HART_STEPS + 1):
+        s = isqrt(i * n - 1) + 1
+        m = s * s - i * n
+        t = isqrt(m)
+        if t * t == m:
+            g = gcd(s - t, n)
+            if 1 < g < n:
+                return g
+    return None
+
+
+def _rho(n: int, budget: int) -> int | None:
+    """A proper factor of n by Brent's rho on x -> x^2 + c from x = 2, for
+    c = 1, 2, ..., or None after ``budget`` iterations."""
+    steps, c = 0, 0
+    while True:
+        c += 1
+        y, r, q, g = 2, 1, 1, 1
+        while g == 1:
+            if steps + 2 * r > budget:
+                return None
+            x = y
+            for _ in range(r):
+                y = (y * y + c) % n
+            k = 0
+            while k < r and g == 1:
+                ys = y
+                for _ in range(min(_GCD_BATCH, r - k)):
+                    y = (y * y + c) % n
+                    q = q * (x - y) % n
+                g = gcd(q, n)
+                k += _GCD_BATCH
+            steps += 2 * r
+            r *= 2
+        if g == n:  # the batch overshot: replay it one gcd at a time
+            g = 1
+            while g == 1:
+                ys = (ys * ys + c) % n
+                g = gcd(x - ys, n)
+        if g != n:
+            return g
 
 
 def root_certificate(beta: int, alpha: int, p: int, K: int) -> RootCertificate | None:
@@ -357,7 +638,13 @@ def root_certificate(beta: int, alpha: int, p: int, K: int) -> RootCertificate |
     sentinel.  g has at most two integer roots, so the pick is among the
     three smallest members of each root class of :func:`root_classes`.
     """
-    classes = root_classes(1, -beta, alpha, p, K)
+    _require_prime(p)
+    return _root_certificate(beta, alpha, p, K)
+
+
+def _root_certificate(beta: int, alpha: int, p: int, K: int) -> RootCertificate | None:
+    """:func:`root_certificate` for a p already known to be prime."""
+    classes = _root_classes(1, -beta, alpha, p, K)
     if not classes:
         return None
     pK = p**K

@@ -1,5 +1,10 @@
+import json
+import os
 import random
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import pytest
 
@@ -12,9 +17,12 @@ from zxfactor.classify import (
     discriminant,
     discriminant_square_class,
 )
+from zxfactor.limits import LIMITS
 from zxfactor.oracle import verify_factorization
-from zxfactor.padics import is_square_zp
+from zxfactor.padics import is_square_zp, smallest_prime_power_split
 from zxfactor.series import TruncSeries
+
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 def test_quad_input_validation():
@@ -316,3 +324,142 @@ def test_general_huge_prime_power_head_is_fast():
     assert v.rule == "S5.2m-gt-n-even-qr"
     assert verify_factorization(f, *v.factors).passed
     assert elapsed < 2.0, f"{elapsed:.3f}s"
+
+
+# constant terms that a 12-base Miller-Rabin test called prime, and the
+# semiprime nextprime(10^20) * nextprime(3*10^20)
+DEFECT_CONSTANTS = (
+    318665857834031151167461,
+    3317044064679887385961981,
+    100000000000000000039 * 300000000000000000053,
+)
+
+
+@pytest.mark.parametrize("c", DEFECT_CONSTANTS)
+def test_defect_constants_split(c):
+    sympy = pytest.importorskip("sympy")
+    f = TruncSeries((c, 1, 1))
+    v, elapsed = _timed(lambda: classify_general(f))
+    assert v.kind is VerdictKind.REDUCIBLE and v.rule == "S2.coprime-split"
+    assert verify_factorization(f, *v.factors).passed
+    u, w = v.factors[0].coeffs[0], v.factors[1].coeffs[0]
+    # each is a product of two primes, so this is sympy.factorint's answer
+    # (which takes seconds on the semiprime)
+    assert u * w == c and u < w and sympy.isprime(u) and sympy.isprime(w)
+    assert v.assumption is None
+    assert elapsed < 1.0, f"{elapsed:.3f}s"
+
+
+@pytest.mark.parametrize("n, m", [(40, 19), (40, 20), (40, 21), (41, 30)])
+def test_general_tailed_head_at_a_large_prime_power(n, m):
+    # p^n has more bits than LIMITS.max_p_bits, p does not: the factor
+    # search takes the root of p^n instead of refusing it
+    f = QuadInput(10007, n, m, 1, 2, tail=(5,)).head_series(8)
+    assert f.coeffs[0].bit_length() > LIMITS.max_p_bits
+    v, elapsed = _timed(lambda: classify_general(f))
+    assert v.kind is classify_quadratic(QuadInput(10007, n, m, 1, 2), terms=8).kind
+    assert v.rule.startswith("S5.")
+    if v.factors is not None:
+        assert verify_factorization(f, *v.factors).passed
+    assert elapsed < 1.0, f"{elapsed:.3f}s"
+
+
+def test_general_finds_a_small_prime_before_hart(monkeypatch):
+    # 41 * (10^18 + 9): the factor ratio is near no fraction with small
+    # terms, and the short rho ahead of Hart's method finds 41 at once
+    import zxfactor.padics
+
+    def no_hart(n):
+        raise AssertionError("Hart's method ran")
+
+    monkeypatch.setattr(zxfactor.padics, "_hart", no_hart)
+    c = 41 * (10**18 + 9)
+    f = TruncSeries((c, 1, 1))
+    v, elapsed = _timed(lambda: classify_general(f))
+    assert v.rule == "S2.coprime-split" and v.factors[0].coeffs[0] == 41
+    assert verify_factorization(f, *v.factors).passed
+    assert elapsed < 0.1, f"{elapsed:.3f}s"
+
+
+def test_general_refuses_a_cofactor_past_the_budget():
+    sympy = pytest.importorskip("sympy")
+    rng = random.Random(22)
+    while True:  # two 21-digit primes whose ratio is far from a fraction with small terms
+        p, q = (sympy.nextprime(rng.randrange(10**20, 10**21)) for _ in range(2))
+        if all(abs(a * q - b * p) > 10**15 for a in range(1, 50) for b in range(1, 50)):
+            break
+    started = time.perf_counter()
+    with pytest.raises(ValueError, match=f"factor-search budget of {LIMITS.factor_steps}"):
+        classify_general(TruncSeries((p * q, 1, 1)))
+    assert time.perf_counter() - started < 1.0
+    with pytest.raises(ValueError, match="factor-search budget"):
+        smallest_prime_power_split(p * q)
+
+
+BPSW = "p is a BPSW probable prime"
+
+
+def test_bpsw_prime_is_an_assumption():
+    sympy = pytest.importorskip("sympy")
+    p = sympy.nextprime(10**24)  # above the proven 12-base bound
+    q = QuadInput(p, 3, 1, 5, 7)  # 2m < n
+    v = classify_quadratic(q, terms=8)
+    assert v.kind is VerdictKind.REDUCIBLE and v.rule == "S3.2m-lt-n"
+    assert verify_factorization(q.head_series(8), *v.factors).passed
+    assert v.assumption == BPSW
+    f = TruncSeries(q.head_series(4).coeffs[:3] + (4, -1))
+    v = classify_general(f)
+    assert v.rule == "S5.2m-lt-n" and v.assumption == BPSW
+    assert verify_factorization(f, *v.factors).passed
+    assert classify_general(TruncSeries((-p, 1))).assumption == BPSW
+    # joined to an assumption the verdict already carries
+    f = TruncSeries((p * p, 0, -1, 0))
+    v = classify_general(f)
+    assert v.rule == "S3.beta0-reducible" and v.conditional_on_truncation
+    assert v.assumption.endswith("is zero; " + BPSW)
+    assert verify_factorization(f, *v.factors).passed
+    # below the bound nothing is assumed
+    assert classify_quadratic(QuadInput(10**12 + 39, 3, 1, 5, 7), terms=8).assumption is None
+
+
+def test_limits_refuse_before_building():
+    with pytest.raises(ValueError, match="bits"):
+        QuadInput(2**521 - 1, 2, 1, 1, 1)
+    q = QuadInput(3, 10**6, 5 * 10**5 + 1, 1, 2)
+    for call in (
+        lambda: classify_quadratic(q),
+        lambda: q.head_series(8),
+        lambda: discriminant(q),
+        lambda: classify_quadratic(QuadInput(7, 2, 1, 3, 2), terms=LIMITS.max_terms + 1),
+        lambda: classify_general(TruncSeries([6] + [0] * (LIMITS.max_terms + 1))),
+    ):
+        _, elapsed = _timed(lambda: pytest.raises(ValueError, call))
+        assert elapsed < 1.0, f"{elapsed:.3f}s"
+    # a decision that builds nothing stays allowed
+    assert classify_quadratic(q, attach_factors=False).rule == "S3.disc-square"
+
+
+_RERUN = """
+import json
+from zxfactor import TruncSeries, classify_general
+out = []
+for c in %r:
+    v = classify_general(TruncSeries((c, 1, 1)))
+    out.append([v.rule, [[str(x) for x in s.coeffs] for s in v.factors]])
+print(json.dumps(out))
+"""
+
+
+def test_factor_search_reruns_byte_identical():
+    # criterion 8: a fresh process, with a different hash seed, prints the same bytes
+    constants = DEFECT_CONSTANTS + (2**5 * 41**3 * 1000003, 1000003 * 1000033 * 7**2)
+    outs = []
+    for hash_seed in ("1", "2"):
+        env = {**os.environ, "PYTHONHASHSEED": hash_seed}
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+        res = subprocess.run(
+            [sys.executable, "-c", _RERUN % (constants,)], env=env, capture_output=True, check=True, timeout=60
+        )
+        outs.append(res.stdout)
+    assert outs[0] == outs[1]
+    assert [rule for rule, _ in json.loads(outs[0])] == ["S2.coprime-split"] * len(constants)

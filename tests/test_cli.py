@@ -228,3 +228,30 @@ def test_classify_integers_above_the_digit_cap(capsys):
     assert code == 0
     assert out.splitlines()[0] == "irreducible (rule S3.disc-nonsquare)"
     assert sys.get_int_max_str_digits() == cap
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("--p", "3", "--n", "2", "--m", "1", "--beta", "1", "--alpha", "2", "--terms", str(10**9)),
+        ("--p", "3", "--n", str(10**9), "--m", "1", "--beta", "1", "--alpha", "2"),
+        ("--p", "3", "--n", str(10**6), "--m", str(5 * 10**5 + 1), "--beta", "1", "--alpha", "2",
+         "--format", "json"),
+    ],
+)
+def test_classify_refuses_oversized_input_fast(capsys, argv):
+    started = time.perf_counter()
+    code = main(["classify", *argv])
+    elapsed = time.perf_counter() - started
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert "beyond the limit" in captured.err
+    assert elapsed < 1.0, f"{elapsed:.3f}s"
+
+
+def test_classify_tailed_input_above_the_p_bit_limit(capsys):
+    # p^n has about 531 bits, more than LIMITS.max_p_bits; p has 14
+    code, out = run(capsys, "classify", "--p", "10007", "--n", "40", "--m", "20",
+                    "--beta", "1", "--alpha", "2", "--tail", "5")
+    assert code == 0
+    assert out.splitlines()[0] == "reducible (rule S5.simple-root)"

@@ -1,11 +1,17 @@
 import random
+import time
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
+from zxfactor.limits import LIMITS
 from zxfactor.oracle import brute_roots_mod, brute_square_mod
 from zxfactor.padics import (
+    PROVEN_PRIME_BOUND,
+    _iroot,
+    _smallest_block,
     _sqrt_mod_prime,
+    _strong_lucas_probable_prime,
     is_prime,
     is_qr_mod_p,
     is_square_zp,
@@ -288,3 +294,129 @@ def test_is_prime_small():
     known = {2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47}
     for n in range(50):
         assert is_prime(n) == (n in known)
+
+
+# the row bounds psi_k of the base table: each is a strong pseudoprime to
+# the bases of its own row, so only the next row's bases reject it
+BASE_TABLE_BOUNDS = (
+    2047, 1373653, 25326001, 3215031751, 2152302898747, 3474749660383,
+    341550071728321, 3825123056546413051,
+)
+STRONG_LUCAS_PSEUDOPRIMES = (5459, 5777, 10877, 16109, 18971)
+TWELVE_BASE_PSEUDOPRIMES = (318665857834031151167461, 3317044064679887385961981)
+
+
+def test_is_prime_matches_sympy_below_2e5():
+    sympy = pytest.importorskip("sympy")
+    assert [n for n in range(2 * 10**5) if is_prime(n) != sympy.isprime(n)] == []
+
+
+def test_is_prime_matches_sympy_on_a_sample_up_to_1e40():
+    sympy = pytest.importorskip("sympy")
+    rng = random.Random(40)
+    sample = [rng.randrange(10 ** rng.randint(2, 40)) for _ in range(3000)]
+    sample += [sympy.nextprime(rng.randrange(10**20, 10**40)) for _ in range(100)]
+    sample += [sympy.nextprime(rng.randrange(10**20)) * sympy.nextprime(rng.randrange(10**20)) for _ in range(100)]
+    assert [n for n in sample if is_prime(n) != sympy.isprime(n)] == []
+    assert sum(n >= PROVEN_PRIME_BOUND and is_prime(n) for n in sample) > 50
+
+
+@pytest.mark.parametrize(
+    "n", BASE_TABLE_BOUNDS + STRONG_LUCAS_PSEUDOPRIMES + (561, 41041) + TWELVE_BASE_PSEUDOPRIMES
+)
+def test_is_prime_rejects_pseudoprimes(n):
+    sympy = pytest.importorskip("sympy")
+    assert sympy.isprime(n) is False
+    assert is_prime(n) is False
+
+
+def test_strong_lucas_test_alone():
+    # the Lucas half of BPSW only runs above the bound; check it below, where
+    # its pseudoprimes are known: exactly these odd composites pass it
+    sympy = pytest.importorskip("sympy")
+    passed = [n for n in range(3, 20000, 2) if _strong_lucas_probable_prime(n)]
+    assert [n for n in passed if not sympy.isprime(n)] == list(STRONG_LUCAS_PSEUDOPRIMES)
+    assert len(passed) == sympy.primepi(20000) - 1 + len(STRONG_LUCAS_PSEUDOPRIMES)
+
+
+def _factor_corpus(seed):
+    """Products of prime powers of mixed sizes: at most one prime above
+    10^6 (the budgeted rho finds the smaller ones quickly), and squares
+    of such products."""
+    sympy = pytest.importorskip("sympy")
+    rng = random.Random(seed)
+    corpus = []
+    for i in range(120):
+        primes = set(rng.sample((2, 3, 5, 7, 11, 13, 37), rng.randint(0, 2)))
+        primes |= {sympy.nextprime(rng.randrange(40, 10 ** rng.randint(2, 6))) for _ in range(rng.randint(0, 2))}
+        if i % 2:
+            primes.add(sympy.nextprime(rng.randrange(10**6, 10 ** rng.randint(7, 20))))
+        x = 1
+        for q in primes:
+            x *= q ** rng.randint(1, 4)
+        corpus.append(x ** (1 + (i % 10 == 0)) if x > 1 else 2)
+    return corpus
+
+
+def test_factor_search_matches_factorint():
+    sympy = pytest.importorskip("sympy")
+    for x in _factor_corpus(8):
+        blocks = sorted(q**e for q, e in sympy.factorint(x).items())
+        if len(blocks) == 1:
+            q, e = sympy.factorint(x).popitem()
+            assert prime_power_decompose(x) == (q, e)
+            with pytest.raises(ValueError):
+                smallest_prime_power_split(x)
+        else:
+            assert prime_power_decompose(x) is None
+            assert smallest_prime_power_split(x) == (blocks[0], x // blocks[0])
+            assert smallest_prime_power_split(-x) == (blocks[0], -x // blocks[0])
+
+
+def test_factor_search_stops_once_the_smallest_block_is_proved():
+    # two 21-digit primes that neither Hart's method nor the rho budget split
+    hard = 919367361131264483681 * 443755074776162632957
+    with pytest.raises(ValueError, match="budget"):
+        _smallest_block(hard)
+    # a block below 41 is the smallest without splitting the rest
+    assert _smallest_block(2 * hard) == (2, 1)
+    assert smallest_prime_power_split(-37 * hard) == (37, -hard)
+    # a larger block below 10^6 is proved the smallest by trial division
+    assert _smallest_block(64 * hard) == (2, 6)
+    assert _smallest_block(37**2 * hard) == (37, 2)
+    assert _smallest_block(3**5 * 41**2 * hard) == (3, 5)
+    started = time.perf_counter()
+    assert smallest_prime_power_split(999983 * hard) == (999983, hard)
+    assert time.perf_counter() - started < 1.0
+    # the short rho finds 41 before Hart's method or the full budget runs
+    assert _smallest_block(41 * hard) == (41, 1)
+    with pytest.raises(ValueError, match="budget"):  # 1009^2 is above 10^6
+        _smallest_block(1009**2 * hard)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(2, 2**600), st.integers(3, 300), st.sampled_from((-1, 0, 1)))
+def test_iroot_is_the_integer_part_of_the_root(b, k, shift):
+    # around exact powers, where a start below the root would go wrong
+    n = b**k + shift
+    r = _iroot(n, k)
+    assert r**k <= n < (r + 1) ** k
+
+
+def test_factor_search_takes_roots_before_the_bit_limit():
+    # p^n passes whenever p does; the limit is on what is tested or split
+    big = 41 ** (LIMITS.max_p_bits // 5)
+    assert big.bit_length() > LIMITS.max_p_bits
+    assert prime_power_decompose(big) == (41, LIMITS.max_p_bits // 5)
+    assert prime_power_decompose(10007**40 * 10009**40) is None
+    assert smallest_prime_power_split(10007**40 * 10009**40) == (10007**40, 10009**40)
+    with pytest.raises(ValueError, match="no perfect power, beyond the limit"):
+        prime_power_decompose(big * 43)
+    assert _smallest_block(64 * big * 43) == (43, 1)  # 43 < 64 < 41^102
+    started = time.perf_counter()
+    with pytest.raises(ValueError, match=f"beyond the limit of {LIMITS.max_pn_bits}"):
+        prime_power_decompose(41 ** (LIMITS.max_pn_bits // 5 + 1))
+    assert prime_power_decompose(41 ** (LIMITS.max_pn_bits // 6)) == (41, LIMITS.max_pn_bits // 6)
+    # a prime exponent near the limit: every smaller prime k is tried first
+    assert prime_power_decompose(41**24439) == (41, 24439)
+    assert time.perf_counter() - started < 2.0

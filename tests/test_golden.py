@@ -152,6 +152,24 @@ def corpus(seed: int = SEED) -> list[str]:
         _line(3, 2, 1, 1, -2, 64, [1]),      # S5.double-root-c3-unit
         _line(3, 2, 3, 1, 1, 64, [4]),       # S5.2m-gt-n-even-nonqr
     ]
+    # the remaining rows of the decision table, tailed and on the zero tail
+    tailed = [
+        (3, 3, 1, 2, 5),      # S5.2m-lt-n
+        (3, 3, 2, 1, 2),      # S5.2m-gt-n-odd
+        (3, 2, 2, 1, 2),      # S5.2m-gt-n-even-qr
+        (2, 2, 1, 1, 3),      # S4.n-eq-2m
+        (2, 2, 2, 1, 3),      # S5.unknown: p = 2 with 2m > n even
+        (2, 2, 3, 1, 11),     # S5.unknown: p = 2 with 2m > n even, square head
+        (3, 2, None, None, 2),  # S5.unknown: beta = 0
+        (2, 2, None, None, 7),  # S5.unknown: beta = 0, p = 2
+        (3, 4, 2, 2, -62),    # S5.unknown: n = 2m, only non-simple roots, m = 2
+        (3, 2, 1, 1, -11),    # S5.unknown: double root, non-residue discriminant unit
+        (5, 1, 1, 1, 2),      # S2.prime: n = 1 with a tail
+    ]
+    for p, n, m, beta, alpha in tailed:
+        lines.append(_line(p, n, m, beta, alpha, 64, [3 * p]))
+        lines.append(_line(p, n, m, beta, alpha, 64, [0, 0]))
+    lines.append(_line(2, 3, None, None, 5, 64))  # S4.beta0-irreducible
     return list(dict.fromkeys(lines))
 
 

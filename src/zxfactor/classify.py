@@ -20,6 +20,7 @@ import enum
 from dataclasses import InitVar, dataclass, replace
 from math import gcd
 
+from . import factor as engines
 from .limits import LIMITS, require_series, require_terms
 from .padics import (
     PROVEN_PRIME_BOUND,
@@ -211,6 +212,92 @@ def _with_prime_note(verdict: Verdict, p: int) -> Verdict:
     return replace(verdict, assumption=note)
 
 
+def _decide(
+    q: QuadInput, sq: SquareClass, f: TruncSeries | None = None
+) -> tuple[VerdictKind, str, str | None]:
+    """The paper's case analysis, in one place: (kind, rule, engine) for q.
+
+    ``f`` is the whole series when q is the head of a
+    :func:`classify_general` input; its rows are the tailed ones, tagged
+    S5 where the tail criteria apply.  Without it q is the tail-free
+    quadratic, tagged S3 for odd p and S4 for p = 2.  ``engine`` names the
+    function of :mod:`zxfactor.factor` that splits a reducible row (None
+    on the others).  A tailed row no criterion covers comes back as
+    ``UNKNOWN`` with its reason in place of the rule.
+    """
+    p, n, m, beta, alpha = q.p, q.n, q.m, q.beta, q.alpha
+    section = "S4" if p == 2 else "S3"
+    tag = section if f is None else "S5"
+    if beta is None:
+        if f is not None:
+            return VerdictKind.UNKNOWN, "beta = 0 with a nonzero tail has no covered criterion", None
+        if sq.is_square:
+            return VerdictKind.REDUCIBLE, f"{section}.beta0-reducible", "factor_beta_zero"
+        return VerdictKind.IRREDUCIBLE, f"{section}.beta0-irreducible", None
+    if 2 * m < n:
+        return VerdictKind.REDUCIBLE, f"{tag}.2m-lt-n", "factor_2m_lt_n"
+    if n % 2 == 1:
+        return VerdictKind.IRREDUCIBLE, f"{tag}.2m-gt-n-odd", None
+    if p == 2 and n == 2 * m:
+        return VerdictKind.IRREDUCIBLE, "S4.n-eq-2m", None
+    if f is None:
+        if not sq.is_square:
+            return VerdictKind.IRREDUCIBLE, f"{section}.disc-nonsquare", None
+        nu = n // 2
+        if p == 2:
+            engine = "factor_p2_m_eq_nu1" if m == nu + 1 else "factor_p2_m_gt_nu1"
+        else:
+            engine = "factor_m_eq_nu" if m == nu else "factor_m_gt_nu"
+        return VerdictKind.REDUCIBLE, f"{section}.disc-square", engine
+    if 2 * m > n:
+        if p == 2:
+            return VerdictKind.UNKNOWN, "p = 2 with 2m > n even and a tail has no covered criterion", None
+        # -4*alpha is the unit of the discriminant's core, so sq is the residue test of -alpha
+        if sq.is_square:
+            return VerdictKind.REDUCIBLE, "S5.2m-gt-n-even-qr", "factor_m_gt_nu"
+        return VerdictKind.IRREDUCIBLE, "S5.2m-gt-n-even-nonqr", None
+
+    # n = 2m, p odd, with a tail
+    classes = _root_classes(1, -beta, alpha, p, m)
+    if not classes:
+        return VerdictKind.IRREDUCIBLE, "S5.no-root", None
+    # a root is simple or not according to its class mod p
+    if any((2 * r - beta) % p != 0 for r, _ in classes):
+        return VerdictKind.REDUCIBLE, "S5.simple-root", "factor_simple_root_tail"
+    core = beta * beta - 4 * alpha
+    t, u = _valuation(core, p) if core else (0, 0)
+    if m == 1 and t >= 2:
+        if f.order >= 3 and f.coeffs[3] % p != 0:
+            return VerdictKind.IRREDUCIBLE, "S5.double-root-c3-unit", None
+        if t == 2 and _is_qr(u, p) and all(c % (p * p) == 0 for c in f.coeffs[3:]):
+            return VerdictKind.REDUCIBLE, "S5.double-root-divisible-tail", "factor_tail"
+        return VerdictKind.UNKNOWN, (
+            "double root mod p with p | c_3 but p^2 does not divide every provided "
+            "c_k: reducibility depends on deeper tail coefficients"
+        ), None
+    return VerdictKind.UNKNOWN, "n = 2m with only non-simple roots mod p^m and no covered tail criterion", None
+
+
+def _row_verdict(
+    q: QuadInput, sq: SquareClass, kind: VerdictKind, rule: str, engine: str | None, order: int
+) -> Verdict:
+    """The verdict of a decided row, with the engine's pair through order.
+
+    The engine is looked up in :mod:`zxfactor.factor` at call time."""
+    factors = None if engine is None else getattr(engines, engine)(q, order)
+    conditional = rule == "S5.double-root-divisible-tail"
+    return Verdict(
+        kind=kind,
+        rule=rule,
+        zp_reducible=sq.is_square,
+        certificate=sq,
+        factors=factors,
+        verified_order=None if factors is None else order,
+        assumption="assumes p^2 divides every coefficient beyond the provided order" if conditional else None,
+        conditional_on_truncation=conditional,
+    )
+
+
 def classify_quadratic(q: QuadInput, terms: int = 64, attach_factors: bool = True) -> Verdict:
     """Decide p^n + p^m*beta*x + alpha*x^2 in Z[[x]] and attach factors.
 
@@ -220,41 +307,11 @@ def classify_quadratic(q: QuadInput, terms: int = 64, attach_factors: bool = Tru
     """
     if q.tail:
         raise ValueError("tail present: classify the full series with classify_general")
-    p, n = q.p, q.n
     sq = discriminant_square_class(q)
-    section = "S4" if p == 2 else "S3"
-    if q.beta is None:
-        rule = f"{section}.beta0-{'reducible' if sq.is_square else 'irreducible'}"
-        kind = VerdictKind.REDUCIBLE if sq.is_square else VerdictKind.IRREDUCIBLE
-    else:
-        m = q.m
-        if 2 * m < n:
-            kind, rule = VerdictKind.REDUCIBLE, f"{section}.2m-lt-n"
-        elif n % 2 == 1:
-            kind, rule = VerdictKind.IRREDUCIBLE, f"{section}.2m-gt-n-odd"
-        elif p == 2 and n == 2 * m:
-            kind, rule = VerdictKind.IRREDUCIBLE, "S4.n-eq-2m"
-        else:
-            kind = VerdictKind.REDUCIBLE if sq.is_square else VerdictKind.IRREDUCIBLE
-            rule = f"{section}.disc-{'square' if sq.is_square else 'nonsquare'}"
+    kind, rule, engine = _decide(q, sq)
     if (kind is VerdictKind.REDUCIBLE) != sq.is_square:
         raise AssertionError("branch verdict disagrees with the Z_p square test")
-    factors = None
-    verified = None
-    if kind is VerdictKind.REDUCIBLE and attach_factors:
-        from .factor import factor_reducible_quadratic
-
-        factors = factor_reducible_quadratic(q, terms)
-        verified = terms
-    verdict = Verdict(
-        kind=kind,
-        rule=rule,
-        zp_reducible=sq.is_square,
-        certificate=sq,
-        factors=factors,
-        verified_order=verified,
-    )
-    return _with_prime_note(verdict, p)
+    return _with_prime_note(_row_verdict(q, sq, kind, rule, engine if attach_factors else None, terms), q.p)
 
 
 def classify_general(f: TruncSeries) -> Verdict:
@@ -275,9 +332,7 @@ def classify_general(f: TruncSeries) -> Verdict:
     p, n = _smallest_block(abs(f0))
     u = p**n
     if u != abs(f0):
-        from .factor import factor_coprime_constant
-
-        factors = factor_coprime_constant(f, u, f0 // u, f.order)
+        factors = engines.factor_coprime_constant(f, u, f0 // u, f.order)
         return Verdict(
             VerdictKind.REDUCIBLE,
             "S2.coprime-split",
@@ -346,23 +401,18 @@ def _classify_prime_power(f: TruncSeries, p: int, n: int) -> Verdict:
     )
 
 
-def _quadratic_fallback(f: TruncSeries, q_head: QuadInput, reason: str) -> Verdict:
-    """Tail is explicitly all-zero: answer for the zero extension, flagged.
-
-    The assumption replaces the base verdict's; classify_general adds the
-    probable-prime note, when there is one, to the result.
-    """
-    base = classify_quadratic(q_head, terms=f.order)
-    return replace(base, assumption=f"{reason}; {_ZERO_EXTENSION}", conditional_on_truncation=True)
-
-
-def _undecided(f: TruncSeries, q_head: QuadInput | None, sq: SquareClass | None, reason: str) -> Verdict:
-    if q_head is not None and all(c == 0 for c in f.coeffs[3:]):
-        return _quadratic_fallback(f, q_head, reason)
+def _undecided(f: TruncSeries, q: QuadInput, sq: SquareClass, reason: str) -> Verdict:
+    """No criterion covers the tailed q.  An explicitly all-zero tail is
+    answered for the zero extension, flagged; the assumption replaces the
+    base verdict's, and classify_general adds the probable-prime note,
+    when there is one, to the result."""
+    if not any(q.tail):
+        base = classify_quadratic(replace(q, tail=(), _prime_known=True), terms=f.order)
+        return replace(base, assumption=f"{reason}; {_ZERO_EXTENSION}", conditional_on_truncation=True)
     return Verdict(
         VerdictKind.UNKNOWN,
         "S5.unknown",
-        zp_reducible=None if sq is None else sq.is_square,
+        zp_reducible=sq.is_square,
         certificate=sq,
         assumption=reason,
     )
@@ -370,80 +420,11 @@ def _undecided(f: TruncSeries, q_head: QuadInput | None, sq: SquareClass | None,
 
 def _classify_quadratic_head(f: TruncSeries, p: int, n: int) -> Verdict:
     """f = p^n + f_1*x + alpha*x^2 + tail with p | f_1 and alpha a unit."""
-    from . import factor as engines
-
-    alpha = f.coeffs[2]
     f1 = f.coeffs[1]
-    if f1 == 0:
-        head = QuadInput(p, n, None, None, alpha, _prime_known=True)
-        return _undecided(
-            f, head, discriminant_square_class(head),
-            "beta = 0 with a nonzero tail has no covered criterion",
-        )
-    m, beta = _valuation(f1, p)
-    q = QuadInput(p, n, m, beta, alpha, tail=f.coeffs[3:], _prime_known=True)
-    head = replace(q, tail=(), _prime_known=True)
-    sq = discriminant_square_class(head)
-
-    def verdict(kind, rule, factors=None, conditional=False, assumption=None):
-        return Verdict(
-            kind=kind,
-            rule=rule,
-            zp_reducible=sq.is_square,
-            certificate=sq,
-            factors=factors,
-            verified_order=None if factors is None else f.order,
-            assumption=assumption,
-            conditional_on_truncation=conditional,
-        )
-
-    if 2 * m < n:
-        return verdict(
-            VerdictKind.REDUCIBLE, "S5.2m-lt-n", engines.factor_2m_lt_n(q, f.order)
-        )
-    if 2 * m > n:
-        if n % 2 == 1:
-            return verdict(VerdictKind.IRREDUCIBLE, "S5.2m-gt-n-odd")
-        if p == 2:
-            return _undecided(
-                f, head, sq, "p = 2 with 2m > n even and a tail has no covered criterion"
-            )
-        if _is_qr(-alpha, p):
-            return verdict(
-                VerdictKind.REDUCIBLE, "S5.2m-gt-n-even-qr", engines.factor_m_gt_nu(q, f.order)
-            )
-        return verdict(VerdictKind.IRREDUCIBLE, "S5.2m-gt-n-even-nonqr")
-
-    # n = 2m
-    if p == 2:
-        return verdict(VerdictKind.IRREDUCIBLE, "S4.n-eq-2m")
-    classes = _root_classes(1, -beta, alpha, p, m)
-    if not classes:
-        return verdict(VerdictKind.IRREDUCIBLE, "S5.no-root")
-    # a root is simple or not according to its class mod p
-    if any((2 * r - beta) % p != 0 for r, _ in classes):
-        return verdict(
-            VerdictKind.REDUCIBLE, "S5.simple-root", engines.factor_simple_root_tail(f, f.order)
-        )
-    core = beta * beta - 4 * alpha
-    t, u = _valuation(core, p) if core else (0, 0)
-    if m == 1 and t >= 2:
-        if f.order >= 3 and f.coeffs[3] % p != 0:
-            return verdict(VerdictKind.IRREDUCIBLE, "S5.double-root-c3-unit")
-        if t == 2 and _is_qr(u, p) and all(c % (p * p) == 0 for c in f.coeffs[3:]):
-            return verdict(
-                VerdictKind.REDUCIBLE,
-                "S5.double-root-divisible-tail",
-                engines.factor_tail(f, f.order),
-                conditional=True,
-                assumption="assumes p^2 divides every coefficient beyond the provided order",
-            )
-        return _undecided(
-            f, head, sq,
-            "double root mod p with p | c_3 but p^2 does not divide every provided "
-            "c_k: reducibility depends on deeper tail coefficients",
-        )
-    return _undecided(
-        f, head, sq,
-        "n = 2m with only non-simple roots mod p^m and no covered tail criterion",
-    )
+    m, beta = _valuation(f1, p) if f1 else (None, None)
+    q = QuadInput(p, n, m, beta, f.coeffs[2], tail=f.coeffs[3:], _prime_known=True)
+    sq = discriminant_square_class(q)
+    kind, rule, engine = _decide(q, sq, f)
+    if kind is VerdictKind.UNKNOWN:
+        return _undecided(f, q, sq, rule)
+    return _row_verdict(q, sq, kind, rule, engine, f.order)

@@ -6,11 +6,12 @@ differ only in their hypothesis checks and their seeds: the first
 coefficients of a and the head b_0 = scale * a_0.  One core extends the
 seeds order by order.  At stage m it sets a_m = A * ~a_m, where ~a_m is
 the canonical residue modulo a_0 * S / D that keeps order m + lag of the
-product divisible, and b_m then follows exactly from order m.  Each
-stage is one call of :func:`solve_unit_step` with a coefficient c that
-is a unit modulo a_0 * S / D, which is what makes the recurrence total.
-The parameters per engine (l is half the valuation of beta^2 - 4*alpha,
-of beta^2 - alpha when p = 2):
+product divisible, and b_m then follows exactly from order m.  That
+residue is c^-1 times the order's remainder, where c is a unit modulo
+a_0 * S / D, which is what makes the recurrence total.  Each lift checks
+c and inverts it once; a stage is then one multiplication, one reduction
+and one exact division.  The parameters per engine (l is half the
+valuation of beta^2 - 4*alpha, of beta^2 - alpha when p = 2):
 
     engine                                  (A, S, D)                       lag
     2m<n, m>nu, beta0, simple-root          (1, 1, 1)                       1
@@ -20,10 +21,12 @@ of beta^2 - alpha when p = 2):
     p^2-divisible tail                      (p, p^2, p^2)                   1
     m=nu, nu>l                              A = p^(nu-l)                    2
 
-Lag one is :func:`_lift`, lag two :func:`_lift2`.  Every engine checks
-its finished pair once with :func:`~zxfactor.oracle.verify_factorization`
-against the target coefficients; a nonzero residual or a unit head raises
-:class:`EngineInvariantError` (a bug, never an input condition).
+Lag one is :func:`_lift`, lag two :func:`_lift2`.  Every engine takes a
+:class:`~zxfactor.classify.QuadInput` and the order, and checks its
+finished pair once with :func:`~zxfactor.oracle.verify_factorization`
+against the input through that order; a nonzero residual or a unit head
+raises :class:`EngineInvariantError` (a bug, never an input condition).
+Which engine splits which input is the classifier's decision table.
 
 Whenever b_0*y^2 - f_1*y + a_0*f_2 has an integer root and the input
 has no tail, the engine emits the finite polynomial factorization
@@ -39,7 +42,7 @@ from typing import TYPE_CHECKING
 
 from .limits import require_terms
 from .oracle import verify_factorization
-from .padics import _is_qr, _root_certificate, _root_classes, _valuation, prime_power_decompose
+from .padics import _is_qr, _root_certificate, _root_classes, _valuation
 from .series import TruncSeries
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -57,7 +60,6 @@ __all__ = [
     "factor_coprime_constant",
     "factor_tail",
     "factor_simple_root_tail",
-    "factor_reducible_quadratic",
 ]
 
 
@@ -72,10 +74,19 @@ def solve_unit_step(modulus: int, c: int, v: int, target: int) -> tuple[int, int
     s_next is then an exact integer quotient.  c must be a unit modulo
     the prime power ``modulus``.
     """
+    return _step(modulus, c, _unit_inverse(modulus, c), target - v)
+
+
+def _unit_inverse(modulus: int, c: int) -> int:
     if gcd(c, modulus) != 1:
         raise EngineInvariantError(f"step coefficient {c} is not a unit mod {modulus}")
-    a_n = (target - v) * pow(c, -1, modulus) % modulus
-    s_next, rem = divmod(target - v - c * a_n, modulus)
+    return pow(c, -1, modulus)
+
+
+def _step(modulus: int, c: int, c_inv: int, r: int) -> tuple[int, int]:
+    """a_N = r * c^-1 mod modulus and the exact quotient (r - c*a_N) / modulus."""
+    a_n = r * c_inv % modulus
+    s_next, rem = divmod(r - c * a_n, modulus)
     if rem:
         raise EngineInvariantError("unit step division was not exact")
     return a_n, s_next
@@ -86,13 +97,6 @@ def _exact_div(num: int, den: int, what: str) -> int:
     if rem:
         raise EngineInvariantError(f"{what}: {num} is not divisible by {den}")
     return q
-
-
-def _series_targets(f: TruncSeries, n: int) -> tuple[int, ...]:
-    require_terms(n)
-    if n > f.order:
-        raise ValueError(f"factoring beyond the input's order {f.order} is refused")
-    return f.coeffs[: n + 1] + (0,)
 
 
 def _require(cond: bool, message: str) -> None:
@@ -169,9 +173,10 @@ def _lift(tag: str, targets, n: int, a: list[int], b0: int, A: int = 1, S: int =
     a, b, scale, t = _start(tag, targets, a, b0)
     modulus = _exact_div(a[0] * S, D, f"{tag}: modulus")
     c = _exact_div((b[1] - scale * a[1]) * A, D, f"{tag}: step unit")
+    c_inv = _unit_inverse(modulus, c)
     for m in range(len(a), n + 1):
         v = a[1] * t + sum(map(mul, a[2:m], b[m - 1 : 1 : -1]))
-        atil, t_next = solve_unit_step(modulus, c, _exact_div(v - targets[m + 1], D, tag), 0)
+        atil, t_next = _step(modulus, c, c_inv, _exact_div(targets[m + 1] - v, D, tag))
         a.append(A * atil)
         b.append(t - scale * a[m])
         t = S * t_next
@@ -190,9 +195,10 @@ def _lift2(tag: str, targets, n: int, a: list[int], A: int):
     u = _exact_div(targets[4] - a[1] * s - a[2] * b[2], a[0], f"{tag}: order 4")
     t = _exact_div((b[1] - a[1]) * A, a[0], f"{tag}: t")
     c = A * (b[2] - a[2]) - t * a[1]
+    c_inv = _unit_inverse(a[0], c)
     for m in range(3, n + 1):
         v = a[1] * u + a[2] * s + sum(map(mul, a[3:m], b[m - 1 : 2 : -1]))
-        atil, u_next = solve_unit_step(a[0], c, v, targets[m + 2])
+        atil, u_next = _step(a[0], c, c_inv, targets[m + 2] - v)
         a.append(A * atil)
         b.append(s - a[m])
         s, u = u - t * atil, u_next
@@ -362,7 +368,10 @@ def factor_coprime_constant(
     Each coefficient equation f_k = u*b_k + v*a_k + (cross terms) has a
     Bezout solution; a_k is taken canonically in [0, |u|).
     """
-    targets = _series_targets(f, n)
+    require_terms(n)
+    if n > f.order:
+        raise ValueError(f"factoring beyond the input's order {f.order} is refused")
+    targets = f.coeffs[: n + 1] + (0,)
     if gcd(u, v) != 1:
         raise ValueError("constant-term split must be coprime")
     if abs(u) < 2 or abs(v) < 2 or u * v != f.coeffs[0]:
@@ -376,77 +385,43 @@ def factor_coprime_constant(
     return _verified("coprime constant", targets, a, b, n)
 
 
-def factor_tail(f: TruncSeries, n: int) -> tuple[TruncSeries, TruncSeries]:
+def factor_tail(q: "QuadInput", n: int) -> tuple[TruncSeries, TruncSeries]:
     """Split p^2 + p*beta*x + alpha*x^2 + (tail divisible by p^2).
 
-    Preconditions checked here: beta^2 - 4*alpha = p^2 * q with q a
-    residue unit mod p, and p^2 | c_k for every provided k >= 3.  The
-    root a_1 of y^2 - beta*y + alpha mod p^3 is bumped past exact integer
-    roots so that g(a_1) is nonzero; then beta - 2*a_1 = p*t with t the
-    step unit, and the tail's divisibility by p^2 = D keeps every order
-    divisible.
+    Preconditions checked here: beta^2 - 4*alpha = p^2 * u with u a
+    residue unit mod p, and p^2 | c_k for every k >= 3.  The root a_1 of
+    y^2 - beta*y + alpha mod p^3 is bumped past exact integer roots so
+    that g(a_1) is nonzero; then beta - 2*a_1 = p*t with t the step unit,
+    and the tail's divisibility by p^2 = D keeps every order divisible.
     """
-    targets = _series_targets(f, n)
+    _require(q.beta is not None and q.n == 2 and q.m == 1, "engine needs n = 2 and m = 1")
     _require(n >= 2, "factor order must be at least 2")
-    pp = prime_power_decompose(f.coeffs[0])
-    _require(pp is not None and pp[1] == 2, "head must start with p^2 for a prime p")
-    p = pp[0]
-    _require(f.order >= 2, "need the quadratic head")
-    f1 = f.coeffs[1]
-    _require(f1 != 0 and f1 % p == 0 and (f1 // p) % p != 0, "linear term must be p * unit")
-    beta = f1 // p
-    alpha = f.coeffs[2]
-    _require(gcd(alpha, p) == 1, "quadratic term must be a unit mod p")
+    p, beta, alpha = q.p, q.beta, q.alpha
     core = beta * beta - 4 * alpha
     _require(core != 0, "zero discriminant is outside this engine")
     t, u = _valuation(core, p)
     _require(t == 2, "discriminant must be exactly p^2 * unit")
     _require(_is_qr(u, p), "discriminant unit must be a residue mod p")
-    bad = [k for k in range(3, f.order + 1) if f.coeffs[k] % (p * p) != 0]
+    bad = [k for k, c in enumerate(q.tail, 3) if c % (p * p)]
     _require(not bad, f"tail coefficients not divisible by p^2 at orders {bad}")
     a1 = _smallest_root(1, -beta, alpha, p, 3, "tail engine")
     while a1 * a1 - beta * a1 + alpha == 0:
         a1 += p**3
-    return _lift("p^2-divisible tail", targets, n, [p, a1], p, p, p * p, p * p)
+    return _lift("p^2-divisible tail", q.head_series(n).coeffs + (0,), n, [p, a1], p, p, p * p, p * p)
 
 
-def factor_simple_root_tail(f: TruncSeries, n: int) -> tuple[TruncSeries, TruncSeries]:
+def factor_simple_root_tail(q: "QuadInput", n: int) -> tuple[TruncSeries, TruncSeries]:
     """Split p^(2m) + p^m*beta*x + alpha*x^2 + tail given a simple root.
 
     Requires a root a of y^2 - beta*y + alpha mod p^m whose derivative
     2a - beta is a unit; the balanced recurrence then has a unit step
     coefficient beta - 2a and absorbs any tail.
     """
-    targets = _series_targets(f, n)
-    _require(n >= 2 and f.order >= 2, "need the quadratic head")
-    pp = prime_power_decompose(f.coeffs[0])
-    _require(pp is not None and pp[1] % 2 == 0, "constant term must be an even prime power")
-    p, n_exp = pp
-    m = n_exp // 2
-    f1 = f.coeffs[1]
-    _require(f1 != 0, "linear term must be p^m * unit")
-    v1, beta = _valuation(f1, p)
-    _require(v1 == m, "linear term must have valuation exactly m")
-    alpha = f.coeffs[2]
-    _require(gcd(alpha, p) == 1, "quadratic term must be a unit mod p")
+    _require(q.beta is not None and q.n == 2 * q.m, "engine needs n = 2m")
+    _require(n >= 2, "factor order must be at least 2")
+    p, m, beta = q.p, q.m, q.beta
     # whether a root is simple depends on it mod p only, so on its class
-    simple = [r for r, _ in _root_classes(1, -beta, alpha, p, m) if (2 * r - beta) % p != 0]
+    simple = [r for r, _ in _root_classes(1, -beta, q.alpha, p, m) if (2 * r - beta) % p != 0]
     if not simple:
         raise ValueError("y^2 - beta*y + alpha has no simple root mod p^m")
-    return _lift("simple root", targets, n, [p**m, simple[0]], p**m)
-
-
-def factor_reducible_quadratic(q: "QuadInput", n: int) -> tuple[TruncSeries, TruncSeries]:
-    """Dispatch a classified-reducible quadratic input to its engine."""
-    if q.beta is None:
-        return factor_beta_zero(q, n)
-    if 2 * q.m < q.n:
-        return factor_2m_lt_n(q, n)
-    nu = q.n // 2
-    if q.p == 2:
-        if q.m == nu + 1:
-            return factor_p2_m_eq_nu1(q, n)
-        return factor_p2_m_gt_nu1(q, n)
-    if q.m == nu:
-        return factor_m_eq_nu(q, n)
-    return factor_m_gt_nu(q, n)
+    return _lift("simple root", q.head_series(n).coeffs + (0,), n, [p**m, simple[0]], p**m)

@@ -463,3 +463,89 @@ def test_factor_search_reruns_byte_identical():
         outs.append(res.stdout)
     assert outs[0] == outs[1]
     assert [rule for rule, _ in json.loads(outs[0])] == ["S2.coprime-split"] * len(constants)
+
+
+def test_tail_engines_run_no_second_factor_search(monkeypatch):
+    # the classifier's one search of the constant term proves p; the tail
+    # engine it picks takes the QuadInput and does not search again
+    import zxfactor.classify
+    import zxfactor.padics
+
+    calls = []
+    is_prime = zxfactor.padics.is_prime
+
+    def counted(n):
+        calls.append(n)
+        return is_prime(n)
+
+    monkeypatch.setattr(zxfactor.padics, "is_prime", counted)
+    monkeypatch.setattr(zxfactor.classify, "is_prime", counted)
+    p = 10**12 + 39
+    f = TruncSeries((p * p, 3 * p, 2, 5, 7))
+    v = classify_general(f)
+    assert v.rule == "S5.simple-root" and verify_factorization(f, *v.factors).passed
+    assert len(calls) == 2
+
+
+R, I, U = VerdictKind.REDUCIBLE, VerdictKind.IRREDUCIBLE, VerdictKind.UNKNOWN
+#: every row of the decision table as (kind, rule, engine); an UNKNOWN row
+#: carries its reason in place of the rule
+DECISION_ROWS = {
+    (R, "S3.beta0-reducible", "factor_beta_zero"),
+    (I, "S3.beta0-irreducible", None),
+    (R, "S4.beta0-reducible", "factor_beta_zero"),
+    (I, "S4.beta0-irreducible", None),
+    (R, "S3.2m-lt-n", "factor_2m_lt_n"),
+    (R, "S4.2m-lt-n", "factor_2m_lt_n"),
+    (I, "S3.2m-gt-n-odd", None),
+    (I, "S4.2m-gt-n-odd", None),
+    (I, "S4.n-eq-2m", None),
+    (R, "S3.disc-square", "factor_m_eq_nu"),
+    (R, "S3.disc-square", "factor_m_gt_nu"),
+    (I, "S3.disc-nonsquare", None),
+    (R, "S4.disc-square", "factor_p2_m_eq_nu1"),
+    (R, "S4.disc-square", "factor_p2_m_gt_nu1"),
+    (I, "S4.disc-nonsquare", None),
+    # tailed
+    (U, "beta = 0 with a nonzero tail has no covered criterion", None),
+    (R, "S5.2m-lt-n", "factor_2m_lt_n"),
+    (I, "S5.2m-gt-n-odd", None),
+    (U, "p = 2 with 2m > n even and a tail has no covered criterion", None),
+    (R, "S5.2m-gt-n-even-qr", "factor_m_gt_nu"),
+    (I, "S5.2m-gt-n-even-nonqr", None),
+    (I, "S5.no-root", None),
+    (R, "S5.simple-root", "factor_simple_root_tail"),
+    (I, "S5.double-root-c3-unit", None),
+    (R, "S5.double-root-divisible-tail", "factor_tail"),
+    (
+        U,
+        "double root mod p with p | c_3 but p^2 does not divide every provided "
+        "c_k: reducibility depends on deeper tail coefficients",
+        None,
+    ),
+    (U, "n = 2m with only non-simple roots mod p^m and no covered tail criterion", None),
+}
+
+
+def test_decision_table_names_known_rules_and_engines():
+    from zxfactor import factor
+    from zxfactor.classify import _decide
+
+    rows = set()
+    for p in (2, 3, 5):
+        for n in range(1, 5):
+            for m in range(1, 5):
+                for beta in (b for b in (0, 1, 2, 3) if b == 0 or b % p):
+                    for alpha in (a for a in range(-12, 13) if a % p):
+                        q = QuadInput(p, n, m, beta, alpha)
+                        sq = discriminant_square_class(q)
+                        rows.add(_decide(q, sq))
+                        for tail in ((), (0, 0), (1,), (p,), (p * p,)):
+                            qt = QuadInput(p, n, m, beta, alpha, tail=tail)
+                            rows.add(_decide(qt, sq, qt.head_series(2 + len(tail))))
+    assert rows == DECISION_ROWS
+    for kind, rule, engine in rows:
+        assert ("S5.unknown" if kind is U else rule) in RULE_INFO
+        assert (engine is not None) == (kind is R)
+        if engine is not None:
+            assert engine in factor.__all__ and callable(getattr(factor, engine))

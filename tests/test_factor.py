@@ -2,7 +2,8 @@ import random
 
 import pytest
 
-from zxfactor.classify import QuadInput
+import zxfactor.factor as factor_module
+from zxfactor.classify import QuadInput, classify_quadratic
 from zxfactor.factor import (
     EngineInvariantError,
     factor_2m_lt_n,
@@ -12,7 +13,6 @@ from zxfactor.factor import (
     factor_m_gt_nu,
     factor_p2_m_eq_nu1,
     factor_p2_m_gt_nu1,
-    factor_reducible_quadratic,
     factor_simple_root_tail,
     factor_tail,
     solve_unit_step,
@@ -48,13 +48,14 @@ def test_engine_check_fires_on_a_wrong_step(monkeypatch):
     # the third stage of the lag-one core solves a_4; one more than the
     # canonical a_4 leaves order 5 of the product off its target
     stages = []
+    step = factor_module._step
 
     def off_by_one(*args):
-        a_n, s_next = solve_unit_step(*args)
+        a_n, s_next = step(*args)
         stages.append(a_n)
         return (a_n + 1 if len(stages) == 3 else a_n), s_next
 
-    monkeypatch.setattr("zxfactor.factor.solve_unit_step", off_by_one)
+    monkeypatch.setattr(factor_module, "_step", off_by_one)
     message = "2m<n: first nonzero residual at product order 5;"
     with pytest.raises(EngineInvariantError, match=message):
         factor_2m_lt_n(QuadInput(3, 5, 2, 2, 1), 16)
@@ -237,43 +238,46 @@ def test_coprime_constant_rejects_bad_split():
 
 
 def test_tail_engine_walkthrough():
-    f = TruncSeries((9, 3, -2, 9, 0, 0))
-    a, b = factor_tail(f, 5)
+    q = QuadInput(3, 2, 1, 1, -2, tail=(9, 0, 0))
+    a, b = factor_tail(q, 5)
     assert a.coeffs[:3] == (3, 29, 6)
     assert b.coeffs[:3] == (3, -28, 264)
-    assert verify_factorization(f, a, b).passed
+    assert verify_factorization(q.head_series(5), a, b).passed
 
 
 def test_tail_engine_rejects_underdivisible_tail():
     with pytest.raises(ValueError, match="not divisible"):
-        factor_tail(TruncSeries((9, 3, -2, 3, 0)), 4)
+        factor_tail(QuadInput(3, 2, 1, 1, -2, tail=(3, 0)), 4)
 
 
 def test_tail_engine_deeper():
-    # p = 5: beta = 1, alpha = -6 gives disc 25 with q = 1
-    f = TruncSeries((25, 5, -6, 25) + (0,) * 5)
-    pair = factor_tail(f, 8)
-    assert verify_factorization(f, *pair).passed
+    # p = 5: beta = 1, alpha = -6 gives beta^2 - 4*alpha = 25 = 5^2 * 1
+    q = QuadInput(5, 2, 1, 1, -6, tail=(25,) + (0,) * 5)
+    pair = factor_tail(q, 8)
+    assert verify_factorization(q.head_series(8), *pair).passed
 
 
 def test_simple_root_tail():
-    f = TruncSeries((49, 21, 2, 7) + (0,) * 5)
-    pair = factor_simple_root_tail(f, 8)
-    assert verify_factorization(f, *pair).passed
+    q = QuadInput(7, 2, 1, 3, 2, tail=(7,) + (0,) * 5)
+    pair = factor_simple_root_tail(q, 8)
+    assert verify_factorization(q.head_series(8), *pair).passed
 
 
 def test_simple_root_tail_rejects_double_roots():
     with pytest.raises(ValueError, match="simple root"):
-        factor_simple_root_tail(TruncSeries((9, 3, -2, 0, 0)), 4)
+        factor_simple_root_tail(QuadInput(3, 2, 1, 1, -2, tail=(0, 0)), 4)
     with pytest.raises(ValueError, match="simple root"):
-        factor_simple_root_tail(TruncSeries((625, 50, 1, 0, 0)), 4)
+        factor_simple_root_tail(QuadInput(5, 4, 2, 2, 1, tail=(0, 0)), 4)
 
 
 def test_refuses_to_factor_beyond_input_order():
-    with pytest.raises(ValueError, match="refused"):
-        factor_tail(TruncSeries((9, 3, -2, 9)), 5)
-    with pytest.raises(ValueError, match="refused"):
-        factor_simple_root_tail(TruncSeries((49, 21, 2)), 5)
+    # a QuadInput's tail is exact (zero beyond its length), so the tail
+    # engines factor through any order against the input's head series
+    q = QuadInput(3, 2, 1, 1, -2, tail=(9,))
+    assert verify_factorization(q.head_series(5), *factor_tail(q, 5)).passed
+    q = QuadInput(7, 2, 1, 3, 2)
+    assert verify_factorization(q.head_series(5), *factor_simple_root_tail(q, 5)).passed
+    # a truncated series is known only through its order
     with pytest.raises(ValueError, match="refused"):
         factor_coprime_constant(TruncSeries((6, 2, 1)), 2, 3, 3)
 
@@ -295,8 +299,8 @@ def _random_reducible_inputs(count):
 
 def test_randomized_engines_verify_and_are_deterministic():
     for q in _random_reducible_inputs(120):
-        first = factor_reducible_quadratic(q, 40)
-        again = factor_reducible_quadratic(q, 40)
+        first = classify_quadratic(q, terms=40).factors
+        again = classify_quadratic(q, terms=40).factors
         assert first == again
         check_pair(q, first, 40)
 

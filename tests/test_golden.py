@@ -4,7 +4,8 @@
 ``classify`` invocations to the exit code and the sha256 of the JSON
 line the CLI printed for it when the file was made.  The corpus covers
 every quadratic engine and both tail engines at ``--terms 64``, large-p
-factorizations at ``--terms 8`` and the p = 11 repeated root.
+factorizations at ``--terms 8``, the p = 11 repeated root, and every row
+of the classifier's decision table, tailed and on an all-zero tail.
 ``tests/data/golden_sweep.json`` holds one sha256 over the concatenated
 JSON lines of a larger corpus, the criterion-2 sweep at ``--terms 64``
 followed by the tailed series of criterion 7, plus its exit-code tally.

@@ -339,9 +339,16 @@ def classify_general(f: TruncSeries) -> Verdict:
             factors=factors,
             verified_order=f.order,
         )
+    return _classify_block(f, p, n)
+
+
+def _classify_block(f: TruncSeries, p: int, n: int) -> Verdict:
+    """The rest of the cascade for f_0 = +-p^n, n >= 1, with p already
+    proven prime: by the constant-term search, or by the CLI's
+    :class:`QuadInput`, so that p is proven once per answer."""
     if n == 1:
         return _with_prime_note(Verdict(VerdictKind.IRREDUCIBLE, "S2.prime"), p)
-    if f0 > 0:
+    if f.coeffs[0] > 0:
         verdict = _classify_prime_power(f, p, n)
     else:
         verdict = _classify_prime_power(TruncSeries([-c for c in f.coeffs]), p, n)

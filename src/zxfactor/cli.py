@@ -16,7 +16,7 @@ from .classify import (
     QuadInput,
     Verdict,
     VerdictKind,
-    classify_general,
+    _classify_block,
     classify_quadratic,
     discriminant,
     discriminant_square_class,
@@ -86,7 +86,9 @@ def _build_input(args) -> tuple[QuadInput, int]:
 
 def _classify(q: QuadInput, terms: int) -> Verdict:
     if q.tail:
-        return classify_general(q.head_series(terms))
+        # classify_general on the series, less the constant-term search:
+        # building q has proven p already
+        return _classify_block(q.head_series(terms), q.p, q.n)
     return classify_quadratic(q, terms=terms)
 
 

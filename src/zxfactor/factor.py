@@ -220,7 +220,7 @@ def factor_2m_lt_n(q: "QuadInput", n: int) -> tuple[TruncSeries, TruncSeries]:
     _require(q.beta is not None and 2 * q.m < q.n, "engine needs beta != 0 and 2m < n")
     _require(n >= 2, "factor order must be at least 2")
     pm, pnm = q.p**q.m, q.p ** (q.n - q.m)
-    targets = q.head_series(n + 1).coeffs
+    targets = q.head_series(n).coeffs + (0,)
     pair = _integer_split(targets, pm, pnm, n, "2m<n poly")
     if pair is not None:
         return pair
@@ -240,7 +240,7 @@ def factor_m_gt_nu(q: "QuadInput", n: int) -> tuple[TruncSeries, TruncSeries]:
     _require(n >= 2, "factor order must be at least 2")
     p, nu = q.p, q.n // 2
     pn = p**nu
-    targets = q.head_series(n + 1).coeffs
+    targets = q.head_series(n).coeffs + (0,)
     pair = _integer_split(targets, pn, pn, n, "m>nu poly")
     if pair is not None:
         return pair
@@ -264,7 +264,7 @@ def factor_m_eq_nu(q: "QuadInput", n: int) -> tuple[TruncSeries, TruncSeries]:
     _require(n >= 2, "factor order must be at least 2")
     p, nu, beta, alpha = q.p, q.n // 2, q.beta, q.alpha
     pn = p**nu
-    targets = q.head_series(n + 2).coeffs
+    targets = q.head_series(n).coeffs + (0, 0)
     pair = _integer_split(targets, pn, pn, n, "m=nu poly")
     if pair is not None:
         return pair
@@ -293,7 +293,7 @@ def factor_beta_zero(q: "QuadInput", n: int) -> tuple[TruncSeries, TruncSeries]:
     _require(n >= 2, "factor order must be at least 2")
     p, nu, alpha = q.p, q.n // 2, q.alpha
     pn = p**nu
-    targets = q.head_series(n + 1).coeffs
+    targets = q.head_series(n).coeffs + (0,)
     pair = _integer_split(targets, pn, pn, n, "beta0 poly")
     if pair is not None:
         return pair
@@ -324,7 +324,7 @@ def factor_p2_m_gt_nu1(q: "QuadInput", n: int) -> tuple[TruncSeries, TruncSeries
         "mod-8 reducibility condition fails: input is irreducible",
     )
     pn = 2**nu
-    targets = q.head_series(n + 1).coeffs
+    targets = q.head_series(n).coeffs + (0,)
     pair = _integer_split(targets, pn, pn, n, "p2 m>nu+1 poly")
     if pair is not None:
         return pair
@@ -346,7 +346,7 @@ def factor_p2_m_eq_nu1(q: "QuadInput", n: int) -> tuple[TruncSeries, TruncSeries
     _require(n >= 2, "factor order must be at least 2")
     beta, alpha = q.beta, q.alpha
     pn = 2**nu
-    targets = q.head_series(n + 1).coeffs
+    targets = q.head_series(n).coeffs + (0,)
     pair = _integer_split(targets, pn, pn, n, "p2 m=nu+1 poly")
     if pair is not None:
         return pair

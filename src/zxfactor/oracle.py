@@ -3,18 +3,21 @@
 These deliberately re-derive everything by exhaustive scan so that
 agreement with the padics/factor modules is meaningful evidence; the
 factor engines call ``verify_factorization`` as the one check of each
-finished pair, and nothing here imports them.  The
-only concessions to speed are a cached square table per modulus and,
-in the irreducibility probe, solving each order for b_k instead of
-scanning it and scanning each a_k only modulo the power of p that the
-later orders can see; both keep the probe's answer exact.
+finished pair, and nothing here imports them.  The only concessions to
+speed are a cached square table per modulus; in the irreducibility
+probe, solving each order for b_k instead of scanning it and scanning
+each a_k only modulo the power of p that the later orders can see; and
+in ``verify_factorization``, deciding a pair that passes with one exact
+big-integer product (Kronecker substitution) where that is cheaper than
+the convolution.  All three keep the answers exact.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from operator import mul
+from itertools import repeat
+from operator import add, mul
 from typing import TYPE_CHECKING
 
 from .series import TruncSeries
@@ -33,6 +36,32 @@ __all__ = [
 _SQUARE_CAP = 10**7
 _ROOTS_CAP = 10**6
 _PROBE_BUDGET = 10**6
+
+# The product check runs from order _PACKED_MIN_ORDER on, while
+# slot_bits^4 < _PACKED_CROSSOVER * (N + 1), slot_bits being 8 times the
+# slot width in bytes: below about 240 bits at N = 64, 340 at 256 and 480
+# at 1024.  The product costs about (N * slot_bits)^1.6 (Karatsuba); the
+# convolution N^2 / 2 coefficient products, whose cost is interpreter
+# overhead until they are hundreds of bits long.  The constant is the
+# crossover for pairs whose heights grow linearly with the order while a
+# stays small: the shape m=nu produces, and the one least favourable to
+# the product, since most slots of the packed a are padding.  Convolution
+# time over product time (CPython 3.11, shared 2-vCPU machine, two runs),
+# with slot_bits^4 / (N + 1) in brackets:
+#   m=nu at 5.64 bits per order: 1.02-1.07 at N = 24 (3.2e7), 1.02-1.08
+#     at 32 (5.7e7), 0.97 at 36 (7.8e7), 0.70-0.80 at 40 (1.1e8);
+#   m=nu at 2.84 bits per order: 1.09-1.42 at N = 80 (4.7e7), 0.96-1.18
+#     at 96 (7.9e7), 0.84-0.87 at 128 (1.7e8), 0.58 at 192 (5.4e8);
+#   a of 6 bits, b uniform: 1.13 at N = 64 (8.5e7), 1.43 at 1024 (8.0e7),
+#     0.63 at 1024 (1.2e9).
+# On the 78 lines of the cli-deep benchmark at seeds 3 to 5 whose heights
+# grow (m=nu and p=2 m=nu+1, N = 64 to 256), the rule takes the faster
+# path on 73; the other five are within 0.98 to 1.38.  Small heights gain
+# the most: 3x at N = 64 and 8 to 11x at N = 256 for 24- to 80-bit
+# slots.  At N = 16 the two are even (0.8 to 1.4), so shorter pairs keep
+# the convolution.
+_PACKED_MIN_ORDER = 16
+_PACKED_CROSSOVER = 5 * 10**7
 
 
 @lru_cache(maxsize=8)
@@ -71,20 +100,56 @@ class VerificationReport:
 
 
 def verify_factorization(f: TruncSeries, a: TruncSeries, b: TruncSeries) -> VerificationReport:
-    """Per-order residuals of f - a*b plus non-unit checks on the heads."""
+    """Per-order residuals of a*b - f plus non-unit checks on the heads.
+
+    A pair that :func:`_product_vanishes` passes has every residual zero;
+    every other pair gets its residuals from the convolution.
+    """
     if not (f.order == a.order == b.order):
         raise ValueError(
             f"order mismatch: f through {f.order}, a through {a.order}, b through {b.order}"
         )
-    ac, bc = a.coeffs, b.coeffs
-    residuals = tuple(
-        sum(map(mul, ac[: k + 1], bc[k::-1])) - fk for k, fk in enumerate(f.coeffs)
-    )
+    ac, bc, fc = a.coeffs, b.coeffs, f.coeffs
+    if _product_vanishes(fc, ac, bc):
+        residuals = (0,) * len(fc)
+    else:
+        residuals = tuple(sum(map(mul, ac[: k + 1], bc[k::-1])) - fk for k, fk in enumerate(fc))
     return VerificationReport(
         residuals=residuals,
         a0_proper=abs(a.coeffs[0]) != 1,
         b0_proper=abs(b.coeffs[0]) != 1,
     )
+
+
+def _product_vanishes(fc: tuple[int, ...], ac: tuple[int, ...], bc: tuple[int, ...]) -> bool:
+    """Is a*b - f zero through order N, decided by one exact product?
+
+    False also when the pair is below ``_PACKED_MIN_ORDER`` or above the
+    crossover, where the convolution is cheaper.  With X = 2^(8w), the
+    series packed at X give d = A*B - F = sum_k d_k X^k, where d_k is the
+    residual of order k for k <= N.  w is chosen so that every
+    |d_k| <= (N+1) * 2^(h_a+h_b) + 2^(h_f) < 2^(8w-1) < X; then d_j, for
+    the first nonzero d_j with j <= N, survives modulo X^(j+1), so the pair
+    passes exactly when X^(N+1) divides d.  No probability is involved.
+    """
+    size = len(fc)
+    if size - 1 < _PACKED_MIN_ORDER:
+        return False
+    height_ab = max(map(int.bit_length, ac)) + max(map(int.bit_length, bc))
+    w = (max(height_ab + size.bit_length(), max(map(int.bit_length, fc))) + 9) // 8
+    if (8 * w) ** 4 >= _PACKED_CROSSOVER * size:
+        return False
+    d = _packed(ac, w) * _packed(bc, w) - _packed(fc, w)
+    return not d & ((1 << (8 * w * size)) - 1)
+
+
+def _packed(coeffs: tuple[int, ...], w: int) -> int:
+    """sum_k c_k * 2^(8wk) for |c_k| < 2^(8w-1): each c_k plus 2^(8w-1)
+    fills one w-byte slot, and the biases come off in one subtraction."""
+    bias = 1 << (8 * w - 1)
+    slots = b"".join(map(int.to_bytes, map(add, coeffs, repeat(bias)), repeat(w), repeat("little")))
+    biases = (bytes(w - 1) + b"\x80") * len(coeffs)
+    return int.from_bytes(slots, "little") - int.from_bytes(biases, "little")
 
 
 def exhaustive_irreducibility_probe(q: "QuadInput", depth: int = 2) -> bool:

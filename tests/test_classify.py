@@ -439,6 +439,18 @@ def test_limits_refuse_before_building():
     assert classify_quadratic(q, attach_factors=False).rule == "S3.disc-square"
 
 
+def test_factors_at_the_term_limit():
+    # integer-root inputs, so the pairs are finite polynomials: 2m<n with
+    # (7 + x)(49 + x) and m=nu with (7 + x)(7 + 2x); the engines read the
+    # input through the order asked for, not one or two orders beyond it
+    for q in (QuadInput(7, 3, 1, 8, 1), QuadInput(7, 2, 1, 3, 2)):
+        v = classify_quadratic(q, terms=LIMITS.max_terms)
+        assert v.verified_order == LIMITS.max_terms
+        assert verify_factorization(q.head_series(LIMITS.max_terms), *v.factors).passed
+        with pytest.raises(ValueError, match="beyond the limit"):
+            classify_quadratic(q, terms=LIMITS.max_terms + 1)
+
+
 _RERUN = """
 import json
 from zxfactor import TruncSeries, classify_general

@@ -1,6 +1,9 @@
 import json
+import os
+import subprocess
 import sys
 import time
+from pathlib import Path
 
 import pytest
 
@@ -255,3 +258,36 @@ def test_classify_tailed_input_above_the_p_bit_limit(capsys):
                     "--beta", "1", "--alpha", "2", "--tail", "5")
     assert code == 0
     assert out.splitlines()[0] == "reducible (rule S5.simple-root)"
+
+
+def test_classify_tailed_input_proves_p_once(monkeypatch, capsys):
+    # the QuadInput the CLI builds proves p; the tailed classification
+    # does not search the constant term p^n again
+    import zxfactor.classify
+    import zxfactor.padics
+
+    calls = []
+    is_prime = zxfactor.padics.is_prime
+
+    def counted(n):
+        calls.append(n)
+        return is_prime(n)
+
+    monkeypatch.setattr(zxfactor.padics, "is_prime", counted)
+    monkeypatch.setattr(zxfactor.classify, "is_prime", counted)
+    code, out = run(capsys, "classify", "--p", "1000000000039", "--n", "2", "--m", "1",
+                    "--beta", "3", "--alpha", "2", "--tail=5,7", "--format", "json")
+    assert code == 0 and json.loads(out)["verdict"]["rule"] == "S5.simple-root"
+    assert calls == [1000000000039]
+
+
+def test_python_dash_m_runs_the_cli(capsys):
+    argv = ["classify", "--p", "7", "--n", "2", "--m", "1", "--beta", "3", "--alpha", "51",
+            "--terms", "16", "--format", "json"]
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ, "PYTHONPATH": src}
+    res = subprocess.run([sys.executable, "-m", "zxfactor", *argv], env=env,
+                         capture_output=True, text=True, timeout=60)
+    assert res.returncode == 0
+    code, out = run(capsys, *argv)
+    assert code == 0 and res.stdout == out

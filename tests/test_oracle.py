@@ -1,7 +1,13 @@
-import pytest
+import random
 
-from zxfactor.classify import QuadInput
+import pytest
+from hypothesis import given, settings, strategies as st
+
+import zxfactor.oracle
+from zxfactor.classify import QuadInput, classify_quadratic
 from zxfactor.oracle import (
+    _packed,
+    _product_vanishes,
     brute_roots_mod,
     brute_square_mod,
     exhaustive_irreducibility_probe,
@@ -98,3 +104,91 @@ def test_probe_refutes_at_depth_3_a_head_that_factors_through_x2():
 def test_probe_search_budget():
     with pytest.raises(ValueError, match="exceeds"):
         exhaustive_irreducibility_probe(QuadInput(2, 10, 6, -33, 17), depth=4)
+
+
+def _product(a, b):
+    return [sum(a[i] * b[k - i] for i in range(k + 1)) for k in range(len(a))]
+
+
+def _convolution_report(f, a, b):
+    """The report of the plain convolution, term by term."""
+    residuals = tuple(c - fk for c, fk in zip(_product(a, b), f))
+    return residuals, abs(a[0]) != 1, abs(b[0]) != 1
+
+
+def _signed(rng, order, height):
+    bound = (1 << height) - 1
+    return [rng.randint(-bound, bound) for _ in range(order + 1)]
+
+
+_HEIGHT = st.one_of(st.integers(0, 48), st.integers(0, 600))  # small heights pack
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    order=st.integers(0, 300),
+    ha=_HEIGHT,
+    hb=_HEIGHT,
+    seed=st.integers(0, 2**32),
+    corrupt=st.sampled_from((None, 0, 1, 2)),
+    where=st.integers(0, 300),
+    delta_bits=st.integers(0, 700),
+)
+def test_verify_matches_the_convolution(order, ha, hb, seed, corrupt, where, delta_bits):
+    # one coefficient of f, a or b is corrupted in half of the draws, by
+    # +-2^e plus a small offset, so that slot-sized errors are tried too
+    rng = random.Random(seed)
+    series = [None, _signed(rng, order, ha), _signed(rng, order, hb)]
+    series[0] = _product(series[1], series[2])
+    if corrupt is not None:
+        delta = rng.choice((-1, 1)) * ((1 << delta_bits) + rng.randint(-2, 2)) or 1
+        series[corrupt][min(where, order)] += delta
+    f, a, b = map(TruncSeries, series)
+    report = verify_factorization(f, a, b)
+    assert (report.residuals, report.a0_proper, report.b0_proper) == _convolution_report(f, a, b)
+
+
+@pytest.mark.parametrize("signs", [(1, 1), (-1, -1), (1, -1)])
+def test_verify_at_the_slot_bound(monkeypatch, signs):
+    # every coefficient of a and b at +-(2^h - 1), all of one sign, so the
+    # product coefficients reach (N + 1) * 2^(2h); at h = 39, N = 127 the
+    # width rule leaves no rounding slack: 8w = 2h + bitlen(N + 1) + 2.
+    # f is a*b written in balanced digits base 2^(8w - 8): it fits slots
+    # one byte short of w, where it packs to A*B exactly, and must fail.
+    order, h = 127, 39
+    a = [signs[0] * ((1 << h) - 1)] * (order + 1)
+    b = [signs[1] * ((1 << h) - 1)] * (order + 1)
+    ab = _product(a, b)
+    w = (2 * h + (order + 1).bit_length() + 2) // 8
+    assert 8 * w == 2 * h + (order + 1).bit_length() + 2
+    short = 1 << (8 * w - 8)
+    rest = sum(c * short**k for k, c in enumerate(a)) * sum(c * short**k for k, c in enumerate(b))
+    digits = []
+    for _ in range(order + 1):
+        digit = (rest + short // 2) % short - short // 2
+        digits.append(digit)
+        rest = (rest - digit) // short
+    widths = []
+
+    def spy(coeffs, width):
+        widths.append(width)
+        return _packed(coeffs, width)
+
+    monkeypatch.setattr(zxfactor.oracle, "_packed", spy)
+    pair = TruncSeries(a), TruncSeries(b)
+    for f in (TruncSeries(digits), TruncSeries([-c for c in ab])):
+        report = verify_factorization(f, *pair)
+        assert not report.passed
+        assert (report.residuals, report.a0_proper, report.b0_proper) == _convolution_report(f, *pair)
+    assert verify_factorization(TruncSeries(ab), *pair).passed
+    assert set(widths) == {w} and len(widths) == 9
+
+
+def test_verify_takes_the_cheaper_path():
+    # at N = 1024 the m=nu pair has 2900-bit coefficients in b, which the
+    # convolution checks faster; the 2m<n pair's 125 bits pack
+    for q, packs in ((QuadInput(7, 4, 1, 3, 5), True), (QuadInput(7, 2, 1, 3, 51), False)):
+        a, b = classify_quadratic(q, terms=1024).factors
+        f = q.head_series(1024)
+        assert _product_vanishes(f.coeffs, a.coeffs, b.coeffs) is packs
+        assert verify_factorization(f, a, b).passed

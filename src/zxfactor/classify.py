@@ -12,20 +12,24 @@ A verdict on a truncated series holds for every extension of the
 truncation unless it is flagged ``conditional_on_truncation``; verdicts
 the criteria cannot reach are reported as ``UNKNOWN`` together with the
 exact unresolved hypothesis.
+
+``QuadInput`` and ``Verdict`` are NamedTuples: frozen, compared and
+hashed as tuples, with ``_replace`` for a changed copy.  ``_replace``
+and ``_make`` skip the checks ``QuadInput`` runs on construction, so
+they are for rebuilding a value already checked.
 """
 
 from __future__ import annotations
 
 import enum
-from dataclasses import InitVar, dataclass, replace
 from math import gcd
+from typing import NamedTuple
 
 from . import factor as engines
 from .limits import LIMITS, require_series, require_terms
 from .padics import (
     PROVEN_PRIME_BOUND,
     SquareClass,
-    _is_qr,
     _root_classes,
     _smallest_block,
     _square_class,
@@ -94,8 +98,18 @@ _ZERO_EXTENSION = "assumes every coefficient beyond the provided order is zero"
 _PROBABLE_PRIME = "p is a BPSW probable prime"
 
 
-@dataclass(frozen=True)
-class QuadInput:
+class _QuadFields(NamedTuple):
+    """The fields of :class:`QuadInput`, which checks them on construction."""
+
+    p: int
+    n: int
+    m: int | None
+    beta: int | None
+    alpha: int
+    tail: tuple[int, ...]
+
+
+class QuadInput(_QuadFields):
     """The tuple (p, n, m, beta, alpha) plus an optional explicit tail.
 
     ``beta is None`` (with ``m is None``) is the beta = 0 form.  The tail
@@ -105,37 +119,33 @@ class QuadInput:
     already proven.
     """
 
-    p: int
-    n: int
-    m: int | None
-    beta: int | None
-    alpha: int
-    tail: tuple[int, ...] = ()
-    _prime_known: InitVar[bool] = False
+    __slots__ = ()
 
-    def __post_init__(self, _prime_known: bool) -> None:
-        object.__setattr__(self, "tail", tuple(int(c) for c in self.tail))
-        if self.beta == 0:
-            object.__setattr__(self, "beta", None)
-            object.__setattr__(self, "m", None)
-        if self.p.bit_length() > LIMITS.max_p_bits:
-            raise ValueError(f"p has {self.p.bit_length()} bits, beyond the limit of {LIMITS.max_p_bits}")
-        if not (_prime_known or is_prime(self.p)):
-            raise ValueError(f"input outside theorem hypotheses: p = {self.p} is not prime")
-        if self.n < 1:
+    def __new__(
+        cls, p: int, n: int, m: int | None, beta: int | None, alpha: int, tail=(), _prime_known: bool = False
+    ) -> QuadInput:
+        tail = tuple(map(int, tail))
+        if beta == 0:
+            m = beta = None
+        if p.bit_length() > LIMITS.max_p_bits:
+            raise ValueError(f"p has {p.bit_length()} bits, beyond the limit of {LIMITS.max_p_bits}")
+        if not (_prime_known or is_prime(p)):
+            raise ValueError(f"input outside theorem hypotheses: p = {p} is not prime")
+        if n < 1:
             raise ValueError("input outside theorem hypotheses: need n >= 1")
-        if (self.beta is None) != (self.m is None):
+        if (beta is None) != (m is None):
             raise ValueError("beta and m must be given together (or both absent for beta = 0)")
-        if self.beta is not None:
-            if self.m < 1:
+        if beta is not None:
+            if m < 1:
                 raise ValueError(
                     "input outside theorem hypotheses: m = 0 is not covered; "
                     "use classify_general for series p^n + beta*x + ..."
                 )
-            if gcd(self.beta, self.p) != 1:
+            if gcd(beta, p) != 1:
                 raise ValueError("input outside theorem hypotheses: gcd(p, beta) must be 1")
-        if gcd(self.alpha, self.p) != 1:
+        if gcd(alpha, p) != 1:
             raise ValueError("input outside theorem hypotheses: gcd(p, alpha) must be 1")
+        return tuple.__new__(cls, (p, n, m, beta, alpha, tail))
 
     def head_series(self, order: int) -> TruncSeries:
         """The input as an explicit series through ``order`` (zero-extended)."""
@@ -152,8 +162,7 @@ class QuadInput:
         return TruncSeries(coeffs)
 
 
-@dataclass(frozen=True)
-class Verdict:
+class Verdict(NamedTuple):
     kind: VerdictKind
     rule: str
     zp_reducible: bool | None = None
@@ -199,7 +208,7 @@ def discriminant_square_class(q: QuadInput) -> SquareClass:
         else:
             core = p ** max(gap, 0) * q.beta**2 - 4 * alpha * p ** max(-gap, 0)
     if core == 0:
-        return SquareClass(is_square=True, is_zero=True)
+        return SquareClass(True, True)
     t, u = _valuation(core, p)
     return _square_class(lo + t, u, p)
 
@@ -209,7 +218,7 @@ def _with_prime_note(verdict: Verdict, p: int) -> Verdict:
     if p < PROVEN_PRIME_BOUND:
         return verdict
     note = _PROBABLE_PRIME if verdict.assumption is None else f"{verdict.assumption}; {_PROBABLE_PRIME}"
-    return replace(verdict, assumption=note)
+    return verdict._replace(assumption=note)
 
 
 def _decide(
@@ -257,19 +266,22 @@ def _decide(
             return VerdictKind.REDUCIBLE, "S5.2m-gt-n-even-qr", "factor_m_gt_nu"
         return VerdictKind.IRREDUCIBLE, "S5.2m-gt-n-even-nonqr", None
 
-    # n = 2m, p odd, with a tail
-    classes = _root_classes(1, -beta, alpha, p, m)
-    if not classes:
+    # n = 2m, p odd, with a tail: sq is the class of p^n * core, core =
+    # beta^2 - 4*alpha.  A unit core gives y^2 - beta*y + alpha two simple
+    # roots mod p, which lift to p^m, when it is a residue (Euler's
+    # criterion) and no root when it is not; otherwise its root mod p is
+    # double and only the root classes mod p^m tell whether one lifts.
+    if sq.valuation == n:
+        if sq.is_square:
+            return VerdictKind.REDUCIBLE, "S5.simple-root", "factor_simple_root_tail"
         return VerdictKind.IRREDUCIBLE, "S5.no-root", None
-    # a root is simple or not according to its class mod p
-    if any((2 * r - beta) % p != 0 for r, _ in classes):
-        return VerdictKind.REDUCIBLE, "S5.simple-root", "factor_simple_root_tail"
-    core = beta * beta - 4 * alpha
-    t, u = _valuation(core, p) if core else (0, 0)
+    if not _root_classes(1, -beta, alpha, p, m):
+        return VerdictKind.IRREDUCIBLE, "S5.no-root", None
+    t = 0 if sq.is_zero else sq.valuation - n
     if m == 1 and t >= 2:
         if f.order >= 3 and f.coeffs[3] % p != 0:
             return VerdictKind.IRREDUCIBLE, "S5.double-root-c3-unit", None
-        if t == 2 and _is_qr(u, p) and all(c % (p * p) == 0 for c in f.coeffs[3:]):
+        if t == 2 and sq.is_square and all(c % (p * p) == 0 for c in f.coeffs[3:]):
             return VerdictKind.REDUCIBLE, "S5.double-root-divisible-tail", "factor_tail"
         return VerdictKind.UNKNOWN, (
             "double root mod p with p | c_3 but p^2 does not divide every provided "
@@ -354,7 +366,7 @@ def _classify_block(f: TruncSeries, p: int, n: int) -> Verdict:
         verdict = _classify_prime_power(TruncSeries([-c for c in f.coeffs]), p, n)
         if verdict.factors is not None:
             neg_a = TruncSeries([-c for c in verdict.factors[0].coeffs])
-            verdict = replace(verdict, factors=(neg_a, verdict.factors[1]))
+            verdict = verdict._replace(factors=(neg_a, verdict.factors[1]))
     return _with_prime_note(verdict, p)
 
 
@@ -414,8 +426,8 @@ def _undecided(f: TruncSeries, q: QuadInput, sq: SquareClass, reason: str) -> Ve
     base verdict's, and classify_general adds the probable-prime note,
     when there is one, to the result."""
     if not any(q.tail):
-        base = classify_quadratic(replace(q, tail=(), _prime_known=True), terms=f.order)
-        return replace(base, assumption=f"{reason}; {_ZERO_EXTENSION}", conditional_on_truncation=True)
+        base = classify_quadratic(QuadInput(q.p, q.n, q.m, q.beta, q.alpha, _prime_known=True), terms=f.order)
+        return base._replace(assumption=f"{reason}; {_ZERO_EXTENSION}", conditional_on_truncation=True)
     return Verdict(
         VerdictKind.UNKNOWN,
         "S5.unknown",

@@ -9,16 +9,16 @@ probe, solving each order for b_k instead of scanning it and scanning
 each a_k only modulo the power of p that the later orders can see; and
 in ``verify_factorization``, deciding a pair that passes with one exact
 big-integer product (Kronecker substitution) where that is cheaper than
-the convolution.  All three keep the answers exact.
+the convolution.  All three keep the answers exact.  A
+``VerificationReport`` is a NamedTuple, so a check builds one tuple.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 from itertools import repeat
 from operator import add, mul
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, NamedTuple
 
 from .series import TruncSeries
 
@@ -88,8 +88,7 @@ def brute_roots_mod(A: int, B: int, C: int, p: int, k: int) -> list[int]:
     return [y for y in range(modulus) if (A * y * y + B * y + C) % modulus == 0]
 
 
-@dataclass(frozen=True)
-class VerificationReport:
+class VerificationReport(NamedTuple):
     residuals: tuple[int, ...]
     a0_proper: bool
     b0_proper: bool
@@ -105,20 +104,16 @@ def verify_factorization(f: TruncSeries, a: TruncSeries, b: TruncSeries) -> Veri
     A pair that :func:`_product_vanishes` passes has every residual zero;
     every other pair gets its residuals from the convolution.
     """
-    if not (f.order == a.order == b.order):
+    ac, bc, fc = a.coeffs, b.coeffs, f.coeffs
+    if not (len(fc) == len(ac) == len(bc)):
         raise ValueError(
             f"order mismatch: f through {f.order}, a through {a.order}, b through {b.order}"
         )
-    ac, bc, fc = a.coeffs, b.coeffs, f.coeffs
     if _product_vanishes(fc, ac, bc):
         residuals = (0,) * len(fc)
     else:
         residuals = tuple(sum(map(mul, ac[: k + 1], bc[k::-1])) - fk for k, fk in enumerate(fc))
-    return VerificationReport(
-        residuals=residuals,
-        a0_proper=abs(a.coeffs[0]) != 1,
-        b0_proper=abs(b.coeffs[0]) != 1,
-    )
+    return VerificationReport(residuals, abs(ac[0]) != 1, abs(bc[0]) != 1)
 
 
 def _product_vanishes(fc: tuple[int, ...], ac: tuple[int, ...], bc: tuple[int, ...]) -> bool:

@@ -17,13 +17,15 @@ views.  The public functions that take a prime p check it with
 ``_root_classes``, ``_root_certificate``) serve the classifier and the
 engines, which prove p once per answer.
 
-All functions are pure and all returned values are immutable.
+All functions are pure and all returned values are immutable: the
+value types (``Valuation``, ``SquareClass``, ``RootCertificate``) are
+NamedTuples, compared and hashed as tuples.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import gcd, isqrt, log2, prod
+from typing import NamedTuple
 
 from .limits import LIMITS
 
@@ -178,8 +180,7 @@ def _require_prime(p: int) -> None:
         raise ValueError(f"p = {p} is not prime")
 
 
-@dataclass(frozen=True)
-class Valuation:
+class Valuation(NamedTuple):
     """Exact decomposition d = p^t * u with gcd(p, u) = 1."""
 
     t: int
@@ -224,8 +225,7 @@ def _is_qr(u: int, p: int) -> bool:
     return pow(u, (p - 1) // 2, p) == 1
 
 
-@dataclass(frozen=True)
-class SquareClass:
+class SquareClass(NamedTuple):
     """Whether an integer is a square in Z_p, with the deciding evidence.
 
     For nonzero d = p^t * u the decision is: t even and u a quadratic
@@ -243,7 +243,7 @@ def is_square_zp(d: int, p: int) -> SquareClass:
     """Classify d as a square or non-square in the ring Z_p."""
     _require_prime(p)
     if d == 0:
-        return SquareClass(is_square=True, is_zero=True)
+        return SquareClass(True, True)
     return _square_class(*_valuation(d, p), p)
 
 
@@ -262,7 +262,7 @@ def _square_class(t: int, u: int, p: int) -> SquareClass:
     else:
         residue = u % p
         square = t % 2 == 0 and pow(residue, (p - 1) // 2, p) == 1  # Euler's criterion
-    return SquareClass(is_square=square, is_zero=False, valuation=t, unit_residue=residue)
+    return SquareClass(square, False, t, residue)
 
 
 def _sqrt_mod_prime(a: int, p: int) -> int | None:
@@ -378,8 +378,7 @@ def lift_roots_mod_pk(A: int, B: int, C: int, p: int, K: int) -> list[int]:
     return sorted(y for r, j in root_classes(A, B, C, p, K) for y in range(r, pK, p**j))
 
 
-@dataclass(frozen=True)
-class RootCertificate:
+class RootCertificate(NamedTuple):
     """A lifted root a of y^2 - beta*y + alpha modulo p^K, with evidence.
 
     ``mu`` is the exact valuation of g(a) and ``r`` its cofactor, so that
@@ -666,4 +665,4 @@ def _root_certificate(beta: int, alpha: int, p: int, K: int) -> RootCertificate 
         t_unit = 0
     else:
         ell, t_unit = _valuation(d, p)
-    return RootCertificate(a=a, K=K, mu=mu, r=r, ell=ell, t_unit=t_unit)
+    return RootCertificate(a, K, mu, r, ell, t_unit)

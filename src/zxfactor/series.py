@@ -33,7 +33,11 @@ __all__ = [
 
 @dataclass(frozen=True)
 class TruncSeries:
-    """A power series known through order ``len(coeffs) - 1``."""
+    """A power series known through order ``len(coeffs) - 1``.
+
+    A dataclass, not a NamedTuple like the per-answer values: its
+    ``len`` and indexing are those of the coefficients, not of its fields.
+    """
 
     coeffs: tuple[int, ...]
 

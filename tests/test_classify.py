@@ -499,6 +499,29 @@ def test_tail_engines_run_no_second_factor_search(monkeypatch):
     assert len(calls) == 2
 
 
+def test_simple_root_row_finds_the_root_classes_once(monkeypatch):
+    # a unit discriminant core decides the row by Euler's criterion; only
+    # the engine, picking its seed, asks for the root classes
+    import zxfactor.classify
+    import zxfactor.factor
+    import zxfactor.padics
+
+    calls = []
+    root_classes = zxfactor.padics._root_classes
+
+    def counted(*args):
+        calls.append(args)
+        return root_classes(*args)
+
+    monkeypatch.setattr(zxfactor.classify, "_root_classes", counted)
+    monkeypatch.setattr(zxfactor.factor, "_root_classes", counted)
+    p = 10**12 + 39
+    f = TruncSeries((p * p, 3 * p, 2, 5, 7))
+    v = classify_general(f)
+    assert v.rule == "S5.simple-root" and verify_factorization(f, *v.factors).passed
+    assert calls == [(1, -3, 2, p, 1)]
+
+
 R, I, U = VerdictKind.REDUCIBLE, VerdictKind.IRREDUCIBLE, VerdictKind.UNKNOWN
 #: every row of the decision table as (kind, rule, engine); an UNKNOWN row
 #: carries its reason in place of the rule

@@ -1,0 +1,124 @@
+"""The value types built per answer: frozen, equal and hashed by their
+fields, with a stable repr, and QuadInput's construction checks."""
+
+import pytest
+
+import zxfactor.classify
+from zxfactor.classify import QuadInput, Verdict, VerdictKind, classify_quadratic, discriminant_square_class
+from zxfactor.oracle import VerificationReport, verify_factorization
+from zxfactor.padics import RootCertificate, SquareClass, Valuation, is_square_zp, root_certificate, valuation
+from zxfactor.series import TruncSeries
+
+P = 10**12 + 39
+
+
+def _instances():
+    """One builder per type; each call builds a new, equal instance."""
+    f, a, b = TruncSeries([4, 2, 1]), TruncSeries([2, 1, 0]), TruncSeries([2, 0, 0])
+    return [
+        (lambda: QuadInput(7, 5, 3, 11, 13, tail=(1, 2))),
+        (lambda: classify_quadratic(QuadInput(7, 2, 1, 3, 51), terms=4)),
+        (lambda: is_square_zp(98, 7)),
+        (lambda: valuation(98, 7)),
+        (lambda: root_certificate(3, 51, 7, 3)),
+        (lambda: verify_factorization(f, a, b)),
+    ]
+
+
+@pytest.mark.parametrize("build", _instances())
+def test_fields_cannot_be_assigned(build):
+    obj = build()
+    for name in obj._fields:
+        with pytest.raises(AttributeError):
+            setattr(obj, name, 0)
+    with pytest.raises(AttributeError):
+        obj.undeclared = 0
+
+
+@pytest.mark.parametrize("build", _instances())
+def test_equal_fields_give_equal_objects_and_hashes(build):
+    one, two = build(), build()
+    assert one is not two
+    assert one == two and hash(one) == hash(two)
+    changed = one._replace(**{one._fields[0]: None})
+    assert type(changed) is type(one) and changed != one
+
+
+def test_converted_types():
+    for cls in (QuadInput, Verdict, SquareClass, Valuation, RootCertificate, VerificationReport):
+        assert issubclass(cls, tuple)
+
+
+def test_repr_is_unchanged():
+    # recorded from the frozen-dataclass versions of these types
+    q = QuadInput(7, 5, 3, 11, 13)
+    assert repr(q) == "QuadInput(p=7, n=5, m=3, beta=11, alpha=13, tail=())"
+    assert repr(discriminant_square_class(q)) == (
+        "SquareClass(is_square=False, is_zero=False, valuation=5, unit_residue=4)"
+    )
+    assert repr(classify_quadratic(q, attach_factors=False)) == (
+        "Verdict(kind=<VerdictKind.IRREDUCIBLE: 'irreducible'>, rule='S3.2m-gt-n-odd', "
+        "zp_reducible=False, certificate=SquareClass(is_square=False, is_zero=False, "
+        "valuation=5, unit_residue=4), factors=None, verified_order=None, assumption=None, "
+        "conditional_on_truncation=False)"
+    )
+    assert repr(valuation(98, 7)) == "Valuation(t=2, u=2)"
+    assert repr(root_certificate(3, 51, 7, 3)) == "RootCertificate(a=50, K=3, mu=4, r=1, ell=0, t_unit=-97)"
+
+
+def test_verdict_defaults_and_citation():
+    v = Verdict(VerdictKind.UNIT, "S2.unit")
+    assert v.factors is None and v.assumption is None and v.conditional_on_truncation is False
+    assert v.citation.startswith("constant term is +1/-1")
+
+
+#: (args, kwargs, message) recorded from the frozen-dataclass QuadInput;
+#: the later rows fail several checks and the first in order names them
+CONSTRUCTION_ERRORS = [
+    ((2**521 - 1, 2, 1, 1, 1), {}, "p has 521 bits, beyond the limit of 512"),
+    ((6, 2, 1, 1, 1), {}, "input outside theorem hypotheses: p = 6 is not prime"),
+    ((5, 0, 1, 1, 1), {}, "input outside theorem hypotheses: need n >= 1"),
+    ((5, 2, None, 1, 1), {}, "beta and m must be given together (or both absent for beta = 0)"),
+    ((5, 2, 1, None, 1), {}, "beta and m must be given together (or both absent for beta = 0)"),
+    (
+        (5, 2, 0, 1, 1),
+        {},
+        "input outside theorem hypotheses: m = 0 is not covered; "
+        "use classify_general for series p^n + beta*x + ...",
+    ),
+    ((5, 2, 1, 5, 1), {}, "input outside theorem hypotheses: gcd(p, beta) must be 1"),
+    ((5, 2, 1, 1, 10), {}, "input outside theorem hypotheses: gcd(p, alpha) must be 1"),
+    ((6, 0, 0, 6, 6), {}, "input outside theorem hypotheses: p = 6 is not prime"),
+    ((5, 0, 0, 5, 5), {}, "input outside theorem hypotheses: need n >= 1"),
+    ((6, 2, 1, 1, 1), {"tail": ("x",)}, "invalid literal for int() with base 10: 'x'"),
+    ((5, 2, -1, 0, 10), {}, "input outside theorem hypotheses: gcd(p, alpha) must be 1"),
+]
+
+
+@pytest.mark.parametrize("args, kwargs, message", CONSTRUCTION_ERRORS)
+def test_quad_input_errors_keep_their_messages(args, kwargs, message):
+    with pytest.raises(ValueError) as info:
+        QuadInput(*args, **kwargs)
+    assert str(info.value) == message
+
+
+def test_quad_input_keywords_and_normal_form():
+    q = QuadInput(p=7, n=2, m=1, beta=3, alpha=51, tail=[0, "49"])
+    assert q == QuadInput(7, 2, 1, 3, 51, (0, 49)) and q.tail == (0, 49)
+    assert QuadInput(5, 2, 1, 0, 2) == QuadInput(p=5, n=2, m=None, beta=None, alpha=2)
+    assert q.head_series(5).coeffs == (49, 21, 51, 0, 49, 0)
+
+
+def test_prime_known_skips_the_primality_proof(monkeypatch):
+    calls = []
+    is_prime = zxfactor.classify.is_prime
+
+    def counted(n):
+        calls.append(n)
+        return is_prime(n)
+
+    monkeypatch.setattr(zxfactor.classify, "is_prime", counted)
+    QuadInput(P, 2, 1, 3, 2, _prime_known=True)
+    assert calls == []
+    QuadInput(P, 2, 1, 3, 2)
+    assert calls == [P]

@@ -114,22 +114,18 @@ class QuadInput(_QuadFields):
 
     ``beta is None`` (with ``m is None``) is the beta = 0 form.  The tail
     lists c_3, c_4, ... and is taken as exactly zero beyond its length.
-    Construction proves p prime, once; ``_prime_known`` skips that proof
-    for a p the constant-term search of :func:`classify_general` has
-    already proven.
+    Construction proves p prime, once.
     """
 
     __slots__ = ()
 
-    def __new__(
-        cls, p: int, n: int, m: int | None, beta: int | None, alpha: int, tail=(), _prime_known: bool = False
-    ) -> QuadInput:
+    def __new__(cls, p: int, n: int, m: int | None, beta: int | None, alpha: int, tail=()) -> QuadInput:
         tail = tuple(map(int, tail))
         if beta == 0:
             m = beta = None
         if p.bit_length() > LIMITS.max_p_bits:
             raise ValueError(f"p has {p.bit_length()} bits, beyond the limit of {LIMITS.max_p_bits}")
-        if not (_prime_known or is_prime(p)):
+        if not is_prime(p):
             raise ValueError(f"input outside theorem hypotheses: p = {p} is not prime")
         if n < 1:
             raise ValueError("input outside theorem hypotheses: need n >= 1")
@@ -426,7 +422,7 @@ def _undecided(f: TruncSeries, q: QuadInput, sq: SquareClass, reason: str) -> Ve
     base verdict's, and classify_general adds the probable-prime note,
     when there is one, to the result."""
     if not any(q.tail):
-        base = classify_quadratic(QuadInput(q.p, q.n, q.m, q.beta, q.alpha, _prime_known=True), terms=f.order)
+        base = classify_quadratic(q._replace(tail=()), terms=f.order)
         return base._replace(assumption=f"{reason}; {_ZERO_EXTENSION}", conditional_on_truncation=True)
     return Verdict(
         VerdictKind.UNKNOWN,
@@ -441,7 +437,9 @@ def _classify_quadratic_head(f: TruncSeries, p: int, n: int) -> Verdict:
     """f = p^n + f_1*x + alpha*x^2 + tail with p | f_1 and alpha a unit."""
     f1 = f.coeffs[1]
     m, beta = _valuation(f1, p) if f1 else (None, None)
-    q = QuadInput(p, n, m, beta, f.coeffs[2], tail=f.coeffs[3:], _prime_known=True)
+    # the checks of QuadInput hold: the search has proven p, m >= 1 and
+    # beta is a unit since p | f_1, and alpha is a unit
+    q = QuadInput._make((p, n, m, beta, f.coeffs[2], f.coeffs[3:]))
     sq = discriminant_square_class(q)
     kind, rule, engine = _decide(q, sq, f)
     if kind is VerdictKind.UNKNOWN:

@@ -44,16 +44,16 @@ def _parse_tail(s: str | None) -> tuple[int, ...]:
     return tuple(_parse_int(part) for part in s.split(","))
 
 
-def _quad_args(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument("--p")
-    sub.add_argument("--n")
-    sub.add_argument("--m")
-    sub.add_argument("--beta")
-    sub.add_argument("--beta-zero", action="store_true")
-    sub.add_argument("--alpha")
-    sub.add_argument("--tail", help="comma-separated c_3,c_4,...")
-    sub.add_argument("--terms", default="64")
-    sub.add_argument("--format", choices=("text", "json"), default="text")
+def _input_parser() -> argparse.ArgumentParser:
+    """The eight input flags of ``classify`` and ``factor``: all that a
+    ``--batch`` line may hold."""
+    inputs = argparse.ArgumentParser(prog="batch line", add_help=False)
+    for flag in ("--p", "--n", "--m", "--beta", "--alpha"):
+        inputs.add_argument(flag)
+    inputs.add_argument("--beta-zero", action="store_true")
+    inputs.add_argument("--tail", help="comma-separated c_3,c_4,...")
+    inputs.add_argument("--terms", default="64")
+    return inputs
 
 
 def _build_input(args) -> tuple[QuadInput, int]:
@@ -149,20 +149,25 @@ def _print_verdict_text(q: QuadInput, verdict: Verdict) -> None:
     print("\n".join(lines))
 
 
-def cmd_classify(args) -> int:
-    if args.batch:
-        return _run_batch(args.batch)
+def _answer(args, fmt: str) -> int:
     q, terms = _build_input(args)
     verdict = _classify(q, terms)
-    if args.format == "json":
+    if fmt == "json":
         print(json.dumps(_verdict_json(q, verdict)))
     else:
         _print_verdict_text(q, verdict)
     return EXIT_UNKNOWN if verdict.kind is VerdictKind.UNKNOWN else EXIT_OK
 
 
+def cmd_classify(args) -> int:
+    if args.batch:
+        return _run_batch(args.batch)
+    return _answer(args, args.format)
+
+
 def _run_batch(path: str) -> int:
-    parser = _build_parser()
+    """Answer each line of the file as one input, in JSON; the worst exit code."""
+    inputs = _input_parser()
     worst = EXIT_OK
     with open(path, encoding="utf-8") as handle:
         for line in handle:
@@ -170,11 +175,10 @@ def _run_batch(path: str) -> int:
             if not line or line.startswith("#"):
                 continue
             try:
-                parsed = parser.parse_args(["classify", "--format", "json", *shlex.split(line)])
-            except SystemExit:
+                args = inputs.parse_args(shlex.split(line))
+            except (SystemExit, ValueError):  # argparse exits; shlex raises on an open quote
                 raise ValueError(f"bad batch line: {line}") from None
-            rc = parsed.func(parsed)
-            worst = max(worst, rc)
+            worst = max(worst, _answer(args, "json"))
     return worst
 
 
@@ -282,40 +286,37 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Reducibility of quadratic-headed power series over Z, with witnesses",
     )
     subs = parser.add_subparsers(dest="command", required=True)
+    inputs = _input_parser()
+    output = argparse.ArgumentParser(add_help=False)
+    output.add_argument("--format", choices=("text", "json"), default="text")
 
-    c = subs.add_parser("classify", help="decide reducibility in Z[[x]]")
-    _quad_args(c)
-    c.add_argument("--batch", help="file with one classify invocation per line")
+    c = subs.add_parser("classify", parents=[inputs, output], help="decide reducibility in Z[[x]]")
+    c.add_argument("--batch", help="file of inputs, one per line of the eight input flags; answered as JSON")
     c.set_defaults(func=cmd_classify)
 
-    fac = subs.add_parser("factor", help="emit a verified factor pair")
-    _quad_args(fac)
+    fac = subs.add_parser("factor", parents=[inputs, output], help="emit a verified factor pair")
     fac.set_defaults(func=cmd_factor)
 
-    sq = subs.add_parser("square", help="classify an integer as a square in Z_p")
+    sq = subs.add_parser("square", parents=[output], help="classify an integer as a square in Z_p")
     sq.add_argument("--d", required=True)
     sq.add_argument("--p", required=True)
-    sq.add_argument("--format", choices=("text", "json"), default="text")
     sq.set_defaults(func=cmd_square)
 
-    rt = subs.add_parser("roots", help="roots of A y^2 + B y + C mod p^k")
+    rt = subs.add_parser("roots", parents=[output], help="roots of A y^2 + B y + C mod p^k")
     for flag in ("--A", "--B", "--C", "--p", "--k"):
         rt.add_argument(flag, required=True)
-    rt.add_argument("--format", choices=("text", "json"), default="text")
     rt.set_defaults(func=cmd_roots)
 
-    nm = subs.add_parser("normalize", help="zero coefficients 2..t of an associate")
+    nm = subs.add_parser("normalize", parents=[output], help="zero coefficients 2..t of an associate")
     nm.add_argument("--p", required=True)
     nm.add_argument("--coeffs", required=True, help="comma-separated a_0,a_1,...")
     nm.add_argument("--t", required=True)
-    nm.add_argument("--format", choices=("text", "json"), default="text")
     nm.set_defaults(func=cmd_normalize)
 
-    vf = subs.add_parser("verify", help="check a factor pair against a target series")
+    vf = subs.add_parser("verify", parents=[output], help="check a factor pair against a target series")
     vf.add_argument("--target", required=True, help="JSON array of decimal strings")
     vf.add_argument("--a", required=True)
     vf.add_argument("--b", required=True)
-    vf.add_argument("--format", choices=("text", "json"), default="text")
     vf.set_defaults(func=cmd_verify)
 
     return parser

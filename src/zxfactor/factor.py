@@ -50,7 +50,6 @@ if TYPE_CHECKING:  # pragma: no cover
 
 __all__ = [
     "EngineInvariantError",
-    "solve_unit_step",
     "factor_2m_lt_n",
     "factor_m_gt_nu",
     "factor_m_eq_nu",
@@ -65,16 +64,6 @@ __all__ = [
 
 class EngineInvariantError(RuntimeError):
     """An internal step identity failed; indicates a bug, not bad input."""
-
-
-def solve_unit_step(modulus: int, c: int, v: int, target: int) -> tuple[int, int]:
-    """Solve target = modulus * s_next + c * a_N + v with canonical a_N.
-
-    a_N is the representative of (target - v) * c^-1 in [0, modulus);
-    s_next is then an exact integer quotient.  c must be a unit modulo
-    the prime power ``modulus``.
-    """
-    return _step(modulus, c, _unit_inverse(modulus, c), target - v)
 
 
 def _unit_inverse(modulus: int, c: int) -> int:

@@ -4,11 +4,11 @@ A :class:`TruncSeries` stores coefficients 0..N of a power series; the
 coefficients beyond N are unknown, not zero.  Arithmetic is exact Cauchy
 convolution, always truncated to an explicitly requested order.
 
-``normalize_head`` implements the associate-replacement step used by the
-factorization engines: given a series with constant term a prime p and a
-unit linear coefficient, it produces a unit multiplier u(x) that zeroes
-the coefficients 2..t of the product while only moving the linear
-coefficient within its class mod p.
+``normalize_head`` implements the associate-replacement step behind the
+CLI's ``normalize`` command (no factorization engine uses it): given a
+series with constant term a prime p and a unit linear coefficient, it
+produces a unit multiplier u(x) that zeroes the coefficients 2..t of the
+product while only moving the linear coefficient within its class mod p.
 """
 
 from __future__ import annotations

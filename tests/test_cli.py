@@ -204,6 +204,30 @@ def test_batch_outputs_ordered_json(tmp_path, capsys):
     assert code == 0
 
 
+VALID_LINE = "--p 7 --n 2 --m 1 --beta 3 --alpha 2 --terms 8"
+
+
+@pytest.mark.parametrize(
+    "lines, answered",
+    [
+        (["--batch {batch}"], 0),  # a batch line is an input, not a command
+        ([VALID_LINE, "--format text"], 1),
+        (["--help"], 0),
+        (['--p "7 --n 2 --m 1 --beta 3 --alpha 2'], 0),  # no closing quotation
+    ],
+)
+def test_batch_line_takes_only_input_flags(tmp_path, capsys, lines, answered):
+    batch = tmp_path / "batch.txt"
+    batch.write_text("".join(line.format(batch=batch) + "\n" for line in lines))
+    code = main(["classify", "--batch", str(batch)])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert f"bad batch line: {lines[-1].format(batch=batch)}" in captured.err
+    assert len(captured.out.splitlines()) == answered
+    if answered:
+        assert json.loads(captured.out)["input"]["p"] == "7"
+
+
 def test_json_output_is_deterministic(capsys):
     args = ["classify", "--p", "3", "--n", "4", "--m", "2", "--beta", "1",
             "--alpha", "-29", "--format", "json", "--terms", "32"]

@@ -15,7 +15,6 @@ from zxfactor.factor import (
     factor_p2_m_gt_nu1,
     factor_simple_root_tail,
     factor_tail,
-    solve_unit_step,
 )
 from zxfactor.oracle import verify_factorization
 from zxfactor.padics import is_qr_mod_p, is_square_zp
@@ -33,15 +32,16 @@ def check_pair(q: QuadInput, pair, n: int) -> None:
     assert abs(a.coeffs[0]) >= 2 and abs(b.coeffs[0]) >= 2
 
 
-def test_solve_unit_step_examples():
-    assert solve_unit_step(5, 3, 0, 0) == (0, 0)
-    assert solve_unit_step(5, -4, 2, 0) == (3, 2)
-    assert solve_unit_step(3, 1, 3, 0) == (0, -1)
+def test_unit_step_examples():
+    # a_N = r * c^-1 mod the modulus, and the exact quotient (r - c*a_N) / modulus
+    assert factor_module._step(5, 3, factor_module._unit_inverse(5, 3), 0) == (0, 0)
+    assert factor_module._step(5, -4, factor_module._unit_inverse(5, -4), -2) == (3, 2)
+    assert factor_module._step(3, 1, factor_module._unit_inverse(3, 1), -3) == (0, -1)
 
 
-def test_solve_unit_step_rejects_non_unit():
+def test_unit_inverse_rejects_non_unit():
     with pytest.raises(EngineInvariantError):
-        solve_unit_step(9, 3, 1, 0)
+        factor_module._unit_inverse(9, 3)
 
 
 def test_engine_check_fires_on_a_wrong_step(monkeypatch):

@@ -9,6 +9,8 @@ of the classifier's decision table, tailed and on an all-zero tail.
 ``tests/data/golden_sweep.json`` holds one sha256 over the concatenated
 JSON lines of a larger corpus, the criterion-2 sweep at ``--terms 64``
 followed by the tailed series of criterion 7, plus its exit-code tally.
+Both corpora are checked through one invocation per line and through
+one ``classify --batch`` file.
 Rebuild both files (only on a deliberate change of output) with
 
     PYTHONPATH=src python tests/test_golden.py
@@ -216,6 +218,17 @@ def _run(line: str) -> tuple[int, str]:
     return code, out.getvalue()
 
 
+def _run_batch(lines: list[str], tmp_path: Path) -> tuple[int, list[str]]:
+    """Every line through one ``classify --batch`` call: its exit code and
+    its output lines, each with its newline."""
+    batch = tmp_path / "batch.txt"
+    batch.write_text("".join(line + "\n" for line in lines))
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = main(["classify", "--batch", str(batch)])
+    return code, out.getvalue().splitlines(keepends=True)
+
+
 def _digest(text: str) -> str:
     return hashlib.sha256(text.encode()).hexdigest()
 
@@ -231,6 +244,20 @@ def test_golden_classify_json_is_byte_identical():
 
 def test_golden_sweep_json_is_byte_identical():
     assert _sweep_record() == json.loads(SWEEP_DATA.read_text())
+
+
+def test_golden_classify_json_through_batch(tmp_path):
+    golden = json.loads(DATA.read_text())
+    code, outs = _run_batch(list(golden), tmp_path)
+    assert [_digest(out) for out in outs] == [digest for _, digest in golden.values()]
+    assert code == max(code for code, _ in golden.values()) == 3
+
+
+def test_golden_sweep_json_through_batch(tmp_path):
+    record = json.loads(SWEEP_DATA.read_text())
+    code, outs = _run_batch(sweep_corpus(), tmp_path)
+    assert len(outs) == record["lines"] and _digest("".join(outs)) == record["sha256"]
+    assert code == max(map(int, record["exit_codes"]))
 
 
 def test_pinned_p31_repeated_root_pair():

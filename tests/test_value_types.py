@@ -4,7 +4,15 @@ fields, with a stable repr, and QuadInput's construction checks."""
 import pytest
 
 import zxfactor.classify
-from zxfactor.classify import QuadInput, Verdict, VerdictKind, classify_quadratic, discriminant_square_class
+import zxfactor.padics
+from zxfactor.classify import (
+    QuadInput,
+    Verdict,
+    VerdictKind,
+    classify_general,
+    classify_quadratic,
+    discriminant_square_class,
+)
 from zxfactor.oracle import VerificationReport, verify_factorization
 from zxfactor.padics import RootCertificate, SquareClass, Valuation, is_square_zp, root_certificate, valuation
 from zxfactor.series import TruncSeries
@@ -109,16 +117,18 @@ def test_quad_input_keywords_and_normal_form():
     assert q.head_series(5).coeffs == (49, 21, 51, 0, 49, 0)
 
 
-def test_prime_known_skips_the_primality_proof(monkeypatch):
+def test_classify_general_proves_p_once(monkeypatch):
+    # the constant-term search tests p^2, then its root p; the head and
+    # the zero-tail fallback rebuild their QuadInput without a second proof
     calls = []
-    is_prime = zxfactor.classify.is_prime
+    is_prime = zxfactor.padics.is_prime
 
     def counted(n):
         calls.append(n)
         return is_prime(n)
 
+    monkeypatch.setattr(zxfactor.padics, "is_prime", counted)
     monkeypatch.setattr(zxfactor.classify, "is_prime", counted)
-    QuadInput(P, 2, 1, 3, 2, _prime_known=True)
-    assert calls == []
-    QuadInput(P, 2, 1, 3, 2)
-    assert calls == [P]
+    verdict = classify_general(TruncSeries((P * P, 0, 2, 0)))
+    assert verdict.rule == "S3.beta0-irreducible" and verdict.conditional_on_truncation
+    assert calls == [P * P, P]

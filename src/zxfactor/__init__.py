@@ -24,33 +24,17 @@ from .factor import (
     factor_tail,
 )
 from .limits import LIMITS
-from .oracle import (
-    brute_roots_mod,
-    brute_square_mod,
-    exhaustive_irreducibility_probe,
-    verify_factorization,
-)
+from .oracle import verify_factorization
 from .padics import (
     PROVEN_PRIME_BOUND,
-    RootCertificate,
     SquareClass,
-    Valuation,
     is_prime,
-    is_qr_mod_p,
     is_square_zp,
-    lift_roots_mod_pk,
-    prime_power_decompose,
-    root_certificate,
     root_classes,
-    square_class,
-    valuation,
 )
 from .series import (
     TruncSeries,
-    add_trunc,
     from_decimal_strings,
-    invert_unit,
-    mul_trunc,
     normalize_head,
     poly_mul,
     to_decimal_strings,
@@ -64,20 +48,14 @@ __all__ = [
     "PROVEN_PRIME_BOUND",
     "QuadInput",
     "RULE_INFO",
-    "RootCertificate",
     "SquareClass",
     "TruncSeries",
-    "Valuation",
     "Verdict",
     "VerdictKind",
-    "add_trunc",
-    "brute_roots_mod",
-    "brute_square_mod",
     "classify_general",
     "classify_quadratic",
     "discriminant",
     "discriminant_square_class",
-    "exhaustive_irreducibility_probe",
     "factor_2m_lt_n",
     "factor_beta_zero",
     "factor_coprime_constant",
@@ -88,19 +66,11 @@ __all__ = [
     "factor_simple_root_tail",
     "factor_tail",
     "from_decimal_strings",
-    "invert_unit",
     "is_prime",
-    "is_qr_mod_p",
     "is_square_zp",
-    "lift_roots_mod_pk",
-    "mul_trunc",
     "normalize_head",
     "poly_mul",
-    "prime_power_decompose",
-    "root_certificate",
     "root_classes",
-    "square_class",
     "to_decimal_strings",
-    "valuation",
     "verify_factorization",
 ]

@@ -367,14 +367,13 @@ def _classify_block(f: TruncSeries, p: int, n: int) -> Verdict:
 
 
 def _classify_x_multiple(f: TruncSeries) -> Verdict:
-    shifted = TruncSeries(f.coeffs[1:])
-    if shifted.coeffs[0] in (1, -1):
+    # f has order >= 1: a series that is only a zero constant is the zero series
+    if f.coeffs[1] in (1, -1):
         return Verdict(VerdictKind.IRREDUCIBLE, "S2.x-associate")
-    x_series = TruncSeries([0, 1] + [0] * max(0, f.order - 1))
     return Verdict(
         VerdictKind.REDUCIBLE,
         "S2.x-factor",
-        factors=(x_series.pad(f.order), shifted.pad(f.order)),
+        factors=(TruncSeries([0, 1] + [0] * (f.order - 1)), TruncSeries(f.coeffs[1:] + (0,))),
         verified_order=f.order,
     )
 

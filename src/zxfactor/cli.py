@@ -23,7 +23,7 @@ from .classify import (
 )
 from .limits import require_series
 from .oracle import verify_factorization
-from .padics import is_square_zp, lift_roots_mod_pk, root_classes
+from .padics import is_square_zp, root_classes
 from .series import TruncSeries, from_decimal_strings, normalize_head, to_decimal_strings
 
 EXIT_OK = 0
@@ -52,14 +52,14 @@ def _input_parser() -> argparse.ArgumentParser:
         inputs.add_argument(flag)
     inputs.add_argument("--beta-zero", action="store_true")
     inputs.add_argument("--tail", help="comma-separated c_3,c_4,...")
-    inputs.add_argument("--terms", default="64")
+    inputs.add_argument("--terms", help="the order of the series (default 64)")
     return inputs
 
 
 def _build_input(args) -> tuple[QuadInput, int]:
     if args.p is None or args.n is None or args.alpha is None:
         raise ValueError("need --p, --n and --alpha")
-    terms = _parse_int(args.terms)
+    terms = 64 if args.terms is None else _parse_int(args.terms)
     if terms < 2:
         raise ValueError("--terms must be at least 2")
     if args.beta_zero:
@@ -149,7 +149,7 @@ def _print_verdict_text(q: QuadInput, verdict: Verdict) -> None:
     print("\n".join(lines))
 
 
-def _answer(args, fmt: str) -> int:
+def _answer(args, fmt: str | None) -> int:
     q, terms = _build_input(args)
     verdict = _classify(q, terms)
     if fmt == "json":
@@ -161,6 +161,14 @@ def _answer(args, fmt: str) -> int:
 
 def cmd_classify(args) -> int:
     if args.batch:
+        # every other flag defaults to None (False for --beta-zero), so a
+        # value here is a flag on the command line
+        given = [
+            k for k, v in vars(args).items() if v not in (None, False) and k not in ("command", "func", "batch")
+        ]
+        if given:
+            flags = ", ".join("--" + k.replace("_", "-") for k in given)
+            raise ValueError(f"--batch takes no other flag, got {flags}")
         return _run_batch(args.batch)
     return _answer(args, args.format)
 
@@ -226,13 +234,14 @@ def cmd_square(args) -> int:
 
 def cmd_roots(args) -> int:
     A, B, C, p, k = (_parse_int(x) for x in (args.A, args.B, args.C, args.p, args.k))
+    classes = root_classes(A, B, C, p, k)
     # a class (r, j) holds p^(k-j) roots: count them before listing any
-    count = sum(p ** (k - j) for _, j in root_classes(A, B, C, p, k))
+    count = sum(p ** (k - j) for _, j in classes)
     if count > MAX_LISTED_ROOTS:
         raise ValueError(
             f"{count} roots mod {p}^{k}: more than the {MAX_LISTED_ROOTS} this command lists"
         )
-    roots = lift_roots_mod_pk(A, B, C, p, k)
+    roots = sorted(y for r, j in classes for y in range(r, p**k, p**j))
     if args.format == "json":
         print(json.dumps({"roots": [str(r) for r in roots]}))
     else:
@@ -288,7 +297,7 @@ def _build_parser() -> argparse.ArgumentParser:
     subs = parser.add_subparsers(dest="command", required=True)
     inputs = _input_parser()
     output = argparse.ArgumentParser(add_help=False)
-    output.add_argument("--format", choices=("text", "json"), default="text")
+    output.add_argument("--format", choices=("text", "json"), help="default text")
 
     c = subs.add_parser("classify", parents=[inputs, output], help="decide reducibility in Z[[x]]")
     c.add_argument("--batch", help="file of inputs, one per line of the eight input flags; answered as JSON")

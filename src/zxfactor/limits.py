@@ -11,11 +11,13 @@ field               value    bounds
 ``max_terms``       4096     the order of a series that is built or factored
 ``max_pn_bits``     2^17     the bits of p^n and p^m, the prime powers in the
                              first two coefficients (so the discriminant has
-                             at most twice as many), and of what is left of a
+                             at most twice as many), of the modulus p^k of
+                             ``root_classes``, and of what is left of a
                              constant term after the primes up to 37
-``max_p_bits``      512      the bits of p, and of each cofactor of a constant
-                             term that the factor search tests or splits (a
-                             perfect power's root is taken first)
+``max_p_bits``      512      the bits of p (also in ``is_square_zp`` and
+                             ``root_classes``), and of each cofactor of a
+                             constant term that the factor search tests or
+                             splits (a perfect power's root is taken first)
 ``factor_steps``    2^17     the Brent rho iterations of the constant-term
                              factor search on one cofactor
 ==================  =======  ===============================================
@@ -30,7 +32,7 @@ from __future__ import annotations
 from math import log2
 from typing import NamedTuple
 
-__all__ = ["LIMITS", "require_terms", "require_series"]
+__all__ = ["LIMITS", "require_terms", "require_series", "require_power"]
 
 
 class Limits(NamedTuple):  # a tuple, so frozen, and cheaper to define than a dataclass
@@ -53,7 +55,11 @@ def require_series(p: int, n: int, m: int | None, terms: int) -> None:
     """ValueError unless p^n + p^m*beta*x + ... through order ``terms`` is
     within the limits (``m is None`` for the beta = 0 form)."""
     require_terms(terms)
-    e = max(n, m or 0)
+    require_power(p, max(n, m or 0))
+
+
+def require_power(p: int, e: int) -> None:
+    """ValueError unless p^e, for p >= 2, has at most ``max_pn_bits`` bits."""
     if e * log2(p) > LIMITS.max_pn_bits:
         raise ValueError(
             f"{p}^{e} has about {int(e * log2(p))} bits, beyond the limit of {LIMITS.max_pn_bits}"

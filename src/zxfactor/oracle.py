@@ -11,6 +11,11 @@ in ``verify_factorization``, deciding a pair that passes with one exact
 big-integer product (Kronecker substitution) where that is cheaper than
 the convolution.  All three keep the answers exact.  A
 ``VerificationReport`` is a NamedTuple, so a check builds one tuple.
+
+Only ``verify_factorization`` and its report are exported.
+``brute_square_mod``, ``brute_roots_mod`` and
+``exhaustive_irreducibility_probe`` are the reference implementations the
+tests compare the fast paths against; nothing in the package calls them.
 """
 
 from __future__ import annotations
@@ -25,13 +30,7 @@ from .series import TruncSeries
 if TYPE_CHECKING:  # pragma: no cover
     from .classify import QuadInput
 
-__all__ = [
-    "brute_square_mod",
-    "brute_roots_mod",
-    "VerificationReport",
-    "verify_factorization",
-    "exhaustive_irreducibility_probe",
-]
+__all__ = ["VerificationReport", "verify_factorization"]
 
 _SQUARE_CAP = 10**7
 _ROOTS_CAP = 10**6

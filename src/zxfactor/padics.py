@@ -10,16 +10,17 @@ handled exactly; no residue is taken until one is explicitly requested.
 
 The prime layer is :func:`is_prime` (Miller-Rabin with as many bases as
 the size of n needs, Baillie-PSW from ``PROVEN_PRIME_BOUND`` on) and one
-bounded factor search of a constant term, of which
-:func:`prime_power_decompose` and :func:`smallest_prime_power_split` are
-views.  The public functions that take a prime p check it with
-:func:`is_prime`; their private twins (``_is_qr``, ``_square_class``,
-``_root_classes``, ``_root_certificate``) serve the classifier and the
-engines, which prove p once per answer.
+bounded factor search of a constant term, ``_smallest_block``.  The two
+public functions that take a prime p, :func:`is_square_zp` and
+:func:`root_classes`, refuse a p beyond ``LIMITS.max_p_bits`` and prove
+it with :func:`is_prime`.  The classifier and the engines prove p once
+per answer and then call the private helpers (``_valuation``,
+``_is_qr``, ``_square_class``, ``_root_classes``, ``_root_certificate``),
+which do not test p again.
 
 All functions are pure and all returned values are immutable: the
-value types (``Valuation``, ``SquareClass``, ``RootCertificate``) are
-NamedTuples, compared and hashed as tuples.
+value types (``SquareClass``, ``RootCertificate``) are NamedTuples,
+compared and hashed as tuples.
 """
 
 from __future__ import annotations
@@ -27,23 +28,15 @@ from __future__ import annotations
 from math import gcd, isqrt, log2, prod
 from typing import NamedTuple
 
-from .limits import LIMITS
+from .limits import LIMITS, require_power
 
 __all__ = [
     "PROVEN_PRIME_BOUND",
-    "Valuation",
     "SquareClass",
     "RootCertificate",
     "is_prime",
-    "valuation",
-    "is_qr_mod_p",
     "is_square_zp",
-    "square_class",
     "root_classes",
-    "lift_roots_mod_pk",
-    "root_certificate",
-    "prime_power_decompose",
-    "smallest_prime_power_split",
 ]
 
 _SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
@@ -176,21 +169,10 @@ def _strong_lucas_probable_prime(n: int) -> bool:
 
 
 def _require_prime(p: int) -> None:
+    if p.bit_length() > LIMITS.max_p_bits:
+        raise ValueError(f"p has {p.bit_length()} bits, beyond the limit of {LIMITS.max_p_bits}")
     if not is_prime(p):
         raise ValueError(f"p = {p} is not prime")
-
-
-class Valuation(NamedTuple):
-    """Exact decomposition d = p^t * u with gcd(p, u) = 1."""
-
-    t: int
-    u: int
-
-
-def valuation(d: int, p: int) -> Valuation:
-    """Split a nonzero integer as d = p^t * u with u coprime to p."""
-    _require_prime(p)
-    return Valuation(*_valuation(d, p))
 
 
 def _valuation(d: int, p: int) -> tuple[int, int]:
@@ -210,14 +192,8 @@ def _valuation(d: int, p: int) -> tuple[int, int]:
     return 2 * s + 1, e // p
 
 
-def is_qr_mod_p(u: int, p: int) -> bool:
-    """Euler's criterion: is u a square modulo the odd prime p?"""
-    _require_prime(p)
-    return _is_qr(u, p)
-
-
 def _is_qr(u: int, p: int) -> bool:
-    """:func:`is_qr_mod_p` for a p already known to be prime."""
+    """Euler's criterion: is u a square modulo the odd prime p?"""
     if p == 2:
         raise ValueError("use the mod-8 unit rule for p = 2, not Euler's criterion")
     if gcd(u, p) != 1:
@@ -247,13 +223,8 @@ def is_square_zp(d: int, p: int) -> SquareClass:
     return _square_class(*_valuation(d, p), p)
 
 
-def square_class(t: int, u: int, p: int) -> SquareClass:
-    """The class of p^t * u in Z_p, for u coprime to the prime p."""
-    _require_prime(p)
-    return _square_class(t, u, p)
-
-
 def _square_class(t: int, u: int, p: int) -> SquareClass:
+    """The class of p^t * u in Z_p, for u coprime to the prime p."""
     if u % p == 0:
         raise ValueError(f"u = {u} is not coprime to p = {p}")
     if p == 2:
@@ -335,8 +306,10 @@ def root_classes(A: int, B: int, C: int, p: int, K: int) -> list[tuple[int, int]
     lemma to one class mod p^(j+K-w), or refines the class to
     (r + p^j*t0, j + 1).  A quadratic has at most two roots mod p and at
     most one non-simple one, so the work grows with K, not with p^K.
+    Refuses a p^K beyond ``LIMITS.max_pn_bits`` before building it.
     """
     _require_prime(p)
+    require_power(p, K)
     return _root_classes(A, B, C, p, K)
 
 
@@ -368,16 +341,6 @@ def _root_classes(A: int, B: int, C: int, p: int, K: int) -> list[tuple[int, int
     return sorted(classes)
 
 
-def lift_roots_mod_pk(A: int, B: int, C: int, p: int, K: int) -> list[int]:
-    """All y in [0, p^K) with A*y^2 + B*y + C = 0 mod p^K, in order.
-
-    The expansion of :func:`root_classes`; a class (r, j) contributes
-    p^(K-j) roots, so only ask for the list when that count is small.
-    """
-    pK = p**K
-    return sorted(y for r, j in root_classes(A, B, C, p, K) for y in range(r, pK, p**j))
-
-
 class RootCertificate(NamedTuple):
     """A lifted root a of y^2 - beta*y + alpha modulo p^K, with evidence.
 
@@ -403,29 +366,6 @@ _FIRST_RHO_STEPS = 1 << 10
 _HART_STEPS = 4096
 _GCD_BATCH = 128
 _TRIAL_LIMIT = 10**6
-
-
-def prime_power_decompose(x: int) -> tuple[int, int] | None:
-    """(p, n) with x = p^n and n >= 1, or None if x is not a prime power."""
-    if x < 2:
-        return None
-    p, n = _smallest_block(x)
-    return (p, n) if p**n == x else None
-
-
-def smallest_prime_power_split(f0: int) -> tuple[int, int]:
-    """Split f0 = u * v with u the smallest full prime-power block of |f0|.
-
-    Requires |f0| to have at least two distinct prime factors; the sign
-    of f0 travels with the cofactor v.
-    """
-    mag = abs(f0)
-    if mag >= 2:
-        p, e = _smallest_block(mag)
-        u = p**e
-        if u != mag:
-            return u, f0 // u
-    raise ValueError("constant term must be composite with two distinct primes")
 
 
 def _smallest_block(x: int) -> tuple[int, int]:
@@ -627,7 +567,7 @@ def _rho(n: int, budget: int) -> int | None:
             return g
 
 
-def root_certificate(beta: int, alpha: int, p: int, K: int) -> RootCertificate | None:
+def _root_certificate(beta: int, alpha: int, p: int, K: int) -> RootCertificate | None:
     """Certificate for a root of g(y) = y^2 - beta*y + alpha mod p^K.
 
     Returns None when g has no root mod p^K.  Otherwise picks the
@@ -637,12 +577,6 @@ def root_certificate(beta: int, alpha: int, p: int, K: int) -> RootCertificate |
     sentinel.  g has at most two integer roots, so the pick is among the
     three smallest members of each root class of :func:`root_classes`.
     """
-    _require_prime(p)
-    return _root_certificate(beta, alpha, p, K)
-
-
-def _root_certificate(beta: int, alpha: int, p: int, K: int) -> RootCertificate | None:
-    """:func:`root_certificate` for a p already known to be prime."""
     classes = _root_classes(1, -beta, alpha, p, K)
     if not classes:
         return None

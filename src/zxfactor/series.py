@@ -1,8 +1,10 @@
 """Truncated formal power series over exact integers.
 
 A :class:`TruncSeries` stores coefficients 0..N of a power series; the
-coefficients beyond N are unknown, not zero.  Arithmetic is exact Cauchy
-convolution, always truncated to an explicitly requested order.
+coefficients beyond N are unknown, not zero.  The factor engines and the
+verifier read its ``coeffs`` and do their own arithmetic; the one product
+here, ``poly_mul``, is the full (polynomial) product ``normalize_head``
+needs.
 
 ``normalize_head`` implements the associate-replacement step behind the
 CLI's ``normalize`` command (no factorization engine uses it): given a
@@ -20,10 +22,7 @@ from .padics import is_prime
 
 __all__ = [
     "TruncSeries",
-    "mul_trunc",
-    "add_trunc",
     "poly_mul",
-    "invert_unit",
     "normalize_head",
     "solve_head_system",
     "to_decimal_strings",
@@ -35,8 +34,9 @@ __all__ = [
 class TruncSeries:
     """A power series known through order ``len(coeffs) - 1``.
 
-    A dataclass, not a NamedTuple like the per-answer values: its
-    ``len`` and indexing are those of the coefficients, not of its fields.
+    A dataclass, not a NamedTuple like the per-answer values: a series
+    equals only a series with the same coefficients, never the plain
+    1-tuple of its field.  It is read through ``coeffs`` and ``order``.
     """
 
     coeffs: tuple[int, ...]
@@ -51,62 +51,13 @@ class TruncSeries:
     def order(self) -> int:
         return len(self.coeffs) - 1
 
-    def __getitem__(self, j: int) -> int:
-        return self.coeffs[j]
-
-    def __len__(self) -> int:
-        return len(self.coeffs)
-
     def is_zero(self) -> bool:
         return all(c == 0 for c in self.coeffs)
-
-    def truncate(self, n: int) -> "TruncSeries":
-        if n > self.order:
-            raise ValueError(f"series only known through order {self.order}")
-        return TruncSeries(self.coeffs[: n + 1])
-
-    def pad(self, n: int) -> "TruncSeries":
-        """Extend with explicit zero coefficients up to order n."""
-        if n <= self.order:
-            return self
-        return TruncSeries(self.coeffs + (0,) * (n - self.order))
-
-    def __str__(self) -> str:
-        parts = []
-        for j, c in enumerate(self.coeffs):
-            if j == 0:
-                parts.append(str(c))
-            else:
-                sign = "-" if c < 0 else "+"
-                mag = abs(c)
-                term = "x" if j == 1 else f"x^{j}"
-                coef = "" if mag == 1 else f"{mag}*"
-                parts.append(f"{sign} {coef}{term}")
-        return " ".join(parts)
 
 
 def _require_order(s: TruncSeries, n: int, who: str) -> None:
     if s.order < n:
         raise ValueError(f"{who}: input known only through order {s.order}, need {n}")
-
-
-def mul_trunc(a: TruncSeries, b: TruncSeries, n: int) -> TruncSeries:
-    """Cauchy product through order n; both inputs must reach order n."""
-    _require_order(a, n, "mul_trunc")
-    _require_order(b, n, "mul_trunc")
-    out = [0] * (n + 1)
-    for i, ai in enumerate(a.coeffs[: n + 1]):
-        if ai == 0:
-            continue
-        for j in range(n + 1 - i):
-            out[i + j] += ai * b.coeffs[j]
-    return TruncSeries(out)
-
-
-def add_trunc(a: TruncSeries, b: TruncSeries, n: int) -> TruncSeries:
-    _require_order(a, n, "add_trunc")
-    _require_order(b, n, "add_trunc")
-    return TruncSeries([a.coeffs[j] + b.coeffs[j] for j in range(n + 1)])
 
 
 def poly_mul(a: TruncSeries, b: TruncSeries) -> TruncSeries:
@@ -117,19 +68,6 @@ def poly_mul(a: TruncSeries, b: TruncSeries) -> TruncSeries:
             continue
         for j, bj in enumerate(b.coeffs):
             out[i + j] += ai * bj
-    return TruncSeries(out)
-
-
-def invert_unit(a: TruncSeries, n: int) -> TruncSeries:
-    """Inverse through order n of a series with constant term +-1."""
-    if a.coeffs[0] not in (1, -1):
-        raise ValueError("not a unit in Z[[x]]: constant term must be +1 or -1")
-    _require_order(a, n, "invert_unit")
-    a0 = a.coeffs[0]
-    out = [a0]
-    for k in range(1, n + 1):
-        acc = sum(a.coeffs[i] * out[k - i] for i in range(1, k + 1))
-        out.append(-a0 * acc)
     return TruncSeries(out)
 
 
@@ -203,7 +141,6 @@ def normalize_head(a: TruncSeries, p: int, t: int) -> tuple[TruncSeries, TruncSe
     if q.coeffs[0] != p or (q.coeffs[1] - a1) % p != 0 or any(q.coeffs[2 : t + 1]):
         raise AssertionError("head normalization postcondition failed")
     return u, q
-
 
 
 def to_decimal_strings(s: TruncSeries) -> list[str]:

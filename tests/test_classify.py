@@ -19,7 +19,7 @@ from zxfactor.classify import (
 )
 from zxfactor.limits import LIMITS
 from zxfactor.oracle import verify_factorization
-from zxfactor.padics import is_square_zp, smallest_prime_power_split
+from zxfactor.padics import _smallest_block, is_square_zp
 from zxfactor.series import TruncSeries
 
 SRC = Path(__file__).resolve().parents[1] / "src"
@@ -393,7 +393,7 @@ def test_general_refuses_a_cofactor_past_the_budget():
         classify_general(TruncSeries((p * q, 1, 1)))
     assert time.perf_counter() - started < 1.0
     with pytest.raises(ValueError, match="factor-search budget"):
-        smallest_prime_power_split(p * q)
+        _smallest_block(p * q)
 
 
 BPSW = "p is a BPSW probable prime"

@@ -228,6 +228,26 @@ def test_batch_line_takes_only_input_flags(tmp_path, capsys, lines, answered):
         assert json.loads(captured.out)["input"]["p"] == "7"
 
 
+@pytest.mark.parametrize(
+    "flags",
+    [
+        ("--format", "text", "--p", "7", "--n", "3"),
+        ("--format", "json"),
+        ("--terms", "64"),  # the default value, given
+        ("--beta-zero",),
+        ("--tail=",),
+    ],
+)
+def test_batch_takes_no_other_flag(tmp_path, capsys, flags):
+    batch = tmp_path / "batch.txt"
+    batch.write_text(VALID_LINE + "\n")
+    code = main(["classify", "--batch", str(batch), *flags])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert "--batch takes no other flag" in captured.err
+    assert all(flag.rstrip("=") in captured.err for flag in flags if flag.startswith("--"))
+
+
 def test_json_output_is_deterministic(capsys):
     args = ["classify", "--p", "3", "--n", "4", "--m", "2", "--beta", "1",
             "--alpha", "-29", "--format", "json", "--terms", "32"]
@@ -274,6 +294,36 @@ def test_classify_refuses_oversized_input_fast(capsys, argv):
     assert code == 2 and captured.out == ""
     assert "beyond the limit" in captured.err
     assert elapsed < 1.0, f"{elapsed:.3f}s"
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        # an odd composite: refused by its size, not after a primality test
+        (("square", "--d", "5", "--p", str(2**12000 + 1)), "p has 12001 bits, beyond the limit of 512"),
+        (("square", "--d", "5", "--p", str(2**512 + 75)), "p has 513 bits, beyond the limit of 512"),  # a prime
+        (("roots", "--A", "1", "--B", "0", "--C", "-2", "--p", "7", "--k", "100000"),
+         "7^100000 has about 280735 bits, beyond the limit of 131072"),
+        (("roots", "--A", "1", "--B", "0", "--C", "-2", "--p", "7", "--k", "3000000"),
+         "7^3000000 has about 8422064 bits, beyond the limit of 131072"),
+    ],
+)
+def test_square_and_roots_refuse_oversized_input_fast(capsys, argv, message):
+    started = time.perf_counter()
+    code = main(list(argv))
+    elapsed = time.perf_counter() - started
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err == f"error: {message}\n"
+    assert elapsed < 1.0, f"{elapsed:.3f}s"
+
+
+def test_square_and_roots_at_the_limits(capsys):
+    # the largest 512-bit prime, and the largest k with 7^k within max_pn_bits
+    code, out = run(capsys, "square", "--d", "5", "--p", str(2**512 - 569))
+    assert code == 0 and out.startswith("square in Z_")
+    code, out = run(capsys, "roots", "--A", "1", "--B", "0", "--C", "-3", "--p", "7", "--k", "46688")
+    assert code == 0 and out.strip() == "none"  # 3 is no square mod 7
 
 
 def test_classify_tailed_input_above_the_p_bit_limit(capsys):

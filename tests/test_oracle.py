@@ -112,6 +112,7 @@ def _product(a, b):
 
 def _convolution_report(f, a, b):
     """The report of the plain convolution, term by term."""
+    f, a, b = f.coeffs, a.coeffs, b.coeffs
     residuals = tuple(c - fk for c, fk in zip(_product(a, b), f))
     return residuals, abs(a[0]) != 1, abs(b[0]) != 1
 

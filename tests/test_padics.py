@@ -1,53 +1,48 @@
 import random
 import time
+from math import log2
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
+from test_acceptance import expand_roots
 from zxfactor.limits import LIMITS
 from zxfactor.oracle import brute_roots_mod, brute_square_mod
 from zxfactor.padics import (
     PROVEN_PRIME_BOUND,
     _iroot,
+    _is_qr,
+    _root_certificate,
     _smallest_block,
     _sqrt_mod_prime,
+    _square_class,
     _strong_lucas_probable_prime,
+    _valuation,
     is_prime,
-    is_qr_mod_p,
     is_square_zp,
-    lift_roots_mod_pk,
-    prime_power_decompose,
-    root_certificate,
     root_classes,
-    smallest_prime_power_split,
-    square_class,
-    valuation,
 )
 
 PRIMES = (2, 3, 5, 7, 11)
 
 
 def test_valuation_examples():
-    assert valuation(-20, 2) == valuation(-20, 2).__class__(t=2, u=-5)
-    v = valuation(-20, 2)
-    assert (v.t, v.u) == (2, -5)
-    assert (valuation(49, 7).t, valuation(49, 7).u) == (2, 1)
+    assert _valuation(-20, 2) == (2, -5)
+    assert _valuation(49, 7) == (2, 1)
     # derived by repeated exact division by 3
-    assert (valuation(810, 3).t, valuation(810, 3).u) == (4, 10)
+    assert _valuation(810, 3) == (4, 10)
 
 
 def test_valuation_errors():
     with pytest.raises(ValueError):
-        valuation(0, 5)
-    with pytest.raises(ValueError):
-        valuation(12, 6)
+        _valuation(0, 5)
 
 
 @given(st.integers(min_value=-(10**12), max_value=10**12).filter(bool), st.sampled_from(PRIMES))
 def test_valuation_reconstructs_exactly(d, p):
-    v = valuation(d, p)
-    assert p**v.t * v.u == d
-    assert v.u % p != 0
+    t, u = _valuation(d, p)
+    assert p**t * u == d
+    assert u % p != 0
 
 
 def _valuation_by_single_division(d, p):
@@ -66,33 +61,32 @@ def _valuation_by_single_division(d, p):
 def test_valuation_matches_single_division(u, p, t):
     # splitting by the powers p^(2^k) must agree with single divisions
     d = p**t * u
-    v = valuation(d, p)
-    assert (v.t, v.u) == _valuation_by_single_division(d, p)
+    assert _valuation(d, p) == _valuation_by_single_division(d, p)
 
 
 def test_prime_power_decompose_large_exponent():
-    assert prime_power_decompose(3**12000) == (3, 12000)
-    assert prime_power_decompose(2 * 3**5000) is None
+    assert _smallest_block(3**12000) == (3, 12000)
+    assert _smallest_block(2 * 3**5000) == (2, 1)
 
 
 def test_qr_examples():
-    assert is_qr_mod_p(1, 7) is True
-    assert is_qr_mod_p(-1, 5) is True  # 2^2 = 4 = -1 mod 5
-    assert is_qr_mod_p(-1, 3) is False  # squares mod 3 are {0, 1}
+    assert _is_qr(1, 7) is True
+    assert _is_qr(-1, 5) is True  # 2^2 = 4 = -1 mod 5
+    assert _is_qr(-1, 3) is False  # squares mod 3 are {0, 1}
 
 
 def test_qr_matches_enumeration():
     for p in (3, 5, 7, 11, 13):
         squares = {y * y % p for y in range(1, p)}
         for u in range(1, p):
-            assert is_qr_mod_p(u, p) == (u in squares)
+            assert _is_qr(u, p) == (u in squares)
 
 
 def test_qr_errors():
     with pytest.raises(ValueError):
-        is_qr_mod_p(3, 2)
+        _is_qr(3, 2)
     with pytest.raises(ValueError):
-        is_qr_mod_p(10, 5)
+        _is_qr(10, 5)
 
 
 def test_square_zp_paper_discriminant():
@@ -111,10 +105,10 @@ def test_square_zp_zero():
 
 
 def test_square_class_of_power_times_unit():
-    assert square_class(4, -11, 5) == is_square_zp(-11 * 5**4, 5)
-    assert square_class(3, 7, 2) == is_square_zp(56, 2)
+    assert _square_class(4, -11, 5) == is_square_zp(-11 * 5**4, 5)
+    assert _square_class(3, 7, 2) == is_square_zp(56, 2)
     with pytest.raises(ValueError):
-        square_class(0, 10, 5)
+        _square_class(0, 10, 5)
 
 
 def test_square_zp_against_oracle_grid():
@@ -123,20 +117,20 @@ def test_square_zp_against_oracle_grid():
         for d in range(-60, 61):
             if d == 0:
                 continue
-            if k < valuation(d, p).t + 3:
+            if k < _valuation(d, p)[0] + 3:
                 continue
             assert is_square_zp(d, p).is_square == brute_square_mod(d, p, k), (d, p)
 
 
 def test_lift_roots_examples():
-    assert lift_roots_mod_pk(1, -3, 2, 7, 3) == [1, 2]
-    assert lift_roots_mod_pk(1, 0, 1, 5, 2) == [7, 18]  # 7^2 = 49 = -1 mod 25
-    assert lift_roots_mod_pk(1, 0, 1, 3, 1) == []
+    assert expand_roots(1, -3, 2, 7, 3) == [1, 2]
+    assert expand_roots(1, 0, 1, 5, 2) == [7, 18]  # 7^2 = 49 = -1 mod 25
+    assert expand_roots(1, 0, 1, 3, 1) == []
 
 
 def test_lift_roots_rejects_vanishing_polynomial():
     with pytest.raises(ValueError):
-        lift_roots_mod_pk(9, 27, 81, 3, 2)
+        root_classes(9, 27, 81, 3, 2)
 
 
 def test_lift_roots_against_oracle():
@@ -149,7 +143,7 @@ def test_lift_roots_against_oracle():
         A, B, C = (rng.randint(-30, 30) for _ in range(3))
         if A % p**k == 0 and B % p**k == 0 and C % p**k == 0:
             continue
-        assert lift_roots_mod_pk(A, B, C, p, k) == brute_roots_mod(A, B, C, p, k)
+        assert expand_roots(A, B, C, p, k) == brute_roots_mod(A, B, C, p, k)
 
 
 @st.composite
@@ -182,7 +176,7 @@ def _quadratic_mod_pk(draw):
 @given(_quadratic_mod_pk())
 def test_lift_roots_matches_brute_force(case):
     A, B, C, p, K = case
-    roots = lift_roots_mod_pk(A, B, C, p, K)
+    roots = expand_roots(A, B, C, p, K)
     assert roots == brute_roots_mod(A, B, C, p, K)
     classes = root_classes(A, B, C, p, K)
     assert classes == sorted(classes)
@@ -230,23 +224,23 @@ def test_sqrt_mod_prime_against_sympy(n, a):
 
 def test_root_certificate_nondegenerate():
     # y^2 - 3y + 51 mod 7^3 has roots {50, 296}; 50 is the canonical pick
-    cert = root_certificate(3, 51, 7, 3)
+    cert = _root_certificate(3, 51, 7, 3)
     assert cert.a == 50 and cert.K == 3
     assert cert.mu == 4 and cert.r == 1  # g(50) = 2401 = 7^4
     assert cert.ell == 0 and cert.t_unit == -97
 
 
 def test_root_certificate_exact_root_sentinel():
-    cert = root_certificate(3, 2, 7, 1)  # (y-1)(y-2)
+    cert = _root_certificate(3, 2, 7, 1)  # (y-1)(y-2)
     assert cert.a in (1, 2) and cert.mu is None and cert.r == 0
 
 
 def test_root_certificate_root_mod_p_exists_for_zero_disc_residue():
     # y^2 - y - 1 has the double root 3 mod 5 even though disc 5 has odd valuation
-    cert = root_certificate(1, -1, 5, 1)
+    cert = _root_certificate(1, -1, 5, 1)
     assert cert is not None and cert.a == 3
     assert cert.mu == 1 and cert.r == 1
-    assert root_certificate(1, -1, 5, 2) is None
+    assert _root_certificate(1, -1, 5, 2) is None
 
 
 def test_root_certificate_invariants_randomized():
@@ -255,7 +249,7 @@ def test_root_certificate_invariants_randomized():
         p = rng.choice(PRIMES)
         K = rng.randint(1, 4)
         beta, alpha = rng.randint(-40, 40), rng.randint(-40, 40)
-        cert = root_certificate(beta, alpha, p, K)
+        cert = _root_certificate(beta, alpha, p, K)
         expect_roots = brute_roots_mod(1, -beta, alpha, p, K)
         if cert is None:
             assert not expect_roots
@@ -275,19 +269,35 @@ def test_root_certificate_invariants_randomized():
 
 
 def test_prime_power_decompose():
-    assert prime_power_decompose(49) == (7, 2)
-    assert prime_power_decompose(8) == (2, 3)
-    assert prime_power_decompose(12) is None
-    assert prime_power_decompose(1) is None
-    assert prime_power_decompose(97) == (97, 1)
+    # x is a prime power exactly when its smallest block is all of x
+    assert _smallest_block(49) == (7, 2)
+    assert _smallest_block(8) == (2, 3)
+    assert _smallest_block(97) == (97, 1)
 
 
 def test_smallest_prime_power_split():
-    assert smallest_prime_power_split(6) == (2, 3)
-    assert smallest_prime_power_split(12) == (3, 4)
-    assert smallest_prime_power_split(-6) == (2, -3)
-    with pytest.raises(ValueError):
-        smallest_prime_power_split(8)
+    assert _smallest_block(6) == (2, 1)
+    assert _smallest_block(12) == (3, 1)  # 3 < 2^2
+    assert _smallest_block(2**3 * 3**2) == (2, 3)
+
+
+def test_checked_entries_refuse_oversized_input_first():
+    started = time.perf_counter()
+    # p is refused by its size before any primality test, prime or not
+    for p in (2**16383 + 1, 2**512 + 75):
+        message = f"p has {p.bit_length()} bits, beyond the limit of {LIMITS.max_p_bits}"
+        with pytest.raises(ValueError, match=message):
+            is_square_zp(5, p)
+        with pytest.raises(ValueError, match=message):
+            root_classes(1, 0, -2, p, 1)
+    assert is_square_zp(5, 2**512 - 569).valuation == 0  # the largest 512-bit prime
+    # p^K is refused before it is built
+    k = int(LIMITS.max_pn_bits / log2(7))
+    assert root_classes(1, 0, -3, 7, k) == []  # 3 is no square mod 7
+    for K in (k + 1, 10**5, 3 * 10**6):
+        with pytest.raises(ValueError, match=f"beyond the limit of {LIMITS.max_pn_bits}"):
+            root_classes(1, 0, -2, 7, K)
+    assert time.perf_counter() - started < 1.0
 
 
 def test_is_prime_small():
@@ -361,16 +371,8 @@ def _factor_corpus(seed):
 def test_factor_search_matches_factorint():
     sympy = pytest.importorskip("sympy")
     for x in _factor_corpus(8):
-        blocks = sorted(q**e for q, e in sympy.factorint(x).items())
-        if len(blocks) == 1:
-            q, e = sympy.factorint(x).popitem()
-            assert prime_power_decompose(x) == (q, e)
-            with pytest.raises(ValueError):
-                smallest_prime_power_split(x)
-        else:
-            assert prime_power_decompose(x) is None
-            assert smallest_prime_power_split(x) == (blocks[0], x // blocks[0])
-            assert smallest_prime_power_split(-x) == (blocks[0], -x // blocks[0])
+        q, e = min(sympy.factorint(x).items(), key=lambda block: block[0] ** block[1])
+        assert _smallest_block(x) == (q, e)
 
 
 def test_factor_search_stops_once_the_smallest_block_is_proved():
@@ -380,13 +382,13 @@ def test_factor_search_stops_once_the_smallest_block_is_proved():
         _smallest_block(hard)
     # a block below 41 is the smallest without splitting the rest
     assert _smallest_block(2 * hard) == (2, 1)
-    assert smallest_prime_power_split(-37 * hard) == (37, -hard)
+    assert _smallest_block(37 * hard) == (37, 1)
     # a larger block below 10^6 is proved the smallest by trial division
     assert _smallest_block(64 * hard) == (2, 6)
     assert _smallest_block(37**2 * hard) == (37, 2)
     assert _smallest_block(3**5 * 41**2 * hard) == (3, 5)
     started = time.perf_counter()
-    assert smallest_prime_power_split(999983 * hard) == (999983, hard)
+    assert _smallest_block(999983 * hard) == (999983, 1)
     assert time.perf_counter() - started < 1.0
     # the short rho finds 41 before Hart's method or the full budget runs
     assert _smallest_block(41 * hard) == (41, 1)
@@ -407,16 +409,15 @@ def test_factor_search_takes_roots_before_the_bit_limit():
     # p^n passes whenever p does; the limit is on what is tested or split
     big = 41 ** (LIMITS.max_p_bits // 5)
     assert big.bit_length() > LIMITS.max_p_bits
-    assert prime_power_decompose(big) == (41, LIMITS.max_p_bits // 5)
-    assert prime_power_decompose(10007**40 * 10009**40) is None
-    assert smallest_prime_power_split(10007**40 * 10009**40) == (10007**40, 10009**40)
+    assert _smallest_block(big) == (41, LIMITS.max_p_bits // 5)
+    assert _smallest_block(10007**40 * 10009**40) == (10007, 40)
     with pytest.raises(ValueError, match="no perfect power, beyond the limit"):
-        prime_power_decompose(big * 43)
+        _smallest_block(big * 43)
     assert _smallest_block(64 * big * 43) == (43, 1)  # 43 < 64 < 41^102
     started = time.perf_counter()
     with pytest.raises(ValueError, match=f"beyond the limit of {LIMITS.max_pn_bits}"):
-        prime_power_decompose(41 ** (LIMITS.max_pn_bits // 5 + 1))
-    assert prime_power_decompose(41 ** (LIMITS.max_pn_bits // 6)) == (41, LIMITS.max_pn_bits // 6)
+        _smallest_block(41 ** (LIMITS.max_pn_bits // 5 + 1))
+    assert _smallest_block(41 ** (LIMITS.max_pn_bits // 6)) == (41, LIMITS.max_pn_bits // 6)
     # a prime exponent near the limit: every smaller prime k is tried first
-    assert prime_power_decompose(41**24439) == (41, 24439)
+    assert _smallest_block(41**24439) == (41, 24439)
     assert time.perf_counter() - started < 2.0

@@ -3,12 +3,10 @@ import random
 import pytest
 from hypothesis import given, strategies as st
 
+from test_acceptance import convolution
 from zxfactor.series import (
     TruncSeries,
-    add_trunc,
     from_decimal_strings,
-    invert_unit,
-    mul_trunc,
     normalize_head,
     poly_mul,
     solve_head_system,
@@ -16,55 +14,6 @@ from zxfactor.series import (
 )
 
 coeff_lists = st.lists(st.integers(min_value=-50, max_value=50), min_size=4, max_size=8)
-
-
-def test_mul_trunc_examples():
-    assert mul_trunc(TruncSeries((1, 1, 0)), TruncSeries((1, -1, 0)), 2).coeffs == (1, 0, -1)
-    assert mul_trunc(TruncSeries((2, 3, 0)), TruncSeries((2, 1, 0)), 2).coeffs == (4, 8, 3)
-    five = TruncSeries((5, 0, 0, 0, 0))
-    assert mul_trunc(five, five, 4).coeffs == (25, 0, 0, 0, 0)
-
-
-def test_mul_trunc_order_error():
-    with pytest.raises(ValueError):
-        mul_trunc(TruncSeries((1, 2)), TruncSeries((1, 2, 3)), 2)
-
-
-@given(coeff_lists, coeff_lists)
-def test_mul_trunc_commutes(a, b):
-    n = min(len(a), len(b)) - 1
-    sa, sb = TruncSeries(a), TruncSeries(b)
-    assert mul_trunc(sa, sb, n) == mul_trunc(sb, sa, n)
-
-
-@given(coeff_lists, coeff_lists, coeff_lists)
-def test_mul_trunc_associates_and_distributes(a, b, c):
-    n = min(len(a), len(b), len(c)) - 1
-    sa, sb, sc = TruncSeries(a), TruncSeries(b), TruncSeries(c)
-    left = mul_trunc(mul_trunc(sa, sb, n), sc, n)
-    right = mul_trunc(sa, mul_trunc(sb, sc, n), n)
-    assert left == right
-    dist = mul_trunc(sa, add_trunc(sb, sc, n), n)
-    assert dist == add_trunc(mul_trunc(sa, sb, n), mul_trunc(sa, sc, n), n)
-
-
-def test_invert_unit_examples():
-    assert invert_unit(TruncSeries((1, 1, 0, 0)), 3).coeffs == (1, -1, 1, -1)
-    assert invert_unit(TruncSeries((1, 0, 0, 0, 0, 0)), 5).coeffs == (1, 0, 0, 0, 0, 0)
-    assert invert_unit(TruncSeries((-1, 1, 0)), 2).coeffs == (-1, -1, -1)
-
-
-def test_invert_unit_rejects_non_units():
-    with pytest.raises(ValueError):
-        invert_unit(TruncSeries((2, 1)), 1)
-
-
-@given(coeff_lists, st.sampled_from((1, -1)))
-def test_invert_unit_is_inverse(tail, lead):
-    s = TruncSeries([lead] + tail)
-    n = s.order
-    prod = mul_trunc(s, invert_unit(s, n), n)
-    assert prod.coeffs == (1,) + (0,) * n
 
 
 def test_normalize_head_already_normal():
@@ -89,8 +38,7 @@ def test_normalize_head_order3():
     assert (q.coeffs[1] - 2) % 5 == 0
     assert q.coeffs[2] == 0 and q.coeffs[3] == 0
     # independent check of the product
-    n = a.order
-    assert mul_trunc(u.pad(n), a, n).coeffs == q.coeffs[: n + 1]
+    assert convolution(u.coeffs, a.coeffs, a.order) == q.coeffs[: a.order + 1]
 
 
 def test_normalize_head_errors():
@@ -114,7 +62,7 @@ def test_normalize_head_randomized():
         assert q.coeffs[0] == p
         assert (q.coeffs[1] - coeffs[1]) % p == 0
         assert all(c == 0 for c in q.coeffs[2 : t + 1])
-        assert mul_trunc(u.pad(t), a, t).coeffs == q.coeffs[: t + 1]
+        assert convolution(u.coeffs, a.coeffs, t) == q.coeffs[: t + 1]
 
 
 def test_lambda_shift_congruences():
@@ -148,6 +96,13 @@ def test_poly_mul_matches_truncated():
     a, b = TruncSeries((1, 2, 3)), TruncSeries((4, 5))
     full = poly_mul(a, b)
     assert full.coeffs == (4, 13, 22, 15)
+    assert full.coeffs[:3] == convolution(a.coeffs, b.coeffs, 2)
+
+
+@given(coeff_lists, coeff_lists)
+def test_poly_mul_is_the_whole_convolution(a, b):
+    full = poly_mul(TruncSeries(a), TruncSeries(b))
+    assert full.coeffs == convolution(a, b, len(a) + len(b) - 2)
 
 
 def test_serialization_roundtrip():

@@ -14,7 +14,7 @@ from zxfactor.classify import (
     discriminant_square_class,
 )
 from zxfactor.oracle import VerificationReport, verify_factorization
-from zxfactor.padics import RootCertificate, SquareClass, Valuation, is_square_zp, root_certificate, valuation
+from zxfactor.padics import RootCertificate, SquareClass, _root_certificate, is_square_zp
 from zxfactor.series import TruncSeries
 
 P = 10**12 + 39
@@ -27,8 +27,8 @@ def _instances():
         (lambda: QuadInput(7, 5, 3, 11, 13, tail=(1, 2))),
         (lambda: classify_quadratic(QuadInput(7, 2, 1, 3, 51), terms=4)),
         (lambda: is_square_zp(98, 7)),
-        (lambda: valuation(98, 7)),
-        (lambda: root_certificate(3, 51, 7, 3)),
+        (lambda: classify_general(TruncSeries([12, 1, 1]))),  # a verdict holding a factor pair
+        (lambda: _root_certificate(3, 51, 7, 3)),
         (lambda: verify_factorization(f, a, b)),
     ]
 
@@ -53,7 +53,7 @@ def test_equal_fields_give_equal_objects_and_hashes(build):
 
 
 def test_converted_types():
-    for cls in (QuadInput, Verdict, SquareClass, Valuation, RootCertificate, VerificationReport):
+    for cls in (QuadInput, Verdict, SquareClass, RootCertificate, VerificationReport):
         assert issubclass(cls, tuple)
 
 
@@ -70,8 +70,7 @@ def test_repr_is_unchanged():
         "valuation=5, unit_residue=4), factors=None, verified_order=None, assumption=None, "
         "conditional_on_truncation=False)"
     )
-    assert repr(valuation(98, 7)) == "Valuation(t=2, u=2)"
-    assert repr(root_certificate(3, 51, 7, 3)) == "RootCertificate(a=50, K=3, mu=4, r=1, ell=0, t_unit=-97)"
+    assert repr(_root_certificate(3, 51, 7, 3)) == "RootCertificate(a=50, K=3, mu=4, r=1, ell=0, t_unit=-97)"
 
 
 def test_verdict_defaults_and_citation():

@@ -13,14 +13,11 @@ from .classify import (
 )
 from .factor import (
     EngineInvariantError,
-    factor_2m_lt_n,
-    factor_beta_zero,
     factor_coprime_constant,
     factor_m_eq_nu,
-    factor_m_gt_nu,
     factor_p2_m_eq_nu1,
-    factor_p2_m_gt_nu1,
-    factor_simple_root_tail,
+    factor_p2_scaled,
+    factor_simple_root,
     factor_tail,
 )
 from .limits import LIMITS
@@ -56,14 +53,11 @@ __all__ = [
     "classify_quadratic",
     "discriminant",
     "discriminant_square_class",
-    "factor_2m_lt_n",
-    "factor_beta_zero",
     "factor_coprime_constant",
     "factor_m_eq_nu",
-    "factor_m_gt_nu",
     "factor_p2_m_eq_nu1",
-    "factor_p2_m_gt_nu1",
-    "factor_simple_root_tail",
+    "factor_p2_scaled",
+    "factor_simple_root",
     "factor_tail",
     "from_decimal_strings",
     "is_prime",

@@ -227,8 +227,12 @@ def _decide(
     S5 where the tail criteria apply.  Without it q is the tail-free
     quadratic, tagged S3 for odd p and S4 for p = 2.  ``engine`` names the
     function of :mod:`zxfactor.factor` that splits a reducible row (None
-    on the others).  A tailed row no criterion covers comes back as
-    ``UNKNOWN`` with its reason in place of the rule.
+    on the others): ``factor_simple_root`` wherever the seed quadratic has
+    a simple root mod p (2m < n, odd p with m > n/2 or beta = 0, and the
+    tailed simple-root row), ``factor_p2_scaled`` for p = 2 with m > n/2 + 1
+    or beta = 0, and one engine each for m = n/2, p = 2 with m = n/2 + 1,
+    and the p^2-divisible tail.  A tailed row no criterion covers comes
+    back as ``UNKNOWN`` with its reason in place of the rule.
     """
     p, n, m, beta, alpha = q.p, q.n, q.m, q.beta, q.alpha
     section = "S4" if p == 2 else "S3"
@@ -237,10 +241,11 @@ def _decide(
         if f is not None:
             return VerdictKind.UNKNOWN, "beta = 0 with a nonzero tail has no covered criterion", None
         if sq.is_square:
-            return VerdictKind.REDUCIBLE, f"{section}.beta0-reducible", "factor_beta_zero"
+            engine = "factor_p2_scaled" if p == 2 else "factor_simple_root"
+            return VerdictKind.REDUCIBLE, f"{section}.beta0-reducible", engine
         return VerdictKind.IRREDUCIBLE, f"{section}.beta0-irreducible", None
     if 2 * m < n:
-        return VerdictKind.REDUCIBLE, f"{tag}.2m-lt-n", "factor_2m_lt_n"
+        return VerdictKind.REDUCIBLE, f"{tag}.2m-lt-n", "factor_simple_root"
     if n % 2 == 1:
         return VerdictKind.IRREDUCIBLE, f"{tag}.2m-gt-n-odd", None
     if p == 2 and n == 2 * m:
@@ -250,16 +255,16 @@ def _decide(
             return VerdictKind.IRREDUCIBLE, f"{section}.disc-nonsquare", None
         nu = n // 2
         if p == 2:
-            engine = "factor_p2_m_eq_nu1" if m == nu + 1 else "factor_p2_m_gt_nu1"
+            engine = "factor_p2_m_eq_nu1" if m == nu + 1 else "factor_p2_scaled"
         else:
-            engine = "factor_m_eq_nu" if m == nu else "factor_m_gt_nu"
+            engine = "factor_m_eq_nu" if m == nu else "factor_simple_root"
         return VerdictKind.REDUCIBLE, f"{section}.disc-square", engine
     if 2 * m > n:
         if p == 2:
             return VerdictKind.UNKNOWN, "p = 2 with 2m > n even and a tail has no covered criterion", None
         # -4*alpha is the unit of the discriminant's core, so sq is the residue test of -alpha
         if sq.is_square:
-            return VerdictKind.REDUCIBLE, "S5.2m-gt-n-even-qr", "factor_m_gt_nu"
+            return VerdictKind.REDUCIBLE, "S5.2m-gt-n-even-qr", "factor_simple_root"
         return VerdictKind.IRREDUCIBLE, "S5.2m-gt-n-even-nonqr", None
 
     # n = 2m, p odd, with a tail: sq is the class of p^n * core, core =
@@ -269,7 +274,7 @@ def _decide(
     # double and only the root classes mod p^m tell whether one lifts.
     if sq.valuation == n:
         if sq.is_square:
-            return VerdictKind.REDUCIBLE, "S5.simple-root", "factor_simple_root_tail"
+            return VerdictKind.REDUCIBLE, "S5.simple-root", "factor_simple_root"
         return VerdictKind.IRREDUCIBLE, "S5.no-root", None
     if not _root_classes(1, -beta, alpha, p, m):
         return VerdictKind.IRREDUCIBLE, "S5.no-root", None

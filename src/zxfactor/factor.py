@@ -13,13 +13,13 @@ c and inverts it once; a stage is then one multiplication, one reduction
 and one exact division.  The parameters per engine (l is half the
 valuation of beta^2 - 4*alpha, of beta^2 - alpha when p = 2):
 
-    engine                                  (A, S, D)                       lag
-    2m<n, m>nu, beta0, simple-root          (1, 1, 1)                       1
-    p=2 m>nu+1 and beta0 p=2                (2^nu, 2^(nu+1), 2^(nu+1))      1
-    p=2 m=nu+1                              (2^(l+1), 2^(2l+2), 2^(2l+2))   1
-    m=nu, nu<=l                             (p^l, p^(3l-nu), p^(2l))        1
-    p^2-divisible tail                      (p, p^2, p^2)                   1
-    m=nu, nu>l                              A = p^(nu-l)                    2
+    engine                      (A, S, D)                       lag
+    factor_simple_root          (1, 1, 1)                       1
+    factor_p2_scaled            (2^nu, 2^(nu+1), 2^(nu+1))      1
+    factor_p2_m_eq_nu1          (2^(l+1), 2^(2l+2), 2^(2l+2))   1
+    factor_m_eq_nu, nu<=l       (p^l, p^(3l-nu), p^(2l))        1
+    factor_tail                 (p, p^2, p^2)                   1
+    factor_m_eq_nu, nu>l        A = p^(nu-l)                    2
 
 Lag one is :func:`_lift`, lag two :func:`_lift2`.  Every engine takes a
 :class:`~zxfactor.classify.QuadInput` and the order, and checks its
@@ -28,10 +28,11 @@ against the input through that order; a nonzero residual or a unit head
 raises :class:`EngineInvariantError` (a bug, never an input condition).
 Which engine splits which input is the classifier's decision table.
 
-Whenever b_0*y^2 - f_1*y + a_0*f_2 has an integer root and the input
-has no tail, the engine emits the finite polynomial factorization
-directly instead of running the recurrence (the recurrence certificates
-degenerate there).
+Whenever b_0*y^2 - f_1*y + a_0*f_2 has an integer root and every tail
+coefficient is zero, every engine of the table but factor_tail emits
+the finite polynomial factorization directly instead of running the
+recurrence (the recurrence certificates degenerate there), except
+factor_simple_root when n = 2m.
 """
 
 from __future__ import annotations
@@ -50,15 +51,12 @@ if TYPE_CHECKING:  # pragma: no cover
 
 __all__ = [
     "EngineInvariantError",
-    "factor_2m_lt_n",
-    "factor_m_gt_nu",
+    "factor_simple_root",
+    "factor_p2_scaled",
     "factor_m_eq_nu",
-    "factor_beta_zero",
-    "factor_p2_m_gt_nu1",
     "factor_p2_m_eq_nu1",
     "factor_coprime_constant",
     "factor_tail",
-    "factor_simple_root_tail",
 ]
 
 
@@ -198,43 +196,32 @@ def _lift2(tag: str, targets, n: int, a: list[int], A: int):
 # engines
 
 
-def factor_2m_lt_n(q: "QuadInput", n: int) -> tuple[TruncSeries, TruncSeries]:
-    """Split p^n + p^m*beta*x + alpha*x^2 (+ tail) when 2m < n.
+def factor_simple_root(q: "QuadInput", n: int) -> tuple[TruncSeries, TruncSeries]:
+    """Split p^n + p^m*beta*x + alpha*x^2 (+ tail) from a simple root.
 
-    The factor heads are p^m and p^(n-m), so scale = p^(n-2m), and a_1 is
-    a root of scale*y^2 - beta*y + alpha mod p^m; the step unit
-    beta - 2*scale*a_1 is a unit because the scale is divisible by p.
-    Works for p = 2 as well.
+    With s = min(m, n/2) (n/2 when beta = 0) the factor heads are p^s and
+    p^(n-s), so scale = p^(n-2s), and a_1 is the smallest root of
+    g(y) = scale*y^2 - p^(m-s)*beta*y + alpha mod p^s.  The one hypothesis
+    is Hensel's: a_1 is a simple root mod p.  The step unit is then
+    -g'(a_1), and the recurrence absorbs any tail.  This covers 2m < n,
+    odd p with n even and m > n/2 or beta = 0 (a beta = 0 input takes no
+    tail), and n = 2m, whose pairs always come from the recurrence: the
+    integer-root shortcut is not tried there.
     """
-    _require(q.beta is not None and 2 * q.m < q.n, "engine needs beta != 0 and 2m < n")
-    _require(n >= 2, "factor order must be at least 2")
-    pm, pnm = q.p**q.m, q.p ** (q.n - q.m)
+    _require(q.beta is not None or not q.tail, "beta = 0 engine takes no tail")
+    _require(q.n >= 2 and n >= 2, "needs n >= 2 and factor order at least 2")
     targets = q.head_series(n).coeffs + (0,)
-    pair = _integer_split(targets, pm, pnm, n, "2m<n poly")
-    if pair is not None:
-        return pair
-    a1 = _smallest_root(pnm // pm, -q.beta, q.alpha, q.p, q.m, "2m<n")
-    return _lift("2m<n", targets, n, [pm, a1], pnm)
-
-
-def factor_m_gt_nu(q: "QuadInput", n: int) -> tuple[TruncSeries, TruncSeries]:
-    """Split p^(2nu) + p^m*beta*x + alpha*x^2 (+ tail) with p odd, m > nu.
-
-    Seeds from a root a_1 of y^2 - p^(m-nu)*beta*y + alpha mod p^nu; the
-    step unit is p^(m-nu)*beta - 2*a_1, a unit since a_1 is.  Accepts a
-    tail (the same recurrence absorbs arbitrary target coefficients).
-    """
-    _require(q.beta is not None and q.n % 2 == 0 and q.m > q.n // 2, "engine needs m > n/2, n even")
-    _require(q.p != 2, "p = 2 is handled by the scaled engines")
-    _require(n >= 2, "factor order must be at least 2")
-    p, nu = q.p, q.n // 2
-    pn = p**nu
-    targets = q.head_series(n).coeffs + (0,)
-    pair = _integer_split(targets, pn, pn, n, "m>nu poly")
-    if pair is not None:
-        return pair
-    a1 = _smallest_root(1, -(p ** (q.m - nu)) * q.beta, q.alpha, p, nu, "m>nu")
-    return _lift("m>nu", targets, n, [pn, a1], pn)
+    p, s = q.p, q.n // 2 if q.beta is None else min(q.m, q.n // 2)
+    ps, pns = p**s, p ** (q.n - s)
+    scale, b = pns // ps, 0 if q.beta is None else p ** (q.m - s) * q.beta
+    classes = _root_classes(scale, -b, q.alpha, p, s)
+    # g mod p has only simple roots, one double root or none: the smallest root speaks for all
+    _require(bool(classes) and (2 * scale * classes[0][0] - b) % p != 0, "g has no simple root mod p")
+    if q.beta is None or q.n != 2 * q.m:
+        pair = _integer_split(targets, ps, pns, n, "simple root poly")
+        if pair is not None:
+            return pair
+    return _lift("simple root", targets, n, [ps, classes[0][0]], pns)
 
 
 def factor_m_eq_nu(q: "QuadInput", n: int) -> tuple[TruncSeries, TruncSeries]:
@@ -273,52 +260,30 @@ def factor_m_eq_nu(q: "QuadInput", n: int) -> tuple[TruncSeries, TruncSeries]:
     )
 
 
-def factor_beta_zero(q: "QuadInput", n: int) -> tuple[TruncSeries, TruncSeries]:
-    """Split p^(2nu) + alpha*x^2: odd p with -alpha a residue, or p = 2
-    with alpha = 7 mod 8."""
-    _require(not q.tail, "engine takes no tail")
-    _require(q.beta is None, "engine needs the beta-zero input form")
-    _require(q.n % 2 == 0, "n must be even for a beta-zero split")
-    _require(n >= 2, "factor order must be at least 2")
-    p, nu, alpha = q.p, q.n // 2, q.alpha
-    pn = p**nu
-    targets = q.head_series(n).coeffs + (0,)
-    pair = _integer_split(targets, pn, pn, n, "beta0 poly")
-    if pair is not None:
-        return pair
-    if p == 2:
-        _require(alpha % 8 == 7, "p = 2 needs alpha = 7 mod 8")
-        a1 = _smallest_root(1, 0, alpha, 2, 2 * nu + 1, "beta0 p=2")
-        return _lift("beta0 p=2", targets, n, [pn, a1], pn, pn, 2 * pn, 2 * pn)
-    _require(_is_qr(-alpha, p), "-alpha is a non-residue: input is irreducible")
-    return _lift("beta0", targets, n, [pn, _smallest_root(1, 0, alpha, p, nu, "beta0")], pn)
+def factor_p2_scaled(q: "QuadInput", n: int) -> tuple[TruncSeries, TruncSeries]:
+    """Split 4^nu + 2^m*beta*x + alpha*x^2 for p = 2 and m > nu + 1 or beta = 0.
 
-
-def factor_p2_m_gt_nu1(q: "QuadInput", n: int) -> tuple[TruncSeries, TruncSeries]:
-    """Split 4^nu + 2^m*beta*x + alpha*x^2 for p = 2 and m > nu + 1.
-
-    Reducible exactly when alpha = 3 mod 8 (m - nu - 1 = 1) or
-    alpha = 7 mod 8 (m - nu - 1 >= 2).  Seeds from a root a_1 of
-    y^2 - 2^(m-nu)*beta*y + alpha mod 2^(2nu+1); the odd step unit is
-    2^(m-nu-1)*beta - a_1.
+    Seeds from a root a_1 of y^2 - 2^(m-nu)*beta*y + alpha mod 2^(2nu+1)
+    (no linear term when beta = 0); the odd step unit is
+    2^(m-nu-1)*beta - a_1.  The root exists exactly when alpha = 7 mod 8,
+    or alpha = 3 mod 8 when m = nu + 2.
     """
     _require(not q.tail, "engine takes no tail")
-    _require(q.beta is not None and q.n % 2 == 0, "engine needs beta != 0 and even n")
     nu = q.n // 2
-    _require(q.p == 2 and q.m > nu + 1, "engine needs p = 2 and m > nu + 1")
-    _require(n >= 2, "factor order must be at least 2")
-    gap = q.m - nu - 1
     _require(
-        (gap == 1 and q.alpha % 8 == 3) or (gap >= 2 and q.alpha % 8 == 7),
-        "mod-8 reducibility condition fails: input is irreducible",
+        q.p == 2 and q.n % 2 == 0 and (q.beta is None or q.m > nu + 1),
+        "engine needs p = 2, even n and m > n/2 + 1 or beta = 0",
     )
-    pn = 2**nu
+    _require(n >= 2, "factor order must be at least 2")
     targets = q.head_series(n).coeffs + (0,)
-    pair = _integer_split(targets, pn, pn, n, "p2 m>nu+1 poly")
+    b = 0 if q.beta is None else 2 ** (q.m - nu) * q.beta
+    classes = _root_classes(1, -b, q.alpha, 2, 2 * nu + 1)
+    _require(bool(classes), "mod-8 reducibility condition fails: input is irreducible")
+    pn = 2**nu
+    pair = _integer_split(targets, pn, pn, n, "p2 scaled poly")
     if pair is not None:
         return pair
-    a1 = _smallest_root(1, -(2 ** (q.m - nu)) * q.beta, q.alpha, 2, 2 * nu + 1, "p2 m>nu+1")
-    return _lift("p2 m>nu+1", targets, n, [pn, a1], pn, pn, 2 * pn, 2 * pn)
+    return _lift("p2 scaled", targets, n, [pn, classes[0][0]], pn, pn, 2 * pn, 2 * pn)
 
 
 def factor_p2_m_eq_nu1(q: "QuadInput", n: int) -> tuple[TruncSeries, TruncSeries]:
@@ -397,20 +362,3 @@ def factor_tail(q: "QuadInput", n: int) -> tuple[TruncSeries, TruncSeries]:
     while a1 * a1 - beta * a1 + alpha == 0:
         a1 += p**3
     return _lift("p^2-divisible tail", q.head_series(n).coeffs + (0,), n, [p, a1], p, p, p * p, p * p)
-
-
-def factor_simple_root_tail(q: "QuadInput", n: int) -> tuple[TruncSeries, TruncSeries]:
-    """Split p^(2m) + p^m*beta*x + alpha*x^2 + tail given a simple root.
-
-    Requires a root a of y^2 - beta*y + alpha mod p^m whose derivative
-    2a - beta is a unit; the balanced recurrence then has a unit step
-    coefficient beta - 2a and absorbs any tail.
-    """
-    _require(q.beta is not None and q.n == 2 * q.m, "engine needs n = 2m")
-    _require(n >= 2, "factor order must be at least 2")
-    p, m, beta = q.p, q.m, q.beta
-    # whether a root is simple depends on it mod p only, so on its class
-    simple = [r for r, _ in _root_classes(1, -beta, q.alpha, p, m) if (2 * r - beta) % p != 0]
-    if not simple:
-        raise ValueError("y^2 - beta*y + alpha has no simple root mod p^m")
-    return _lift("simple root", q.head_series(n).coeffs + (0,), n, [p**m, simple[0]], p**m)

@@ -285,12 +285,18 @@ def _roots_mod_p(a: int, b: int, c: int, p: int) -> list[int]:
 
 
 def _hensel_lift(a: int, b: int, c: int, t: int, p: int, e: int) -> int:
-    """Lift a simple root t mod p of a*t^2 + b*t + c to the root mod p^e."""
-    k = 1
+    """Lift a simple root t mod p of a*t^2 + b*t + c to the root mod p^e.
+
+    Each doubling carries inv = 1/f'(t) along: correct mod p^k before the
+    step, one Newton step inv*(2 - f'(t)*inv) makes it correct mod p^2k.
+    """
+    k, inv = 1, pow(2 * a * t + b, -1, p) if e > 1 else 0
     while k < e:
         k = min(2 * k, e)
         mod = p**k
-        t = (t - (a * t * t + b * t + c) * pow(2 * a * t + b, -1, mod)) % mod
+        t = (t - (a * t * t + b * t + c) * inv) % mod
+        if k < e:
+            inv = inv * (2 - (2 * a * t + b) * inv) % mod
     return t
 
 

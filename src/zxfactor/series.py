@@ -18,7 +18,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import gcd
 
-from .padics import is_prime
+from .limits import require_terms
+from .padics import _require_prime
 
 __all__ = [
     "TruncSeries",
@@ -97,8 +98,9 @@ def _balanced(x: int, p: int) -> int:
 def normalize_head(a: TruncSeries, p: int, t: int) -> tuple[TruncSeries, TruncSeries]:
     """Zero the coefficients 2..t of an associate of ``a``.
 
-    Requires a_0 = p and gcd(p, a_1) = 1.  Returns (u, q) where u is a
-    unit polynomial (u_0 = 1, degree at most t) and q = u * a satisfies
+    Requires a_0 = p, a prime within ``LIMITS``, gcd(p, a_1) = 1 and t
+    within ``LIMITS.max_terms``.  Returns (u, q) where u is a unit
+    polynomial (u_0 = 1, degree at most t) and q = u * a satisfies
     q_0 = p, q_1 = a_1 (mod p) and q_2 = ... = q_t = 0.
 
     The target lam starts at the representative of a_1 mod p in [0, p).
@@ -109,12 +111,14 @@ def normalize_head(a: TruncSeries, p: int, t: int) -> tuple[TruncSeries, TruncSe
     """
     if t < 2:
         raise ValueError("t must be at least 2")
+    require_terms(t)
     _require_order(a, t, "normalize_head")
     if a.coeffs[0] != p:
         raise ValueError(f"constant term must equal p = {p}")
+    _require_prime(p)
     a1 = a.coeffs[1]
-    if gcd(a1, p) != 1 or not is_prime(p):
-        raise ValueError("need gcd(p, a_1) = 1 with p prime")
+    if gcd(a1, p) != 1:
+        raise ValueError("need gcd(p, a_1) = 1")
 
     lam = a1 % p
     us = [(lam - a1) // p]

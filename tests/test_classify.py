@@ -526,30 +526,30 @@ R, I, U = VerdictKind.REDUCIBLE, VerdictKind.IRREDUCIBLE, VerdictKind.UNKNOWN
 #: every row of the decision table as (kind, rule, engine); an UNKNOWN row
 #: carries its reason in place of the rule
 DECISION_ROWS = {
-    (R, "S3.beta0-reducible", "factor_beta_zero"),
+    (R, "S3.beta0-reducible", "factor_simple_root"),
     (I, "S3.beta0-irreducible", None),
-    (R, "S4.beta0-reducible", "factor_beta_zero"),
+    (R, "S4.beta0-reducible", "factor_p2_scaled"),
     (I, "S4.beta0-irreducible", None),
-    (R, "S3.2m-lt-n", "factor_2m_lt_n"),
-    (R, "S4.2m-lt-n", "factor_2m_lt_n"),
+    (R, "S3.2m-lt-n", "factor_simple_root"),
+    (R, "S4.2m-lt-n", "factor_simple_root"),
     (I, "S3.2m-gt-n-odd", None),
     (I, "S4.2m-gt-n-odd", None),
     (I, "S4.n-eq-2m", None),
     (R, "S3.disc-square", "factor_m_eq_nu"),
-    (R, "S3.disc-square", "factor_m_gt_nu"),
+    (R, "S3.disc-square", "factor_simple_root"),
     (I, "S3.disc-nonsquare", None),
     (R, "S4.disc-square", "factor_p2_m_eq_nu1"),
-    (R, "S4.disc-square", "factor_p2_m_gt_nu1"),
+    (R, "S4.disc-square", "factor_p2_scaled"),
     (I, "S4.disc-nonsquare", None),
     # tailed
     (U, "beta = 0 with a nonzero tail has no covered criterion", None),
-    (R, "S5.2m-lt-n", "factor_2m_lt_n"),
+    (R, "S5.2m-lt-n", "factor_simple_root"),
     (I, "S5.2m-gt-n-odd", None),
     (U, "p = 2 with 2m > n even and a tail has no covered criterion", None),
-    (R, "S5.2m-gt-n-even-qr", "factor_m_gt_nu"),
+    (R, "S5.2m-gt-n-even-qr", "factor_simple_root"),
     (I, "S5.2m-gt-n-even-nonqr", None),
     (I, "S5.no-root", None),
-    (R, "S5.simple-root", "factor_simple_root_tail"),
+    (R, "S5.simple-root", "factor_simple_root"),
     (I, "S5.double-root-c3-unit", None),
     (R, "S5.double-root-divisible-tail", "factor_tail"),
     (
@@ -566,7 +566,7 @@ def test_decision_table_names_known_rules_and_engines():
     from zxfactor import factor
     from zxfactor.classify import _decide
 
-    rows = set()
+    rows, routed = set(), []
     for p in (2, 3, 5):
         for n in range(1, 5):
             for m in range(1, 5):
@@ -574,13 +574,22 @@ def test_decision_table_names_known_rules_and_engines():
                     for alpha in (a for a in range(-12, 13) if a % p):
                         q = QuadInput(p, n, m, beta, alpha)
                         sq = discriminant_square_class(q)
-                        rows.add(_decide(q, sq))
+                        row = _decide(q, sq)
+                        rows.add(row)
+                        routed.append((row[2], q))
                         for tail in ((), (0, 0), (1,), (p,), (p * p,)):
                             qt = QuadInput(p, n, m, beta, alpha, tail=tail)
-                            rows.add(_decide(qt, sq, qt.head_series(2 + len(tail))))
+                            row = _decide(qt, sq, qt.head_series(2 + len(tail)))
+                            rows.add(row)
+                            routed.append((row[2], qt))
     assert rows == DECISION_ROWS
     for kind, rule, engine in rows:
         assert ("S5.unknown" if kind is U else rule) in RULE_INFO
         assert (engine is not None) == (kind is R)
         if engine is not None:
             assert engine in factor.__all__ and callable(getattr(factor, engine))
+    # every input the table routes to an engine passes that engine's own check
+    for engine, q in routed:
+        if engine is not None:
+            a, b = getattr(factor, engine)(q, 2)
+            assert verify_factorization(q.head_series(2), a, b).passed

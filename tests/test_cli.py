@@ -296,6 +296,9 @@ def test_classify_refuses_oversized_input_fast(capsys, argv):
     assert elapsed < 1.0, f"{elapsed:.3f}s"
 
 
+COMPOSITE_8191 = (2**4095 + 3) * (2**4095 + 9)
+
+
 @pytest.mark.parametrize(
     "argv, message",
     [
@@ -306,6 +309,11 @@ def test_classify_refuses_oversized_input_fast(capsys, argv):
          "7^100000 has about 280735 bits, beyond the limit of 131072"),
         (("roots", "--A", "1", "--B", "0", "--C", "-2", "--p", "7", "--k", "3000000"),
          "7^3000000 has about 8422064 bits, beyond the limit of 131072"),
+        # an odd composite with no prime factor up to 37
+        (("normalize", "--p", str(COMPOSITE_8191), "--coeffs", f"{COMPOSITE_8191},1,1", "--t", "2"),
+         "p has 8191 bits, beyond the limit of 512"),
+        (("normalize", "--p", "3", "--coeffs", "3,1,1", "--t", "5000"),
+         "order 5000 is beyond the limit of 4096 terms"),
     ],
 )
 def test_square_and_roots_refuse_oversized_input_fast(capsys, argv, message):
@@ -324,6 +332,18 @@ def test_square_and_roots_at_the_limits(capsys):
     assert code == 0 and out.startswith("square in Z_")
     code, out = run(capsys, "roots", "--A", "1", "--B", "0", "--C", "-3", "--p", "7", "--k", "46688")
     assert code == 0 and out.strip() == "none"  # 3 is no square mod 7
+    # 2 is a square mod 7: both of its roots lift through every digit
+    code, out = run(capsys, "roots", "--A", "1", "--B", "0", "--C", "-2", "--p", "7", "--k", "46688")
+    cap = sys.get_int_max_str_digits() if hasattr(sys, "get_int_max_str_digits") else 0
+    if cap:
+        sys.set_int_max_str_digits(0)  # each root has 39,456 digits
+    try:
+        roots = [int(r) for r in out.split(", ")]
+    finally:
+        if cap:
+            sys.set_int_max_str_digits(cap)
+    assert code == 0 and len(roots) == 2
+    assert all((r * r - 2) % 7**46688 == 0 for r in roots)
 
 
 def test_classify_tailed_input_above_the_p_bit_limit(capsys):

@@ -1,19 +1,17 @@
+import hashlib
 import random
 
 import pytest
 
 import zxfactor.factor as factor_module
-from zxfactor.classify import QuadInput, classify_quadratic
+from zxfactor.classify import QuadInput, classify_general, classify_quadratic
 from zxfactor.factor import (
     EngineInvariantError,
-    factor_2m_lt_n,
-    factor_beta_zero,
     factor_coprime_constant,
     factor_m_eq_nu,
-    factor_m_gt_nu,
     factor_p2_m_eq_nu1,
-    factor_p2_m_gt_nu1,
-    factor_simple_root_tail,
+    factor_p2_scaled,
+    factor_simple_root,
     factor_tail,
 )
 from zxfactor.oracle import verify_factorization
@@ -56,17 +54,17 @@ def test_engine_check_fires_on_a_wrong_step(monkeypatch):
         return (a_n + 1 if len(stages) == 3 else a_n), s_next
 
     monkeypatch.setattr(factor_module, "_step", off_by_one)
-    message = "2m<n: first nonzero residual at product order 5;"
+    message = "simple root: first nonzero residual at product order 5;"
     with pytest.raises(EngineInvariantError, match=message):
-        factor_2m_lt_n(QuadInput(3, 5, 2, 2, 1), 16)
+        factor_simple_root(QuadInput(3, 5, 2, 2, 1), 16)
     assert len(stages) == 15
 
 
 def test_tail_free_engines_reject_a_tail():
     with pytest.raises(ValueError, match="no tail"):
-        factor_p2_m_gt_nu1(QuadInput(2, 4, 9, 13, 183, tail=(-5,)), 2)
+        factor_p2_scaled(QuadInput(2, 4, 9, 13, 183, tail=(-5,)), 2)
     with pytest.raises(ValueError, match="no tail"):
-        factor_beta_zero(QuadInput(11, 2, None, None, -16, tail=(-18, 30)), 33)
+        factor_simple_root(QuadInput(11, 2, None, None, -16, tail=(-18, 30)), 33)
     with pytest.raises(ValueError, match="no tail"):
         factor_m_eq_nu(QuadInput(7, 2, 1, 3, 51, tail=(7,)), 8)
     with pytest.raises(ValueError, match="no tail"):
@@ -75,7 +73,7 @@ def test_tail_free_engines_reject_a_tail():
 
 def test_2m_lt_n_walkthrough():
     q = QuadInput(5, 3, 1, 1, 1)
-    a, b = factor_2m_lt_n(q, 2)
+    a, b = factor_simple_root(q, 2)
     assert a.coeffs == (5, 1, 4)
     assert b.coeffs == (25, -4, -19)
     check_pair(q, (a, b), 2)
@@ -84,26 +82,26 @@ def test_2m_lt_n_walkthrough():
 def test_2m_lt_n_deeper():
     for q in (QuadInput(2, 3, 1, 1, 1), QuadInput(3, 5, 2, 2, 1)):
         n = 16
-        pair = factor_2m_lt_n(q, n)
+        pair = factor_simple_root(q, n)
         check_pair(q, pair, n)
 
 
 def test_2m_lt_n_with_tail():
     q = QuadInput(5, 3, 1, 1, 1, tail=(7, -2, 0, 11))
-    pair = factor_2m_lt_n(q, 10)
+    pair = factor_simple_root(q, 10)
     check_pair(q, pair, 10)
 
 
 def test_m_gt_nu_degenerate_polynomial():
     q = QuadInput(3, 2, 2, 1, 2)
-    a, b = factor_m_gt_nu(q, 4)
+    a, b = factor_simple_root(q, 4)
     assert a.coeffs[:2] == (3, 1) and b.coeffs[:2] == (3, 2)
     assert set(a.coeffs[2:]) == {0} and set(b.coeffs[2:]) == {0}
 
 
 def test_m_gt_nu_walkthrough():
     q = QuadInput(3, 2, 2, 1, 11)
-    a, b = factor_m_gt_nu(q, 3)
+    a, b = factor_simple_root(q, 3)
     assert a.coeffs == (3, 1, 0, 1)
     assert b.coeffs == (3, 2, 3, -2)
     check_pair(q, (a, b), 3)
@@ -113,7 +111,7 @@ def test_m_gt_nu_deeper():
     # disc = 7^4 * 37 with 37 = 2 a residue mod 7, so this is reducible
     q = QuadInput(7, 4, 3, 1, 3)
     assert is_square_zp(7**6 - 4 * 3 * 7**4, 7).is_square
-    pair = factor_m_gt_nu(q, 16)
+    pair = factor_simple_root(q, 16)
     check_pair(q, pair, 16)
 
 
@@ -150,13 +148,13 @@ def test_m_eq_nu_scaled_subcases():
 
 def test_beta_zero_difference_of_squares():
     q = QuadInput(5, 2, None, None, -1)
-    a, b = factor_beta_zero(q, 4)
+    a, b = factor_simple_root(q, 4)
     assert a.coeffs[:2] == (5, -1) and b.coeffs[:2] == (5, 1)
 
 
 def test_beta_zero_walkthrough():
     q = QuadInput(5, 2, None, None, 1)
-    a, b = factor_beta_zero(q, 3)
+    a, b = factor_simple_root(q, 3)
     assert a.coeffs == (5, 2, 3, 2)
     assert b.coeffs == (5, -2, -2, 0)
     check_pair(q, (a, b), 3)
@@ -164,32 +162,32 @@ def test_beta_zero_walkthrough():
 
 def test_beta_zero_p2():
     q = QuadInput(2, 4, None, None, 7)  # -7 = 1 mod 8
-    pair = factor_beta_zero(q, 16)
+    pair = factor_p2_scaled(q, 16)
     check_pair(q, pair, 16)
 
 
 def test_beta_zero_rejects_nonresidue():
     with pytest.raises(ValueError):
-        factor_beta_zero(QuadInput(3, 2, None, None, 1), 8)  # -1 = 2 mod 3
+        factor_simple_root(QuadInput(3, 2, None, None, 1), 8)  # -1 = 2 mod 3
 
 
 def test_p2_m_gt_nu1_shortcut_matches_expansion():
     q = QuadInput(2, 2, 3, 1, 3)  # 4 + 8x + 3x^2 = (2 + x)(2 + 3x)
-    a, b = factor_p2_m_gt_nu1(q, 8)
+    a, b = factor_p2_scaled(q, 8)
     assert a.coeffs[:2] == (2, 1) and b.coeffs[:2] == (2, 3)
     check_pair(q, (a, b), 8)
 
 
 def test_p2_m_gt_nu1_both_mod8_branches():
     q = QuadInput(2, 2, 4, 1, 7)  # gap >= 2 needs alpha = 7 mod 8
-    check_pair(q, factor_p2_m_gt_nu1(q, 16), 16)
+    check_pair(q, factor_p2_scaled(q, 16), 16)
     q = QuadInput(2, 4, 4, 3, 3)  # gap = 1 needs alpha = 3 mod 8
-    check_pair(q, factor_p2_m_gt_nu1(q, 16), 16)
+    check_pair(q, factor_p2_scaled(q, 16), 16)
 
 
 def test_p2_m_gt_nu1_rejects_wrong_residue():
     with pytest.raises(ValueError):
-        factor_p2_m_gt_nu1(QuadInput(2, 2, 4, 1, 3), 8)
+        factor_p2_scaled(QuadInput(2, 2, 4, 1, 3), 8)
 
 
 def test_p2_m_eq_nu1_degenerate():
@@ -259,15 +257,15 @@ def test_tail_engine_deeper():
 
 def test_simple_root_tail():
     q = QuadInput(7, 2, 1, 3, 2, tail=(7,) + (0,) * 5)
-    pair = factor_simple_root_tail(q, 8)
+    pair = factor_simple_root(q, 8)
     assert verify_factorization(q.head_series(8), *pair).passed
 
 
 def test_simple_root_tail_rejects_double_roots():
     with pytest.raises(ValueError, match="simple root"):
-        factor_simple_root_tail(QuadInput(3, 2, 1, 1, -2, tail=(0, 0)), 4)
+        factor_simple_root(QuadInput(3, 2, 1, 1, -2, tail=(0, 0)), 4)
     with pytest.raises(ValueError, match="simple root"):
-        factor_simple_root_tail(QuadInput(5, 4, 2, 2, 1, tail=(0, 0)), 4)
+        factor_simple_root(QuadInput(5, 4, 2, 2, 1, tail=(0, 0)), 4)
 
 
 def test_refuses_to_factor_beyond_input_order():
@@ -276,7 +274,7 @@ def test_refuses_to_factor_beyond_input_order():
     q = QuadInput(3, 2, 1, 1, -2, tail=(9,))
     assert verify_factorization(q.head_series(5), *factor_tail(q, 5)).passed
     q = QuadInput(7, 2, 1, 3, 2)
-    assert verify_factorization(q.head_series(5), *factor_simple_root_tail(q, 5)).passed
+    assert verify_factorization(q.head_series(5), *factor_simple_root(q, 5)).passed
     # a truncated series is known only through its order
     with pytest.raises(ValueError, match="refused"):
         factor_coprime_constant(TruncSeries((6, 2, 1)), 2, 3, 3)
@@ -317,5 +315,53 @@ def test_beta_zero_randomized():
         if p != 2 and not _is_qr(-alpha, p):
             continue
         q = QuadInput(p, 2 * nu, None, None, alpha)
-        check_pair(q, factor_beta_zero(q, 24), 24)
+        engine = factor_p2_scaled if p == 2 else factor_simple_root
+        check_pair(q, engine(q, 24), 24)
         done += 1
+
+
+#: the rows whose pairs factor_simple_root and factor_p2_scaled lift from a seed root
+SEED_ROOT_ROWS = {
+    "S3.2m-lt-n", "S4.2m-lt-n", "S3.disc-square", "S4.disc-square", "S3.beta0-reducible",
+    "S4.beta0-reducible", "S5.2m-lt-n", "S5.2m-gt-n-even-qr", "S5.simple-root",
+}
+
+
+def _rows_sweep():
+    """(sha256 over every answer, rules seen) for 2,000 seeded inputs:
+    tail-free quadratics at order 8 and series with a nonzero or an
+    all-zero tail through order 8, m drawn near n/2 so that every row,
+    the integer-root heads among them, comes up."""
+    rng = random.Random(2024)
+    lines, rules = [], set()
+    for _ in range(2000):
+        p = rng.choice((2, 3, 5, 7))
+        n = rng.randint(2, 6)
+        m = beta = None
+        if rng.random() >= 0.2:
+            m = rng.choice((n // 2 or 1, n // 2 + 1, n // 2 + 2, rng.randint(1, 5)))
+            beta = rng.choice([b for b in range(-9, 10) if b % p])
+        alpha = rng.choice([a for a in range(-20, 21) if a % p])
+        zeros, digits = (0,) * rng.randint(1, 4), tuple(rng.randint(-9, 9) for _ in range(rng.randint(1, 4)))
+        tail = rng.choice(((), zeros, digits))
+        if tail:
+            f1 = 0 if beta is None else p**m * beta
+            v = classify_general(TruncSeries((p**n, f1, alpha) + tail + (0,) * (6 - len(tail))))
+        else:
+            v = classify_quadratic(QuadInput(p, n, m, beta, alpha), terms=8)
+        rules.add(v.rule)
+        pair = None if v.factors is None else tuple(s.coeffs for s in v.factors)
+        lines.append(repr((p, n, m, beta, alpha, tail, v.kind.value, v.rule, pair)))
+    return hashlib.sha256("\n".join(lines).encode()).hexdigest(), rules
+
+
+def test_simple_root_rows_keep_their_pairs():
+    # n = 2m: the pair comes from the recurrence although 5y^2 + 15y + 10
+    # has the integer roots -1 and -2
+    v = classify_general(TruncSeries((25, -15, 2, 0, 0, 0)))
+    assert v.rule == "S5.simple-root"
+    assert v.factors[0].coeffs == (5, 3, 3, 3, 3, 3)
+    assert v.factors[1].coeffs == (5, -6, 1, 0, 0, 0)
+    digest, rules = _rows_sweep()
+    assert rules >= SEED_ROOT_ROWS
+    assert digest == "b344e0fd9bdb2aec6da8c1bc7009b7e273c6dfef58e4c9a2c57732b5040bf68b"

@@ -22,6 +22,7 @@ they are for rebuilding a value already checked.
 from __future__ import annotations
 
 import enum
+import operator
 from math import gcd
 from typing import NamedTuple
 
@@ -120,7 +121,8 @@ class QuadInput(_QuadFields):
     __slots__ = ()
 
     def __new__(cls, p: int, n: int, m: int | None, beta: int | None, alpha: int, tail=()) -> QuadInput:
-        tail = tuple(map(int, tail))
+        # decimal strings parse; a float raises TypeError instead of being truncated
+        tail = tuple(int(c, 10) if isinstance(c, str) else operator.index(c) for c in tail)
         if beta == 0:
             m = beta = None
         if p.bit_length() > LIMITS.max_p_bits:
@@ -335,7 +337,7 @@ def classify_general(f: TruncSeries) -> Verdict:
     both proves the prime and finds the smallest prime-power block.
     """
     require_terms(f.order)
-    if f.is_zero():
+    if not any(f.coeffs):
         return Verdict(VerdictKind.ZERO_SERIES, "S2.zero-series")
     f0 = f.coeffs[0]
     if f0 == 0:

@@ -131,20 +131,22 @@ def _verdict_json(q: QuadInput, verdict: Verdict) -> dict:
     return out
 
 
-def _print_verdict_text(q: QuadInput, verdict: Verdict) -> None:
-    zp_word = "reducible" if discriminant_square_class(q).is_square else "irreducible"
+def _print_verdict_text(doc: dict) -> None:
+    """The text answer, rendered from the JSON document of :func:`_verdict_json`."""
+    verdict, zp = doc["verdict"], doc["zp"]
+    zp_word = "reducible" if zp["square"] else "irreducible"
     lines = [
-        f"{verdict.kind.value} (rule {verdict.rule})",
-        f"citation: {verdict.citation}",
-        f"Z_p[x] verdict: {zp_word} (discriminant {discriminant(q)})",
+        f"{verdict['kind']} (rule {verdict['rule']})",
+        f"citation: {verdict['citation']}",
+        f"Z_p[x] verdict: {zp_word} (discriminant {zp['discriminant']})",
     ]
-    if verdict.assumption:
-        lines.append(f"assumption: {verdict.assumption}")
-    if verdict.factors is not None:
-        a, b = verdict.factors
-        lines.append(f"a = [{', '.join(to_decimal_strings(a))}]")
-        lines.append(f"b = [{', '.join(to_decimal_strings(b))}]")
-        lines.append(f"verified through order {verdict.verified_order}")
+    if verdict.get("assumption"):
+        lines.append(f"assumption: {verdict['assumption']}")
+    if "factors" in doc:
+        factors = doc["factors"]
+        lines.append(f"a = [{', '.join(factors['a'])}]")
+        lines.append(f"b = [{', '.join(factors['b'])}]")
+        lines.append(f"verified through order {factors['order']}")
     # a line that cannot be built must not leave the others half printed
     print("\n".join(lines))
 
@@ -152,10 +154,11 @@ def _print_verdict_text(q: QuadInput, verdict: Verdict) -> None:
 def _answer(args, fmt: str | None) -> int:
     q, terms = _build_input(args)
     verdict = _classify(q, terms)
+    doc = _verdict_json(q, verdict)
     if fmt == "json":
-        print(json.dumps(_verdict_json(q, verdict)))
+        print(json.dumps(doc))
     else:
-        _print_verdict_text(q, verdict)
+        _print_verdict_text(doc)
     return EXIT_UNKNOWN if verdict.kind is VerdictKind.UNKNOWN else EXIT_OK
 
 
@@ -197,7 +200,7 @@ def cmd_factor(args) -> int:
     if args.format == "json":
         print(json.dumps(_verdict_json(q, verdict)))
     elif reducible:
-        _print_verdict_text(q, verdict)
+        _print_verdict_text(_verdict_json(q, verdict))
     else:
         print(verdict.kind.value)
     return EXIT_OK if reducible else EXIT_NOT_REDUCIBLE
@@ -206,29 +209,17 @@ def cmd_factor(args) -> int:
 def cmd_square(args) -> int:
     d, p = _parse_int(args.d), _parse_int(args.p)
     sq = is_square_zp(d, p)
+    residue = None if sq.unit_residue is None else str(sq.unit_residue)
     if args.format == "json":
-        print(
-            json.dumps(
-                {
-                    "d": str(d),
-                    "p": str(p),
-                    "square": sq.is_square,
-                    "zero": sq.is_zero,
-                    "valuation": sq.valuation,
-                    "unit_residue": None if sq.unit_residue is None else str(sq.unit_residue),
-                }
-            )
-        )
-        return EXIT_OK
-    word = "yes" if sq.is_square else "no"
-    if sq.is_zero:
+        doc = {"d": str(d), "p": str(p), "square": sq.is_square, "zero": sq.is_zero,
+               "valuation": sq.valuation, "unit_residue": residue}
+        print(json.dumps(doc))
+    elif sq.is_zero:
         print(f"square in Z_{p}: yes (zero)")
     else:
+        word = "yes" if sq.is_square else "no"
         base = 8 if p == 2 else p
-        print(
-            f"square in Z_{p}: {word} (valuation {sq.valuation}, unit residue "
-            f"{sq.unit_residue} mod {base})"
-        )
+        print(f"square in Z_{p}: {word} (valuation {sq.valuation}, unit residue {residue} mod {base})")
     return EXIT_OK
 
 

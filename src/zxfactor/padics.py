@@ -7,6 +7,9 @@ modulo prime powers.  Root sets are residue classes r + p^j*Z, found by
 Tonelli-Shanks square roots mod p and Hensel lifting, so the cost grows
 with the bit size of p and K, not with p^K.  Negative integers are
 handled exactly; no residue is taken until one is explicitly requested.
+One Newton lifter, ``_hensel_lift``, takes a simple root mod p of any
+integer polynomial to mod p^e: the quadratics of ``_root_classes`` and
+the degree-t head of ``series.normalize_head``.
 
 The prime layer is :func:`is_prime` (Miller-Rabin with as many bases as
 the size of n needs, Baillie-PSW from ``PROVEN_PRIME_BOUND`` on) and one
@@ -284,20 +287,30 @@ def _roots_mod_p(a: int, b: int, c: int, p: int) -> list[int]:
     return sorted({(-b + s) * inv % p, (-b - s) * inv % p})
 
 
-def _hensel_lift(a: int, b: int, c: int, t: int, p: int, e: int) -> int:
-    """Lift a simple root t mod p of a*t^2 + b*t + c to the root mod p^e.
+def _hensel_lift(f: tuple[int, ...], t: int, p: int, e: int) -> int:
+    """Lift a simple root t mod p of the integer polynomial f (coefficients
+    lowest first) to the root mod p^e by Newton steps.
 
     Each doubling carries inv = 1/f'(t) along: correct mod p^k before the
     step, one Newton step inv*(2 - f'(t)*inv) makes it correct mod p^2k.
     """
-    k, inv = 1, pow(2 * a * t + b, -1, p) if e > 1 else 0
+    df = [i * c for i, c in enumerate(f)][1:]
+    k, inv = 1, pow(_horner(df, t, p), -1, p) if e > 1 else 0
     while k < e:
         k = min(2 * k, e)
         mod = p**k
-        t = (t - (a * t * t + b * t + c) * inv) % mod
+        t = (t - _horner(f, t, mod) * inv) % mod
         if k < e:
-            inv = inv * (2 - (2 * a * t + b) * inv) % mod
+            inv = inv * (2 - _horner(df, t, mod) * inv) % mod
     return t
+
+
+def _horner(f, y: int, mod: int) -> int:
+    """f(y) mod ``mod``, for f given by its coefficients lowest first."""
+    v = 0
+    for c in reversed(f):
+        v = (v * y + c) % mod
+    return v
 
 
 def root_classes(A: int, B: int, C: int, p: int, K: int) -> list[tuple[int, int]]:
@@ -341,7 +354,7 @@ def _root_classes(A: int, B: int, C: int, p: int, K: int) -> list[tuple[int, int
         for t0 in _roots_mod_p(a, b, c, p):
             if (2 * a * t0 + b) % p:
                 e = K - w
-                classes.append((r + pj * _hensel_lift(a, b, c, t0, p, e), j + e))
+                classes.append((r + pj * _hensel_lift((c, b, a), t0, p, e), j + e))
             else:
                 pending.append((r + pj * t0, j + 1))
     return sorted(classes)

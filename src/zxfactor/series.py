@@ -7,19 +7,22 @@ here, ``poly_mul``, is the full (polynomial) product ``normalize_head``
 needs.
 
 ``normalize_head`` implements the associate-replacement step behind the
-CLI's ``normalize`` command (no factorization engine uses it): given a
-series with constant term a prime p and a unit linear coefficient, it
-produces a unit multiplier u(x) that zeroes the coefficients 2..t of the
-product while only moving the linear coefficient within its class mod p.
+CLI's ``normalize`` command (no factorization engine uses it): for a
+series a with a_0 = p prime and a_1 a unit, it builds a unit polynomial
+u with q = u*a = p + lam*x + O(x^(t+1)).  Such an a has Weierstrass
+degree one, so it has one root r in pZ_p; q vanishes there too, which
+fixes lam = -p/r mod p^t.  One Newton lift of r gives lam, and one pass
+of the triangular head system (``solve_head_system``) gives u.
 """
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from math import gcd
 
 from .limits import require_terms
-from .padics import _require_prime
+from .padics import _hensel_lift, _require_prime
 
 __all__ = [
     "TruncSeries",
@@ -43,7 +46,7 @@ class TruncSeries:
     coeffs: tuple[int, ...]
 
     def __init__(self, coeffs) -> None:
-        coeffs = tuple(map(int, coeffs))
+        coeffs = tuple(map(operator.index, coeffs))
         if not coeffs:
             raise ValueError("a truncated series needs at least the constant term")
         object.__setattr__(self, "coeffs", coeffs)
@@ -51,9 +54,6 @@ class TruncSeries:
     @property
     def order(self) -> int:
         return len(self.coeffs) - 1
-
-    def is_zero(self) -> bool:
-        return all(c == 0 for c in self.coeffs)
 
 
 def _require_order(s: TruncSeries, n: int, who: str) -> None:
@@ -90,24 +90,20 @@ def solve_head_system(a: TruncSeries, p: int, lam: int, t: int) -> list[int] | N
     return us
 
 
-def _balanced(x: int, p: int) -> int:
-    r = x % p
-    return r - p if r > p // 2 else r
-
-
 def normalize_head(a: TruncSeries, p: int, t: int) -> tuple[TruncSeries, TruncSeries]:
     """Zero the coefficients 2..t of an associate of ``a``.
 
     Requires a_0 = p, a prime within ``LIMITS``, gcd(p, a_1) = 1 and t
     within ``LIMITS.max_terms``.  Returns (u, q) where u is a unit
     polynomial (u_0 = 1, degree at most t) and q = u * a satisfies
-    q_0 = p, q_1 = a_1 (mod p) and q_2 = ... = q_t = 0.
+    q_0 = p, q_1 = lam = a_1 (mod p) and q_2 = ... = q_t = 0.
 
-    The target lam starts at the representative of a_1 mod p in [0, p).
-    At each stage the next equation either already divides out, or lam is
-    shifted by k * p^j for the unique class of k mod p that repairs it;
-    k is taken as the balanced representative and the triangular system
-    is re-solved exactly.
+    The head a_0 + a_1*y + ... + a_t*y^t has a root r = 0 mod p, simple as
+    a_1 is a unit; it is lifted to mod p^(t+1), and v_p(r) = 1.  The terms
+    of q beyond x^t are 0 mod p^(t+1) at r, so q(r) = u(r)*a(r) = 0 gives
+    lam = -p/r (mod p^t): the one class that makes the head system
+    solvable over Z.  Its member with first digit in [0, p) and the higher
+    digits balanced (in [-(p-1)/2, (p-1)/2], or {0, 1} for p = 2) is lam.
     """
     if t < 2:
         raise ValueError("t must be at least 2")
@@ -120,24 +116,13 @@ def normalize_head(a: TruncSeries, p: int, t: int) -> tuple[TruncSeries, TruncSe
     if gcd(a1, p) != 1:
         raise ValueError("need gcd(p, a_1) = 1")
 
-    lam = a1 % p
-    us = [(lam - a1) // p]
-    for j in range(1, t):
-        residual = a.coeffs[j + 1] + sum(a.coeffs[i] * us[j - i] for i in range(1, j + 1))
-        if residual % p != 0:
-            # Shifting lam by k*p^j moves this residual by (-1)^(j+1) * k * a1^j mod p.
-            coef = (-1) ** (j + 1) * pow(a1, j, p)
-            k = _balanced(-residual * pow(coef, -1, p), p)
-            lam += k * p**j
-            solved = solve_head_system(a, p, lam, j)
-            if solved is None:
-                raise AssertionError("refined head system lost integrality")
-            us = solved
-            residual = a.coeffs[j + 1] + sum(a.coeffs[i] * us[j - i] for i in range(1, j + 1))
-            if residual % p != 0:
-                raise AssertionError("lam refinement failed to clear the residual")
-        us.append(-residual // p)
-
+    pt = p**t
+    r = _hensel_lift(a.coeffs[: t + 1], 0, p, t + 1)
+    h = (pt - p) // 2 if p > 2 else 0  # the digit (p-1)/2 at p^1..p^(t-1): balances them
+    lam = (h - pow(r // p, -1, pt)) % pt - h
+    us = solve_head_system(a, p, lam, t)
+    if us is None:
+        raise AssertionError(f"the head system has no integer solution at lam = -p/r = {lam}")
     while us and us[-1] == 0:
         us.pop()
     u = TruncSeries([1] + us)
@@ -153,4 +138,7 @@ def to_decimal_strings(s: TruncSeries) -> list[str]:
 
 
 def from_decimal_strings(items) -> TruncSeries:
+    """The inverse of :func:`to_decimal_strings`: ValueError on anything but a list of strings."""
+    if not isinstance(items, list) or not all(isinstance(x, str) for x in items):
+        raise ValueError("a series must be a JSON array of decimal strings")
     return TruncSeries([int(x, 10) for x in items])

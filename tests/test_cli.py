@@ -191,6 +191,16 @@ def test_verify_failure(tmp_path, capsys):
     assert code == 1 and out.splitlines()[0] == "fail"
 
 
+@pytest.mark.parametrize("doc", [[1, 2], 5, {"1": "0"}])
+def test_verify_refuses_json_that_is_no_list_of_strings(tmp_path, capsys, doc):
+    (tmp_path / "f.json").write_text(json.dumps(["4", "2", "1"]))
+    (tmp_path / "bad.json").write_text(json.dumps(doc))
+    code = main(["verify", "--target", str(tmp_path / "f.json"),
+                 "--a", str(tmp_path / "bad.json"), "--b", str(tmp_path / "f.json")])
+    assert code == 2
+    assert "JSON array of decimal strings" in capsys.readouterr().err
+
+
 def test_batch_outputs_ordered_json(tmp_path, capsys):
     batch = tmp_path / "batch.txt"
     batch.write_text(

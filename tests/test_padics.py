@@ -10,6 +10,7 @@ from zxfactor.limits import LIMITS
 from zxfactor.oracle import brute_roots_mod, brute_square_mod
 from zxfactor.padics import (
     PROVEN_PRIME_BOUND,
+    _hensel_lift,
     _iroot,
     _is_qr,
     _root_certificate,
@@ -184,6 +185,15 @@ def test_lift_roots_matches_brute_force(case):
     assert sum(p ** (K - j) for _, j in classes) == len(roots)  # disjoint
     if classes:
         assert classes[0][0] == roots[0]
+
+
+def test_hensel_lift_of_a_cubic_matches_a_scan():
+    # y^3 - 6 has the three simple roots 3, 5 and 6 mod 7
+    f = (-6, 0, 0, 1)
+    for k in range(1, 5):
+        pk = 7**k
+        scan = [y for y in range(pk) if (y**3 - 6) % pk == 0]
+        assert sorted(_hensel_lift(f, t0, 7, k) for t0 in (3, 5, 6)) == scan
 
 
 def test_root_classes_keep_repeated_roots_whole():

@@ -1,8 +1,10 @@
+import hashlib
 import random
 
 import pytest
 from hypothesis import given, strategies as st
 
+import zxfactor.series
 from test_acceptance import convolution
 from zxfactor.series import (
     TruncSeries,
@@ -65,6 +67,43 @@ def test_normalize_head_randomized():
         assert convolution(u.coeffs, a.coeffs, t) == q.coeffs[: t + 1]
 
 
+def test_normalize_head_sweep_is_pinned():
+    # digest of (u, q) over 300 seeded heads, recorded from the stage-by-stage
+    # lam search this root-based construction replaced
+    rng = random.Random(1307)
+    digest = hashlib.sha256()
+    for _ in range(300):
+        p = rng.choice((2, 2, 3, 5, 7, 13, 101))
+        t = rng.randint(2, 40)
+        bound = rng.choice((3, 10**6, 10**30))
+        coeffs = [p] + [rng.randint(-bound, bound) for _ in range(t + rng.randint(0, 2))]
+        while coeffs[1] % p == 0:
+            coeffs[1] = rng.randint(-bound, bound)
+        u, q = normalize_head(TruncSeries(coeffs), p, t)
+        digest.update(f"{u.coeffs} {q.coeffs}\n".encode())
+    assert digest.hexdigest() == "26985a25bb11b50ed7afbb43a75f340df309a0c4494f54ea00207a2a63bad80c"
+
+
+def test_normalize_head_lifts_once_and_solves_once(monkeypatch):
+    calls = {"lift": 0, "solve": 0}
+    lift, solve = zxfactor.series._hensel_lift, zxfactor.series.solve_head_system
+
+    def counted_lift(*args):
+        calls["lift"] += 1
+        return lift(*args)
+
+    def counted_solve(*args):
+        calls["solve"] += 1
+        return solve(*args)
+
+    monkeypatch.setattr(zxfactor.series, "_hensel_lift", counted_lift)
+    monkeypatch.setattr(zxfactor.series, "solve_head_system", counted_solve)
+    rng = random.Random(8)
+    coeffs = [101] + [rng.randint(-100, 100) or 1 for _ in range(60)]
+    normalize_head(TruncSeries(coeffs), 101, 60)
+    assert calls == {"lift": 1, "solve": 1}
+
+
 def test_lambda_shift_congruences():
     # shifting lam by k*p^j keeps u_1..u_(j-1) mod p and moves u_j by
     # (-1)^(j+1) * k * a_1^(j-1) mod p
@@ -109,3 +148,16 @@ def test_serialization_roundtrip():
     s = TruncSeries((10**40, -3, 0, 7))
     assert from_decimal_strings(to_decimal_strings(s)) == s
     assert to_decimal_strings(s)[0] == str(10**40)
+
+
+def test_non_integer_coefficients_are_refused():
+    with pytest.raises(TypeError):
+        TruncSeries([9, 3.9, 1])
+    with pytest.raises(TypeError):
+        TruncSeries([9, "3", 1])
+
+
+@pytest.mark.parametrize("items", [[1, 2], 5, {"1": "0"}, ["1", 2]])
+def test_from_decimal_strings_takes_only_a_list_of_strings(items):
+    with pytest.raises(ValueError, match="JSON array of decimal strings"):
+        from_decimal_strings(items)

@@ -116,6 +116,11 @@ def test_quad_input_keywords_and_normal_form():
     assert q.head_series(5).coeffs == (49, 21, 51, 0, 49, 0)
 
 
+def test_quad_input_refuses_a_non_integer_tail():
+    with pytest.raises(TypeError):
+        QuadInput(3, 2, 1, 1, 1, tail=[2.7])
+
+
 def test_classify_general_proves_p_once(monkeypatch):
     # the constant-term search tests p^2, then its root p; the head and
     # the zero-tail fallback rebuild their QuadInput without a second proof

@@ -115,14 +115,17 @@ class QuadInput(_QuadFields):
 
     ``beta is None`` (with ``m is None``) is the beta = 0 form.  The tail
     lists c_3, c_4, ... and is taken as exactly zero beyond its length.
-    Construction proves p prime, once.
+    Construction proves p prime, once, and takes integers only: a float or
+    a string raises TypeError (``operator.index``), as in ``TruncSeries``.
     """
 
     __slots__ = ()
 
     def __new__(cls, p: int, n: int, m: int | None, beta: int | None, alpha: int, tail=()) -> QuadInput:
-        # decimal strings parse; a float raises TypeError instead of being truncated
-        tail = tuple(int(c, 10) if isinstance(c, str) else operator.index(c) for c in tail)
+        p, n, alpha = operator.index(p), operator.index(n), operator.index(alpha)
+        m = None if m is None else operator.index(m)
+        beta = None if beta is None else operator.index(beta)
+        tail = tuple(map(operator.index, tail))
         if beta == 0:
             m = beta = None
         if p.bit_length() > LIMITS.max_p_bits:

@@ -21,7 +21,10 @@ valuation of beta^2 - 4*alpha, of beta^2 - alpha when p = 2):
     factor_tail                 (p, p^2, p^2)                   1
     factor_m_eq_nu, nu>l        A = p^(nu-l)                    2
 
-Lag one is :func:`_lift`, lag two :func:`_lift2`.  Every engine takes a
+Lag one is :func:`_lift`, lag two :func:`_lift2`.  The engines ask
+their Z_p questions through the classifier's helpers: whether a
+discriminant is a square (``padics._square_class``) and the roots of a
+seed quadratic (``padics._root_classes``).  Every engine takes a
 :class:`~zxfactor.classify.QuadInput` and the order, and checks its
 finished pair once with :func:`~zxfactor.oracle.verify_factorization`
 against the input through that order; a nonzero residual or a unit head
@@ -43,7 +46,7 @@ from typing import TYPE_CHECKING
 
 from .limits import require_terms
 from .oracle import verify_factorization
-from .padics import _is_qr, _root_certificate, _root_classes, _valuation
+from .padics import _root_classes, _square_class, _valuation
 from .series import TruncSeries
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -102,6 +105,13 @@ def _verified(tag: str, targets, a: list[int], b: list[int], n: int):
             f"unit head: a_0 {not report.a0_proper}, b_0 {not report.b0_proper}"
         )
     return pair
+
+
+def _square_half_valuation(core: int, p: int, what: str) -> int:
+    """l = v(core)/2 for a core that is a square in Z_p; ValueError otherwise."""
+    sq = _square_class(*_valuation(core, p), p)
+    _require(sq.is_square, f"{what} is not a square in Z_{p}: input is irreducible")
+    return sq.valuation // 2
 
 
 def _smallest_root(A: int, B: int, C: int, p: int, K: int, tag: str) -> int:
@@ -227,12 +237,14 @@ def factor_simple_root(q: "QuadInput", n: int) -> tuple[TruncSeries, TruncSeries
 def factor_m_eq_nu(q: "QuadInput", n: int) -> tuple[TruncSeries, TruncSeries]:
     """Split p^(2nu) + p^nu*beta*x + alpha*x^2 with p odd and m = nu.
 
-    Needs beta^2 - 4*alpha = p^(2l) * q with q a residue unit mod p (or a
-    perfect integer square, which short-circuits to polynomial factors).
-    A root certificate at precision 3*max(l, nu) supplies a_1 = a with
-    g(a) = p^mu * r and beta - 2a = p^l * t.  For nu > l the seed a_2 is
-    0 and the lag-two core runs with A = p^(nu-l); for nu <= l the seed
-    is a_2 = p^(mu-nu-l) * z * a_1 with z = -r/t mod p^nu.
+    Needs beta^2 - 4*alpha = p^(2l) * q, a square in Z_p (a perfect
+    integer square short-circuits to polynomial factors).  The seed a_1 = a
+    is the smallest root of g(y) = y^2 - beta*y + alpha mod p^(3*max(l, nu)),
+    with g(a) = p^mu * r and beta - 2a = p^l * t for units r, t: past the
+    shortcut g has no integer root, and beta = 2a would give g(a) the
+    valuation 2l, below the precision.  For nu > l the seed a_2 is 0 and
+    the lag-two core runs with A = p^(nu-l); for nu <= l the seed is
+    a_2 = p^(mu-nu-l) * z * a_1 with z = -r/t mod p^nu.
     """
     _require(not q.tail, "engine takes no tail")
     _require(q.beta is not None and q.n % 2 == 0 and q.m == q.n // 2, "engine needs m = n/2")
@@ -244,20 +256,16 @@ def factor_m_eq_nu(q: "QuadInput", n: int) -> tuple[TruncSeries, TruncSeries]:
     pair = _integer_split(targets, pn, pn, n, "m=nu poly")
     if pair is not None:
         return pair
-    t, u = _valuation(beta * beta - 4 * alpha, p)
-    _require(t % 2 == 0, "discriminant has odd valuation: input is irreducible")
-    ell = t // 2
-    _require(_is_qr(u, p), "discriminant unit is a non-residue: input is irreducible")
-    cert = _root_certificate(beta, alpha, p, 3 * max(ell, nu))
-    if cert is None or cert.mu is None or cert.ell != ell:
-        raise EngineInvariantError("m=nu: certificate disagrees with the discriminant data")
+    ell = _square_half_valuation(beta * beta - 4 * alpha, p, "beta^2 - 4*alpha")
+    a = _smallest_root(1, -beta, alpha, p, 3 * max(ell, nu), "m=nu")
+    mu, r = _valuation(a * a - beta * a + alpha, p)
+    ell_a, t_unit = _valuation(beta - 2 * a, p)
+    if ell_a != ell:
+        raise EngineInvariantError("m=nu: the seed root disagrees with the discriminant data")
     if nu > ell:
-        return _lift2("m=nu nu>l", targets, n, [pn, cert.a, 0], p ** (nu - ell))
-    z = -cert.r * pow(cert.t_unit, -1, pn) % pn
-    a2 = p ** (cert.mu - nu - ell) * z * cert.a
-    return _lift(
-        "m=nu nu<=l", targets, n, [pn, cert.a, a2], pn, p**ell, p ** (3 * ell - nu), p ** (2 * ell)
-    )
+        return _lift2("m=nu nu>l", targets, n, [pn, a, 0], p ** (nu - ell))
+    a2 = p ** (mu - nu - ell) * (-r * pow(t_unit, -1, pn) % pn) * a
+    return _lift("m=nu nu<=l", targets, n, [pn, a, a2], pn, p**ell, p ** (3 * ell - nu), p ** (2 * ell))
 
 
 def factor_p2_scaled(q: "QuadInput", n: int) -> tuple[TruncSeries, TruncSeries]:
@@ -289,9 +297,10 @@ def factor_p2_scaled(q: "QuadInput", n: int) -> tuple[TruncSeries, TruncSeries]:
 def factor_p2_m_eq_nu1(q: "QuadInput", n: int) -> tuple[TruncSeries, TruncSeries]:
     """Split 4^nu + 2^(nu+1)*beta*x + alpha*x^2 for p = 2 and m = nu + 1.
 
-    Needs beta^2 - alpha = 2^(2l) * q with q = 1 mod 8 (perfect squares
-    short-circuit).  Seeds from a root a_1 of y^2 - 2*beta*y + alpha mod
-    2^(2l+nu+2); the odd step unit is u = (beta - a_1)/2^l.
+    Needs beta^2 - alpha = 2^(2l) * q, a square in Z_2: q = 1 mod 8
+    (perfect squares short-circuit).  Seeds from a root a_1 of
+    y^2 - 2*beta*y + alpha mod 2^(2l+nu+2); the odd step unit is
+    u = (beta - a_1)/2^l.
     """
     _require(not q.tail, "engine takes no tail")
     _require(q.beta is not None and q.n % 2 == 0, "engine needs beta != 0 and even n")
@@ -304,10 +313,7 @@ def factor_p2_m_eq_nu1(q: "QuadInput", n: int) -> tuple[TruncSeries, TruncSeries
     pair = _integer_split(targets, pn, pn, n, "p2 m=nu+1 poly")
     if pair is not None:
         return pair
-    t, u = _valuation(beta * beta - alpha, 2)
-    _require(t % 2 == 0, "beta^2 - alpha has odd valuation: input is irreducible")
-    _require(u % 8 == 1, "beta^2 - alpha unit is not 1 mod 8: input is irreducible")
-    ell = t // 2
+    ell = _square_half_valuation(beta * beta - alpha, 2, "beta^2 - alpha")
     a1 = _smallest_root(1, -2 * beta, alpha, 2, 2 * ell + nu + 2, "p2 m=nu+1")
     return _lift(
         "p2 m=nu+1", targets, n, [pn, a1], pn, 2 ** (ell + 1), 4 ** (ell + 1), 4 ** (ell + 1)
@@ -342,20 +348,19 @@ def factor_coprime_constant(
 def factor_tail(q: "QuadInput", n: int) -> tuple[TruncSeries, TruncSeries]:
     """Split p^2 + p*beta*x + alpha*x^2 + (tail divisible by p^2).
 
-    Preconditions checked here: beta^2 - 4*alpha = p^2 * u with u a
-    residue unit mod p, and p^2 | c_k for every k >= 3.  The root a_1 of
-    y^2 - beta*y + alpha mod p^3 is bumped past exact integer roots so
-    that g(a_1) is nonzero; then beta - 2*a_1 = p*t with t the step unit,
-    and the tail's divisibility by p^2 = D keeps every order divisible.
+    Preconditions checked here: beta^2 - 4*alpha = p^2 * u, a square in
+    Z_p, and p^2 | c_k for every k >= 3.  The root a_1 of y^2 - beta*y +
+    alpha mod p^3 is bumped past exact integer roots so that g(a_1) is
+    nonzero; then beta - 2*a_1 = p*t with t the step unit, and the
+    tail's divisibility by p^2 = D keeps every order divisible.
     """
     _require(q.beta is not None and q.n == 2 and q.m == 1, "engine needs n = 2 and m = 1")
     _require(n >= 2, "factor order must be at least 2")
     p, beta, alpha = q.p, q.beta, q.alpha
     core = beta * beta - 4 * alpha
     _require(core != 0, "zero discriminant is outside this engine")
-    t, u = _valuation(core, p)
-    _require(t == 2, "discriminant must be exactly p^2 * unit")
-    _require(_is_qr(u, p), "discriminant unit must be a residue mod p")
+    ell = _square_half_valuation(core, p, "beta^2 - 4*alpha")
+    _require(ell == 1, "discriminant must be exactly p^2 * unit")
     bad = [k for k, c in enumerate(q.tail, 3) if c % (p * p)]
     _require(not bad, f"tail coefficients not divisible by p^2 at orders {bad}")
     a1 = _smallest_root(1, -beta, alpha, p, 3, "tail engine")

@@ -1,12 +1,12 @@
 """Exact p-adic arithmetic over the integers, and the prime layer under it.
 
 Everything here works with ordinary (arbitrary-precision) integers viewed
-as elements of Z_p: valuations and unit parts, quadratic-residue tests,
-classification of squares in Z_p, and the roots of quadratic congruences
-modulo prime powers.  Root sets are residue classes r + p^j*Z, found by
-Tonelli-Shanks square roots mod p and Hensel lifting, so the cost grows
-with the bit size of p and K, not with p^K.  Negative integers are
-handled exactly; no residue is taken until one is explicitly requested.
+as elements of Z_p: valuations and unit parts, classification of squares
+in Z_p, and the roots of quadratic congruences modulo prime powers.  Root
+sets are residue classes r + p^j*Z, found by Tonelli-Shanks square roots
+mod p and Hensel lifting, so the cost grows with the bit size of p and
+K, not with p^K.  Negative integers are handled exactly; no residue is
+taken until one is explicitly requested.
 One Newton lifter, ``_hensel_lift``, takes a simple root mod p of any
 integer polynomial to mod p^e: the quadratics of ``_root_classes`` and
 the degree-t head of ``series.normalize_head``.
@@ -18,12 +18,11 @@ public functions that take a prime p, :func:`is_square_zp` and
 :func:`root_classes`, refuse a p beyond ``LIMITS.max_p_bits`` and prove
 it with :func:`is_prime`.  The classifier and the engines prove p once
 per answer and then call the private helpers (``_valuation``,
-``_is_qr``, ``_square_class``, ``_root_classes``, ``_root_certificate``),
-which do not test p again.
+``_square_class``, ``_root_classes``), which do not test p again: the
+one square test in Z_p and the one root finder mod p^K that both use.
 
-All functions are pure and all returned values are immutable: the
-value types (``SquareClass``, ``RootCertificate``) are NamedTuples,
-compared and hashed as tuples.
+All functions are pure and all returned values are immutable: the value
+type ``SquareClass`` is a NamedTuple, compared and hashed as a tuple.
 """
 
 from __future__ import annotations
@@ -36,7 +35,6 @@ from .limits import LIMITS, require_power
 __all__ = [
     "PROVEN_PRIME_BOUND",
     "SquareClass",
-    "RootCertificate",
     "is_prime",
     "is_square_zp",
     "root_classes",
@@ -195,15 +193,6 @@ def _valuation(d: int, p: int) -> tuple[int, int]:
     return 2 * s + 1, e // p
 
 
-def _is_qr(u: int, p: int) -> bool:
-    """Euler's criterion: is u a square modulo the odd prime p?"""
-    if p == 2:
-        raise ValueError("use the mod-8 unit rule for p = 2, not Euler's criterion")
-    if gcd(u, p) != 1:
-        raise ValueError(f"u = {u} is not coprime to p = {p}")
-    return pow(u, (p - 1) // 2, p) == 1
-
-
 class SquareClass(NamedTuple):
     """Whether an integer is a square in Z_p, with the deciding evidence.
 
@@ -358,24 +347,6 @@ def _root_classes(A: int, B: int, C: int, p: int, K: int) -> list[tuple[int, int
             else:
                 pending.append((r + pj * t0, j + 1))
     return sorted(classes)
-
-
-class RootCertificate(NamedTuple):
-    """A lifted root a of y^2 - beta*y + alpha modulo p^K, with evidence.
-
-    ``mu`` is the exact valuation of g(a) and ``r`` its cofactor, so that
-    g(a) = p^mu * r with gcd(p, r) = 1; ``mu is None`` is the infinite
-    sentinel for an exact integer root (then r = 0).  ``ell``/``t_unit``
-    decompose beta - 2a = p^ell * t_unit the same way (``ell is None``
-    when beta - 2a = 0).
-    """
-
-    a: int
-    K: int
-    mu: int | None
-    r: int
-    ell: int | None
-    t_unit: int
 
 
 # ---------------------------------------------------------------------------
@@ -584,38 +555,3 @@ def _rho(n: int, budget: int) -> int | None:
                 g = gcd(x - ys, n)
         if g != n:
             return g
-
-
-def _root_certificate(beta: int, alpha: int, p: int, K: int) -> RootCertificate | None:
-    """Certificate for a root of g(y) = y^2 - beta*y + alpha mod p^K.
-
-    Returns None when g has no root mod p^K.  Otherwise picks the
-    smallest non-negative root mod p^K whose value g(a) is nonzero (so
-    the valuation data is finite); only when every root is an exact
-    integer root of g does the certificate carry the infinite-mu
-    sentinel.  g has at most two integer roots, so the pick is among the
-    three smallest members of each root class of :func:`root_classes`.
-    """
-    classes = _root_classes(1, -beta, alpha, p, K)
-    if not classes:
-        return None
-    pK = p**K
-    roots = sorted(y for r, j in classes for y in (r, r + p**j, r + 2 * p**j) if y < pK)
-
-    def g(y: int) -> int:
-        return y * y - beta * y + alpha
-
-    a = next((y for y in roots if g(y) != 0), None)
-    if a is None:
-        a = roots[0]
-        mu: int | None = None
-        r = 0
-    else:
-        mu, r = _valuation(g(a), p)
-    d = beta - 2 * a
-    if d == 0:
-        ell: int | None = None
-        t_unit = 0
-    else:
-        ell, t_unit = _valuation(d, p)
-    return RootCertificate(a, K, mu, r, ell, t_unit)

@@ -113,6 +113,17 @@ def test_general_prime_constant():
     assert classify_general(TruncSeries((-3, 9, 9))).kind is VerdictKind.IRREDUCIBLE
 
 
+def test_general_constant_prime_power():
+    # a constant +-p^n with n >= 2 splits as p times p^(n-1), for the zero extension
+    for c, pair in ((8, ((2,), (4,))), (-8, ((-2,), (4,))), (9, ((3,), (3,)))):
+        f = TruncSeries([c])
+        v = classify_general(f)
+        assert v.kind is VerdictKind.REDUCIBLE and v.rule == "S2.constant"
+        assert v.conditional_on_truncation
+        assert tuple(s.coeffs for s in v.factors) == pair
+        assert verify_factorization(f, *v.factors).passed
+
+
 def test_general_zero_and_x_rules():
     assert classify_general(TruncSeries((0, 0, 0))).kind is VerdictKind.ZERO_SERIES
     assert classify_general(TruncSeries((0, 1, 7))).rule == "S2.x-associate"

@@ -134,6 +134,11 @@ def test_roots_golden(capsys):
     assert out.strip() == "7, 18"
     code, out = run(capsys, "roots", "--A", "1", "--B", "0", "--C", "1", "--p", "3", "--k", "1")
     assert out.strip() == "none"
+    # a precision below one digit is refused
+    code = main(["roots", "--A", "1", "--B", "0", "--C", "1", "--p", "5", "--k", "0"])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err == "error: K must be a positive integer\n"
 
 
 def test_roots_refuses_to_list_too_many(capsys):

@@ -15,7 +15,7 @@ from zxfactor.factor import (
     factor_tail,
 )
 from zxfactor.oracle import verify_factorization
-from zxfactor.padics import _is_qr, is_square_zp
+from zxfactor.padics import _square_class, is_square_zp
 from zxfactor.series import TruncSeries
 
 RNG_SEED = 42
@@ -125,6 +125,8 @@ def test_m_eq_nu_certificate_case():
     q = QuadInput(7, 2, 1, 3, 51)
     pair = factor_m_eq_nu(q, 32)
     check_pair(q, pair, 32)
+    # the seed is the smallest root of y^2 - 3y + 51 mod 7^3, with g(50) = 7^4
+    assert pair[0].coeffs[:3] == (7, 50, 0)
 
 
 def test_m_eq_nu_rejects_nonsquare_disc():
@@ -233,6 +235,10 @@ def test_coprime_constant_more():
 def test_coprime_constant_rejects_bad_split():
     with pytest.raises(ValueError):
         factor_coprime_constant(TruncSeries((12, 0)), 2, 6, 1)
+    # a unit part would make its factor a unit
+    for u, v in ((1, 12), (-1, -12), (12, 1)):
+        with pytest.raises(ValueError, match="both parts of size at least 2"):
+            factor_coprime_constant(TruncSeries((12, 0)), u, v, 1)
 
 
 def test_tail_engine_walkthrough():
@@ -310,9 +316,7 @@ def test_beta_zero_randomized():
         p = rng.choice((2, 3, 5, 7))
         nu = rng.randint(1, 4)
         alpha = rng.choice([a for a in range(-30, 31) if a and a % p])
-        if p == 2 and alpha % 8 != 7:
-            continue
-        if p != 2 and not _is_qr(-alpha, p):
+        if not _square_class(0, -alpha, p).is_square:  # -alpha = 1 mod 8 when p = 2
             continue
         q = QuadInput(p, 2 * nu, None, None, alpha)
         engine = factor_p2_scaled if p == 2 else factor_simple_root
@@ -365,3 +369,46 @@ def test_simple_root_rows_keep_their_pairs():
     digest, rules = _rows_sweep()
     assert rules >= SEED_ROOT_ROWS
     assert digest == "b344e0fd9bdb2aec6da8c1bc7009b7e273c6dfef58e4c9a2c57732b5040bf68b"
+
+
+def _engines_sweep():
+    """(sha256 over every outcome, outcomes seen) for 6,000 seeded calls of
+    the three engines that test a discriminant themselves: factor_m_eq_nu,
+    factor_p2_m_eq_nu1 and factor_tail, a third each.  Half the inputs aim
+    the discriminant at p^(2l) times a unit, so that every check fails on
+    some of them and the rest split; an outcome is the pair or the class
+    of the error raised."""
+    rng = random.Random(14)
+    lines, seen = [], set()
+    engines = (factor_m_eq_nu, factor_p2_m_eq_nu1, factor_tail)
+    for i in range(6000):
+        kind = i % 3
+        p = (rng.choice((3, 5, 7, 11, 13)), 2, rng.choice((2, 3, 5, 7)))[kind]
+        nu = 1 if kind == 2 else rng.randint(1, 4)
+        beta = rng.choice([b for b in range(-60, 61) if b % p])
+        alpha = rng.choice([a for a in range(-300, 301) if a % p])
+        if rng.random() < 0.5:
+            ell = 1 if kind == 2 else rng.randint(0, 3)
+            w = rng.choice([c for c in range(-40, 41) if c % p])
+            core = beta * beta - p ** (2 * ell + rng.choice((0, 0, 1))) * w
+            a = core if kind == 1 else core // 4 if core % 4 == 0 else 0
+            alpha = a if a % p else alpha
+        tail = ()
+        if kind == 2 and rng.random() < 0.7:
+            tail = tuple(rng.randint(-4, 4) * rng.choice((p * p,) * 9 + (1,)) for _ in range(rng.randint(1, 4)))
+        order = rng.randint(2, 12)
+        q = QuadInput(p, 2 * nu, nu + 1 if kind == 1 else nu, beta, alpha, tail)
+        try:
+            outcome = tuple(s.coeffs for s in engines[kind](q, order))
+        except (ValueError, EngineInvariantError) as e:
+            outcome = type(e).__name__
+        seen.add((kind, outcome if isinstance(outcome, str) else "pair"))
+        lines.append(repr((q, order, outcome)))
+    return hashlib.sha256("\n".join(lines).encode()).hexdigest(), seen
+
+
+def test_discriminant_engines_keep_their_pairs():
+    digest, seen = _engines_sweep()
+    assert seen == {(kind, outcome) for kind in range(3) for outcome in ("pair", "ValueError")}
+    assert digest == "095f6ce8af1632b62b4962f940ead62586efddf631aef32be6a35ad8a7deb1ca"
+

@@ -12,8 +12,6 @@ from zxfactor.padics import (
     PROVEN_PRIME_BOUND,
     _hensel_lift,
     _iroot,
-    _is_qr,
-    _root_certificate,
     _smallest_block,
     _sqrt_mod_prime,
     _square_class,
@@ -71,23 +69,21 @@ def test_prime_power_decompose_large_exponent():
 
 
 def test_qr_examples():
-    assert _is_qr(1, 7) is True
-    assert _is_qr(-1, 5) is True  # 2^2 = 4 = -1 mod 5
-    assert _is_qr(-1, 3) is False  # squares mod 3 are {0, 1}
+    # a unit is a square in Z_p exactly when it is a residue mod p (odd p)
+    assert _square_class(0, 1, 7).is_square is True
+    assert _square_class(0, -1, 5).is_square is True  # 2^2 = 4 = -1 mod 5
+    assert _square_class(0, -1, 3).is_square is False  # squares mod 3 are {0, 1}
 
 
 def test_qr_matches_enumeration():
-    for p in (3, 5, 7, 11, 13):
-        squares = {y * y % p for y in range(1, p)}
-        for u in range(1, p):
-            assert _is_qr(u, p) == (u in squares)
-
-
-def test_qr_errors():
-    with pytest.raises(ValueError):
-        _is_qr(3, 2)
-    with pytest.raises(ValueError):
-        _is_qr(10, 5)
+    # the odd unit squares mod 8 are {1}: the p = 2 rule
+    for p, mod in ((2, 8), (3, 3), (5, 5), (7, 7), (11, 11), (13, 13)):
+        squares = {y * y % mod for y in range(1, mod) if y % p}
+        for u in range(1, mod):
+            if u % p:
+                assert _square_class(0, u, p).is_square == (u in squares)
+                assert _square_class(2, u, p).is_square == (u in squares)
+                assert _square_class(1, u, p).is_square is False
 
 
 def test_square_zp_paper_discriminant():
@@ -230,52 +226,6 @@ def test_sqrt_mod_prime_against_sympy(n, a):
         assert s is None
     else:
         assert s in expected
-
-
-def test_root_certificate_nondegenerate():
-    # y^2 - 3y + 51 mod 7^3 has roots {50, 296}; 50 is the canonical pick
-    cert = _root_certificate(3, 51, 7, 3)
-    assert cert.a == 50 and cert.K == 3
-    assert cert.mu == 4 and cert.r == 1  # g(50) = 2401 = 7^4
-    assert cert.ell == 0 and cert.t_unit == -97
-
-
-def test_root_certificate_exact_root_sentinel():
-    cert = _root_certificate(3, 2, 7, 1)  # (y-1)(y-2)
-    assert cert.a in (1, 2) and cert.mu is None and cert.r == 0
-
-
-def test_root_certificate_root_mod_p_exists_for_zero_disc_residue():
-    # y^2 - y - 1 has the double root 3 mod 5 even though disc 5 has odd valuation
-    cert = _root_certificate(1, -1, 5, 1)
-    assert cert is not None and cert.a == 3
-    assert cert.mu == 1 and cert.r == 1
-    assert _root_certificate(1, -1, 5, 2) is None
-
-
-def test_root_certificate_invariants_randomized():
-    rng = random.Random(99)
-    for _ in range(150):
-        p = rng.choice(PRIMES)
-        K = rng.randint(1, 4)
-        beta, alpha = rng.randint(-40, 40), rng.randint(-40, 40)
-        cert = _root_certificate(beta, alpha, p, K)
-        expect_roots = brute_roots_mod(1, -beta, alpha, p, K)
-        if cert is None:
-            assert not expect_roots
-            continue
-        assert cert.a % p**K in expect_roots
-        g = cert.a**2 - beta * cert.a + alpha
-        if cert.mu is None:
-            assert g == 0 and cert.r == 0
-        else:
-            assert g == p**cert.mu * cert.r and cert.r % p != 0
-            assert cert.mu >= K
-        if cert.ell is None:
-            assert beta - 2 * cert.a == 0
-        else:
-            assert beta - 2 * cert.a == p**cert.ell * cert.t_unit
-            assert cert.t_unit % p != 0
 
 
 def test_prime_power_decompose():

@@ -14,7 +14,7 @@ from zxfactor.classify import (
     discriminant_square_class,
 )
 from zxfactor.oracle import VerificationReport, verify_factorization
-from zxfactor.padics import RootCertificate, SquareClass, _root_certificate, is_square_zp
+from zxfactor.padics import SquareClass, is_square_zp
 from zxfactor.series import TruncSeries
 
 P = 10**12 + 39
@@ -28,7 +28,7 @@ def _instances():
         (lambda: classify_quadratic(QuadInput(7, 2, 1, 3, 51), terms=4)),
         (lambda: is_square_zp(98, 7)),
         (lambda: classify_general(TruncSeries([12, 1, 1]))),  # a verdict holding a factor pair
-        (lambda: _root_certificate(3, 51, 7, 3)),
+        (lambda: classify_general(TruncSeries([8]))),  # a verdict with an assumption, conditional
         (lambda: verify_factorization(f, a, b)),
     ]
 
@@ -53,7 +53,7 @@ def test_equal_fields_give_equal_objects_and_hashes(build):
 
 
 def test_converted_types():
-    for cls in (QuadInput, Verdict, SquareClass, RootCertificate, VerificationReport):
+    for cls in (QuadInput, Verdict, SquareClass, VerificationReport):
         assert issubclass(cls, tuple)
 
 
@@ -70,7 +70,6 @@ def test_repr_is_unchanged():
         "valuation=5, unit_residue=4), factors=None, verified_order=None, assumption=None, "
         "conditional_on_truncation=False)"
     )
-    assert repr(_root_certificate(3, 51, 7, 3)) == "RootCertificate(a=50, K=3, mu=4, r=1, ell=0, t_unit=-97)"
 
 
 def test_verdict_defaults_and_citation():
@@ -97,7 +96,7 @@ CONSTRUCTION_ERRORS = [
     ((5, 2, 1, 1, 10), {}, "input outside theorem hypotheses: gcd(p, alpha) must be 1"),
     ((6, 0, 0, 6, 6), {}, "input outside theorem hypotheses: p = 6 is not prime"),
     ((5, 0, 0, 5, 5), {}, "input outside theorem hypotheses: need n >= 1"),
-    ((6, 2, 1, 1, 1), {"tail": ("x",)}, "invalid literal for int() with base 10: 'x'"),
+    ((5, 2, None, 1, 10), {}, "beta and m must be given together (or both absent for beta = 0)"),
     ((5, 2, -1, 0, 10), {}, "input outside theorem hypotheses: gcd(p, alpha) must be 1"),
 ]
 
@@ -110,15 +109,29 @@ def test_quad_input_errors_keep_their_messages(args, kwargs, message):
 
 
 def test_quad_input_keywords_and_normal_form():
-    q = QuadInput(p=7, n=2, m=1, beta=3, alpha=51, tail=[0, "49"])
+    q = QuadInput(p=7, n=2, m=1, beta=3, alpha=51, tail=[0, 49])
     assert q == QuadInput(7, 2, 1, 3, 51, (0, 49)) and q.tail == (0, 49)
     assert QuadInput(5, 2, 1, 0, 2) == QuadInput(p=5, n=2, m=None, beta=None, alpha=2)
     assert q.head_series(5).coeffs == (49, 21, 51, 0, 49, 0)
 
 
 def test_quad_input_refuses_a_non_integer_tail():
-    with pytest.raises(TypeError):
-        QuadInput(3, 2, 1, 1, 1, tail=[2.7])
+    # every field is an integer: a float is not truncated
+    for args, tail in (
+        ((3, 2, 1, 1, 1), [2.7]),
+        ((7, 2.0, 1, 3, 51), ()),
+        ((7, 2, 1.0, 3, 51), ()),
+        ((7.0, 2, 1, 3, 51), ()),
+    ):
+        with pytest.raises(TypeError, match="cannot be interpreted as an integer"):
+            QuadInput(*args, tail=tail)
+
+
+def test_quad_input_refuses_a_string_tail():
+    # a decimal string is not parsed, whether or not it reads as an integer
+    for args, tail in (((3, 2, 1, 1, 1), ["49"]), ((6, 2, 1, 1, 1), ("x",))):
+        with pytest.raises(TypeError, match="'str' object cannot be interpreted as an integer"):
+            QuadInput(*args, tail=tail)
 
 
 def test_classify_general_proves_p_once(monkeypatch):

@@ -194,7 +194,7 @@ def discriminant_square_class(q: QuadInput) -> SquareClass:
     terms of core has valuation at most 2 (beta and alpha are units), so
     once the other carries p^e with e >= 5 it changes neither the
     valuation of core nor its unit part mod p^3, which decides the class
-    (mod p, or mod 8 for p = 2); core is then that term alone.
+    (mod p, or mod 8 for p = 2); that power of p is therefore capped at p^5.
     """
     p, n, alpha = q.p, q.n, q.alpha
     if q.beta is None:
@@ -202,12 +202,10 @@ def discriminant_square_class(q: QuadInput) -> SquareClass:
     else:
         gap = 2 * q.m - n
         lo = min(2 * q.m, n)
-        if gap >= 5:
-            core = -4 * alpha
-        elif gap <= -5:
-            core = q.beta**2
+        if gap >= 0:
+            core = p ** min(gap, 5) * q.beta**2 - 4 * alpha
         else:
-            core = p ** max(gap, 0) * q.beta**2 - 4 * alpha * p ** max(-gap, 0)
+            core = q.beta**2 - 4 * alpha * p ** min(-gap, 5)
     if core == 0:
         return SquareClass(True, True)
     t, u = _valuation(core, p)

@@ -2,9 +2,10 @@
 
 Each engine turns a classified-reducible input into an explicit pair of
 power-series factors a, b through a requested order N.  The engines
-differ only in their hypothesis checks and their seeds: the first
-coefficients of a and the head b_0 = scale * a_0.  One core extends the
-seeds order by order.  At stage m it sets a_m = A * ~a_m, where ~a_m is
+differ only in their hypothesis checks and their seeds, the first
+coefficients of a; the input fixes b = f/a (``series._quotient``) up to
+the first unknown a_k, so b_0 = f_0/a_0 = scale * a_0.  One core extends
+the seeds order by order.  At stage m it sets a_m = A * ~a_m, where ~a_m is
 the canonical residue modulo a_0 * S / D that keeps order m + lag of the
 product divisible, and b_m then follows exactly from order m.  That
 residue is c^-1 times the order's remainder, where c is a unit modulo
@@ -47,7 +48,7 @@ from typing import TYPE_CHECKING
 from .limits import require_terms
 from .oracle import verify_factorization
 from .padics import _root_classes, _square_class, _valuation
-from .series import TruncSeries
+from .series import TruncSeries, _quotient
 
 if TYPE_CHECKING:  # pragma: no cover
     from .classify import QuadInput
@@ -125,11 +126,12 @@ def _smallest_root(A: int, B: int, C: int, p: int, K: int, tag: str) -> int:
 # the integer-root shortcut and the lifting core
 
 
-def _integer_split(targets, a0: int, b0: int, n: int, tag: str):
-    """(a_0 + r1*x)(b_0 + r2*x) with r1 the smaller integer root of
-    b_0*y^2 - f_1*y + a_0*f_2, when there is one and the targets have no
-    tail; None otherwise.  Orders 1 and 2 give r2 = (f_1 - b_0*r1)/a_0."""
-    f1, f2 = targets[1], targets[2]
+def _integer_split(targets, a0: int, n: int, tag: str):
+    """(a_0 + r1*x)(b_0 + r2*x) with b_0 = f_0/a_0 and r1 the smaller
+    integer root of b_0*y^2 - f_1*y + a_0*f_2, when there is one and the
+    targets have no tail; None otherwise.  Orders 1 and 2 give
+    r2 = (f_1 - b_0*r1)/a_0."""
+    b0, f1, f2 = targets[0] // a0, targets[1], targets[2]
     disc = f1 * f1 - 4 * a0 * b0 * f2
     if any(targets[3:]) or disc < 0:
         return None
@@ -142,22 +144,22 @@ def _integer_split(targets, a0: int, b0: int, n: int, tag: str):
     return _verified(tag, targets, a, b, n)
 
 
-def _start(tag: str, targets, seeds: list[int], b0: int) -> tuple[list[int], list[int], int, int]:
-    """Complete the seeds a_0..a_(k-1), b_0 from orders 1..k-1.
+def _start(tag: str, targets, seeds: list[int], lag: int = 1):
+    """Complete the seeds a_0..a_(k-1) from orders 0..k+lag-1.
 
-    Returns a (a copy of the seeds), b = b_0..b_(k-1), scale = b_0/a_0
-    and t_k = b_k + scale*a_k, which order k fixes before a_k is known.
+    The quotient of the targets by the seeds (a_k, a_(k+1) taken as 0) is
+    b_0..b_(k-1), then t_k = b_k + scale*a_k, which order k fixes before
+    a_k is known, and for lag two the order-(k+1) sum u of :func:`_lift2`.
+    Returns a (a copy of the seeds), b, scale = b_0/a_0 and that tail.
     """
-    a, b = list(seeds), [b0]
-    scale = _exact_div(b0, a[0], f"{tag}: head")
-    for m in range(1, len(a) + 1):
-        t = _exact_div(targets[m] - sum(map(mul, a[1:m], b[:0:-1])), a[0], f"{tag}: order {m}")
-        if m < len(a):
-            b.append(t - scale * a[m])
-    return a, b, scale, t
+    k = len(seeds)
+    h = _quotient(targets, seeds, k + lag - 1)
+    if h is None:
+        raise EngineInvariantError(f"{tag}: the seeds do not divide the head")
+    return list(seeds), h[:k], _exact_div(h[0], seeds[0], f"{tag}: head"), h[k:]
 
 
-def _lift(tag: str, targets, n: int, a: list[int], b0: int, A: int = 1, S: int = 1, D: int = 1):
+def _lift(tag: str, targets, n: int, a: list[int], A: int = 1, S: int = 1, D: int = 1):
     """Lag one.  With t_m = b_m + scale*a_m, order m + 1 reads
 
         f_(m+1) = a_0*t_(m+1) + c0*a_m + a_1*t_m + sum_(j=2..m-1) a_j*b_(m+1-j)
@@ -167,7 +169,7 @@ def _lift(tag: str, targets, n: int, a: list[int], b0: int, A: int = 1, S: int =
     unit c = c0*A/D.  The seeds make t_k a multiple of S, and D divides
     A*S and A*A, so every later division by D is exact.
     """
-    a, b, scale, t = _start(tag, targets, a, b0)
+    a, b, scale, (t,) = _start(tag, targets, a)
     modulus = _exact_div(a[0] * S, D, f"{tag}: modulus")
     c = _exact_div((b[1] - scale * a[1]) * A, D, f"{tag}: step unit")
     c_inv = _unit_inverse(modulus, c)
@@ -181,15 +183,14 @@ def _lift(tag: str, targets, n: int, a: list[int], b0: int, A: int = 1, S: int =
 
 
 def _lift2(tag: str, targets, n: int, a: list[int], A: int):
-    """Lag two, for b_0 = a_0 and the seeds a_0, a_1, a_2.
+    """Lag two, for the seeds a_0, a_1, a_2 and f_0 = a_0^2 (so b_0 = a_0).
 
     With s_m = b_m + a_m, order m + 1 gives s_(m+1) = u_m - t*~a_m with
     t = (b_1 - a_1)*A/a_0 and u_m free of ~a_m, so it cannot fix ~a_m;
     order m + 2 does, modulo a_0, with the unit c below.  The quotient of
     that solve is u_(m+1), the order-(m+2) sum the next stage needs.
     """
-    a, b, _, s = _start(tag, targets, a, a[0])
-    u = _exact_div(targets[4] - a[1] * s - a[2] * b[2], a[0], f"{tag}: order 4")
+    a, b, _, (s, u) = _start(tag, targets, a, 2)
     t = _exact_div((b[1] - a[1]) * A, a[0], f"{tag}: t")
     c = A * (b[2] - a[2]) - t * a[1]
     c_inv = _unit_inverse(a[0], c)
@@ -222,16 +223,16 @@ def factor_simple_root(q: "QuadInput", n: int) -> tuple[TruncSeries, TruncSeries
     _require(q.n >= 2 and n >= 2, "needs n >= 2 and factor order at least 2")
     targets = q.head_series(n).coeffs + (0,)
     p, s = q.p, q.n // 2 if q.beta is None else min(q.m, q.n // 2)
-    ps, pns = p**s, p ** (q.n - s)
-    scale, b = pns // ps, 0 if q.beta is None else p ** (q.m - s) * q.beta
+    ps, scale = p**s, p ** (q.n - 2 * s)
+    b = 0 if q.beta is None else p ** (q.m - s) * q.beta
     classes = _root_classes(scale, -b, q.alpha, p, s)
     # g mod p has only simple roots, one double root or none: the smallest root speaks for all
     _require(bool(classes) and (2 * scale * classes[0][0] - b) % p != 0, "g has no simple root mod p")
     if q.beta is None or q.n != 2 * q.m:
-        pair = _integer_split(targets, ps, pns, n, "simple root poly")
+        pair = _integer_split(targets, ps, n, "simple root poly")
         if pair is not None:
             return pair
-    return _lift("simple root", targets, n, [ps, classes[0][0]], pns)
+    return _lift("simple root", targets, n, [ps, classes[0][0]])
 
 
 def factor_m_eq_nu(q: "QuadInput", n: int) -> tuple[TruncSeries, TruncSeries]:
@@ -253,7 +254,7 @@ def factor_m_eq_nu(q: "QuadInput", n: int) -> tuple[TruncSeries, TruncSeries]:
     p, nu, beta, alpha = q.p, q.n // 2, q.beta, q.alpha
     pn = p**nu
     targets = q.head_series(n).coeffs + (0, 0)
-    pair = _integer_split(targets, pn, pn, n, "m=nu poly")
+    pair = _integer_split(targets, pn, n, "m=nu poly")
     if pair is not None:
         return pair
     ell = _square_half_valuation(beta * beta - 4 * alpha, p, "beta^2 - 4*alpha")
@@ -265,7 +266,7 @@ def factor_m_eq_nu(q: "QuadInput", n: int) -> tuple[TruncSeries, TruncSeries]:
     if nu > ell:
         return _lift2("m=nu nu>l", targets, n, [pn, a, 0], p ** (nu - ell))
     a2 = p ** (mu - nu - ell) * (-r * pow(t_unit, -1, pn) % pn) * a
-    return _lift("m=nu nu<=l", targets, n, [pn, a, a2], pn, p**ell, p ** (3 * ell - nu), p ** (2 * ell))
+    return _lift("m=nu nu<=l", targets, n, [pn, a, a2], p**ell, p ** (3 * ell - nu), p ** (2 * ell))
 
 
 def factor_p2_scaled(q: "QuadInput", n: int) -> tuple[TruncSeries, TruncSeries]:
@@ -288,10 +289,10 @@ def factor_p2_scaled(q: "QuadInput", n: int) -> tuple[TruncSeries, TruncSeries]:
     classes = _root_classes(1, -b, q.alpha, 2, 2 * nu + 1)
     _require(bool(classes), "mod-8 reducibility condition fails: input is irreducible")
     pn = 2**nu
-    pair = _integer_split(targets, pn, pn, n, "p2 scaled poly")
+    pair = _integer_split(targets, pn, n, "p2 scaled poly")
     if pair is not None:
         return pair
-    return _lift("p2 scaled", targets, n, [pn, classes[0][0]], pn, pn, 2 * pn, 2 * pn)
+    return _lift("p2 scaled", targets, n, [pn, classes[0][0]], pn, 2 * pn, 2 * pn)
 
 
 def factor_p2_m_eq_nu1(q: "QuadInput", n: int) -> tuple[TruncSeries, TruncSeries]:
@@ -310,14 +311,12 @@ def factor_p2_m_eq_nu1(q: "QuadInput", n: int) -> tuple[TruncSeries, TruncSeries
     beta, alpha = q.beta, q.alpha
     pn = 2**nu
     targets = q.head_series(n).coeffs + (0,)
-    pair = _integer_split(targets, pn, pn, n, "p2 m=nu+1 poly")
+    pair = _integer_split(targets, pn, n, "p2 m=nu+1 poly")
     if pair is not None:
         return pair
     ell = _square_half_valuation(beta * beta - alpha, 2, "beta^2 - alpha")
     a1 = _smallest_root(1, -2 * beta, alpha, 2, 2 * ell + nu + 2, "p2 m=nu+1")
-    return _lift(
-        "p2 m=nu+1", targets, n, [pn, a1], pn, 2 ** (ell + 1), 4 ** (ell + 1), 4 ** (ell + 1)
-    )
+    return _lift("p2 m=nu+1", targets, n, [pn, a1], 2 ** (ell + 1), 4 ** (ell + 1), 4 ** (ell + 1))
 
 
 def factor_coprime_constant(
@@ -366,4 +365,4 @@ def factor_tail(q: "QuadInput", n: int) -> tuple[TruncSeries, TruncSeries]:
     a1 = _smallest_root(1, -beta, alpha, p, 3, "tail engine")
     while a1 * a1 - beta * a1 + alpha == 0:
         a1 += p**3
-    return _lift("p^2-divisible tail", q.head_series(n).coeffs + (0,), n, [p, a1], p, p, p * p, p * p)
+    return _lift("p^2-divisible tail", q.head_series(n).coeffs + (0,), n, [p, a1], p, p * p, p * p)

@@ -4,15 +4,17 @@ A :class:`TruncSeries` stores coefficients 0..N of a power series; the
 coefficients beyond N are unknown, not zero.  The factor engines and the
 verifier read its ``coeffs`` and do their own arithmetic; the one product
 here, ``poly_mul``, is the full (polynomial) product ``normalize_head``
-needs.
+needs, and the one division, ``_quotient``, is h = f/g for a g whose
+constant term need not be a unit; the factor engines complete their
+seeds with it (b = f/a).
 
 ``normalize_head`` implements the associate-replacement step behind the
 CLI's ``normalize`` command (no factorization engine uses it): for a
 series a with a_0 = p prime and a_1 a unit, it builds a unit polynomial
 u with q = u*a = p + lam*x + O(x^(t+1)).  Such an a has Weierstrass
 degree one, so it has one root r in pZ_p; q vanishes there too, which
-fixes lam = -p/r mod p^t.  One Newton lift of r gives lam, and one pass
-of the triangular head system (``solve_head_system``) gives u.
+fixes lam = -p/r mod p^t.  One Newton lift of r gives lam, and u is the
+quotient (p + lam*x)/a.
 """
 
 from __future__ import annotations
@@ -28,7 +30,6 @@ __all__ = [
     "TruncSeries",
     "poly_mul",
     "normalize_head",
-    "solve_head_system",
     "to_decimal_strings",
     "from_decimal_strings",
 ]
@@ -72,22 +73,19 @@ def poly_mul(a: TruncSeries, b: TruncSeries) -> TruncSeries:
     return TruncSeries(out)
 
 
-def solve_head_system(a: TruncSeries, p: int, lam: int, t: int) -> list[int] | None:
-    """Forward-substitute the t x t triangular head system for a given lam.
+def _quotient(f, g, n: int) -> list[int] | None:
+    """h_0..h_n with g*h = f through x^n, or None at the first inexact division.
 
-    Returns [u_1, ..., u_t], or None as soon as a division by p is not
-    exact (the system has no integer solution for this lam).
+    f and g are coefficient sequences, f known through n; g_0 != 0 need not
+    be a unit, and the coefficients of g past its end count as zero.
     """
-    _require_order(a, t, "solve_head_system")
-    us: list[int] = []
-    for i in range(1, t + 1):
-        rhs = lam if i == 1 else 0
-        acc = a.coeffs[i] + sum(a.coeffs[j] * us[i - 1 - j] for j in range(1, i))
-        num = rhs - acc
-        if num % p != 0:
+    h: list[int] = []
+    for k in range(n + 1):
+        hk, rem = divmod(f[k] - sum(map(operator.mul, g[1 : k + 1], h[::-1])), g[0])
+        if rem:
             return None
-        us.append(num // p)
-    return us
+        h.append(hk)
+    return h
 
 
 def normalize_head(a: TruncSeries, p: int, t: int) -> tuple[TruncSeries, TruncSeries]:
@@ -101,9 +99,10 @@ def normalize_head(a: TruncSeries, p: int, t: int) -> tuple[TruncSeries, TruncSe
     The head a_0 + a_1*y + ... + a_t*y^t has a root r = 0 mod p, simple as
     a_1 is a unit; it is lifted to mod p^(t+1), and v_p(r) = 1.  The terms
     of q beyond x^t are 0 mod p^(t+1) at r, so q(r) = u(r)*a(r) = 0 gives
-    lam = -p/r (mod p^t): the one class that makes the head system
-    solvable over Z.  Its member with first digit in [0, p) and the higher
-    digits balanced (in [-(p-1)/2, (p-1)/2], or {0, 1} for p = 2) is lam.
+    lam = -p/r (mod p^t): the one class that makes u = (p + lam*x)/a
+    integral through x^t.  Its member with first digit in [0, p) and the
+    higher digits balanced (in [-(p-1)/2, (p-1)/2], or {0, 1} for p = 2)
+    is lam.
     """
     if t < 2:
         raise ValueError("t must be at least 2")
@@ -120,12 +119,12 @@ def normalize_head(a: TruncSeries, p: int, t: int) -> tuple[TruncSeries, TruncSe
     r = _hensel_lift(a.coeffs[: t + 1], 0, p, t + 1)
     h = (pt - p) // 2 if p > 2 else 0  # the digit (p-1)/2 at p^1..p^(t-1): balances them
     lam = (h - pow(r // p, -1, pt)) % pt - h
-    us = solve_head_system(a, p, lam, t)
+    us = _quotient((p, lam) + (0,) * (t - 1), a.coeffs, t)
     if us is None:
-        raise AssertionError(f"the head system has no integer solution at lam = -p/r = {lam}")
-    while us and us[-1] == 0:
+        raise AssertionError(f"(p + lam*x)/a is not integral at lam = -p/r = {lam}")
+    while us[-1] == 0:  # u_0 = p/a_0 = 1
         us.pop()
-    u = TruncSeries([1] + us)
+    u = TruncSeries(us)
     q = poly_mul(u, a)
     if q.coeffs[0] != p or (q.coeffs[1] - a1) % p != 0 or any(q.coeffs[2 : t + 1]):
         raise AssertionError("head normalization postcondition failed")

@@ -277,9 +277,10 @@ def test_discriminant_square_class_matches_square_test():
 
 
 def test_discriminant_square_class_p2_every_gap():
-    # 2m - n in -3..6 moves the lower term of the discriminant through
-    # every position relative to the 4*alpha term, including cancellation
-    for gap in range(-3, 7):
+    # 2m - n in -8..8 moves the lower term of the discriminant through
+    # every position relative to the 4*alpha term, including cancellation,
+    # and past the p^5 cap on either side
+    for gap in range(-8, 9):
         for n in range(1, 12):
             if (n + gap) % 2 or n + gap < 2:
                 continue

@@ -196,6 +196,35 @@ def test_verify_failure(tmp_path, capsys):
     assert code == 1 and out.splitlines()[0] == "fail"
 
 
+SERIES_FILES = {"f": ["9", "6", "1"], "a": ["3", "1", "0"], "g": ["1", "2", "1"], "h": ["1", "1", "0"]}
+
+
+@pytest.mark.parametrize(
+    "argv, code, expected",
+    [
+        ("square --d -20 --p 3 --format json", 0,
+         '{"d": "-20", "p": "3", "square": true, "zero": false, "valuation": 0, "unit_residue": "1"}'),
+        ("square --d 0 --p 3", 0, "square in Z_3: yes (zero)"),
+        ("roots --A 1 --B 0 --C 1 --p 5 --k 2 --format json", 0, '{"roots": ["7", "18"]}'),
+        ("normalize --p 3 --coeffs 3,1,1 --t 2 --format json", 0,
+         '{"u": ["1", "-1"], "q": ["3", "-2", "0", "-1"]}'),
+        ("verify --target {f} --a {a} --b {a} --format json", 0,
+         '{"residuals": ["0", "0", "0"], "a0_proper": true, "b0_proper": true, "passed": true}'),
+        # (1 + x)^2 = 1 + 2x + x^2 exactly, but its factors are units
+        ("verify --target {g} --a {h} --b {h}", 1, "fail\na factor has a unit constant term"),
+        ("verify --target {g} --a {h} --b {h} --format json", 1,
+         '{"residuals": ["0", "0", "0"], "a0_proper": false, "b0_proper": false, "passed": false}'),
+    ],
+)
+def test_command_documents_are_pinned(tmp_path, capsys, argv, code, expected):
+    paths = {}
+    for name, doc in SERIES_FILES.items():
+        paths[name] = tmp_path / f"{name}.json"
+        paths[name].write_text(json.dumps(doc))
+    got, out = run(capsys, *(arg.format(**paths) for arg in argv.split()))
+    assert (got, out) == (code, expected + "\n")
+
+
 @pytest.mark.parametrize("doc", [[1, 2], 5, {"1": "0"}])
 def test_verify_refuses_json_that_is_no_list_of_strings(tmp_path, capsys, doc):
     (tmp_path / "f.json").write_text(json.dumps(["4", "2", "1"]))

@@ -8,10 +8,10 @@ import zxfactor.series
 from test_acceptance import convolution
 from zxfactor.series import (
     TruncSeries,
+    _quotient,
     from_decimal_strings,
     normalize_head,
     poly_mul,
-    solve_head_system,
     to_decimal_strings,
 )
 
@@ -86,7 +86,7 @@ def test_normalize_head_sweep_is_pinned():
 
 def test_normalize_head_lifts_once_and_solves_once(monkeypatch):
     calls = {"lift": 0, "solve": 0}
-    lift, solve = zxfactor.series._hensel_lift, zxfactor.series.solve_head_system
+    lift, solve = zxfactor.series._hensel_lift, zxfactor.series._quotient
 
     def counted_lift(*args):
         calls["lift"] += 1
@@ -97,7 +97,7 @@ def test_normalize_head_lifts_once_and_solves_once(monkeypatch):
         return solve(*args)
 
     monkeypatch.setattr(zxfactor.series, "_hensel_lift", counted_lift)
-    monkeypatch.setattr(zxfactor.series, "solve_head_system", counted_solve)
+    monkeypatch.setattr(zxfactor.series, "_quotient", counted_solve)
     rng = random.Random(8)
     coeffs = [101] + [rng.randint(-100, 100) or 1 for _ in range(60)]
     normalize_head(TruncSeries(coeffs), 101, 60)
@@ -105,8 +105,8 @@ def test_normalize_head_lifts_once_and_solves_once(monkeypatch):
 
 
 def test_lambda_shift_congruences():
-    # shifting lam by k*p^j keeps u_1..u_(j-1) mod p and moves u_j by
-    # (-1)^(j+1) * k * a_1^(j-1) mod p
+    # with u = (p + lam*x)/a through x^j, shifting lam by k*p^j keeps
+    # u_1..u_(j-1) mod p and moves u_j by (-1)^(j+1) * k * a_1^(j-1) mod p
     rng = random.Random(5)
     for _ in range(40):
         p = rng.choice((2, 3, 5))
@@ -114,21 +114,43 @@ def test_lambda_shift_congruences():
         coeffs = [p] + [rng.randint(-20, 20) for _ in range(j + 1)]
         while coeffs[1] % p == 0:
             coeffs[1] = rng.randint(-20, 20)
-        a = TruncSeries(coeffs)
+
+        def solve(lam):
+            return _quotient((p, lam) + (0,) * (j - 1), coeffs, j)
+
         lam0 = next(
             lam
             for i in range(p ** (j - 1))
             for lam in [coeffs[1] % p + p * i]
-            if solve_head_system(a, p, lam, j) is not None
+            if solve(lam) is not None
         )
-        base = solve_head_system(a, p, lam0, j)
+        base = solve(lam0)
         for k in range(1, p + 1):
-            shifted = solve_head_system(a, p, lam0 + k * p**j, j)
+            shifted = solve(lam0 + k * p**j)
             assert shifted is not None
-            for i in range(j - 1):
+            for i in range(1, j):
                 assert (shifted[i] - base[i]) % p == 0
             drift = (-1) ** (j + 1) * k * coeffs[1] ** (j - 1)
-            assert (shifted[j - 1] - base[j - 1] - drift) % p == 0
+            assert (shifted[j] - base[j] - drift) % p == 0
+
+
+def test_quotient_round_trip():
+    # g_0 = +-p^s is no unit, yet the quotient of g*h by g is h, exactly
+    rng = random.Random(15)
+    for _ in range(300):
+        p = rng.choice((2, 3, 5, 7, 101))
+        g = [rng.choice((1, -1)) * p ** rng.randint(1, 6)]
+        g += [rng.randint(-(10**6), 10**6) for _ in range(rng.randint(0, 6))]
+        h = [rng.randint(-(10**9), 10**9) for _ in range(rng.randint(1, 12))]
+        f = poly_mul(TruncSeries(g), TruncSeries(h)).coeffs
+        n = rng.randint(0, len(f) - 1)
+        assert _quotient(f, g, n) == (h + [0] * len(g))[: n + 1]
+
+
+def test_quotient_refuses_an_inexact_division():
+    assert _quotient((1, 0), (2, 1), 1) is None  # 2 does not divide f_0
+    assert _quotient((4, 1), (2, 1), 1) is None  # h_0 = 2, then 2 does not divide 1 - 2
+    assert _quotient((4, 0), (2, 1), 1) == [2, -1]
 
 
 def test_poly_mul_matches_truncated():

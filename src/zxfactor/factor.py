@@ -6,21 +6,23 @@ differ only in their hypothesis checks and their seeds, the first
 coefficients of a; the input fixes b = f/a (``series._quotient``) up to
 the first unknown a_k, so b_0 = f_0/a_0 = scale * a_0.  One core extends
 the seeds order by order.  At stage m it sets a_m = A * ~a_m, where ~a_m is
-the canonical residue modulo a_0 * S / D that keeps order m + lag of the
-product divisible, and b_m then follows exactly from order m.  That
-residue is c^-1 times the order's remainder, where c is a unit modulo
-a_0 * S / D, which is what makes the recurrence total.  Each lift checks
-c and inverts it once; a stage is then one multiplication, one reduction
-and one exact division.  The parameters per engine (l is half the
-valuation of beta^2 - 4*alpha, of beta^2 - alpha when p = 2):
+the canonical residue modulo a_0 that keeps order m + lag of the product
+divisible, and b_m then follows exactly from order m.  That residue is
+c^-1 times the order's remainder, where c is a unit modulo a_0, which is
+what makes the recurrence total.  At lag one the core derives each
+order's divisor D = A*p^v(c0) from c0 = b_1 - scale*a_1; the seeds make
+t_k a multiple of D, which divides A^2.  Each lift checks c and inverts
+it once; a stage is then one multiplication, one reduction and one exact
+division.  The scale A per engine (l is half the valuation of
+beta^2 - 4*alpha, of beta^2 - alpha when p = 2):
 
-    engine                      (A, S, D)                       lag
-    factor_simple_root          (1, 1, 1)                       1
-    factor_p2_scaled            (2^nu, 2^(nu+1), 2^(nu+1))      1
-    factor_p2_m_eq_nu1          (2^(l+1), 2^(2l+2), 2^(2l+2))   1
-    factor_m_eq_nu, nu<=l       (p^l, p^(3l-nu), p^(2l))        1
-    factor_tail                 (p, p^2, p^2)                   1
-    factor_m_eq_nu, nu>l        A = p^(nu-l)                    2
+    engine                      A               lag
+    factor_simple_root          1               1
+    factor_p2_scaled            2^nu            1
+    factor_p2_m_eq_nu1          2^(l+1)         1
+    factor_m_eq_nu, nu<=l       p^(2l-nu)       1
+    factor_tail                 p               1
+    factor_m_eq_nu, nu>l        p^(nu-l)        2
 
 Lag one is :func:`_lift`, lag two :func:`_lift2`.  The engines ask
 their Z_p questions through the classifier's helpers: whether a
@@ -159,26 +161,27 @@ def _start(tag: str, targets, seeds: list[int], lag: int = 1):
     return list(seeds), h[:k], _exact_div(h[0], seeds[0], f"{tag}: head"), h[k:]
 
 
-def _lift(tag: str, targets, n: int, a: list[int], A: int = 1, S: int = 1, D: int = 1):
+def _lift(tag: str, targets, n: int, a: list[int], A: int = 1):
     """Lag one.  With t_m = b_m + scale*a_m, order m + 1 reads
 
         f_(m+1) = a_0*t_(m+1) + c0*a_m + a_1*t_m + sum_(j=2..m-1) a_j*b_(m+1-j)
 
     where c0 = b_1 - scale*a_1.  Stage m takes a_m = A*~a_m with the ~a_m
-    that makes t_(m+1) a multiple of S; the equation divided by D has the
-    unit c = c0*A/D.  The seeds make t_k a multiple of S, and D divides
-    A*S and A*A, so every later division by D is exact.
+    modulo a_0 that makes t_(m+1) a multiple of D = A*gcd(c0, A*a_0); the
+    equation divided by D has the unit c = c0*A/D.  The seeds make t_k a
+    multiple of D, which divides A*A, so every later division is exact.
     """
     a, b, scale, (t,) = _start(tag, targets, a)
-    modulus = _exact_div(a[0] * S, D, f"{tag}: modulus")
-    c = _exact_div((b[1] - scale * a[1]) * A, D, f"{tag}: step unit")
-    c_inv = _unit_inverse(modulus, c)
+    c0 = b[1] - scale * a[1]
+    D = A * gcd(c0, A * a[0])
+    c = c0 * A // D
+    c_inv = _unit_inverse(a[0], c)
     for m in range(len(a), n + 1):
         v = a[1] * t + sum(map(mul, a[2:m], b[m - 1 : 1 : -1]))
-        atil, t_next = _step(modulus, c, c_inv, _exact_div(targets[m + 1] - v, D, tag))
+        atil, t_next = _step(a[0], c, c_inv, _exact_div(targets[m + 1] - v, D, tag))
         a.append(A * atil)
         b.append(t - scale * a[m])
-        t = S * t_next
+        t = D * t_next
     return _verified(tag, targets, a, b, n)
 
 
@@ -266,7 +269,7 @@ def factor_m_eq_nu(q: "QuadInput", n: int) -> tuple[TruncSeries, TruncSeries]:
     if nu > ell:
         return _lift2("m=nu nu>l", targets, n, [pn, a, 0], p ** (nu - ell))
     a2 = p ** (mu - nu - ell) * (-r * pow(t_unit, -1, pn) % pn) * a
-    return _lift("m=nu nu<=l", targets, n, [pn, a, a2], p**ell, p ** (3 * ell - nu), p ** (2 * ell))
+    return _lift("m=nu nu<=l", targets, n, [pn, a, a2], p ** (2 * ell - nu))
 
 
 def factor_p2_scaled(q: "QuadInput", n: int) -> tuple[TruncSeries, TruncSeries]:
@@ -292,7 +295,7 @@ def factor_p2_scaled(q: "QuadInput", n: int) -> tuple[TruncSeries, TruncSeries]:
     pair = _integer_split(targets, pn, n, "p2 scaled poly")
     if pair is not None:
         return pair
-    return _lift("p2 scaled", targets, n, [pn, classes[0][0]], pn, 2 * pn, 2 * pn)
+    return _lift("p2 scaled", targets, n, [pn, classes[0][0]], pn)
 
 
 def factor_p2_m_eq_nu1(q: "QuadInput", n: int) -> tuple[TruncSeries, TruncSeries]:
@@ -316,7 +319,7 @@ def factor_p2_m_eq_nu1(q: "QuadInput", n: int) -> tuple[TruncSeries, TruncSeries
         return pair
     ell = _square_half_valuation(beta * beta - alpha, 2, "beta^2 - alpha")
     a1 = _smallest_root(1, -2 * beta, alpha, 2, 2 * ell + nu + 2, "p2 m=nu+1")
-    return _lift("p2 m=nu+1", targets, n, [pn, a1], 2 ** (ell + 1), 4 ** (ell + 1), 4 ** (ell + 1))
+    return _lift("p2 m=nu+1", targets, n, [pn, a1], 2 ** (ell + 1))
 
 
 def factor_coprime_constant(
@@ -365,4 +368,4 @@ def factor_tail(q: "QuadInput", n: int) -> tuple[TruncSeries, TruncSeries]:
     a1 = _smallest_root(1, -beta, alpha, p, 3, "tail engine")
     while a1 * a1 - beta * a1 + alpha == 0:
         a1 += p**3
-    return _lift("p^2-divisible tail", q.head_series(n).coeffs + (0,), n, [p, a1], p, p * p, p * p)
+    return _lift("p^2-divisible tail", q.head_series(n).coeffs + (0,), n, [p, a1], p)

@@ -1,40 +1,25 @@
-"""Brute-force verifiers, kept independent of the fast paths.
+"""The independent check of a factor pair: ``verify_factorization``.
 
-These deliberately re-derive everything by exhaustive scan so that
-agreement with the padics/factor modules is meaningful evidence; the
-factor engines call ``verify_factorization`` as the one check of each
-finished pair, and nothing here imports them.  The only concessions to
-speed are a cached square table per modulus; in the irreducibility
-probe, solving each order for b_k instead of scanning it and scanning
-each a_k only modulo the power of p that the later orders can see; and
-in ``verify_factorization``, deciding a pair that passes with one exact
-big-integer product (Kronecker substitution) where that is cheaper than
-the convolution.  All three keep the answers exact.  A
+The factor engines call it as the one check of each finished pair, and
+nothing here imports them.  It re-derives every residual of a*b - f by
+convolution, except that a pair which passes may instead be decided by
+one exact big-integer product (Kronecker substitution) where that is
+cheaper than the convolution; both keep the answer exact.  A
 ``VerificationReport`` is a NamedTuple, so a check builds one tuple.
-
-Only ``verify_factorization`` and its report are exported.
-``brute_square_mod``, ``brute_roots_mod`` and
-``exhaustive_irreducibility_probe`` are the reference implementations the
-tests compare the fast paths against; nothing in the package calls them.
+This module holds the check and its packed product only; the brute-force
+references that the tests compare the fast paths against live in
+``tests/oracles.py``.
 """
 
 from __future__ import annotations
 
-from functools import lru_cache
 from itertools import repeat
 from operator import add, mul
-from typing import TYPE_CHECKING, NamedTuple
+from typing import NamedTuple
 
 from .series import TruncSeries
 
-if TYPE_CHECKING:  # pragma: no cover
-    from .classify import QuadInput
-
 __all__ = ["VerificationReport", "verify_factorization"]
-
-_SQUARE_CAP = 10**7
-_ROOTS_CAP = 10**6
-_PROBE_BUDGET = 10**6
 
 # The product check runs from order _PACKED_MIN_ORDER on, while
 # slot_bits^4 < _PACKED_CROSSOVER * (N + 1), slot_bits being 8 times the
@@ -61,30 +46,6 @@ _PROBE_BUDGET = 10**6
 # the convolution.
 _PACKED_MIN_ORDER = 16
 _PACKED_CROSSOVER = 5 * 10**7
-
-
-@lru_cache(maxsize=8)
-def _square_table(modulus: int) -> bytes:
-    table = bytearray(modulus)
-    for y in range(modulus):
-        table[y * y % modulus] = 1
-    return bytes(table)
-
-
-def brute_square_mod(d: int, p: int, k: int) -> bool:
-    """Is there y in [0, p^k) with y^2 = d mod p^k?  Exhaustive."""
-    modulus = p**k
-    if modulus > _SQUARE_CAP:
-        raise ValueError(f"modulus {modulus} exceeds the brute-force cap {_SQUARE_CAP}")
-    return _square_table(modulus)[d % modulus] == 1
-
-
-def brute_roots_mod(A: int, B: int, C: int, p: int, k: int) -> list[int]:
-    """All roots of A*y^2 + B*y + C mod p^k by full scan."""
-    modulus = p**k
-    if modulus > _ROOTS_CAP:
-        raise ValueError(f"modulus {modulus} exceeds the brute-force cap {_ROOTS_CAP}")
-    return [y for y in range(modulus) if (A * y * y + B * y + C) % modulus == 0]
 
 
 class VerificationReport(NamedTuple):
@@ -144,59 +105,3 @@ def _packed(coeffs: tuple[int, ...], w: int) -> int:
     slots = b"".join(map(int.to_bytes, map(add, coeffs, repeat(bias)), repeat(w), repeat("little")))
     biases = (bytes(w - 1) + b"\x80") * len(coeffs)
     return int.from_bytes(slots, "little") - int.from_bytes(biases, "little")
-
-
-def exhaustive_irreducibility_probe(q: "QuadInput", depth: int = 2) -> bool:
-    """Exact finite search for a factorization of the input through ``depth``.
-
-    True means no integers a_1..a_depth, b_1..b_depth extend non-unit heads
-    a_0 * b_0 = p^n to a product a*b that agrees with the input through
-    x^depth; then the input has no factorization in Z[[x]], which
-    corroborates irreducibility.  False means such integers exist, which is
-    inconclusive: a factorization through x^depth need not extend further.
-
-    Up to swapping the factors and negating both, the heads are a_0 = p^s,
-    b_0 = p^t with s + t = n and s <= t.  Order k then reads
-    p^s*b_k + p^t*a_k = f_k - sum_{0<j<k} a_j*b_{k-j}; it is solvable iff
-    p^s divides the right side, and then a_k forces b_k.  Orders k+1 ..
-    depth see a_k only modulo p^((depth-k)*s), so each a_k runs over that
-    range and the search is exact at every depth.  Raises ValueError when
-    p^n > 10^4, outside depths 1..4, or when the search would try more
-    than 10^6 values of the a_k (which only depth 4 can reach).
-    """
-    p, n = q.p, q.n
-    if p**n > 10**4:
-        raise ValueError("probe bound exceeded: need p^n <= 10^4")
-    if not 1 <= depth <= 4:
-        raise ValueError("probe depth must be between 1 and 4")
-    f = [p**n, 0 if q.beta is None else p**q.m * q.beta, q.alpha]
-    f += [q.tail[i] if i < len(q.tail) else 0 for i in range(depth - 2)]
-    budget = [_PROBE_BUDGET]
-    return not any(_split_admits(p, s, n - s, f, depth, budget) for s in range(1, n // 2 + 1))
-
-
-def _split_admits(p: int, s: int, t: int, f: list[int], depth: int, budget: list[int]) -> bool:
-    """Do integers a_1..a_depth, b_1..b_depth extend a_0 = p^s, b_0 = p^t?"""
-    ps, pt = p**s, p**t
-    a, b = [ps], [pt]
-
-    def rec(k: int) -> bool:
-        rest = f[k] - sum(a[j] * b[k - j] for j in range(1, k))
-        if rest % ps:
-            return False
-        if k == depth:
-            return True
-        width = p ** ((depth - k) * s)
-        budget[0] -= width
-        if budget[0] < 0:
-            raise ValueError(f"probe search exceeds {_PROBE_BUDGET} assignments at depth {depth}")
-        for ak in range(width):
-            a.append(ak)
-            b.append((rest - pt * ak) // ps)
-            if rec(k + 1):
-                return True
-            a.pop()
-            b.pop()
-        return False
-
-    return rec(1)

@@ -11,14 +11,10 @@ import time
 
 import pytest
 
+from oracles import brute_roots_mod, brute_square_mod, exhaustive_irreducibility_probe
 from zxfactor.classify import QuadInput, VerdictKind, classify_general, classify_quadratic, discriminant
 from zxfactor.cli import main as cli_main
-from zxfactor.oracle import (
-    brute_roots_mod,
-    brute_square_mod,
-    exhaustive_irreducibility_probe,
-    verify_factorization,
-)
+from zxfactor.oracle import verify_factorization
 from zxfactor.padics import _valuation, is_square_zp, root_classes
 from zxfactor.series import TruncSeries, normalize_head
 

@@ -370,6 +370,30 @@ def test_square_and_roots_refuse_oversized_input_fast(capsys, argv, message):
     assert elapsed < 1.0, f"{elapsed:.3f}s"
 
 
+CLASSIFY_7 = ("classify", "--p", "7", "--n", "2")
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (CLASSIFY_7, "need --p, --n and --alpha"),
+        (CLASSIFY_7 + ("--m", "1", "--beta", "3", "--alpha", "2", "--terms", "1"), "--terms must be at least 2"),
+        (CLASSIFY_7 + ("--beta-zero", "--beta", "3", "--alpha", "2"), "--beta-zero excludes --beta and --m"),
+        (("square", "--d", "5", "--p", "9"), "p = 9 is not prime"),
+        (("roots", "--A", "1", "--B", "0", "--C", "1", "--p", "9", "--k", "1"), "p = 9 is not prime"),
+        (("normalize", "--p", "9", "--coeffs", "9,1,1", "--t", "2"), "p = 9 is not prime"),
+        (("normalize", "--p", "3", "--coeffs", "3,1,1", "--t", "1"), "t must be at least 2"),
+        (("normalize", "--p", "3", "--coeffs", "3,1", "--t", "2"),
+         "normalize_head: input known only through order 1, need 2"),
+    ],
+)
+def test_malformed_requests_are_refused(capsys, argv, message):
+    code = main(list(argv))
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err == f"error: {message}\n"
+
+
 def test_square_and_roots_at_the_limits(capsys):
     # the largest 512-bit prime, and the largest k with 7^k within max_pn_bits
     code, out = run(capsys, "square", "--d", "5", "--p", str(2**512 - 569))

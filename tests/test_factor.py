@@ -145,7 +145,10 @@ def test_m_eq_nu_scaled_subcases():
     q = QuadInput(3, 2, 1, 1, -29)  # l = 1 >= nu = 1
     check_pair(q, factor_m_eq_nu(q, 24), 24)
     q = QuadInput(3, 2, 1, 1, -263)  # disc 1053 = 81 * 13: l = 2 > nu = 1
-    check_pair(q, factor_m_eq_nu(q, 24), 24)
+    a, b = factor_m_eq_nu(q, 24)
+    assert a.coeffs[:6] == (3, 32, 864, 54, 54, 0)
+    assert b.coeffs[:6] == (3, -31, -621, 15498, 14040, -4601448)
+    check_pair(q, (a, b), 24)
 
 
 def test_beta_zero_difference_of_squares():

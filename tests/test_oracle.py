@@ -4,15 +4,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import zxfactor.oracle
+from oracles import brute_roots_mod, brute_square_mod, exhaustive_irreducibility_probe
 from zxfactor.classify import QuadInput, classify_quadratic
-from zxfactor.oracle import (
-    _packed,
-    _product_vanishes,
-    brute_roots_mod,
-    brute_square_mod,
-    exhaustive_irreducibility_probe,
-    verify_factorization,
-)
+from zxfactor.oracle import _packed, _product_vanishes, verify_factorization
 from zxfactor.series import TruncSeries
 
 

@@ -5,9 +5,9 @@ from math import log2
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
+from oracles import brute_roots_mod, brute_square_mod
 from test_acceptance import expand_roots
 from zxfactor.limits import LIMITS
-from zxfactor.oracle import brute_roots_mod, brute_square_mod
 from zxfactor.padics import (
     PROVEN_PRIME_BOUND,
     _hensel_lift,

@@ -179,6 +179,11 @@ def test_non_integer_coefficients_are_refused():
         TruncSeries([9, "3", 1])
 
 
+def test_empty_series_is_refused():
+    with pytest.raises(ValueError):
+        TruncSeries(())
+
+
 @pytest.mark.parametrize("items", [[1, 2], 5, {"1": "0"}, ["1", 2]])
 def test_from_decimal_strings_takes_only_a_list_of_strings(items):
     with pytest.raises(ValueError, match="JSON array of decimal strings"):

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import re
 import shlex
 import sys
 
@@ -44,16 +45,88 @@ def _parse_tail(s: str | None) -> tuple[int, ...]:
     return tuple(_parse_int(part) for part in s.split(","))
 
 
+#: The eight input flags of ``classify`` and ``factor``, all that a
+#: ``--batch`` line may hold, with their help; ``--beta-zero`` alone takes
+#: no value.
+_INPUT_FLAGS = (
+    ("--p", None),
+    ("--n", None),
+    ("--m", None),
+    ("--beta", None),
+    ("--alpha", None),
+    ("--beta-zero", None),
+    ("--tail", "comma-separated c_3,c_4,..."),
+    ("--terms", "the order of the series (default 64)"),
+)
+_SWITCH = "--beta-zero"
+
+
 def _input_parser() -> argparse.ArgumentParser:
-    """The eight input flags of ``classify`` and ``factor``: all that a
-    ``--batch`` line may hold."""
+    """The eight input flags, as argparse reads them on the command line."""
     inputs = argparse.ArgumentParser(prog="batch line", add_help=False)
-    for flag in ("--p", "--n", "--m", "--beta", "--alpha"):
-        inputs.add_argument(flag)
-    inputs.add_argument("--beta-zero", action="store_true")
-    inputs.add_argument("--tail", help="comma-separated c_3,c_4,...")
-    inputs.add_argument("--terms", help="the order of the series (default 64)")
+    for flag, text in _INPUT_FLAGS:
+        inputs.add_argument(flag, help=text, action="store_true" if flag == _SWITCH else None)
     return inputs
+
+
+def _flag_names() -> dict[str, str | None]:
+    """Each name that argparse reads as an input flag: the flag itself, and
+    each prefix (from ``--`` on) that no other flag shares.  A prefix that
+    flags share maps to None: argparse refuses it as ambiguous."""
+    flags = [flag for flag, _ in _INPUT_FLAGS]
+    names: dict[str, str | None] = {}
+    for flag in flags:
+        for end in range(2, len(flag)):
+            names[flag[:end]] = None if flag[:end] in names else flag
+    names.update((flag, flag) for flag in flags)  # an exact name wins over a prefix
+    return names
+
+
+_FLAG_NAMES = _flag_names()
+_UNSET = {flag[2:].replace("-", "_"): False if flag == _SWITCH else None for flag, _ in _INPUT_FLAGS}
+_QUOTING = re.compile(r"[\\'\"]").search
+_WORDS = re.compile(r"[^ \t\r\n]+").findall  # shlex.split's words when nothing is quoted
+_NEGATIVE = re.compile(r"^-\d+$|^-\d*\.\d+$").match  # argparse's negative-number rule
+
+
+def _tokens(line: str) -> list[str]:
+    return shlex.split(line) if _QUOTING(line) else _WORDS(line)
+
+
+def _is_value(token: str) -> bool:
+    """Whether argparse reads ``token`` after a flag as the flag's value."""
+    if token[:1] != "-" or token == "-":
+        return True
+    if token.partition("=")[0] in _FLAG_NAMES:
+        return False
+    return bool(_NEGATIVE(token)) or " " in token
+
+
+def _scan(tokens: list[str]) -> argparse.Namespace:
+    """``_input_parser().parse_args(tokens)`` by one scan of the flag
+    names; ValueError where argparse refuses the tokens."""
+    args = dict(_UNSET)
+    i = 0
+    while i < len(tokens):
+        name, eq, value = tokens[i].partition("=")
+        flag = _FLAG_NAMES.get(name)
+        i += 1
+        if flag is None:
+            raise ValueError(f"not an input flag: {tokens[i - 1]}")
+        if flag == _SWITCH:
+            if eq:
+                raise ValueError(f"{flag} takes no value")
+            args["beta_zero"] = True
+            continue
+        if not eq:
+            if i == len(tokens) or not _is_value(tokens[i]):
+                raise ValueError(f"{flag} needs a value")
+            value = tokens[i]
+            i += 1
+        args[flag[2:]] = value
+    if "--" in args.values():  # from --flag=--: argparse drops the -- and stores [], which no input reads
+        raise ValueError("an input flag needs a value")
+    return argparse.Namespace(**args)
 
 
 def _build_input(args) -> tuple[QuadInput, int]:
@@ -178,7 +251,6 @@ def cmd_classify(args) -> int:
 
 def _run_batch(path: str) -> int:
     """Answer each line of the file as one input, in JSON; the worst exit code."""
-    inputs = _input_parser()
     worst = EXIT_OK
     with open(path, encoding="utf-8") as handle:
         for line in handle:
@@ -186,8 +258,8 @@ def _run_batch(path: str) -> int:
             if not line or line.startswith("#"):
                 continue
             try:
-                args = inputs.parse_args(shlex.split(line))
-            except (SystemExit, ValueError):  # argparse exits; shlex raises on an open quote
+                args = _scan(_tokens(line))
+            except ValueError:
                 raise ValueError(f"bad batch line: {line}") from None
             worst = max(worst, _answer(args, "json"))
     return worst

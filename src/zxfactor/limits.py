@@ -60,6 +60,13 @@ def require_series(p: int, n: int, m: int | None, terms: int) -> None:
 
 def require_power(p: int, e: int) -> None:
     """ValueError unless p^e, for p >= 2, has at most ``max_pn_bits`` bits."""
+    if e >= 1 << 64:
+        # log2(p) >= 1, so p^e has at least e bits; decided in integers,
+        # since e * log2(p) overflows a float once e passes about 2^1024
+        k = e.bit_length() - 1
+        raise ValueError(
+            f"{p}^e with e >= 2^{k} has more than 2^{k} bits, beyond the limit of {LIMITS.max_pn_bits}"
+        )
     if e * log2(p) > LIMITS.max_pn_bits:
         raise ValueError(
             f"{p}^{e} has about {int(e * log2(p))} bits, beyond the limit of {LIMITS.max_pn_bits}"

@@ -20,7 +20,6 @@ quotient (p + lam*x)/a.
 from __future__ import annotations
 
 import operator
-from dataclasses import dataclass
 from math import gcd
 
 from .limits import require_terms
@@ -35,15 +34,15 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
 class TruncSeries:
     """A power series known through order ``len(coeffs) - 1``.
 
-    A dataclass, not a NamedTuple like the per-answer values: a series
+    Frozen, and not a NamedTuple like the per-answer values: a series
     equals only a series with the same coefficients, never the plain
     1-tuple of its field.  It is read through ``coeffs`` and ``order``.
     """
 
+    __slots__ = ("coeffs",)
     coeffs: tuple[int, ...]
 
     def __init__(self, coeffs) -> None:
@@ -51,6 +50,26 @@ class TruncSeries:
         if not coeffs:
             raise ValueError("a truncated series needs at least the constant term")
         object.__setattr__(self, "coeffs", coeffs)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self.coeffs == other.coeffs
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.coeffs,))
+
+    def __repr__(self) -> str:
+        return f"TruncSeries(coeffs={self.coeffs!r})"
+
+    def __reduce__(self):
+        return TruncSeries, (self.coeffs,)
 
     @property
     def order(self) -> int:

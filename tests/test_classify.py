@@ -451,6 +451,14 @@ def test_limits_refuse_before_building():
     assert classify_quadratic(q, attach_factors=False).rule == "S3.disc-square"
 
 
+def test_exponents_past_a_float_are_refused_by_the_limit():
+    # e * log2(p) overflows a float here; the limit decides in integers
+    huge = 10**400
+    for q in (QuadInput(3, huge, 1, 1, 1), QuadInput(3, 2, huge, 1, 1)):
+        with pytest.raises(ValueError, match="beyond the limit"):
+            discriminant(q)
+
+
 def test_factors_at_the_term_limit():
     # integer-root inputs, so the pairs are finite polynomials: 2m<n with
     # (7 + x)(49 + x) and m=nu with (7 + x)(7 + 2x); the engines read the

@@ -292,6 +292,38 @@ def test_batch_takes_no_other_flag(tmp_path, capsys, flags):
     assert all(flag.rstrip("=") in captured.err for flag in flags if flag.startswith("--"))
 
 
+@pytest.mark.parametrize(
+    "line, code, alpha",
+    [
+        ('--p "7" --n 2 --m 1 --beta 3 --alpha 2 --terms 8', 0, "2"),  # quoted
+        ("--p 7 --n 2 --m 1 --beta 3 --alp 2 --te=8", 0, "2"),  # unique prefixes
+        ("--p 5 --n 2 --beta-z --alpha 1 --terms 3", 0, "1"),
+        ("--p=7 --n=2 --m=1 --beta=3 --alpha=2 --terms=8", 0, "2"),
+        ("--p 7 --n 2 --m 1 --beta -3 --alpha=-2 --terms 8", 0, "-2"),
+        ("--p 3 --n 2 --m 1 --beta 1 --alpha -2 --tail=-3,4 --terms 4", 3, "-2"),
+        ("--p 7 --n 2 --m 1 --beta 3 --alpha 5 --alpha 2 --terms 8", 0, "2"),  # the last wins
+        ("--p 3 --n 2 --m 1 --beta 1 --alpha -2 --tail -3,4 --terms 4", 2, None),  # -3,4 is no number
+        ("--p 5 --n 2 --beta-zero=1 --alpha 1", 2, None),
+        ("--p 7 --n 2 --m 1 --b 3 --alpha 2", 2, None),  # --beta or --beta-zero
+        ("--p 7 --n 2 --m 1 --beta 3 --alpha 2 --t 8", 2, None),  # --tail or --terms
+        ("--p 7 --n 2 --m 1 --beta 3 --alpha 2 8", 2, None),  # a stray token
+        ("--p 7 --n 2 --m 1 --beta 3 --alpha 2 --terms 8 --", 2, None),
+    ],
+)
+def test_batch_line_grammar(tmp_path, capsys, line, code, alpha):
+    batch = tmp_path / "batch.txt"
+    batch.write_text(f"{VALID_LINE}\n{line}\n")
+    assert main(["classify", "--batch", str(batch)]) == code
+    captured = capsys.readouterr()
+    answers = captured.out.splitlines()
+    if alpha is None:
+        assert len(answers) == 1
+        assert f"bad batch line: {line}" in captured.err
+    else:
+        assert len(answers) == 2
+        assert json.loads(answers[1])["input"]["alpha"] == alpha
+
+
 def test_json_output_is_deterministic(capsys):
     args = ["classify", "--p", "3", "--n", "4", "--m", "2", "--beta", "1",
             "--alpha", "-29", "--format", "json", "--terms", "32"]
@@ -338,6 +370,33 @@ def test_classify_refuses_oversized_input_fast(capsys, argv):
     assert code == 2 and captured.out == ""
     assert "beyond the limit" in captured.err
     assert elapsed < 1.0, f"{elapsed:.3f}s"
+
+
+HUGE = str(10**400)  # e * log2(p) overflows a float
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("classify", "--p", "3", "--n", HUGE, "--m", "1", "--beta", "1", "--alpha", "1"),
+        ("classify", "--p", "3", "--n", "2", "--m", HUGE, "--beta", "1", "--alpha", "1"),
+        ("roots", "--A", "1", "--B", "0", "--C", "-1", "--p", "3", "--k", HUGE),
+    ],
+)
+def test_huge_exponents_are_refused_by_the_limit(capsys, argv):
+    code = main(list(argv))
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err == "error: 3^e with e >= 2^1328 has more than 2^1328 bits, beyond the limit of 131072\n"
+
+
+def test_batch_refuses_a_huge_exponent_after_answering_the_lines_before(tmp_path, capsys):
+    batch = tmp_path / "batch.txt"
+    batch.write_text(f"{VALID_LINE}\n--p 3 --n {HUGE} --m 1 --beta 1 --alpha 1\n{VALID_LINE}\n")
+    code = main(["classify", "--batch", str(batch)])
+    captured = capsys.readouterr()
+    assert code == 2 and len(captured.out.splitlines()) == 1
+    assert "beyond the limit of 131072" in captured.err
 
 
 COMPOSITE_8191 = (2**4095 + 3) * (2**4095 + 9)
@@ -453,3 +512,12 @@ def test_python_dash_m_runs_the_cli(capsys):
     assert res.returncode == 0
     code, out = run(capsys, *argv)
     assert code == 0 and res.stdout == out
+
+
+def test_cli_import_loads_neither_dataclasses_nor_inspect():
+    # together they cost about a tenth of a one-shot CLI start
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    code = "import sys, zxfactor.cli; print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))"
+    res = subprocess.run([sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": src},
+                         capture_output=True, text=True, timeout=60)
+    assert res.returncode == 0 and res.stdout == "[]\n"

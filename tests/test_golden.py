@@ -16,6 +16,7 @@ Rebuild both files (only on a deliberate change of output) with
     PYTHONPATH=src python tests/test_golden.py
 """
 
+import argparse
 import contextlib
 import hashlib
 import io
@@ -28,6 +29,7 @@ from pathlib import Path
 
 from test_acceptance import SWEEP_SEED, SWEEP_SIZE, _sample_inputs
 from zxfactor.classify import QuadInput, classify_quadratic
+from zxfactor import cli
 from zxfactor.cli import main
 
 DATA = Path(__file__).parent / "data" / "golden_classify.json"
@@ -294,3 +296,27 @@ if __name__ == "__main__":
     print(f"wrote {len(table)} digests to {DATA}", file=sys.stderr)
     SWEEP_DATA.write_text(json.dumps(_sweep_record(), indent=1) + "\n")
     print(f"wrote the sweep digest to {SWEEP_DATA}", file=sys.stderr)
+
+
+def test_golden_lines_scan_to_the_argparse_namespace():
+    inputs = cli._input_parser()
+    for line in json.loads(DATA.read_text()):
+        assert cli._scan(cli._tokens(line)) == inputs.parse_args(shlex.split(line)), line
+
+
+def test_batch_lines_pass_neither_argparse_nor_shlex(tmp_path, monkeypatch):
+    golden = json.loads(DATA.read_text())
+    assert not any(c in line for line in golden for c in "'\"\\")  # nothing quoted
+    batch = tmp_path / "batch.txt"
+    batch.write_text("".join(line + "\n" for line in golden))
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a batch line went through argparse or shlex")
+
+    monkeypatch.setattr(argparse.ArgumentParser, "parse_args", refuse)
+    monkeypatch.setattr(shlex, "split", refuse)
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = cli._run_batch(str(batch))
+    assert [_digest(line) for line in out.getvalue().splitlines(keepends=True)] == [d for _, d in golden.values()]
+    assert code == 3

@@ -1,6 +1,8 @@
 """The value types built per answer: frozen, equal and hashed by their
 fields, with a stable repr, and QuadInput's construction checks."""
 
+import pickle
+
 import pytest
 
 import zxfactor.classify
@@ -70,6 +72,20 @@ def test_repr_is_unchanged():
         "valuation=5, unit_residue=4), factors=None, verified_order=None, assumption=None, "
         "conditional_on_truncation=False)"
     )
+
+
+def test_trunc_series_is_a_frozen_value():
+    # recorded from the frozen-dataclass TruncSeries
+    s = TruncSeries([4, 2, 1])
+    assert s == TruncSeries((4, 2, 1)) and hash(s) == hash(((4, 2, 1),))
+    assert s != ((4, 2, 1),) and s != TruncSeries([4, 2])
+    assert repr(s) == "TruncSeries(coeffs=(4, 2, 1))"
+    with pytest.raises(AttributeError):
+        s.coeffs = (1,)
+    with pytest.raises(AttributeError):
+        s.undeclared = 0
+    copy = pickle.loads(pickle.dumps(s))
+    assert copy == s and copy.coeffs == (4, 2, 1) and copy.order == 2
 
 
 def test_verdict_defaults_and_citation():

@@ -404,6 +404,10 @@ def main(argv: list[str] | None = None) -> int:
     if saved_cap is not None:
         sys.set_int_max_str_digits(0)
     try:
+        # argparse drops the -- of --flag=-- and stores [], which no command reads
+        empty = next((name for name, value in vars(args).items() if value == []), None)
+        if empty is not None:
+            raise ValueError(f"--{empty} needs a value")
         code = args.func(args)
     except (ValueError, OSError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)

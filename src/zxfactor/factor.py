@@ -13,8 +13,12 @@ what makes the recurrence total.  At lag one the core derives each
 order's divisor D = A*p^v(c0) from c0 = b_1 - scale*a_1; the seeds make
 t_k a multiple of D, which divides A^2.  Each lift checks c and inverts
 it once; a stage is then one multiplication, one reduction and one exact
-division.  The scale A per engine (l is half the valuation of
-beta^2 - 4*alpha, of beta^2 - alpha when p = 2):
+division, after its cross sum sum_(i,j>=2) a_j*b_i over the order.  A
+lag-one lift of order N >= _RUNNING_MIN_ORDER reads those sums from one
+running Kronecker-packed product, pushing a_m and b_m into it once each,
+while the slots they need stay within _RUNNING_MAX_BITS, and takes plain
+sums otherwise (:func:`_cross_sums`).  The scale A per engine (l is half
+the valuation of beta^2 - 4*alpha, of beta^2 - alpha when p = 2):
 
     engine                      A               lag
     factor_simple_root          1               1
@@ -127,6 +131,27 @@ def _smallest_root(A: int, B: int, C: int, p: int, K: int, tag: str) -> int:
 # ---------------------------------------------------------------------------
 # the integer-root shortcut and the lifting core
 
+# A lag-one lift of order N reads its cross sums from the running product
+# of :func:`_cross_sums` when N >= _RUNNING_MIN_ORDER, while its slots
+# stay within _RUNNING_MAX_BITS.  Measured on the engines of the cli-deep
+# benchmark's lines (CPython 3.11, shared 2-vCPU machine, best of 7 per
+# input, 6 to 8 inputs per row), as time with the running product over
+# time with plain sums:
+#   engine alone, by order: 1.07-1.16 at N = 4 to 8 and 1.03-1.18 at 12
+#     on every row; at 24 0.96-1.06 where b stays under about 60 bits
+#     (2m<n, beta = 0, p=2 m>nu+1, S5.simple-root) and 1.04-1.21 where it
+#     grows 3 to 6 bits per order (S5.double-root-tail, p=2 m=nu+1,
+#     m=nu nu<=l); at 32 0.90-1.01 and 1.01-1.29; at 64 0.78-0.82 and
+#     1.00-1.15.  Below 32 no row gains.
+#   one CLI line (cli._classify), by ceiling 64 / 96 / 128 / 160 / 192:
+#     the slow rows 0.63-0.78 at N = 128 and 0.63-0.92 at 256 for every
+#     ceiling; the growing rows at N = 128 0.98-1.01 / 1.02-1.04 /
+#     1.04-1.08 / 1.09-1.19 / 1.19-1.37, their slots outgrowing the
+#     ceiling after 30 to 140 stages.  128 keeps every slow row packed
+#     through N = 256 (p=2 m>nu+1 reaches 96-bit slots there).
+_RUNNING_MIN_ORDER = 32
+_RUNNING_MAX_BITS = 128
+
 
 def _integer_split(targets, a0: int, n: int, tag: str):
     """(a_0 + r1*x)(b_0 + r2*x) with b_0 = f_0/a_0 and r1 the smaller
@@ -176,13 +201,85 @@ def _lift(tag: str, targets, n: int, a: list[int], A: int = 1):
     D = A * gcd(c0, A * a[0])
     c = c0 * A // D
     c_inv = _unit_inverse(a[0], c)
+    cross = None  # below the minimum order the sums are taken here: no generator to set up
+    if n >= _RUNNING_MIN_ORDER:
+        cross = _cross_sums(a, b, max(map(int.bit_length, [A * a[0]] + a[2:])), n)
     for m in range(len(a), n + 1):
-        v = a[1] * t + sum(map(mul, a[2:m], b[m - 1 : 1 : -1]))
+        v = a[1] * t + (next(cross) if cross else sum(map(mul, a[2:m], b[m - 1 : 1 : -1])))
         atil, t_next = _step(a[0], c, c_inv, _exact_div(targets[m + 1] - v, D, tag))
         a.append(A * atil)
         b.append(t - scale * a[m])
         t = D * t_next
     return _verified(tag, targets, a, b, n)
+
+
+def _cross_sums(a: list[int], b: list[int], h_a: int, n: int):
+    """Yield C(m+1) = sum_(j=2..m-1) a_j*b_(m+1-j) for the stages m = len(a)..n.
+
+    The caller appends a_m and b_m before it asks for the next sum, and
+    h_a bounds the bits of every a_j with j >= 2, present and future.
+    The sums are read from a running product in slots of w bits, X = 2^w:
+    PA = sum a_j X^(j-2), PB likewise for b, and R holds the partial sums
+    of the cross sums not yet read, the next one in slot 0.  A read takes
+    the balanced residue of R mod X and shifts it off; a push adds
+    a_m*PB + b_m*PA to R, the new pairs landing in the low slots.  Every
+    |C(s)| < (N+1) * 2^(h_a+h_b), so the read is exact while
+    w >= h_a + h_b + bitlen(N+1) + 1.  A b_m that breaks that bound widens
+    the slots to the next multiple of 16 bits and rebuilds all three from
+    the lists (:func:`_running_product`); past _RUNNING_MAX_BITS the rest
+    of the sums are plain sums.
+    """
+    k = len(a)
+    room = h_a + (n + 1).bit_length() + 1
+    h_b = max(map(int.bit_length, b[2:]), default=0)
+    w = _slot_bits(room + h_b)
+    if w:
+        pa, pb, r = _running_product(a, b, k, w)
+        half, mask = 1 << (w - 1), (1 << w) - 1
+    for m in range(k, n + 1):
+        if not w:
+            yield sum(map(mul, a[2:m], b[m - 1 : 1 : -1]))
+            continue
+        r += half
+        yield (r & mask) - half
+        r >>= w
+        a_m, b_m = a[m], b[m]
+        if b_m.bit_length() > h_b:
+            h_b = b_m.bit_length()
+            if room + h_b > w:
+                w = _slot_bits(room + h_b)
+                if w:
+                    pa, pb, r = _running_product(a, b, m + 1, w)
+                    half, mask = 1 << (w - 1), (1 << w) - 1
+                continue
+        shift = (m - 2) * w
+        pb += b_m << shift
+        r += a_m * pb + b_m * pa
+        pa += a_m << shift
+
+
+def _slot_bits(need: int) -> int:
+    """need rounded up to a multiple of 16 bits; 0 past _RUNNING_MAX_BITS."""
+    w = -(-need // 16) * 16
+    return w if w <= _RUNNING_MAX_BITS else 0
+
+
+def _running_product(a: list[int], b: list[int], m: int, w: int) -> tuple[int, int, int]:
+    """PA, PB of a_2..a_(m-1), b_2..b_(m-1) in w-bit slots, and PA*PB with
+    the slots below C(m+1) (slot m - 3) rounded off."""
+    pa, pb = _slots(a[2:m], w), _slots(b[2:m], w)
+    shift = max(m - 3, 0) * w
+    return pa, pb, (pa * pb + (1 << shift >> 1)) >> shift
+
+
+def _slots(coeffs: list[int], w: int) -> int:
+    """sum_j c_j * 2^(wj) for |c_j| < 2^(w-1) and w a multiple of 8: the
+    slots are the c_j in two's complement, so a slot whose sign bit is set
+    stands 2^w too high, and those excesses come off in one subtraction."""
+    size = w // 8
+    u = int.from_bytes(b"".join([c.to_bytes(size, "little", signed=True) for c in coeffs]), "little")
+    sign_bits = int.from_bytes((bytes(size - 1) + b"\x80") * len(coeffs), "little")
+    return u - ((u & sign_bits) << 1)
 
 
 def _lift2(tag: str, targets, n: int, a: list[int], A: int):

@@ -453,6 +453,26 @@ def test_malformed_requests_are_refused(capsys, argv, message):
     assert captured.err == f"error: {message}\n"
 
 
+@pytest.mark.parametrize(
+    "argv, flag",
+    [
+        (CLASSIFY_7 + ("--p=--", "--m", "1", "--beta", "1", "--alpha", "1"), "--p"),
+        (CLASSIFY_7 + ("--m", "1", "--beta", "1", "--alpha", "2", "--tail=--"), "--tail"),  # not an empty tail
+        (("factor", "--p", "7", "--n", "2", "--m", "1", "--beta", "1", "--alpha", "2", "--terms=--"), "--terms"),
+        (("square", "--d=--", "--p", "7"), "--d"),
+        (("roots", "--A=--", "--B", "1", "--C", "1", "--p", "7", "--k", "2"), "--A"),
+        (("normalize", "--p", "3", "--coeffs=--", "--t", "2"), "--coeffs"),
+        (("verify", "--target=--", "--a", "[]", "--b", "[]"), "--target"),
+    ],
+)
+def test_flag_given_only_dashes_is_refused(capsys, argv, flag):
+    # argparse drops the -- of --flag=-- and stores [] for it
+    code = main(list(argv))
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err == f"error: {flag} needs a value\n"
+
+
 def test_square_and_roots_at_the_limits(capsys):
     # the largest 512-bit prime, and the largest k with 7^k within max_pn_bits
     code, out = run(capsys, "square", "--d", "5", "--p", str(2**512 - 569))

@@ -1,5 +1,6 @@
 import hashlib
 import random
+from operator import mul
 
 import pytest
 
@@ -7,6 +8,7 @@ import zxfactor.factor as factor_module
 from zxfactor.classify import QuadInput, classify_general, classify_quadratic
 from zxfactor.factor import (
     EngineInvariantError,
+    _cross_sums,
     factor_coprime_constant,
     factor_m_eq_nu,
     factor_p2_m_eq_nu1,
@@ -415,3 +417,148 @@ def test_discriminant_engines_keep_their_pairs():
     assert seen == {(kind, outcome) for kind in range(3) for outcome in ("pair", "ValueError")}
     assert digest == "095f6ce8af1632b62b4962f940ead62586efddf631aef32be6a35ad8a7deb1ca"
 
+
+
+def _lag_one_sweep():
+    """(sha256 over every pair, rows that split) for seeded calls of the five
+    lag-one rows at orders around the running product's minimum order and
+    up to 256: factor_simple_root (tails included), factor_p2_scaled,
+    factor_p2_m_eq_nu1, factor_m_eq_nu with nu <= l and factor_tail.  Each
+    row draws inputs until six of them split at each order; the heights
+    range from a few bits, which stay packed, to hundreds, which fall back
+    to plain sums."""
+    rng = random.Random(18)
+
+    def unit(p, bound):
+        return rng.choice([x for x in range(-bound, bound + 1) if x % p])
+
+    def simple_root():
+        p, n = rng.choice((3, 5, 7)), rng.randint(2, 5)
+        if rng.random() < 0.2:
+            return QuadInput(p, 2 * (n // 2), None, None, unit(p, 40))
+        tail = tuple(rng.randint(-20, 20) for _ in range(rng.randint(0, 3)))
+        return QuadInput(p, n, rng.randint(1, 3), unit(p, 20), unit(p, 40), tail)
+
+    def p2_scaled():
+        nu = rng.randint(1, 2)
+        if rng.random() < 0.3:
+            return QuadInput(2, 2 * nu, None, None, 8 * rng.randint(-5, 5) - 1)
+        return QuadInput(2, 2 * nu, nu + rng.randint(2, 3), unit(2, 11), 8 * rng.randint(-5, 5) + rng.choice((3, 7)))
+
+    def p2_m_eq_nu1():
+        nu, beta = rng.randint(1, 2), unit(2, 11)
+        return QuadInput(2, 2 * nu, nu + 1, beta, beta * beta - 4 ** rng.randint(1, 3) * (8 * rng.randint(-4, 4) + 1))
+
+    def discriminant_p2l(p, ell):
+        """beta, alpha with beta^2 - 4*alpha = p^(2*ell) * w for a unit w."""
+        while True:
+            beta = unit(p, 30)
+            alpha, rem = divmod(beta * beta - p ** (2 * ell) * unit(p, 40), 4)
+            if rem == 0 and alpha % p:
+                return beta, alpha
+
+    def m_eq_nu_small_nu():
+        p, nu = rng.choice((3, 5, 7)), rng.randint(1, 2)
+        return QuadInput(p, 2 * nu, nu, *discriminant_p2l(p, rng.randint(nu, 2)))
+
+    def tail():
+        p = rng.choice((3, 5, 7))
+        tail = tuple(p * p * rng.randint(-3, 3) for _ in range(rng.randint(1, 3)))
+        return QuadInput(p, 2, 1, *discriminant_p2l(p, 1), tail)
+
+    rows = {
+        factor_simple_root: simple_root,
+        factor_p2_scaled: p2_scaled,
+        factor_p2_m_eq_nu1: p2_m_eq_nu1,
+        factor_m_eq_nu: m_eq_nu_small_nu,
+        factor_tail: tail,
+    }
+    lines, split = [], set()
+    for order in (31, 32, 33, 64, 128, 256):
+        for engine, draw in rows.items():
+            done = 0
+            while done < 6:
+                q = draw()
+                try:
+                    pair = tuple(s.coeffs for s in engine(q, order))
+                except ValueError:
+                    continue
+                done += 1
+                split.add(engine.__name__)
+                lines.append(repr((q, order, pair)))
+    return hashlib.sha256("\n".join(lines).encode()).hexdigest(), split
+
+
+def test_lag_one_rows_keep_their_pairs():
+    digest, split = _lag_one_sweep()
+    assert split == {"factor_simple_root", "factor_p2_scaled", "factor_p2_m_eq_nu1", "factor_m_eq_nu", "factor_tail"}
+    assert digest == "711e299c485fcb7ab2f7cafd26c014bb28374a4cf2384ae405421615fb780976"
+
+
+@pytest.mark.parametrize(
+    "engine, q, order, regime",
+    [
+        (factor_simple_root, QuadInput(5, 4, 1, 3, 7), 256, "packed throughout"),
+        (factor_simple_root, QuadInput(5, 2, None, None, -11), 128, "widens mid-lift"),
+        (factor_tail, QuadInput(7, 2, 1, 24, -52, (147, 0, 0)), 64, "falls back"),
+        (factor_p2_m_eq_nu1, QuadInput(2, 2, 2, 3, -519), 64, "falls back"),
+        (factor_simple_root, QuadInput(5, 4, 1, 3, 7), 31, "plain sums"),
+        (factor_simple_root, QuadInput(5, 4, 1, 3, 7), 32, "packed throughout"),
+        (factor_p2_scaled, QuadInput(2, 2, 4, 3, 7), 32, "packed throughout"),
+    ],
+)
+def test_running_product_gives_the_plain_sum_pair(monkeypatch, engine, q, order, regime):
+    # (stage, slot bits) of every rebuild, and every slot width chosen (0: plain sums from there on)
+    rebuilds, widths = [], []
+    running_product, slot_bits = factor_module._running_product, factor_module._slot_bits
+
+    def spy_rebuild(a, b, m, w):
+        rebuilds.append((m, w))
+        return running_product(a, b, m, w)
+
+    def spy_width(need):
+        widths.append(slot_bits(need))
+        return widths[-1]
+
+    monkeypatch.setattr(factor_module, "_running_product", spy_rebuild)
+    monkeypatch.setattr(factor_module, "_slot_bits", spy_width)
+    pair = engine(q, order)
+    packed = bool(rebuilds) and 0 not in widths
+    holds = {
+        "plain sums": not rebuilds,
+        "packed throughout": packed,
+        "widens mid-lift": packed and rebuilds[-1][0] > 16,
+        "falls back": bool(rebuilds) and widths[-1] == 0,
+    }
+    assert holds[regime], (rebuilds, widths)
+    monkeypatch.setattr(factor_module, "_RUNNING_MIN_ORDER", order + 1)
+    assert engine(q, order) == pair
+
+
+def _driven_sums(a_all, b_all, h_a, n):
+    """The sums _cross_sums yields over the stages 2..n when the lists grow
+    as in a lift, each stage appending a_m and b_m after its read."""
+    a, b = a_all[:2], b_all[:2]
+    sums = _cross_sums(a, b, h_a, n)
+    out = []
+    for m in range(2, n + 1):
+        out.append(next(sums))
+        a.append(a_all[m])
+        b.append(b_all[m])
+    return out
+
+
+@pytest.mark.parametrize("h_a, h_b", [(10, 15), (20, 20), (3, 40), (40, 72)])
+@pytest.mark.parametrize("sign", [1, -1])
+def test_cross_sums_stay_exact_at_the_width_bound(h_a, h_b, sign):
+    # every a_j and b_i at its full height and of one sign: C(s) = (s-3) *
+    # (2^h_a - 1) * (2^h_b - 1) is as large as the heights allow.  At
+    # N = 126, bitlen(N+1) = 7 and the last sum, C(127), holds 124 terms,
+    # above 2^(h_a+h_b+6): h_a + h_b = 25 needs 33 bits (48-bit slots), so
+    # a bound one bit short would read it from 32-bit slots; 40 needs
+    # exactly 48.
+    n = 126
+    a = [9, 1] + [2**h_a - 1] * (n - 1)
+    b = [9, 1] + [sign * (2**h_b - 1)] * (n - 1)
+    plain = [sum(map(mul, a[2:m], b[m - 1 : 1 : -1])) for m in range(2, n + 1)]
+    assert _driven_sums(a, b, h_a, n) == plain

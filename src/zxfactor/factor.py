@@ -15,10 +15,11 @@ t_k a multiple of D, which divides A^2.  Each lift checks c and inverts
 it once; a stage is then one multiplication, one reduction and one exact
 division, after its cross sum sum_(i,j>=2) a_j*b_i over the order.  A
 lag-one lift of order N >= _RUNNING_MIN_ORDER reads those sums from one
-running Kronecker-packed product, pushing a_m and b_m into it once each,
-while the slots they need stay within _RUNNING_MAX_BITS, and takes plain
-sums otherwise (:func:`_cross_sums`).  The scale A per engine (l is half
-the valuation of beta^2 - 4*alpha, of beta^2 - alpha when p = 2):
+running Kronecker-packed product in slots of _RUNNING_BITS bits, pushing
+a_m and b_m into it once each, while the heights fit the slots, and
+takes plain sums otherwise (:func:`_cross_sums`).  The scale A per engine
+(l is half the valuation of beta^2 - 4*alpha, of beta^2 - alpha when
+p = 2):
 
     engine                      A               lag
     factor_simple_root          1               1
@@ -132,25 +133,26 @@ def _smallest_root(A: int, B: int, C: int, p: int, K: int, tag: str) -> int:
 # the integer-root shortcut and the lifting core
 
 # A lag-one lift of order N reads its cross sums from the running product
-# of :func:`_cross_sums` when N >= _RUNNING_MIN_ORDER, while its slots
-# stay within _RUNNING_MAX_BITS.  Measured on the engines of the cli-deep
-# benchmark's lines (CPython 3.11, shared 2-vCPU machine, best of 7 per
-# input, 6 to 8 inputs per row), as time with the running product over
-# time with plain sums:
-#   engine alone, by order: 1.07-1.16 at N = 4 to 8 and 1.03-1.18 at 12
-#     on every row; at 24 0.96-1.06 where b stays under about 60 bits
-#     (2m<n, beta = 0, p=2 m>nu+1, S5.simple-root) and 1.04-1.21 where it
-#     grows 3 to 6 bits per order (S5.double-root-tail, p=2 m=nu+1,
-#     m=nu nu<=l); at 32 0.90-1.01 and 1.01-1.29; at 64 0.78-0.82 and
-#     1.00-1.15.  Below 32 no row gains.
-#   one CLI line (cli._classify), by ceiling 64 / 96 / 128 / 160 / 192:
-#     the slow rows 0.63-0.78 at N = 128 and 0.63-0.92 at 256 for every
-#     ceiling; the growing rows at N = 128 0.98-1.01 / 1.02-1.04 /
-#     1.04-1.08 / 1.09-1.19 / 1.19-1.37, their slots outgrowing the
-#     ceiling after 30 to 140 stages.  128 keeps every slow row packed
-#     through N = 256 (p=2 m>nu+1 reaches 96-bit slots there).
+# of :func:`_cross_sums` when N >= _RUNNING_MIN_ORDER, in slots of
+# _RUNNING_BITS bits.  Measured over 500 lines of the cli-deep benchmark
+# (seeds 21-25; CPython 3.11, shared 2-vCPU machine; cli._classify per
+# line, best of 7, the variants alternating in one process), as time with
+# the running product over time with plain sums:
+#   by order, packed at every order (the 150 lines of order 64, run at
+#     N = 8 to 64): on the lag-one rows 1.05-1.09 at N = 8, 1.03-1.07 at
+#     16, 1.01-1.04 at 24, 0.98-1.02 at 32, 0.94-1.01 at 48 and 0.88-1.00
+#     at 64.  Below 32 no row gains.
+#   by slot width 48 / 64 / 80 / 96, at N = 128: the rows that need at
+#     most 62 bits there (2m<n, m>nu, beta = 0 with odd p, S5.simple-root,
+#     p=2 m>nu+1) 0.70-0.74 / 0.76-0.78 / 0.80-0.86 / 0.88-0.93; the rows
+#     whose b outgrows the slots (S5.double-root-tail, p=2 m=nu+1,
+#     m=nu nu<=l; at 64 bits after 13 to 126 stages) 0.99-1.01 /
+#     0.94-1.01 / 0.93-1.00 / 0.90-1.00.  All 500 lines take 0.88 / 0.87 /
+#     0.89 / 0.91 of their plain-sum time.  48 bits gives the fastest
+#     median line; 64 the fastest sum, and at N = 256 it falls back on 19
+#     of the 70 lines of the first five rows, against 40 at 48 bits.
 _RUNNING_MIN_ORDER = 32
-_RUNNING_MAX_BITS = 128
+_RUNNING_BITS = 64
 
 
 def _integer_split(targets, a0: int, n: int, tag: str):
@@ -218,68 +220,35 @@ def _cross_sums(a: list[int], b: list[int], h_a: int, n: int):
 
     The caller appends a_m and b_m before it asks for the next sum, and
     h_a bounds the bits of every a_j with j >= 2, present and future.
-    The sums are read from a running product in slots of w bits, X = 2^w:
-    PA = sum a_j X^(j-2), PB likewise for b, and R holds the partial sums
-    of the cross sums not yet read, the next one in slot 0.  A read takes
-    the balanced residue of R mod X and shifts it off; a push adds
-    a_m*PB + b_m*PA to R, the new pairs landing in the low slots.  Every
+    The sums are read from a running product in slots of w =
+    _RUNNING_BITS bits, X = 2^w: PA = sum a_j X^(j-2), PB likewise for b,
+    and R holds the partial sums of the cross sums not yet read, the next
+    one in slot 0.  A read takes the balanced residue of R mod X and
+    shifts it off; a push adds a_m*PB + b_m*PA to R, the new pairs landing
+    in the low slots.  The seeds are pushed before the first read.  Every
     |C(s)| < (N+1) * 2^(h_a+h_b), so the read is exact while
-    w >= h_a + h_b + bitlen(N+1) + 1.  A b_m that breaks that bound widens
-    the slots to the next multiple of 16 bits and rebuilds all three from
-    the lists (:func:`_running_product`); past _RUNNING_MAX_BITS the rest
-    of the sums are plain sums.
+    w >= h_a + h_b + bitlen(N+1) + 1.  From the first b_m that breaks that
+    bound the rest of the sums are plain sums.
     """
-    k = len(a)
-    room = h_a + (n + 1).bit_length() + 1
-    h_b = max(map(int.bit_length, b[2:]), default=0)
-    w = _slot_bits(room + h_b)
-    if w:
-        pa, pb, r = _running_product(a, b, k, w)
-        half, mask = 1 << (w - 1), (1 << w) - 1
-    for m in range(k, n + 1):
-        if not w:
-            yield sum(map(mul, a[2:m], b[m - 1 : 1 : -1]))
-            continue
-        r += half
-        yield (r & mask) - half
-        r >>= w
-        a_m, b_m = a[m], b[m]
-        if b_m.bit_length() > h_b:
-            h_b = b_m.bit_length()
-            if room + h_b > w:
-                w = _slot_bits(room + h_b)
-                if w:
-                    pa, pb, r = _running_product(a, b, m + 1, w)
-                    half, mask = 1 << (w - 1), (1 << w) - 1
+    k, w = len(a), _RUNNING_BITS
+    room = w - h_a - (n + 1).bit_length() - 1  # the bits b may reach
+    half, mask = 1 << (w - 1), (1 << w) - 1
+    pa = pb = r = 0
+    for m in range(2, n + 1):
+        if m >= k:  # a stage: read C(m+1)
+            if room < 0:
+                yield sum(map(mul, a[2:m], b[m - 1 : 1 : -1]))
                 continue
+            r += half
+            yield (r & mask) - half
+            r >>= w
+        if b[m].bit_length() > room:  # a seed (m < k) or the pair just appended
+            room = -1
+            continue
         shift = (m - 2) * w
-        pb += b_m << shift
-        r += a_m * pb + b_m * pa
-        pa += a_m << shift
-
-
-def _slot_bits(need: int) -> int:
-    """need rounded up to a multiple of 16 bits; 0 past _RUNNING_MAX_BITS."""
-    w = -(-need // 16) * 16
-    return w if w <= _RUNNING_MAX_BITS else 0
-
-
-def _running_product(a: list[int], b: list[int], m: int, w: int) -> tuple[int, int, int]:
-    """PA, PB of a_2..a_(m-1), b_2..b_(m-1) in w-bit slots, and PA*PB with
-    the slots below C(m+1) (slot m - 3) rounded off."""
-    pa, pb = _slots(a[2:m], w), _slots(b[2:m], w)
-    shift = max(m - 3, 0) * w
-    return pa, pb, (pa * pb + (1 << shift >> 1)) >> shift
-
-
-def _slots(coeffs: list[int], w: int) -> int:
-    """sum_j c_j * 2^(wj) for |c_j| < 2^(w-1) and w a multiple of 8: the
-    slots are the c_j in two's complement, so a slot whose sign bit is set
-    stands 2^w too high, and those excesses come off in one subtraction."""
-    size = w // 8
-    u = int.from_bytes(b"".join([c.to_bytes(size, "little", signed=True) for c in coeffs]), "little")
-    sign_bits = int.from_bytes((bytes(size - 1) + b"\x80") * len(coeffs), "little")
-    return u - ((u & sign_bits) << 1)
+        pb += b[m] << shift
+        r += a[m] * pb + b[m] * pa
+        pa += a[m] << shift
 
 
 def _lift2(tag: str, targets, n: int, a: list[int], A: int):
@@ -320,7 +289,8 @@ def factor_simple_root(q: "QuadInput", n: int) -> tuple[TruncSeries, TruncSeries
     integer-root shortcut is not tried there.
     """
     _require(q.beta is not None or not q.tail, "beta = 0 engine takes no tail")
-    _require(q.n >= 2 and n >= 2, "needs n >= 2 and factor order at least 2")
+    _require(q.n >= 2, "needs n >= 2")
+    _require(n >= 2, "factor order must be at least 2")
     targets = q.head_series(n).coeffs + (0,)
     p, s = q.p, q.n // 2 if q.beta is None else min(q.m, q.n // 2)
     ps, scale = p**s, p ** (q.n - 2 * s)

@@ -291,6 +291,22 @@ def test_refuses_to_factor_beyond_input_order():
         factor_coprime_constant(TruncSeries((6, 2, 1)), 2, 3, 3)
 
 
+@pytest.mark.parametrize(
+    "engine, q",
+    [
+        (factor_simple_root, QuadInput(5, 4, 1, 3, 7)),
+        (factor_p2_scaled, QuadInput(2, 2, 4, 3, 7)),
+        (factor_m_eq_nu, QuadInput(3, 2, 1, 1, -29)),
+        (factor_p2_m_eq_nu1, QuadInput(2, 2, 2, 3, -519)),
+        (factor_tail, QuadInput(7, 2, 1, 24, -52, (147, 0, 0))),
+    ],
+)
+def test_engines_refuse_order_one_in_one_message(engine, q):
+    check_pair(q, engine(q, 2), 2)
+    with pytest.raises(ValueError, match="^factor order must be at least 2$"):
+        engine(q, 1)
+
+
 def _random_reducible_inputs(count):
     rng = random.Random(RNG_SEED)
     out = []
@@ -498,67 +514,81 @@ def test_lag_one_rows_keep_their_pairs():
 @pytest.mark.parametrize(
     "engine, q, order, regime",
     [
-        (factor_simple_root, QuadInput(5, 4, 1, 3, 7), 256, "packed throughout"),
-        (factor_simple_root, QuadInput(5, 2, None, None, -11), 128, "widens mid-lift"),
+        (factor_simple_root, QuadInput(5, 2, None, None, -11), 256, "packed throughout"),
+        (factor_simple_root, QuadInput(5, 4, 1, 3, 7), 256, "falls back late"),
         (factor_tail, QuadInput(7, 2, 1, 24, -52, (147, 0, 0)), 64, "falls back"),
         (factor_p2_m_eq_nu1, QuadInput(2, 2, 2, 3, -519), 64, "falls back"),
         (factor_simple_root, QuadInput(5, 4, 1, 3, 7), 31, "plain sums"),
         (factor_simple_root, QuadInput(5, 4, 1, 3, 7), 32, "packed throughout"),
         (factor_p2_scaled, QuadInput(2, 2, 4, 3, 7), 32, "packed throughout"),
+        (factor_simple_root, QuadInput(2**61 - 1, 4, 1, 3, 7), 64, "never packs"),
     ],
 )
 def test_running_product_gives_the_plain_sum_pair(monkeypatch, engine, q, order, regime):
-    # (stage, slot bits) of every rebuild, and every slot width chosen (0: plain sums from there on)
-    rebuilds, widths = [], []
-    running_product, slot_bits = factor_module._running_product, factor_module._slot_bits
-
-    def spy_rebuild(a, b, m, w):
-        rebuilds.append((m, w))
-        return running_product(a, b, m, w)
-
-    def spy_width(need):
-        widths.append(slot_bits(need))
-        return widths[-1]
-
-    monkeypatch.setattr(factor_module, "_running_product", spy_rebuild)
-    monkeypatch.setattr(factor_module, "_slot_bits", spy_width)
     pair = engine(q, order)
-    packed = bool(rebuilds) and 0 not in widths
+    # The regime, read from the pair: the lift packs each pair while
+    # h_a + bits(b_m) + bitlen(N+1) + 1 fits the slots.  The h_a here, the
+    # height of a_0 and a_2, a_3, ..., is at most the lift's (that of
+    # A*a_0): equal for A = 1, so a fallback found here is one the lift
+    # takes, and the packed p = 2 case (A = 2) needs 19 of the 64 bits.
+    a, b = (s.coeffs for s in pair)
+    w = factor_module._RUNNING_BITS
+    fixed = max(map(int.bit_length, [a[0], *a[2:]])) + (order + 1).bit_length() + 1
+    first = next((m for m in range(2, order + 1) if fixed + b[m].bit_length() > w), None)
     holds = {
-        "plain sums": not rebuilds,
-        "packed throughout": packed,
-        "widens mid-lift": packed and rebuilds[-1][0] > 16,
-        "falls back": bool(rebuilds) and widths[-1] == 0,
+        "plain sums": order < factor_module._RUNNING_MIN_ORDER,
+        "packed throughout": first is None,
+        "falls back": first is not None and fixed <= w,
+        "falls back late": first is not None and first > order // 2,
+        "never packs": fixed > w,
     }
-    assert holds[regime], (rebuilds, widths)
+    assert holds[regime], (fixed, first)
     monkeypatch.setattr(factor_module, "_RUNNING_MIN_ORDER", order + 1)
     assert engine(q, order) == pair
 
 
-def _driven_sums(a_all, b_all, h_a, n):
-    """The sums _cross_sums yields over the stages 2..n when the lists grow
-    as in a lift, each stage appending a_m and b_m after its read."""
-    a, b = a_all[:2], b_all[:2]
+def _driven_sums(a_all, b_all, h_a, k):
+    """The sums _cross_sums yields over the stages k..n (n = len(a_all) - 1)
+    from the seeds a_0..a_(k-1) and b_0..b_(k-1), when the lists grow as in
+    a lift, each stage appending a_m and b_m after its read."""
+    n = len(a_all) - 1
+    a, b = a_all[:k], b_all[:k]
     sums = _cross_sums(a, b, h_a, n)
     out = []
-    for m in range(2, n + 1):
+    for m in range(k, n + 1):
         out.append(next(sums))
         a.append(a_all[m])
         b.append(b_all[m])
     return out
 
 
-@pytest.mark.parametrize("h_a, h_b", [(10, 15), (20, 20), (3, 40), (40, 72)])
+def _plain_sums(a, b, k):
+    return [sum(map(mul, a[2:m], b[m - 1 : 1 : -1])) for m in range(k, len(a))]
+
+
+@pytest.mark.parametrize("h_a, h_b", [(10, 15), (20, 20), (3, 40), (40, 72), (20, 36), (20, 37), (3, 53), (3, 54)])
 @pytest.mark.parametrize("sign", [1, -1])
 def test_cross_sums_stay_exact_at_the_width_bound(h_a, h_b, sign):
     # every a_j and b_i at its full height and of one sign: C(s) = (s-3) *
     # (2^h_a - 1) * (2^h_b - 1) is as large as the heights allow.  At
     # N = 126, bitlen(N+1) = 7 and the last sum, C(127), holds 124 terms,
-    # above 2^(h_a+h_b+6): h_a + h_b = 25 needs 33 bits (48-bit slots), so
-    # a bound one bit short would read it from 32-bit slots; 40 needs
-    # exactly 48.
+    # above 2^(h_a+h_b+6): h_a + h_b = 56 is the most that 64-bit slots
+    # hold, and 57 must fall back to plain sums, which a bound one bit
+    # short would read from the slots.  Two seeds, and three as in the
+    # m=nu nu<=l row, whose seed pair a_2, b_2 is pushed before the first
+    # read.
     n = 126
     a = [9, 1] + [2**h_a - 1] * (n - 1)
     b = [9, 1] + [sign * (2**h_b - 1)] * (n - 1)
-    plain = [sum(map(mul, a[2:m], b[m - 1 : 1 : -1])) for m in range(2, n + 1)]
-    assert _driven_sums(a, b, h_a, n) == plain
+    for k in (2, 3):
+        assert _driven_sums(a, b, h_a, k) == _plain_sums(a, b, k)
+
+
+def test_cross_sums_fall_back_from_a_seed_past_the_bound():
+    # three seeds, b_2 alone past the bound (20 + 40 + 7 + 1 > 64) and every
+    # later b_i small: the sums stay plain to the end, since packing the
+    # later pairs without a_2*b_2 would read every sum without its terms
+    n = 126
+    a = [9, 1] + [2**20 - 1] * (n - 1)
+    b = [9, 1, 2**40 - 1] + [-(2**10 - 1)] * (n - 2)
+    assert _driven_sums(a, b, 20, 3) == _plain_sums(a, b, 3)

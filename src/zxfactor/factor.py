@@ -16,10 +16,10 @@ it once; a stage is then one multiplication, one reduction and one exact
 division, after its cross sum sum_(i,j>=2) a_j*b_i over the order.  A
 lag-one lift of order N >= _RUNNING_MIN_ORDER reads those sums from one
 running Kronecker-packed product in slots of _RUNNING_BITS bits, pushing
-a_m and b_m into it once each, while the heights fit the slots, and
-takes plain sums otherwise (:func:`_cross_sums`).  The scale A per engine
-(l is half the valuation of beta^2 - 4*alpha, of beta^2 - alpha when
-p = 2):
+a_m and b_m into it once each (past order (N+1)/2 into the unread sums
+alone), while the heights fit the slots, and takes plain sums otherwise
+(:func:`_cross_sums`).  The scale A per engine (l is half the valuation
+of beta^2 - 4*alpha, of beta^2 - alpha when p = 2):
 
     engine                      A               lag
     factor_simple_root          1               1
@@ -134,23 +134,22 @@ def _smallest_root(A: int, B: int, C: int, p: int, K: int, tag: str) -> int:
 
 # A lag-one lift of order N reads its cross sums from the running product
 # of :func:`_cross_sums` when N >= _RUNNING_MIN_ORDER, in slots of
-# _RUNNING_BITS bits.  Measured over 500 lines of the cli-deep benchmark
-# (seeds 21-25; CPython 3.11, shared 2-vCPU machine; cli._classify per
-# line, best of 7, the variants alternating in one process), as time with
-# the running product over time with plain sums:
+# _RUNNING_BITS bits.  Measured on the cli-deep benchmark lines of seeds
+# 21-25 (CPython 3.11, shared 2-vCPU machine; cli._classify per line, best
+# of 7, the variants alternating in one process), as time with the running
+# product over time with plain sums:
 #   by order, packed at every order (the 150 lines of order 64, run at
-#     N = 8 to 64): on the lag-one rows 1.05-1.09 at N = 8, 1.03-1.07 at
-#     16, 1.01-1.04 at 24, 0.98-1.02 at 32, 0.94-1.01 at 48 and 0.88-1.00
-#     at 64.  Below 32 no row gains.
-#   by slot width 48 / 64 / 80 / 96, at N = 128: the rows that need at
-#     most 62 bits there (2m<n, m>nu, beta = 0 with odd p, S5.simple-root,
-#     p=2 m>nu+1) 0.70-0.74 / 0.76-0.78 / 0.80-0.86 / 0.88-0.93; the rows
-#     whose b outgrows the slots (S5.double-root-tail, p=2 m=nu+1,
-#     m=nu nu<=l; at 64 bits after 13 to 126 stages) 0.99-1.01 /
-#     0.94-1.01 / 0.93-1.00 / 0.90-1.00.  All 500 lines take 0.88 / 0.87 /
-#     0.89 / 0.91 of their plain-sum time.  48 bits gives the fastest
-#     median line; 64 the fastest sum, and at N = 256 it falls back on 19
-#     of the 70 lines of the first five rows, against 40 at 48 bits.
+#     N = 8 to 64): 1.04 at N = 8, 1.02 at 12, 1.01 at 16, 0.97 at 24, 0.94
+#     at 32, 0.89 at 48 and 0.86 at 64; the lag-one rows 1.03-1.07 at 8 and
+#     0.95-1.00 at 24.  No workload lifts to orders 9-31, so 32 stays.
+#   by slot width 48 / 64 / 80 / 96 (the 460 lag-one lines): at N = 128 the
+#     small-height rows (2m<n, m>nu, beta = 0 with odd p, S5.simple-root)
+#     0.57-0.61 / 0.62-0.65 / 0.65-0.68 / 0.69-0.70 and the rest 0.66-1.01 /
+#     0.65-1.01 / 0.64-0.99 / 0.68-1.00, all 0.81 / 0.80 / 0.79 / 0.79; at
+#     N = 256 the small-height rows 0.53-0.61 / 0.50-0.54 / 0.54-0.56 /
+#     0.58-0.61, all 0.85 / 0.81 / 0.80 / 0.80, and 48 bits falls back on 97
+#     of their 215 lines, 64 on 19.  Per CLI line 48 bits makes the median
+#     line 4% faster, the sum 2% slower and m>nu at N = 256 13% slower.
 _RUNNING_MIN_ORDER = 32
 _RUNNING_BITS = 64
 
@@ -225,10 +224,14 @@ def _cross_sums(a: list[int], b: list[int], h_a: int, n: int):
     and R holds the partial sums of the cross sums not yet read, the next
     one in slot 0.  A read takes the balanced residue of R mod X and
     shifts it off; a push adds a_m*PB + b_m*PA to R, the new pairs landing
-    in the low slots.  The seeds are pushed before the first read.  Every
+    in the low slots.  The seeds are pushed before the first read.  From
+    2m > N + 1 on, a_m and b_m stay out of PA and PB: they meet no later
+    pair below order N + 2, and no stage reads past N + 1.  (The pair m, m
+    lands at order 2m, so at odd N the middle pair still goes in.)  Every
     |C(s)| < (N+1) * 2^(h_a+h_b), so the read is exact while
     w >= h_a + h_b + bitlen(N+1) + 1.  From the first b_m that breaks that
-    bound the rest of the sums are plain sums.
+    bound, on either side of the middle order, the rest of the sums are
+    plain sums.
     """
     k, w = len(a), _RUNNING_BITS
     room = w - h_a - (n + 1).bit_length() - 1  # the bits b may reach
@@ -244,6 +247,9 @@ def _cross_sums(a: list[int], b: list[int], h_a: int, n: int):
             r >>= w
         if b[m].bit_length() > room:  # a seed (m < k) or the pair just appended
             room = -1
+            continue
+        if 2 * m > n + 1:  # a_m and b_m meet no later pair below order n + 2
+            r += a[m] * pb + b[m] * pa
             continue
         shift = (m - 2) * w
         pb += b[m] << shift

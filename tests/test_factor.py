@@ -592,3 +592,62 @@ def test_cross_sums_fall_back_from_a_seed_past_the_bound():
     a = [9, 1] + [2**20 - 1] * (n - 1)
     b = [9, 1, 2**40 - 1] + [-(2**10 - 1)] * (n - 2)
     assert _driven_sums(a, b, 20, 3) == _plain_sums(a, b, 3)
+
+
+@pytest.mark.parametrize("n", [32, 33, 126, 127])
+def test_cross_sums_freeze_past_the_middle_order(n):
+    # From the first stage with 2m > N + 1 a pair enters R but not PA and
+    # PB: it meets no later pair below order N + 2.  At odd N the pair
+    # m = (N+1)/2 still meets itself at order N + 1, in the last sum read,
+    # so freezing from 2m > N would lose a_m*b_m there.  Mixed signs, heights
+    # 21 and 31 bits: packed throughout.
+    rng = random.Random(n)
+    a = [9, 1] + [rng.randint(-(2**20), 2**20) for _ in range(n - 1)]
+    b = [9, 1] + [rng.randint(-(2**30), 2**30) for _ in range(n - 1)]
+    for k in (2, 3):
+        assert _driven_sums(a, b, 21, k) == _plain_sums(a, b, k)
+
+
+def test_cross_sums_fall_back_past_the_middle_order():
+    # b_100 alone past the bound (20 + 50 + 8 + 1 > 64), after the middle
+    # order of N = 127: a stage past the middle still adds b_m*PA to R, so
+    # it checks the bound first and the sums from there on are plain
+    n = 127
+    a = [9, 1] + [2**20 - 1] * (n - 1)
+    b = [9, 1] + [-(2**10 - 1)] * (n - 1)
+    b[100] = 2**50 - 1
+    for k in (2, 3):
+        assert _driven_sums(a, b, 20, k) == _plain_sums(a, b, k)
+
+
+def test_cross_sums_match_plain_sums_on_drawn_sequences():
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+
+    # Heights on both sides of the read bound (h_b may pass 64 - h_a -
+    # bitlen(N+1) - 1), mixed signs or every value at full height, N of both
+    # parities, two or three seeds, and one b_i that may spike past the
+    # bound at any stage, before or after the middle order.
+    @hypothesis.settings(max_examples=150, deadline=None)
+    @hypothesis.given(
+        h_a=st.integers(1, 24),
+        h_b=st.integers(1, 45),
+        n=st.integers(32, 160),
+        k=st.sampled_from((2, 3)),
+        full=st.booleans(),
+        spike=st.tuples(st.floats(0, 1), st.integers(0, 64)),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def check(h_a, h_b, n, k, full, spike, seed):
+        rng = random.Random(seed)
+
+        def draw(h):
+            return rng.choice((-1, 1)) * (2**h - 1 if full else rng.randint(0, 2**h - 1))
+
+        a = [9, 1] + [draw(h_a) for _ in range(n - 1)]
+        b = [9, 1] + [draw(h_b) for _ in range(n - 1)]
+        at, height = spike
+        b[2 + int(at * (n - 2))] = draw(height)
+        assert _driven_sums(a, b, h_a, k) == _plain_sums(a, b, k)
+
+    check()

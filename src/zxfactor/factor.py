@@ -15,11 +15,11 @@ t_k a multiple of D, which divides A^2.  Each lift checks c and inverts
 it once; a stage is then one multiplication, one reduction and one exact
 division, after its cross sum sum_(i,j>=2) a_j*b_i over the order.  A
 lag-one lift of order N >= _RUNNING_MIN_ORDER reads those sums from one
-running Kronecker-packed product in slots of _RUNNING_BITS bits, pushing
-a_m and b_m into it once each (past order (N+1)/2 into the unread sums
-alone), while the heights fit the slots, and takes plain sums otherwise
-(:func:`_cross_sums`).  The scale A per engine (l is half the valuation
-of beta^2 - 4*alpha, of beta^2 - alpha when p = 2):
+running Kronecker-packed product, pushing a_m and b_m into it once each
+(past order (N+1)/2 into the unread sums alone), in slots that widen
+from _RUNNING_BITS bits as b grows and, past _RUNNING_MAX_BITS, give way
+to plain sums (:func:`_cross_sums`).  The scale A per engine (l is half
+the valuation of beta^2 - 4*alpha, of beta^2 - alpha when p = 2):
 
     engine                      A               lag
     factor_simple_root          1               1
@@ -133,25 +133,26 @@ def _smallest_root(A: int, B: int, C: int, p: int, K: int, tag: str) -> int:
 # the integer-root shortcut and the lifting core
 
 # A lag-one lift of order N reads its cross sums from the running product
-# of :func:`_cross_sums` when N >= _RUNNING_MIN_ORDER, in slots of
-# _RUNNING_BITS bits.  Measured on the cli-deep benchmark lines of seeds
-# 21-25 (CPython 3.11, shared 2-vCPU machine; cli._classify per line, best
-# of 7, the variants alternating in one process), as time with the running
-# product over time with plain sums:
-#   by order, packed at every order (the 150 lines of order 64, run at
-#     N = 8 to 64): 1.04 at N = 8, 1.02 at 12, 1.01 at 16, 0.97 at 24, 0.94
-#     at 32, 0.89 at 48 and 0.86 at 64; the lag-one rows 1.03-1.07 at 8 and
-#     0.95-1.00 at 24.  No workload lifts to orders 9-31, so 32 stays.
-#   by slot width 48 / 64 / 80 / 96 (the 460 lag-one lines): at N = 128 the
-#     small-height rows (2m<n, m>nu, beta = 0 with odd p, S5.simple-root)
-#     0.57-0.61 / 0.62-0.65 / 0.65-0.68 / 0.69-0.70 and the rest 0.66-1.01 /
-#     0.65-1.01 / 0.64-0.99 / 0.68-1.00, all 0.81 / 0.80 / 0.79 / 0.79; at
-#     N = 256 the small-height rows 0.53-0.61 / 0.50-0.54 / 0.54-0.56 /
-#     0.58-0.61, all 0.85 / 0.81 / 0.80 / 0.80, and 48 bits falls back on 97
-#     of their 215 lines, 64 on 19.  Per CLI line 48 bits makes the median
-#     line 4% faster, the sum 2% slower and m>nu at N = 256 13% slower.
+# of :func:`_cross_sums` when N >= _RUNNING_MIN_ORDER, in slots that start
+# at _RUNNING_BITS bits and widen up to _RUNNING_MAX_BITS, both whole
+# bytes.  Measured on cli-deep benchmark lines (CPython 3.11, shared 2-vCPU
+# machine; cli._answer or cli._classify per line, best of 7, the variants
+# alternating in one process):
+#   by order, packed at every order against plain sums (seeds 21-25, the
+#     150 lines of order 64, run at N = 8 to 64): 1.04 at N = 8, 1.02 at
+#     12, 1.01 at 16, 0.97 at 24, 0.94 at 32, 0.89 at 48 and 0.86 at 64;
+#     the lag-one rows 1.03-1.07 at 8 and 0.95-1.00 at 24.  No workload
+#     lifts to orders 9-31, so 32 stays.
+#   by start width 40 / 48 / 56 / 64 bits (seeds 76-80): the median line
+#     0.707 / 0.713 / 0.712 / 0.736 ms; against 56, 64 bits takes 1.04-1.08
+#     on the small-height rows at N >= 128, 48 and 40 bits up to 1.05 and
+#     1.08 on rows whose early breaks extrapolate too wide.
+#   by widest slot, a lift widened against the same lift on plain sums from
+#     its first break (seeds 71-75): up to 128 bits 0.74 at N = 128 and 0.62
+#     at 256, 257-320 bits 0.98 / 1.05, 321-512 bits 1.10-1.21 / 1.43.
 _RUNNING_MIN_ORDER = 32
-_RUNNING_BITS = 64
+_RUNNING_BITS = 56
+_RUNNING_MAX_BITS = 320
 
 
 def _integer_split(targets, a0: int, n: int, tag: str):
@@ -196,6 +197,7 @@ def _lift(tag: str, targets, n: int, a: list[int], A: int = 1):
     modulo a_0 that makes t_(m+1) a multiple of D = A*gcd(c0, A*a_0); the
     equation divided by D has the unit c = c0*A/D.  The seeds make t_k a
     multiple of D, which divides A*A, so every later division is exact.
+    A stage is :func:`_step` written out, on the order's remainder over D.
     """
     a, b, scale, (t,) = _start(tag, targets, a)
     c0 = b[1] - scale * a[1]
@@ -206,11 +208,14 @@ def _lift(tag: str, targets, n: int, a: list[int], A: int = 1):
     if n >= _RUNNING_MIN_ORDER:
         cross = _cross_sums(a, b, max(map(int.bit_length, [A * a[0]] + a[2:])), n)
     for m in range(len(a), n + 1):
-        v = a[1] * t + (next(cross) if cross else sum(map(mul, a[2:m], b[m - 1 : 1 : -1])))
-        atil, t_next = _step(a[0], c, c_inv, _exact_div(targets[m + 1] - v, D, tag))
+        v = targets[m + 1] - a[1] * t - (next(cross) if cross else sum(map(mul, a[2:m], b[m - 1 : 1 : -1])))
+        r, rem = divmod(v, D)
+        if rem:
+            raise EngineInvariantError(f"{tag}: {v} is not divisible by {D}")
+        atil = r * c_inv % a[0]
         a.append(A * atil)
         b.append(t - scale * a[m])
-        t = D * t_next
+        t = D * ((r - c * atil) // a[0])
     return _verified(tag, targets, a, b, n)
 
 
@@ -219,35 +224,45 @@ def _cross_sums(a: list[int], b: list[int], h_a: int, n: int):
 
     The caller appends a_m and b_m before it asks for the next sum, and
     h_a bounds the bits of every a_j with j >= 2, present and future.
-    The sums are read from a running product in slots of w =
-    _RUNNING_BITS bits, X = 2^w: PA = sum a_j X^(j-2), PB likewise for b,
-    and R holds the partial sums of the cross sums not yet read, the next
-    one in slot 0.  A read takes the balanced residue of R mod X and
-    shifts it off; a push adds a_m*PB + b_m*PA to R, the new pairs landing
-    in the low slots.  The seeds are pushed before the first read.  From
-    2m > N + 1 on, a_m and b_m stay out of PA and PB: they meet no later
-    pair below order N + 2, and no stage reads past N + 1.  (The pair m, m
-    lands at order 2m, so at odd N the middle pair still goes in.)  Every
-    |C(s)| < (N+1) * 2^(h_a+h_b), so the read is exact while
-    w >= h_a + h_b + bitlen(N+1) + 1.  From the first b_m that breaks that
-    bound, on either side of the middle order, the rest of the sums are
-    plain sums.
+    The sums are read from a running product in slots of w bits, X = 2^w:
+    PA = sum a_j X^(j-2), PB likewise for b, and R holds the partial sums
+    of the cross sums not yet read, the next one in slot 0.  A read takes
+    the balanced residue of R mod X and shifts it off; a push adds
+    a_m*PB + b_m*PA to R, the new pairs landing in the low slots.  The
+    seeds are pushed before the first read.  From 2m > N + 1 on, a_m and
+    b_m stay out of PA and PB: they meet no later pair below order N + 2,
+    and no stage reads past N + 1.  (The pair m, m lands at order 2m, so
+    at odd N the middle pair still goes in.)  Every |C(s)| <
+    (N+1) * 2^(h_a+h_b), so a read is exact, whatever the slots past
+    order N + 1 hold, while w >= h_a + h_b + bitlen(N+1) + 1.  A b_m that
+    breaks that bound, on either side of the middle order, widens the
+    slots from _RUNNING_BITS to the bound at the height b reaches by order
+    N + 1 if it keeps gaining bits over b_0 at its rate so far, in whole
+    bytes.  Every slot of R, PA and PB through order N + 1 then holds a
+    true sum or coefficient below X/2, so :func:`_reslot` moves them
+    exactly before b_m is pushed.  Past _RUNNING_MAX_BITS the sums are plain.
     """
     k, w = len(a), _RUNNING_BITS
-    room = w - h_a - (n + 1).bit_length() - 1  # the bits b may reach
+    fixed = h_a + (n + 1).bit_length() + 1  # the bits a read needs beyond those of b
     half, mask = 1 << (w - 1), (1 << w) - 1
     pa = pb = r = 0
     for m in range(2, n + 1):
         if m >= k:  # a stage: read C(m+1)
-            if room < 0:
+            if not w:
                 yield sum(map(mul, a[2:m], b[m - 1 : 1 : -1]))
                 continue
             r += half
             yield (r & mask) - half
             r >>= w
-        if b[m].bit_length() > room:  # a seed (m < k) or the pair just appended
-            room = -1
-            continue
+        h_b = b[m].bit_length()  # a seed (m < k) or the pair just appended
+        if fixed + h_b > w:  # widen by the bits b gained over b_0 in m orders, per order left
+            gain = max(h_b - b[0].bit_length(), 0)
+            wide = (fixed + h_b - (-gain * (n + 1 - m) // m) + 7) // 8 * 8
+            if wide > _RUNNING_MAX_BITS:
+                w = 0  # plain sums from here on
+                continue
+            pa, pb, r = (_reslot(v, w, wide) for v in (pa, pb, r))
+            w, half, mask = wide, 1 << (wide - 1), (1 << wide) - 1
         if 2 * m > n + 1:  # a_m and b_m meet no later pair below order n + 2
             r += a[m] * pb + b[m] * pa
             continue
@@ -255,6 +270,20 @@ def _cross_sums(a: list[int], b: list[int], h_a: int, n: int):
         pb += b[m] << shift
         r += a[m] * pb + b[m] * pa
         pa += a[m] << shift
+
+
+def _reslot(v: int, w: int, wide: int) -> int:
+    """sum_s c_s 2^(wide*s) for v = sum_s c_s 2^(w*s) in whole bytes: c_s + 2^(w-1)
+    moves bytewise, exact below the first |c_s| >= 2^(w-1).  Two spare slots
+    keep v plus the biases positive."""
+    step, size = w // 8, wide // 8
+    slots = abs(v).bit_length() // w + 2
+    bias = bytes(step - 1) + b"\x80"
+    old = (v + int.from_bytes(bias * slots, "little")).to_bytes(step * slots, "little")
+    new = bytearray(size * slots)
+    for j in range(step):
+        new[j::size] = old[j::step]
+    return int.from_bytes(new, "little") - int.from_bytes((bias + bytes(size - step)) * slots, "little")
 
 
 def _lift2(tag: str, targets, n: int, a: list[int], A: int):

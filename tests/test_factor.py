@@ -46,16 +46,21 @@ def test_unit_inverse_rejects_non_unit():
 
 def test_engine_check_fires_on_a_wrong_step(monkeypatch):
     # the third stage of the lag-one core solves a_4; one more than the
-    # canonical a_4 leaves order 5 of the product off its target
+    # canonical a_4, appended in its place while b_4 and the next stages
+    # follow from it, leaves order 5 of the product off its target
     stages = []
-    step = factor_module._step
+    start = factor_module._start
 
-    def off_by_one(*args):
-        a_n, s_next = step(*args)
-        stages.append(a_n)
-        return (a_n + 1 if len(stages) == 3 else a_n), s_next
+    class OffAtTheThirdStage(list):
+        def append(self, a_n):
+            stages.append(a_n)
+            super().append(a_n + 1 if len(stages) == 3 else a_n)
 
-    monkeypatch.setattr(factor_module, "_step", off_by_one)
+    def start_off(*args):
+        a, *rest = start(*args)
+        return (OffAtTheThirdStage(a), *rest)
+
+    monkeypatch.setattr(factor_module, "_start", start_off)
     message = "simple root: first nonzero residual at product order 5;"
     with pytest.raises(EngineInvariantError, match=message):
         factor_simple_root(QuadInput(3, 5, 2, 2, 1), 16)
@@ -515,34 +520,45 @@ def test_lag_one_rows_keep_their_pairs():
     "engine, q, order, regime",
     [
         (factor_simple_root, QuadInput(5, 2, None, None, -11), 256, "packed throughout"),
-        (factor_simple_root, QuadInput(5, 4, 1, 3, 7), 256, "falls back late"),
+        (factor_simple_root, QuadInput(5, 4, 1, 3, 7), 256, "widens late"),
         (factor_tail, QuadInput(7, 2, 1, 24, -52, (147, 0, 0)), 64, "falls back"),
-        (factor_p2_m_eq_nu1, QuadInput(2, 2, 2, 3, -519), 64, "falls back"),
+        (factor_p2_m_eq_nu1, QuadInput(2, 2, 2, 3, -519), 64, "widens"),
         (factor_simple_root, QuadInput(5, 4, 1, 3, 7), 31, "plain sums"),
         (factor_simple_root, QuadInput(5, 4, 1, 3, 7), 32, "packed throughout"),
         (factor_p2_scaled, QuadInput(2, 2, 4, 3, 7), 32, "packed throughout"),
-        (factor_simple_root, QuadInput(2**61 - 1, 4, 1, 3, 7), 64, "never packs"),
+        (factor_simple_root, QuadInput(2**61 - 1, 4, 1, 3, 7), 64, "widens from the start"),
     ],
 )
 def test_running_product_gives_the_plain_sum_pair(monkeypatch, engine, q, order, regime):
+    widths = _widths(monkeypatch)
     pair = engine(q, order)
     # The regime, read from the pair: the lift packs each pair while
-    # h_a + bits(b_m) + bitlen(N+1) + 1 fits the slots.  The h_a here, the
-    # height of a_0 and a_2, a_3, ..., is at most the lift's (that of
-    # A*a_0): equal for A = 1, so a fallback found here is one the lift
-    # takes, and the packed p = 2 case (A = 2) needs 19 of the 64 bits.
+    # h_a + bits(b_m) + bitlen(N+1) + 1 fits the slots, and the first b_m
+    # that does not widens them (R, PA and PB each re-slotted once) unless
+    # its extrapolated width passes the cap.  With p = 2^61 - 1, h_a alone
+    # passes the start width: b_2 widens the empty product, and two later
+    # b_m widen it again.  The h_a here, the height of a_0 and a_2, a_3,
+    # ..., is at most the lift's (that of A*a_0): equal for A = 1, so a
+    # break found here is one the lift takes.  The p = 2 case (A = 8) has
+    # h_a one bit short of the lift's 5, and both reach 144 bits after
+    # rounding: it widens at stage 23 of 64.
     a, b = (s.coeffs for s in pair)
-    w = factor_module._RUNNING_BITS
+    w, cap = factor_module._RUNNING_BITS, factor_module._RUNNING_MAX_BITS
     fixed = max(map(int.bit_length, [a[0], *a[2:]])) + (order + 1).bit_length() + 1
     first = next((m for m in range(2, order + 1) if fixed + b[m].bit_length() > w), None)
+    wide = None
+    if first is not None:
+        h_b, gain = b[first].bit_length(), max(b[first].bit_length() - b[0].bit_length(), 0)
+        wide = (fixed + h_b - (-gain * (order + 1 - first) // first) + 7) // 8 * 8
     holds = {
         "plain sums": order < factor_module._RUNNING_MIN_ORDER,
-        "packed throughout": first is None,
-        "falls back": first is not None and fixed <= w,
-        "falls back late": first is not None and first > order // 2,
-        "never packs": fixed > w,
+        "packed throughout": first is None and not widths,
+        "widens": first is not None and 2 * first <= order + 1 and widths == [wide] * 3,
+        "widens late": first is not None and 2 * first > order + 1 and widths == [wide] * 3,
+        "falls back": first is not None and fixed <= w < cap < wide and not widths,
+        "widens from the start": fixed > w and first == 2 and widths[:3] == [wide] * 3 and len(widths) == 9,
     }
-    assert holds[regime], (fixed, first)
+    assert holds[regime], (fixed, first, widths)
     monkeypatch.setattr(factor_module, "_RUNNING_MIN_ORDER", order + 1)
     assert engine(q, order) == pair
 
@@ -566,17 +582,36 @@ def _plain_sums(a, b, k):
     return [sum(map(mul, a[2:m], b[m - 1 : 1 : -1])) for m in range(k, len(a))]
 
 
-@pytest.mark.parametrize("h_a, h_b", [(10, 15), (20, 20), (3, 40), (40, 72), (20, 36), (20, 37), (3, 53), (3, 54)])
+def _widths(monkeypatch):
+    """The list of the widths _cross_sums widens to, filled as it runs: one
+    entry per integer re-slotted, three (R, PA and PB) per widening."""
+    widths = []
+    reslot = factor_module._reslot
+
+    def spy(v, w, wide):
+        widths.append(wide)
+        return reslot(v, w, wide)
+
+    monkeypatch.setattr(factor_module, "_reslot", spy)
+    return widths
+
+
+@pytest.mark.parametrize(
+    "h_a, h_b",
+    [(10, 15), (20, 20), (3, 40), (40, 72), (20, 28), (20, 29), (3, 45), (3, 46), (20, 36), (20, 37), (3, 53), (3, 54)],
+)
 @pytest.mark.parametrize("sign", [1, -1])
 def test_cross_sums_stay_exact_at_the_width_bound(h_a, h_b, sign):
     # every a_j and b_i at its full height and of one sign: C(s) = (s-3) *
     # (2^h_a - 1) * (2^h_b - 1) is as large as the heights allow.  At
     # N = 126, bitlen(N+1) = 7 and the last sum, C(127), holds 124 terms,
-    # above 2^(h_a+h_b+6): h_a + h_b = 56 is the most that 64-bit slots
-    # hold, and 57 must fall back to plain sums, which a bound one bit
-    # short would read from the slots.  Two seeds, and three as in the
-    # m=nu nu<=l row, whose seed pair a_2, b_2 is pushed before the first
-    # read.
+    # above 2^(h_a+h_b+6): h_a + h_b = 48 is the most that the 56-bit start
+    # slots hold.  From 49 on, b_2 breaks the bound, and its height
+    # extrapolated from stage 2 to order 127 passes the cap: the sums must
+    # be plain sums, which a bound one bit short would read from the
+    # slots.  (56 and 57 were the bound of 64-bit slots.)  Two seeds, and
+    # three as in the m=nu nu<=l row, whose seed pair a_2, b_2 is pushed
+    # before the first read.
     n = 126
     a = [9, 1] + [2**h_a - 1] * (n - 1)
     b = [9, 1] + [sign * (2**h_b - 1)] * (n - 1)
@@ -585,9 +620,10 @@ def test_cross_sums_stay_exact_at_the_width_bound(h_a, h_b, sign):
 
 
 def test_cross_sums_fall_back_from_a_seed_past_the_bound():
-    # three seeds, b_2 alone past the bound (20 + 40 + 7 + 1 > 64) and every
-    # later b_i small: the sums stay plain to the end, since packing the
-    # later pairs without a_2*b_2 would read every sum without its terms
+    # three seeds, b_2 alone past the bound (20 + 40 + 7 + 1 > 56), its
+    # extrapolated width past the cap, and every later b_i small: the sums
+    # stay plain to the end, since packing the later pairs without a_2*b_2
+    # would read every sum without its terms
     n = 126
     a = [9, 1] + [2**20 - 1] * (n - 1)
     b = [9, 1, 2**40 - 1] + [-(2**10 - 1)] * (n - 2)
@@ -600,22 +636,23 @@ def test_cross_sums_freeze_past_the_middle_order(n):
     # PB: it meets no later pair below order N + 2.  At odd N the pair
     # m = (N+1)/2 still meets itself at order N + 1, in the last sum read,
     # so freezing from 2m > N would lose a_m*b_m there.  Mixed signs, heights
-    # 21 and 31 bits: packed throughout.
+    # 21 and 26 bits: packed throughout in the 56-bit start slots.
     rng = random.Random(n)
     a = [9, 1] + [rng.randint(-(2**20), 2**20) for _ in range(n - 1)]
-    b = [9, 1] + [rng.randint(-(2**30), 2**30) for _ in range(n - 1)]
+    b = [9, 1] + [rng.randint(-(2**25), 2**25) for _ in range(n - 1)]
     for k in (2, 3):
         assert _driven_sums(a, b, 21, k) == _plain_sums(a, b, k)
 
 
 def test_cross_sums_fall_back_past_the_middle_order():
-    # b_100 alone past the bound (20 + 50 + 8 + 1 > 64), after the middle
-    # order of N = 127: a stage past the middle still adds b_m*PA to R, so
-    # it checks the bound first and the sums from there on are plain
+    # b_100 alone past the bound, after the middle order of N = 127, and its
+    # width extrapolated to order 128 past the cap (29 + 250 + 69 > 320): a stage
+    # past the middle still adds b_m*PA to R, so it checks the bound first
+    # and the sums from there on are plain
     n = 127
     a = [9, 1] + [2**20 - 1] * (n - 1)
     b = [9, 1] + [-(2**10 - 1)] * (n - 1)
-    b[100] = 2**50 - 1
+    b[100] = 2**250 - 1
     for k in (2, 3):
         assert _driven_sums(a, b, 20, k) == _plain_sums(a, b, k)
 
@@ -624,30 +661,100 @@ def test_cross_sums_match_plain_sums_on_drawn_sequences():
     hypothesis = pytest.importorskip("hypothesis")
     st = hypothesis.strategies
 
-    # Heights on both sides of the read bound (h_b may pass 64 - h_a -
-    # bitlen(N+1) - 1), mixed signs or every value at full height, N of both
-    # parities, two or three seeds, and one b_i that may spike past the
-    # bound at any stage, before or after the middle order.
+    # Heights on both sides of the read bound (h_b may pass 56 - h_a -
+    # bitlen(N+1) - 1), b heights that grow with the order by up to 300
+    # bits, so that the slots widen once or more or pass the cap, mixed
+    # signs or every value at full height, N of both parities, two or
+    # three seeds, and one b_i that may spike past the bound at any stage,
+    # before or after the middle order.
     @hypothesis.settings(max_examples=150, deadline=None)
     @hypothesis.given(
         h_a=st.integers(1, 24),
         h_b=st.integers(1, 45),
+        growth=st.sampled_from((0, 0, 30, 100, 300)),
         n=st.integers(32, 160),
         k=st.sampled_from((2, 3)),
         full=st.booleans(),
         spike=st.tuples(st.floats(0, 1), st.integers(0, 64)),
         seed=st.integers(0, 2**32 - 1),
     )
-    def check(h_a, h_b, n, k, full, spike, seed):
+    def check(h_a, h_b, growth, n, k, full, spike, seed):
         rng = random.Random(seed)
 
         def draw(h):
             return rng.choice((-1, 1)) * (2**h - 1 if full else rng.randint(0, 2**h - 1))
 
         a = [9, 1] + [draw(h_a) for _ in range(n - 1)]
-        b = [9, 1] + [draw(h_b) for _ in range(n - 1)]
+        b = [9, 1] + [draw(h_b + growth * i // n) for i in range(2, n + 1)]
         at, height = spike
         b[2 + int(at * (n - 2))] = draw(height)
         assert _driven_sums(a, b, h_a, k) == _plain_sums(a, b, k)
 
     check()
+
+
+# The three widening tests draw a of 20 bits and b of 10 bits, both at full
+# height, with b stepping up to larger heights at given stages, b of one
+# sign or of alternating signs: the re-slotted digits are then all of one
+# sign or of both, and the late sums as large as their heights allow.
+def _stepped(n, steps, sign):
+    a = [9, 1] + [2**20 - 1] * (n - 1)
+    b = [9, 1] + [(2**10 - 1) * sign**i for i in range(2, n + 1)]
+    for at, h in steps:
+        b[at:] = [(2**h - 1) * sign**i for i in range(at, n + 1)]
+    return a, b
+
+
+@pytest.mark.parametrize("n, at, wide", [(126, 40, 152), (127, 40, 152), (126, 100, 80), (127, 100, 80)])
+@pytest.mark.parametrize("sign", [1, -1])
+def test_cross_sums_widen_at_a_break(monkeypatch, n, at, wide, sign):
+    # b steps from 10 to 40 bits at stage 40, before the middle order, or at
+    # stage 100, after it: 20 + 40 + bitlen(N+1) + 1 > 56.  b_at has gained
+    # 36 bits over b_0 = 9 in `at` orders, so the slots widen to
+    # 20 + bitlen(N+1) + 1 + 40 + ceil(36*(N+1-at)/at), rounded up to
+    # bytes, and hold every later sum exactly, R, PA and PB re-slotted once
+    # each
+    a, b = _stepped(n, [(at, 40)], sign)
+    for k in (2, 3):
+        widths = _widths(monkeypatch)
+        assert _driven_sums(a, b, 20, k) == _plain_sums(a, b, k)
+        assert widths == [wide] * 3
+
+
+@pytest.mark.parametrize("sign", [1, -1])
+def test_cross_sums_widen_twice(monkeypatch, sign):
+    # 40 bits from stage 30 widen the slots to 29 + 40 + ceil(36*98/30) =
+    # 187 -> 192 bits, which 180 bits from stage 80 break again:
+    # 29 + 180 + ceil(176*48/80) = 315 rounds up to the cap, 320, which
+    # still packs
+    a, b = _stepped(127, [(30, 40), (80, 180)], sign)
+    for k in (2, 3):
+        widths = _widths(monkeypatch)
+        assert _driven_sums(a, b, 20, k) == _plain_sums(a, b, k)
+        assert widths == [192] * 3 + [320] * 3
+
+
+@pytest.mark.parametrize("sign", [1, -1])
+def test_cross_sums_stay_plain_past_the_cap(monkeypatch, sign):
+    # 60 bits from stage 20 extrapolate to 29 + 60 + ceil(56*108/20) = 392
+    # bits, past the cap: nothing is re-slotted and the sums from stage 20 on are
+    # plain, also once b falls back to 10 bits at stage 40
+    a, b = _stepped(127, [(20, 60), (40, 10)], sign)
+    for k in (2, 3):
+        widths = _widths(monkeypatch)
+        assert _driven_sums(a, b, 20, k) == _plain_sums(a, b, k)
+        assert widths == []
+
+
+@pytest.mark.parametrize("sign", [1, -1])
+def test_cross_sums_widen_at_the_third_seed(monkeypatch, sign):
+    # the three-seed shape of the m=nu nu<=l row, with a of 40 bits: b_2
+    # breaks the bound before the first read (40 + 10 + 6 + 1 > 56) and
+    # widens the empty product to 47 + 10 + ceil(6*31/2) = 150 -> 152 bits
+    # at N = 32; the later pairs of 10 bits fit
+    n = 32
+    a = [9, 1] + [2**40 - 1] * (n - 1)
+    b = [9, 1] + [(2**10 - 1) * sign**i for i in range(2, n + 1)]
+    widths = _widths(monkeypatch)
+    assert _driven_sums(a, b, 40, 3) == _plain_sums(a, b, 3)
+    assert widths == [152] * 3

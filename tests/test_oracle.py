@@ -187,3 +187,56 @@ def test_verify_takes_the_cheaper_path():
         f = q.head_series(1024)
         assert _product_vanishes(f.coeffs, a.coeffs, b.coeffs) is packs
         assert verify_factorization(f, a, b).passed
+
+
+@pytest.mark.parametrize("w", range(1, 10))
+def test_packed_is_the_slot_sum(w):
+    # up to 8 bytes a slot through machine words, from 9 through bytes
+    top = (1 << (8 * w - 1)) - 1
+    rng = random.Random(w)
+    for coeffs in (
+        [top] * 5,
+        [-top] * 5,
+        [0] * 5,
+        [top, -top, 0, -1, 1, -top, top],
+        [rng.randint(-top, top) for _ in range(40)],
+    ):
+        assert _packed(tuple(coeffs), w) == sum(c << (8 * w * k) for k, c in enumerate(coeffs))
+
+
+@pytest.mark.parametrize("w", range(1, 10))
+def test_verify_rejects_a_corruption_at_every_slot_width(monkeypatch, w):
+    # At N = 16, bitlen(N + 1) = 5, so heights with h_a + h_b = 8w - 7 take
+    # the width rule to exactly w bytes (at w = 1, b is 0 and a is +-1).
+    # f = a*b, then f with one order moved one step toward zero, at each
+    # order in turn, and for w >= 2 a or b with one coefficient's sign
+    # flipped: every corrupted pair fails with the convolution's residuals,
+    # checked through the product at width w.
+    order = 16
+    rng = random.Random(w)
+    h_a = (8 * w - 6) // 2
+    a = [rng.choice((-1, 1)) * ((1 << h_a) - 1) for _ in range(order + 1)]
+    b = [rng.choice((-1, 1)) * ((1 << (8 * w - 7 - h_a)) - 1) for _ in range(order + 1)]
+    ab = _product(a, b)
+    widths = []
+
+    def spy(coeffs, width):
+        widths.append(width)
+        return _packed(coeffs, width)
+
+    monkeypatch.setattr(zxfactor.oracle, "_packed", spy)
+    assert verify_factorization(*map(TruncSeries, (ab, a, b))).residuals == (0,) * (order + 1)
+    corrupted = []
+    for k in range(order + 1):
+        f = list(ab)
+        f[k] -= (f[k] > 0) - (f[k] < 0) or -1
+        corrupted.append((f, a, b))
+        if w >= 2 and k % 4 == 0:
+            corrupted.append((ab, a[:k] + [-a[k]] + a[k + 1 :], b))
+            corrupted.append((ab, a, b[:k] + [-b[k]] + b[k + 1 :]))
+    for series in corrupted:
+        f, a2, b2 = map(TruncSeries, series)
+        report = verify_factorization(f, a2, b2)
+        assert any(report.residuals)
+        assert (report.residuals, report.a0_proper, report.b0_proper) == _convolution_report(f, a2, b2)
+    assert set(widths) == {w} and len(widths) == 3 * (1 + len(corrupted))

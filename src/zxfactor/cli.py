@@ -8,6 +8,7 @@ stable contract: 0 decided, 1 irreducible-or-unknown on a factor request
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import re
 import shlex
@@ -352,6 +353,7 @@ def cmd_verify(args) -> int:
     return EXIT_OK if report.passed else EXIT_NOT_REDUCIBLE
 
 
+@functools.cache  # once per process: a build costs about four warm classify answers
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="zxfactor",

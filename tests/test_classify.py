@@ -362,6 +362,28 @@ def test_defect_constants_split(c):
     assert elapsed < 1.0, f"{elapsed:.3f}s"
 
 
+@pytest.mark.parametrize("c", DEFECT_CONSTANTS)
+def test_defect_constants_split_in_the_close_pass(monkeypatch, c):
+    # the ratio of the two primes is near 2 or 3, so Hart's first
+    # multipliers split c: neither _split nor rho runs, and the verdict is
+    # the one the search gives without the close pass
+    import zxfactor.padics
+
+    f = TruncSeries((c, 1, 1))
+    with monkeypatch.context() as m:
+        m.setattr(zxfactor.padics, "_CLOSE_STEPS", 0)
+        slow = classify_general(f)
+
+    def refuse(*args):
+        raise AssertionError("_split or rho ran")
+
+    monkeypatch.setattr(zxfactor.padics, "_split", refuse)
+    monkeypatch.setattr(zxfactor.padics, "_rho", refuse)
+    v = classify_general(f)
+    assert v._replace(factors=None) == slow._replace(factors=None)
+    assert [s.coeffs for s in v.factors] == [s.coeffs for s in slow.factors]
+
+
 @pytest.mark.parametrize("n, m", [(40, 19), (40, 20), (40, 21), (41, 30)])
 def test_general_tailed_head_at_a_large_prime_power(n, m):
     # p^n has more bits than LIMITS.max_p_bits, p does not: the factor
@@ -378,13 +400,18 @@ def test_general_tailed_head_at_a_large_prime_power(n, m):
 
 def test_general_finds_a_small_prime_before_hart(monkeypatch):
     # 41 * (10^18 + 9): the factor ratio is near no fraction with small
-    # terms, and the short rho ahead of Hart's method finds 41 at once
+    # terms, so the short close pass finds nothing, and the short rho
+    # ahead of the long Hart stage finds 41 at once
     import zxfactor.padics
 
-    def no_hart(n):
-        raise AssertionError("Hart's method ran")
+    hart = zxfactor.padics._hart
 
-    monkeypatch.setattr(zxfactor.padics, "_hart", no_hart)
+    def short_hart_only(n, steps):
+        if steps > zxfactor.padics._CLOSE_STEPS:
+            raise AssertionError("the long Hart stage ran")
+        return hart(n, steps)
+
+    monkeypatch.setattr(zxfactor.padics, "_hart", short_hart_only)
     c = 41 * (10**18 + 9)
     f = TruncSeries((c, 1, 1))
     v, elapsed = _timed(lambda: classify_general(f))

@@ -541,3 +541,28 @@ def test_cli_import_loads_neither_dataclasses_nor_inspect():
     res = subprocess.run([sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": src},
                          capture_output=True, text=True, timeout=60)
     assert res.returncode == 0 and res.stdout == "[]\n"
+
+
+def test_parser_is_built_once_per_process(monkeypatch, capsys):
+    from zxfactor import cli
+
+    built, input_parser = [], cli._input_parser
+    monkeypatch.setattr(cli, "_input_parser", lambda: built.append(1) or input_parser())
+    cli._build_parser.cache_clear()
+    argv = ["classify", "--p", "7", "--n", "2", "--m", "1", "--beta", "3", "--alpha", "2", "--format", "json"]
+    try:
+        outs = []
+        for _ in range(2):
+            assert main(argv) == 0
+            for bad in (["--help"], ["classify", "--help"], ["classify", "--p"], ["roots", "--A", "1"]):
+                with pytest.raises(SystemExit):
+                    main(bad)
+            outs.append(capsys.readouterr())
+    finally:
+        cli._build_parser.cache_clear()
+    assert len(built) == 1
+    assert outs[0] == outs[1]
+    # the help and error texts are those of a parser built afresh
+    assert cli._build_parser.__wrapped__().format_help() in outs[0].out
+    assert "error: argument --p: expected one argument" in outs[0].err
+    assert "error: the following arguments are required: --B, --C, --p, --k" in outs[0].err

@@ -1,6 +1,6 @@
 import random
 import time
-from math import log2
+from math import gcd, log2
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
@@ -10,6 +10,8 @@ from test_acceptance import expand_roots
 from zxfactor.limits import LIMITS
 from zxfactor.padics import (
     PROVEN_PRIME_BOUND,
+    _CLOSE_STEPS,
+    _hart,
     _hensel_lift,
     _iroot,
     _smallest_block,
@@ -354,6 +356,48 @@ def test_factor_search_stops_once_the_smallest_block_is_proved():
     assert _smallest_block(41 * hard) == (41, 1)
     with pytest.raises(ValueError, match="budget"):  # 1009^2 is above 10^6
         _smallest_block(1009**2 * hard)
+
+
+# Hart's first multipliers split each of these into two parts, and not
+# both parts are prime: 1000003*3000017 times 2000107*1499933, and
+# 1000003*1000033 = 1000036000099 times the prime just below it (the
+# close pass gives that prime) or just above it (it gives 1000036000099)
+CLOSE_BUT_COMPOSITE = {
+    1000003 * 3000017 * 2000107 * 1499933: (3000026000051, 0),
+    1000036000057 * 1000003 * 1000033: (1000036000057, 1),
+    1000036000123 * 1000003 * 1000033: (1000036000099, 1),
+}
+
+
+@pytest.mark.parametrize("r", CLOSE_BUT_COMPOSITE)
+def test_close_pass_leaves_a_part_it_cannot_prove_to_split(monkeypatch, r):
+    sympy = pytest.importorskip("sympy")
+    import zxfactor.padics
+
+    d, primes = CLOSE_BUT_COMPOSITE[r]
+    assert _hart(r, _CLOSE_STEPS) == d
+    assert is_prime(d) + is_prime(r // d) == primes
+    split, calls = zxfactor.padics._split, []
+    monkeypatch.setattr(zxfactor.padics, "_split", lambda n: calls.append(n) or split(n))
+    q, e = min(sympy.factorint(r).items(), key=lambda block: block[0] ** block[1])
+    assert _smallest_block(r) == (q, e)
+    assert calls[0] == r  # the whole cofactor, as without the close pass
+
+
+def test_factor_search_matches_factorint_on_close_primes():
+    sympy = pytest.importorskip("sympy")
+    for x in _factor_corpus(23) + _factor_corpus(24):
+        q, e = min(sympy.factorint(x).items(), key=lambda block: block[0] ** block[1])
+        assert _smallest_block(x) == (q, e)
+    # two primes with ratio near u/v: the close pass splits some, the Hart
+    # stage of _split the rest; factorint of p*q is {p: 1, q: 1}
+    rng = random.Random(23)
+    ratios = [(u, v) for u in range(1, 17) for v in range(1, 17) if u * v <= 16 and gcd(u, v) == 1]
+    for bits in (40, 80, 120, 160, 200):
+        for u, v in ratios:
+            p = sympy.nextprime(rng.getrandbits(bits) | 1 << (bits - 1))
+            q = sympy.nextprime(u * p // v + rng.randrange(bits))
+            assert _smallest_block(p * q) == (min(p, q), 1)
 
 
 @settings(max_examples=300, deadline=None)

@@ -17,6 +17,13 @@ exact unresolved hypothesis.
 hashed as tuples, with ``_replace`` for a changed copy.  ``_replace``
 and ``_make`` skip the checks ``QuadInput`` runs on construction, so
 they are for rebuilding a value already checked.
+
+Every answer with a quadratic head, from the library, the CLI or
+``classify_general``, takes one path: ``discriminant_square_class``,
+then ``_decide``, then ``_row_verdict``.  Each unpacks its
+``QuadInput`` once and builds its value by position, so that a
+tail-free decision without factors costs little more than its one
+square test.
 """
 
 from __future__ import annotations
@@ -95,6 +102,9 @@ RULE_INFO: dict[str, str] = {
     "unknown.no-rule": "no applicable rule for this coefficient pattern",
 }
 
+# the kinds of _decide's rows, bound once: looking a member up on an Enum
+# class goes through its metaclass and costs about 0.1 us a time
+_REDUCIBLE, _IRREDUCIBLE, _UNKNOWN = VerdictKind.REDUCIBLE, VerdictKind.IRREDUCIBLE, VerdictKind.UNKNOWN
 _ZERO_EXTENSION = "assumes every coefficient beyond the provided order is zero"
 _PROBABLE_PRIME = "p is a BPSW probable prime"
 
@@ -122,10 +132,12 @@ class QuadInput(_QuadFields):
     __slots__ = ()
 
     def __new__(cls, p: int, n: int, m: int | None, beta: int | None, alpha: int, tail=()) -> QuadInput:
-        p, n, alpha = operator.index(p), operator.index(n), operator.index(alpha)
-        m = None if m is None else operator.index(m)
-        beta = None if beta is None else operator.index(beta)
-        tail = tuple(map(operator.index, tail))
+        index = operator.index
+        p, n, alpha = index(p), index(n), index(alpha)
+        m = None if m is None else index(m)
+        beta = None if beta is None else index(beta)
+        if type(tail) is not tuple or tail:  # the empty tuple needs no conversion
+            tail = tuple(map(index, tail))
         if beta == 0:
             m = beta = None
         if p.bit_length() > LIMITS.max_p_bits:
@@ -136,15 +148,16 @@ class QuadInput(_QuadFields):
             raise ValueError("input outside theorem hypotheses: need n >= 1")
         if (beta is None) != (m is None):
             raise ValueError("beta and m must be given together (or both absent for beta = 0)")
+        # p is prime from here on, so gcd(x, p) != 1 exactly when p divides x
         if beta is not None:
             if m < 1:
                 raise ValueError(
                     "input outside theorem hypotheses: m = 0 is not covered; "
                     "use classify_general for series p^n + beta*x + ..."
                 )
-            if gcd(beta, p) != 1:
+            if beta % p == 0:
                 raise ValueError("input outside theorem hypotheses: gcd(p, beta) must be 1")
-        if gcd(alpha, p) != 1:
+        if alpha % p == 0:
             raise ValueError("input outside theorem hypotheses: gcd(p, alpha) must be 1")
         return tuple.__new__(cls, (p, n, m, beta, alpha, tail))
 
@@ -195,17 +208,17 @@ def discriminant_square_class(q: QuadInput) -> SquareClass:
     once the other carries p^e with e >= 5 it changes neither the
     valuation of core nor its unit part mod p^3, which decides the class
     (mod p, or mod 8 for p = 2); that power of p is therefore capped at p^5.
+    A core that is already a unit goes to the square test as it is.
     """
-    p, n, alpha = q.p, q.n, q.alpha
-    if q.beta is None:
+    p, n, m, beta, alpha, _ = q
+    if beta is None:
         lo, core = n, -4 * alpha
+    elif (gap := 2 * m - n) >= 0:
+        lo, core = n, p ** (gap if gap < 5 else 5) * beta * beta - 4 * alpha
     else:
-        gap = 2 * q.m - n
-        lo = min(2 * q.m, n)
-        if gap >= 0:
-            core = p ** min(gap, 5) * q.beta**2 - 4 * alpha
-        else:
-            core = q.beta**2 - 4 * alpha * p ** min(-gap, 5)
+        lo, core = 2 * m, beta * beta - 4 * alpha * p ** (-gap if gap > -5 else 5)
+    if core % p:
+        return _square_class(lo, core, p)
     if core == 0:
         return SquareClass(True, True)
     t, u = _valuation(core, p)
@@ -237,38 +250,38 @@ def _decide(
     and the p^2-divisible tail.  A tailed row no criterion covers comes
     back as ``UNKNOWN`` with its reason in place of the rule.
     """
-    p, n, m, beta, alpha = q.p, q.n, q.m, q.beta, q.alpha
+    p, n, m, beta, alpha, _ = q
     section = "S4" if p == 2 else "S3"
     tag = section if f is None else "S5"
     if beta is None:
         if f is not None:
-            return VerdictKind.UNKNOWN, "beta = 0 with a nonzero tail has no covered criterion", None
+            return _UNKNOWN, "beta = 0 with a nonzero tail has no covered criterion", None
         if sq.is_square:
             engine = "factor_p2_scaled" if p == 2 else "factor_simple_root"
-            return VerdictKind.REDUCIBLE, f"{section}.beta0-reducible", engine
-        return VerdictKind.IRREDUCIBLE, f"{section}.beta0-irreducible", None
+            return _REDUCIBLE, f"{section}.beta0-reducible", engine
+        return _IRREDUCIBLE, f"{section}.beta0-irreducible", None
     if 2 * m < n:
-        return VerdictKind.REDUCIBLE, f"{tag}.2m-lt-n", "factor_simple_root"
+        return _REDUCIBLE, f"{tag}.2m-lt-n", "factor_simple_root"
     if n % 2 == 1:
-        return VerdictKind.IRREDUCIBLE, f"{tag}.2m-gt-n-odd", None
+        return _IRREDUCIBLE, f"{tag}.2m-gt-n-odd", None
     if p == 2 and n == 2 * m:
-        return VerdictKind.IRREDUCIBLE, "S4.n-eq-2m", None
+        return _IRREDUCIBLE, "S4.n-eq-2m", None
     if f is None:
         if not sq.is_square:
-            return VerdictKind.IRREDUCIBLE, f"{section}.disc-nonsquare", None
+            return _IRREDUCIBLE, f"{section}.disc-nonsquare", None
         nu = n // 2
         if p == 2:
             engine = "factor_p2_m_eq_nu1" if m == nu + 1 else "factor_p2_scaled"
         else:
             engine = "factor_m_eq_nu" if m == nu else "factor_simple_root"
-        return VerdictKind.REDUCIBLE, f"{section}.disc-square", engine
+        return _REDUCIBLE, f"{section}.disc-square", engine
     if 2 * m > n:
         if p == 2:
-            return VerdictKind.UNKNOWN, "p = 2 with 2m > n even and a tail has no covered criterion", None
+            return _UNKNOWN, "p = 2 with 2m > n even and a tail has no covered criterion", None
         # -4*alpha is the unit of the discriminant's core, so sq is the residue test of -alpha
         if sq.is_square:
-            return VerdictKind.REDUCIBLE, "S5.2m-gt-n-even-qr", "factor_simple_root"
-        return VerdictKind.IRREDUCIBLE, "S5.2m-gt-n-even-nonqr", None
+            return _REDUCIBLE, "S5.2m-gt-n-even-qr", "factor_simple_root"
+        return _IRREDUCIBLE, "S5.2m-gt-n-even-nonqr", None
 
     # n = 2m, p odd, with a tail: sq is the class of p^n * core, core =
     # beta^2 - 4*alpha.  A unit core gives y^2 - beta*y + alpha two simple
@@ -277,21 +290,21 @@ def _decide(
     # double and only the root classes mod p^m tell whether one lifts.
     if sq.valuation == n:
         if sq.is_square:
-            return VerdictKind.REDUCIBLE, "S5.simple-root", "factor_simple_root"
-        return VerdictKind.IRREDUCIBLE, "S5.no-root", None
+            return _REDUCIBLE, "S5.simple-root", "factor_simple_root"
+        return _IRREDUCIBLE, "S5.no-root", None
     if not _root_classes(1, -beta, alpha, p, m):
-        return VerdictKind.IRREDUCIBLE, "S5.no-root", None
+        return _IRREDUCIBLE, "S5.no-root", None
     t = 0 if sq.is_zero else sq.valuation - n
     if m == 1 and t >= 2:
         if f.order >= 3 and f.coeffs[3] % p != 0:
-            return VerdictKind.IRREDUCIBLE, "S5.double-root-c3-unit", None
+            return _IRREDUCIBLE, "S5.double-root-c3-unit", None
         if t == 2 and sq.is_square and all(c % (p * p) == 0 for c in f.coeffs[3:]):
-            return VerdictKind.REDUCIBLE, "S5.double-root-divisible-tail", "factor_tail"
-        return VerdictKind.UNKNOWN, (
+            return _REDUCIBLE, "S5.double-root-divisible-tail", "factor_tail"
+        return _UNKNOWN, (
             "double root mod p with p | c_3 but p^2 does not divide every provided "
             "c_k: reducibility depends on deeper tail coefficients"
         ), None
-    return VerdictKind.UNKNOWN, "n = 2m with only non-simple roots mod p^m and no covered tail criterion", None
+    return _UNKNOWN, "n = 2m with only non-simple roots mod p^m and no covered tail criterion", None
 
 
 def _row_verdict(
@@ -303,14 +316,14 @@ def _row_verdict(
     factors = None if engine is None else getattr(engines, engine)(q, order)
     conditional = rule == "S5.double-root-divisible-tail"
     return Verdict(
-        kind=kind,
-        rule=rule,
-        zp_reducible=sq.is_square,
-        certificate=sq,
-        factors=factors,
-        verified_order=None if factors is None else order,
-        assumption="assumes p^2 divides every coefficient beyond the provided order" if conditional else None,
-        conditional_on_truncation=conditional,
+        kind,
+        rule,
+        sq.is_square,
+        sq,
+        factors,
+        None if factors is None else order,
+        "assumes p^2 divides every coefficient beyond the provided order" if conditional else None,
+        conditional,
     )
 
 
@@ -325,7 +338,7 @@ def classify_quadratic(q: QuadInput, terms: int = 64, attach_factors: bool = Tru
         raise ValueError("tail present: classify the full series with classify_general")
     sq = discriminant_square_class(q)
     kind, rule, engine = _decide(q, sq)
-    if (kind is VerdictKind.REDUCIBLE) != sq.is_square:
+    if (kind is _REDUCIBLE) != sq.is_square:
         raise AssertionError("branch verdict disagrees with the Z_p square test")
     return _with_prime_note(_row_verdict(q, sq, kind, rule, engine if attach_factors else None, terms), q.p)
 

@@ -9,11 +9,13 @@ K, not with p^K.  Negative integers are handled exactly; no residue is
 taken until one is explicitly requested.
 One Newton lifter, ``_hensel_lift``, takes a simple root mod p of any
 integer polynomial to mod p^e: the quadratics of ``_root_classes`` and
-the degree-t head of ``series.normalize_head``.
+the degree-t head of ``series.normalize_head``.  Each Newton step reads
+f(t) and f'(t) from one Horner pass.
 
-The prime layer is :func:`is_prime` (Miller-Rabin with as many bases as
-the size of n needs, Baillie-PSW from ``PROVEN_PRIME_BOUND`` on) and one
-bounded factor search of a constant term, ``_smallest_block``.  The two
+The prime layer is :func:`is_prime` (a sieve built at import below
+37^2, Miller-Rabin with as many bases as the size of n needs above it,
+Baillie-PSW from ``PROVEN_PRIME_BOUND`` on) and one bounded factor
+search of a constant term, ``_smallest_block``.  The two
 public functions that take a prime p, :func:`is_square_zp` and
 :func:`root_classes`, refuse a p beyond ``LIMITS.max_p_bits`` and prove
 it with :func:`is_prime`.  The classifier and the engines prove p once
@@ -23,6 +25,8 @@ one square test in Z_p and the one root finder mod p^K that both use.
 
 All functions are pure and all returned values are immutable: the value
 type ``SquareClass`` is a NamedTuple, compared and hashed as a tuple.
+``_square_class``, which every answer with a square test runs, builds it
+with ``tuple.__new__``, past the NamedTuple's Python-level constructor.
 """
 
 from __future__ import annotations
@@ -41,6 +45,20 @@ __all__ = [
 ]
 
 _SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+
+
+def _sieve(m: int) -> bytearray:
+    """prime[i] == 1 exactly when i < m is a prime (Eratosthenes)."""
+    prime = bytearray([1]) * m
+    prime[:2] = b"\0\0"
+    for i in range(2, isqrt(m - 1) + 1):
+        if prime[i]:
+            prime[i * i :: i] = bytes(len(range(i * i, m, i)))
+    return prime
+
+
+# is_prime answers n < 37^2 from this table: no strong test runs below it
+_PRIME_BELOW_1369 = bytes(_sieve(1369))
 
 #: is_prime proves primality below this bound; at and above it, a True
 #: answer is a Baillie-PSW probable prime (no counterexample is known).
@@ -63,9 +81,10 @@ _MR_TABLE = (
 def is_prime(n: int) -> bool:
     """Primality with the number of Miller-Rabin bases matched to n.
 
-    After trial division by the primes up to 37, n < 37^2 = 1369 is prime.
-    Below psi_k, the least strong pseudoprime to the first k prime bases,
-    the strong tests to those k bases decide exactly:
+    n < 37^2 = 1369 is looked up in a sieve built once at import; a
+    larger n is first divided by the primes up to 37.  Below psi_k, the
+    least strong pseudoprime to the first k prime bases, the strong tests
+    to those k bases decide exactly:
 
     ============================  =========  ==============================
     n below                       bases      psi_k from
@@ -89,13 +108,11 @@ def is_prime(n: int) -> bool:
     Comp. 35, 1980).  No composite is known to pass it, but none is
     proven not to, so a verdict that rests on such a prime says so.
     """
-    if n < 2:
-        return False
+    if n < 1369:
+        return n >= 2 and _PRIME_BELOW_1369[n] == 1
     for q in _SMALL_PRIMES:
         if n % q == 0:
-            return n == q
-    if n < 1369:
-        return True
+            return False
     s = ((n - 1) & (1 - n)).bit_length() - 1
     d = (n - 1) >> s
     for bound, k in _MR_TABLE:
@@ -225,7 +242,7 @@ def _square_class(t: int, u: int, p: int) -> SquareClass:
     else:
         residue = u % p
         square = t % 2 == 0 and pow(residue, (p - 1) // 2, p) == 1  # Euler's criterion
-    return SquareClass(square, False, t, residue)
+    return tuple.__new__(SquareClass, (square, False, t, residue))
 
 
 def _sqrt_mod_prime(a: int, p: int) -> int | None:
@@ -280,26 +297,25 @@ def _hensel_lift(f: tuple[int, ...], t: int, p: int, e: int) -> int:
     """Lift a simple root t mod p of the integer polynomial f (coefficients
     lowest first) to the root mod p^e by Newton steps.
 
-    Each doubling carries inv = 1/f'(t) along: correct mod p^k before the
-    step, one Newton step inv*(2 - f'(t)*inv) makes it correct mod p^2k.
+    A step from a root t mod p^k to mod p^2k takes f(t) mod p^2k and
+    f'(t) mod p^k from one Horner pass.  It carries inv = 1/f'(t) along:
+    the first step inverts f'(t) mod p; later, inv from the step before is
+    correct mod p^(k/2) at the current t, and one Newton step
+    inv*(2 - f'(t)*inv) against f'(t) at this t makes it correct mod p^k,
+    all that t - f(t)*inv needs to be a root mod p^2k.
     """
-    df = [i * c for i, c in enumerate(f)][1:]
-    k, inv = 1, pow(_horner(df, t, p), -1, p) if e > 1 else 0
+    k, low, inv = 1, p, None
     while k < e:
         k = min(2 * k, e)
         mod = p**k
-        t = (t - _horner(f, t, mod) * inv) % mod
-        if k < e:
-            inv = inv * (2 - _horner(df, t, mod) * inv) % mod
+        v = d = 0
+        for c in reversed(f):
+            d = (d * t + v) % low
+            v = (v * t + c) % mod
+        inv = pow(d, -1, p) if inv is None else inv * (2 - d * inv) % low
+        t = (t - v * inv) % mod
+        low = mod
     return t
-
-
-def _horner(f, y: int, mod: int) -> int:
-    """f(y) mod ``mod``, for f given by its coefficients lowest first."""
-    v = 0
-    for c in reversed(f):
-        v = (v * y + c) % mod
-    return v
 
 
 def root_classes(A: int, B: int, C: int, p: int, K: int) -> list[tuple[int, int]]:
@@ -455,16 +471,6 @@ def _perfect_power_root(n: int) -> int | None:
             if r**k == n:
                 return r
     return None
-
-
-def _sieve(m: int) -> bytearray:
-    """prime[i] == 1 exactly when i < m is a prime (Eratosthenes)."""
-    prime = bytearray([1]) * m
-    prime[:2] = b"\0\0"
-    for i in range(2, isqrt(m - 1) + 1):
-        if prime[i]:
-            prime[i * i :: i] = bytes(len(range(i * i, m, i)))
-    return prime
 
 
 def _may_be_power(n: int, k: int, prime: bytearray) -> bool:

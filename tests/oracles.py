@@ -10,6 +10,7 @@ answers exact.
 """
 
 from functools import lru_cache
+from math import isqrt
 
 from zxfactor.classify import QuadInput
 
@@ -24,6 +25,11 @@ def _square_table(modulus: int) -> bytes:
     for y in range(modulus):
         table[y * y % modulus] = 1
     return bytes(table)
+
+
+def trial_division_is_prime(n: int) -> bool:
+    """Is n prime?  Divides by every d with 2 <= d <= sqrt(n)."""
+    return n >= 2 and all(n % d for d in range(2, isqrt(n) + 1))
 
 
 def brute_square_mod(d: int, p: int, k: int) -> bool:

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import random
@@ -19,7 +20,7 @@ from zxfactor.classify import (
 )
 from zxfactor.limits import LIMITS
 from zxfactor.oracle import verify_factorization
-from zxfactor.padics import _smallest_block, is_square_zp
+from zxfactor.padics import PROVEN_PRIME_BOUND, _smallest_block, is_prime, is_square_zp
 from zxfactor.series import TruncSeries
 
 SRC = Path(__file__).resolve().parents[1] / "src"
@@ -640,3 +641,49 @@ def test_decision_table_names_known_rules_and_engines():
         if engine is not None:
             a, b = getattr(factor, engine)(q, 2)
             assert verify_factorization(q.head_series(2), a, b).passed
+
+
+# 2^89 - 1 is prime and above PROVEN_PRIME_BOUND, so its verdicts carry the BPSW note
+DECISION_PRIMES = (2, 3, 5, 7, 11, 13, 101, 2**61 - 1, 2**89 - 1)
+
+
+def _decisions_sweep():
+    """(sha256 over every Verdict field, rules seen) for 20,000 seeded
+    tail-free decisions without factors.  n and m run through 1..40, so
+    2m - n passes both caps of discriminant_square_class; 10% of draws
+    take beta = 0, and for odd p a tenth of the rest take n = 2m and aim
+    4*alpha at beta^2 - p^k*u, for a core of valuation k or, with u = 0,
+    a zero core."""
+    rng = random.Random(2424)
+    lines, rules = [], set()
+    for _ in range(20000):
+        p = rng.choice(DECISION_PRIMES)
+        n = rng.randint(1, 40)
+        m = beta = None
+        alpha = rng.choice((1, -1)) * rng.randint(1, 10**6)
+        if rng.random() >= 0.1:
+            m = rng.randint(1, 40)
+            beta = rng.choice((1, -1)) * rng.randint(1, 10**6)
+            while beta % p == 0:
+                beta += 1
+            if p != 2 and rng.random() < 0.1:
+                m = (m + 1) // 2
+                n = 2 * m
+                alpha = beta * beta - p ** rng.randint(1, 6) * rng.choice((0, 1, -1, 2, -3, 5))
+                alpha = alpha // 4 if alpha % 4 == 0 else alpha
+        while alpha % p == 0:
+            alpha += 1
+        v = classify_quadratic(QuadInput(p, n, m, beta, alpha), attach_factors=False)
+        rules.add(v.rule)
+        cert = None if v.certificate is None else tuple(v.certificate)
+        fields = (v.kind.value, v.rule, v.zp_reducible, cert, v.factors, v.verified_order, v.assumption,
+                  v.conditional_on_truncation)
+        lines.append(repr((p, n, m, beta, alpha) + fields))
+    return hashlib.sha256("\n".join(lines).encode()).hexdigest(), rules
+
+
+def test_quadratic_decisions_keep_their_verdicts():
+    assert is_prime(DECISION_PRIMES[-1]) and DECISION_PRIMES[-1] >= PROVEN_PRIME_BOUND
+    digest, rules = _decisions_sweep()
+    assert rules == {rule for rule in RULE_INFO if rule[:3] in ("S3.", "S4.") and rule != "S3.remark-m0"}
+    assert digest == "f6495353dad448da45906a5ebcc427ea07e46c5761e45ccd2bad57dcd8e36c6c"

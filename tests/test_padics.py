@@ -5,7 +5,7 @@ from math import gcd, log2
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from oracles import brute_roots_mod, brute_square_mod
+from oracles import brute_roots_mod, brute_square_mod, trial_division_is_prime
 from test_acceptance import expand_roots
 from zxfactor.limits import LIMITS
 from zxfactor.padics import (
@@ -263,9 +263,9 @@ def test_checked_entries_refuse_oversized_input_first():
 
 
 def test_is_prime_small():
-    known = {2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47}
-    for n in range(50):
-        assert is_prime(n) == (n in known)
+    # through the small-number table's edge at 37^2 = 1369 and past it
+    for n in range(-3, 1400):
+        assert is_prime(n) == trial_division_is_prime(n), n
 
 
 # the row bounds psi_k of the base table: each is a strong pseudoprime to

@@ -167,7 +167,8 @@ def _classify(q: QuadInput, terms: int) -> Verdict:
 
 
 def _verdict_json(q: QuadInput, verdict: Verdict) -> dict:
-    sq = discriminant_square_class(q)
+    # a decided quadratic row carries its square class; S2.prime carries none
+    sq = verdict.certificate or discriminant_square_class(q)
     out: dict = {
         "input": {
             "p": str(q.p),

@@ -14,11 +14,12 @@ order's divisor D = A*p^v(c0) from c0 = b_1 - scale*a_1; the seeds make
 t_k a multiple of D, which divides A^2.  Each lift checks c and inverts
 it once; a stage is then one multiplication, one reduction and one exact
 division, after its cross sum sum_(i,j>=2) a_j*b_i over the order.  A
-lag-one lift of order N >= _RUNNING_MIN_ORDER reads those sums from one
-running Kronecker-packed product, pushing a_m and b_m into it once each
-(past order (N+1)/2 into the unread sums alone), in slots that widen
-from _RUNNING_BITS bits as b grows and, past _RUNNING_MAX_BITS, give way
-to plain sums (:func:`_cross_sums`).  The scale A per engine (l is half
+lag-one lift of order N >= oracle._PACKED_MIN_ORDER, the floor of the
+product check, reads those sums from one running Kronecker-packed
+product, pushing a_m and b_m into it once each (past order (N+1)/2 into
+the unread sums alone), in slots that widen from _RUNNING_BITS bits as
+b grows and, past _RUNNING_MAX_BITS, give way to plain sums
+(:func:`_cross_sums`).  The scale A per engine (l is half
 the valuation of beta^2 - 4*alpha, of beta^2 - alpha when p = 2):
 
     engine                      A               lag
@@ -53,7 +54,7 @@ from operator import mul
 from typing import TYPE_CHECKING
 
 from .limits import require_terms
-from .oracle import verify_factorization
+from .oracle import _PACKED_MIN_ORDER, verify_factorization
 from .padics import _root_classes, _square_class, _valuation
 from .series import TruncSeries, _quotient
 
@@ -79,15 +80,6 @@ def _unit_inverse(modulus: int, c: int) -> int:
     if gcd(c, modulus) != 1:
         raise EngineInvariantError(f"step coefficient {c} is not a unit mod {modulus}")
     return pow(c, -1, modulus)
-
-
-def _step(modulus: int, c: int, c_inv: int, r: int) -> tuple[int, int]:
-    """a_N = r * c^-1 mod modulus and the exact quotient (r - c*a_N) / modulus."""
-    a_n = r * c_inv % modulus
-    s_next, rem = divmod(r - c * a_n, modulus)
-    if rem:
-        raise EngineInvariantError("unit step division was not exact")
-    return a_n, s_next
 
 
 def _exact_div(num: int, den: int, what: str) -> int:
@@ -133,16 +125,11 @@ def _smallest_root(A: int, B: int, C: int, p: int, K: int, tag: str) -> int:
 # the integer-root shortcut and the lifting core
 
 # A lag-one lift of order N reads its cross sums from the running product
-# of :func:`_cross_sums` when N >= _RUNNING_MIN_ORDER, in slots that start
-# at _RUNNING_BITS bits and widen up to _RUNNING_MAX_BITS, both whole
-# bytes.  Measured on cli-deep benchmark lines (CPython 3.11, shared 2-vCPU
-# machine; cli._answer or cli._classify per line, best of 7, the variants
-# alternating in one process):
-#   by order, packed at every order against plain sums (seeds 21-25, the
-#     150 lines of order 64, run at N = 8 to 64): 1.04 at N = 8, 1.02 at
-#     12, 1.01 at 16, 0.97 at 24, 0.94 at 32, 0.89 at 48 and 0.86 at 64;
-#     the lag-one rows 1.03-1.07 at 8 and 0.95-1.00 at 24.  No workload
-#     lifts to orders 9-31, so 32 stays.
+# of :func:`_cross_sums` from the check's floor, N >= _PACKED_MIN_ORDER
+# (measured there), in slots that start at _RUNNING_BITS bits and widen up
+# to _RUNNING_MAX_BITS, both whole bytes.  Measured on cli-deep benchmark
+# lines (CPython 3.11, shared 2-vCPU machine; cli._answer or cli._classify
+# per line, best of 7, the variants alternating in one process):
 #   by start width 40 / 48 / 56 / 64 bits (seeds 76-80): the median line
 #     0.707 / 0.713 / 0.712 / 0.736 ms; against 56, 64 bits takes 1.04-1.08
 #     on the small-height rows at N >= 128, 48 and 40 bits up to 1.05 and
@@ -150,7 +137,10 @@ def _smallest_root(A: int, B: int, C: int, p: int, K: int, tag: str) -> int:
 #   by widest slot, a lift widened against the same lift on plain sums from
 #     its first break (seeds 71-75): up to 128 bits 0.74 at N = 128 and 0.62
 #     at 256, 257-320 bits 0.98 / 1.05, 321-512 bits 1.10-1.21 / 1.43.
-_RUNNING_MIN_ORDER = 32
+#   the check's crossover, slot_bits^4 < 5e7 * (N + 1), as the cap instead:
+#     it grows with N, widens classify --p 2 --n 2 --beta-zero --alpha -17
+#     --terms 1024 to 416 bits at stage 104, and that line takes 1.41x
+#     (109.3 against 77.3 ms, best of 9).  A fixed cap stays.
 _RUNNING_BITS = 56
 _RUNNING_MAX_BITS = 320
 
@@ -197,15 +187,16 @@ def _lift(tag: str, targets, n: int, a: list[int], A: int = 1):
     modulo a_0 that makes t_(m+1) a multiple of D = A*gcd(c0, A*a_0); the
     equation divided by D has the unit c = c0*A/D.  The seeds make t_k a
     multiple of D, which divides A*A, so every later division is exact.
-    A stage is :func:`_step` written out, on the order's remainder over D.
+    A stage takes ~a_m = r*c^-1 mod a_0 for the order's remainder r over
+    D, then the exact quotient (r - c*~a_m)/a_0.
     """
     a, b, scale, (t,) = _start(tag, targets, a)
     c0 = b[1] - scale * a[1]
     D = A * gcd(c0, A * a[0])
     c = c0 * A // D
     c_inv = _unit_inverse(a[0], c)
-    cross = None  # below the minimum order the sums are taken here: no generator to set up
-    if n >= _RUNNING_MIN_ORDER:
+    cross = None  # below the floor the sums are taken here: no generator to set up
+    if n >= _PACKED_MIN_ORDER:
         cross = _cross_sums(a, b, max(map(int.bit_length, [A * a[0]] + a[2:])), n)
     for m in range(len(a), n + 1):
         v = targets[m + 1] - a[1] * t - (next(cross) if cross else sum(map(mul, a[2:m], b[m - 1 : 1 : -1])))
@@ -222,12 +213,14 @@ def _lift(tag: str, targets, n: int, a: list[int], A: int = 1):
 def _cross_sums(a: list[int], b: list[int], h_a: int, n: int):
     """Yield C(m+1) = sum_(j=2..m-1) a_j*b_(m+1-j) for the stages m = len(a)..n.
 
-    The caller appends a_m and b_m before it asks for the next sum, and
-    h_a bounds the bits of every a_j with j >= 2, present and future.
-    The sums are read from a running product in slots of w bits, X = 2^w:
-    PA = sum a_j X^(j-2), PB likewise for b, and R holds the partial sums
-    of the cross sums not yet read, the next one in slot 0.  A read takes
-    the balanced residue of R mod X and shifts it off; a push adds
+    A lag-one lift of order n >= _PACKED_MIN_ORDER, the floor it shares
+    with the product check, takes its sums from here.  The caller appends
+    a_m and b_m before it asks for the next sum, and h_a bounds the bits
+    of every a_j with j >= 2, present and future.  The sums are read from
+    a running product in slots of w bits, X = 2^w: PA = sum a_j X^(j-2),
+    PB likewise for b, and R holds the partial sums of the cross sums not
+    yet read, the next one in slot 0.  A read takes the balanced residue
+    of R mod X and shifts it off; a push adds
     a_m*PB + b_m*PA to R, the new pairs landing in the low slots.  The
     seeds are pushed before the first read.  From 2m > N + 1 on, a_m and
     b_m stay out of PA and PB: they meet no later pair below order N + 2,
@@ -299,11 +292,13 @@ def _lift2(tag: str, targets, n: int, a: list[int], A: int):
     c = A * (b[2] - a[2]) - t * a[1]
     c_inv = _unit_inverse(a[0], c)
     for m in range(3, n + 1):
-        v = a[1] * u + a[2] * s + sum(map(mul, a[3:m], b[m - 1 : 2 : -1]))
-        atil, u_next = _step(a[0], c, c_inv, targets[m + 2] - v)
+        v = targets[m + 2] - a[1] * u - a[2] * s - sum(map(mul, a[3:m], b[m - 1 : 2 : -1]))
+        atil = v * c_inv % a[0]
         a.append(A * atil)
         b.append(s - a[m])
-        s, u = u - t * atil, u_next
+        s, (u, rem) = u - t * atil, divmod(v - c * atil, a[0])
+        if rem:
+            raise EngineInvariantError(f"{tag}: unit step division was not exact")
     return _verified(tag, targets, a, b, n)
 
 

@@ -44,9 +44,14 @@ __all__ = ["VerificationReport", "verify_factorization"]
 # grow (m=nu and p=2 m=nu+1, N = 64 to 256), the rule takes the faster
 # path on 73; the other five are within 0.98 to 1.38.  Small heights gain
 # the most: 3x at N = 64 and 8 to 11x at N = 256 for 24- to 80-bit
-# slots.  At N = 16 the two are even (0.8 to 1.4), so shorter pairs keep
-# the convolution.  Slots of up to 8 bytes come from machine words in 0.34-0.63
-# of the time of to_bytes at N = 256 and 0.52-0.85 at 64 (timeit, best of 5).
+# slots.  Slots of up to 8 bytes come from machine words in 0.34-0.63 of
+# the time of to_bytes at N = 256 and 0.52-0.85 at 64 (timeit, best of 5).
+# The lift's running product (factor._cross_sums) shares the floor: at
+# N = 16 both packed products break even.  The convolution takes 0.8 to
+# 1.4 of the check's time; the packed lift takes 1.01 of the lift on plain
+# sums (the 150 cli-deep lines of order 64 at seeds 21-25, run at N = 8 to
+# 64, best of 7: 1.04 at 8, 0.94 at 32, 0.86 at 64).  Shorter pairs keep
+# plain sums.
 _PACKED_MIN_ORDER = 16
 _PACKED_CROSSOVER = 5 * 10**7
 

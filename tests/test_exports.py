@@ -8,11 +8,14 @@ name also counts, because the classifier picks its engines by name
 (``getattr(engines, engine)``).  Tests do not count: a name only tests
 use is not part of the library.  The check goes by name alone, so an
 attribute of the same name read from another object (a field such as
-``SquareClass.valuation``) also counts as a use.
+``SquareClass.valuation``) also counts as a use.  The layers' exports
+must also keep the shape that the benchmark's tracer (``bench/spans.py``)
+wraps: plain functions and classes, looked up where they are defined.
 """
 
 import ast
 import importlib
+import inspect
 import re
 from pathlib import Path
 
@@ -77,3 +80,30 @@ def test_every_export_has_a_caller():
     callers = {name for defines, name in _references() if name not in defines}
     uncalled = [f"{module.__name__}.{name}" for module in MODULES for name in module.__all__ if name not in callers]
     assert uncalled == []
+
+
+def test_layer_exports_are_plain_functions_or_classes():
+    # the benchmark's tracer wraps each exported callable of these layers
+    # and refuses anything else, such as a functools.lru_cache wrapper
+    for layer in ("padics", "series", "classify", "factor", "oracle"):
+        module = importlib.import_module(f"zxfactor.{layer}")
+        for name in module.__all__:
+            obj = getattr(module, name)
+            assert not callable(obj) or inspect.isfunction(obj) or inspect.isclass(obj), f"{layer}.{name}"
+
+
+def test_classifier_looks_its_engine_up_at_call_time(monkeypatch):
+    # a wrapper bound in zxfactor.factor, as the tracer binds one, sees the call
+    from zxfactor import factor
+    from zxfactor.classify import QuadInput, classify_quadratic
+
+    calls = []
+    engine = factor.factor_simple_root
+
+    def spy(*args):
+        calls.append(args)
+        return engine(*args)
+
+    monkeypatch.setattr(factor, "factor_simple_root", spy)
+    classify_quadratic(QuadInput(3, 5, 2, 2, 1), terms=8)
+    assert len(calls) == 1

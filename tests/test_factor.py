@@ -32,13 +32,6 @@ def check_pair(q: QuadInput, pair, n: int) -> None:
     assert abs(a.coeffs[0]) >= 2 and abs(b.coeffs[0]) >= 2
 
 
-def test_unit_step_examples():
-    # a_N = r * c^-1 mod the modulus, and the exact quotient (r - c*a_N) / modulus
-    assert factor_module._step(5, 3, factor_module._unit_inverse(5, 3), 0) == (0, 0)
-    assert factor_module._step(5, -4, factor_module._unit_inverse(5, -4), -2) == (3, 2)
-    assert factor_module._step(3, 1, factor_module._unit_inverse(3, 1), -3) == (0, -1)
-
-
 def test_unit_inverse_rejects_non_unit():
     with pytest.raises(EngineInvariantError):
         factor_module._unit_inverse(9, 3)
@@ -523,10 +516,11 @@ def test_lag_one_rows_keep_their_pairs():
         (factor_simple_root, QuadInput(5, 4, 1, 3, 7), 256, "widens late"),
         (factor_tail, QuadInput(7, 2, 1, 24, -52, (147, 0, 0)), 64, "falls back"),
         (factor_p2_m_eq_nu1, QuadInput(2, 2, 2, 3, -519), 64, "widens"),
-        (factor_simple_root, QuadInput(5, 4, 1, 3, 7), 31, "plain sums"),
+        (factor_simple_root, QuadInput(5, 4, 1, 3, 7), 15, "plain sums"),
         (factor_simple_root, QuadInput(5, 4, 1, 3, 7), 32, "packed throughout"),
         (factor_p2_scaled, QuadInput(2, 2, 4, 3, 7), 32, "packed throughout"),
         (factor_simple_root, QuadInput(2**61 - 1, 4, 1, 3, 7), 64, "widens from the start"),
+        (factor_simple_root, QuadInput(5, 4, 1, 3, 7), 16, "packed throughout"),
     ],
 )
 def test_running_product_gives_the_plain_sum_pair(monkeypatch, engine, q, order, regime):
@@ -551,7 +545,7 @@ def test_running_product_gives_the_plain_sum_pair(monkeypatch, engine, q, order,
         h_b, gain = b[first].bit_length(), max(b[first].bit_length() - b[0].bit_length(), 0)
         wide = (fixed + h_b - (-gain * (order + 1 - first) // first) + 7) // 8 * 8
     holds = {
-        "plain sums": order < factor_module._RUNNING_MIN_ORDER,
+        "plain sums": order < factor_module._PACKED_MIN_ORDER,
         "packed throughout": first is None and not widths,
         "widens": first is not None and 2 * first <= order + 1 and widths == [wide] * 3,
         "widens late": first is not None and 2 * first > order + 1 and widths == [wide] * 3,
@@ -559,7 +553,7 @@ def test_running_product_gives_the_plain_sum_pair(monkeypatch, engine, q, order,
         "widens from the start": fixed > w and first == 2 and widths[:3] == [wide] * 3 and len(widths) == 9,
     }
     assert holds[regime], (fixed, first, widths)
-    monkeypatch.setattr(factor_module, "_RUNNING_MIN_ORDER", order + 1)
+    monkeypatch.setattr(factor_module, "_PACKED_MIN_ORDER", order + 1)
     assert engine(q, order) == pair
 
 
@@ -758,3 +752,13 @@ def test_cross_sums_widen_at_the_third_seed(monkeypatch, sign):
     widths = _widths(monkeypatch)
     assert _driven_sums(a, b, 40, 3) == _plain_sums(a, b, 3)
     assert widths == [152] * 3
+
+
+@pytest.mark.parametrize("w, wide", [(8, 16), (56, 64), (64, 72)])
+def test_reslot_keeps_a_half_slot_in_the_high_slot(w, wide):
+    # 2^(2w-1) - 1 = -1 + 2^(w-1) * 2^w: its low slot is -1 and its high
+    # slot exactly 2^(w-1), where the bias carries one slot further up.
+    # The second spare slot holds that carry; with one, the biased value
+    # would not fit its bytes.
+    v = factor_module._reslot(2 ** (2 * w - 1) - 1, w, wide)
+    assert v % 2**wide == 2**wide - 1

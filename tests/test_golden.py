@@ -29,6 +29,7 @@ from pathlib import Path
 
 from test_acceptance import SWEEP_SEED, SWEEP_SIZE, _sample_inputs
 from zxfactor.classify import QuadInput, classify_quadratic
+from zxfactor import classify as classify_module
 from zxfactor import cli
 from zxfactor.cli import main
 
@@ -260,6 +261,25 @@ def test_golden_sweep_json_through_batch(tmp_path):
     code, outs = _run_batch(sweep_corpus(), tmp_path)
     assert len(outs) == record["lines"] and _digest("".join(outs)) == record["sha256"]
     assert code == max(map(int, record["exit_codes"]))
+
+
+def test_every_golden_answer_runs_one_square_test(monkeypatch):
+    # the CLI reads the square class from the verdict.  Only a tail of
+    # zeros that no tailed row decides runs a second test: it is answered
+    # by classify_quadratic, whose square test backs its theorem assertion
+    calls = []
+    square_class = classify_module._square_class
+
+    def spy(*args):
+        calls.append(args)
+        return square_class(*args)
+
+    monkeypatch.setattr(classify_module, "_square_class", spy)
+    for line in json.loads(DATA.read_text()):
+        calls.clear()
+        verdict = json.loads(_run(line)[1])["verdict"]
+        redecided = verdict.get("conditional_on_truncation", False) and not verdict["rule"].startswith("S5.")
+        assert len(calls) == 1 + redecided, line
 
 
 def test_pinned_p31_repeated_root_pair():

@@ -260,10 +260,9 @@ def _run_batch(path: str) -> int:
             if not line or line.startswith("#"):
                 continue
             try:
-                args = _scan(_tokens(line))
-            except ValueError:
-                raise ValueError(f"bad batch line: {line}") from None
-            worst = max(worst, _answer(args, "json"))
+                worst = max(worst, _answer(_scan(_tokens(line)), "json"))
+            except ValueError as exc:  # the line does not scan, or its value is refused
+                raise ValueError(f"bad batch line: {line}: {exc}") from None
     return worst
 
 

@@ -30,14 +30,20 @@ the valuation of beta^2 - 4*alpha, of beta^2 - alpha when p = 2):
     factor_tail                 p               1
     factor_m_eq_nu, nu>l        p^(nu-l)        2
 
-Lag one is :func:`_lift`, lag two :func:`_lift2`.  The engines ask
-their Z_p questions through the classifier's helpers: whether a
-discriminant is a square (``padics._square_class``) and the roots of a
-seed quadratic (``padics._root_classes``).  Every engine takes a
-:class:`~zxfactor.classify.QuadInput` and the order, and checks its
-finished pair once with :func:`~zxfactor.oracle.verify_factorization`
-against the input through that order; a nonzero residual or a unit head
-raises :class:`EngineInvariantError` (a bug, never an input condition).
+Lag one is :func:`_lift`, lag two :func:`_lift2`.  Each completes the
+seeds itself, with the one division b = f/a through order k + lag - 1,
+before its first stage.  The engines ask their Z_p questions through the
+classifier's helpers: whether a discriminant is a square
+(``padics._square_class``) and the roots of a seed quadratic
+(``padics._root_classes``).  Every engine takes a
+:class:`~zxfactor.classify.QuadInput` and the order N, builds its
+targets once as a list (f_0..f_N, then the zeros past N that a lift
+reads; :func:`_targets`), and checks its finished pair once with
+:func:`~zxfactor.oracle.verify_factorization` against the input through
+that order; a nonzero residual or a unit head raises
+:class:`EngineInvariantError` (a bug, never an input condition).  At
+the small orders of a single answer these fixed steps, not the stages,
+are most of an engine's time, so none of them is taken twice.
 Which engine splits which input is the classifier's decision table.
 
 Whenever b_0*y^2 - f_1*y + a_0*f_2 has an integer root and every tail
@@ -53,7 +59,7 @@ from math import gcd, isqrt
 from operator import mul
 from typing import TYPE_CHECKING
 
-from .limits import require_terms
+from .limits import require_series, require_terms
 from .oracle import _PACKED_MIN_ORDER, verify_factorization
 from .padics import _root_classes, _square_class, _valuation
 from .series import TruncSeries, _quotient
@@ -77,9 +83,10 @@ class EngineInvariantError(RuntimeError):
 
 
 def _unit_inverse(modulus: int, c: int) -> int:
-    if gcd(c, modulus) != 1:
-        raise EngineInvariantError(f"step coefficient {c} is not a unit mod {modulus}")
-    return pow(c, -1, modulus)
+    try:
+        return pow(c, -1, modulus)
+    except ValueError:  # c is not a unit
+        raise EngineInvariantError(f"step coefficient {c} is not a unit mod {modulus}") from None
 
 
 def _exact_div(num: int, den: int, what: str) -> int:
@@ -94,9 +101,17 @@ def _require(cond: bool, message: str) -> None:
         raise ValueError(message)
 
 
+def _targets(q: "QuadInput", n: int, lag: int = 1) -> list[int]:
+    """f_0..f_n of the input, then the lag zeros past order n that a lift reads."""
+    _require(n >= 2, "factor order must be at least 2")
+    require_series(q.p, q.n, q.m, n)
+    f = [q.p**q.n, 0 if q.beta is None else q.p**q.m * q.beta, q.alpha, *q.tail[: n - 2]]
+    return f + [0] * (n + 1 + lag - len(f))
+
+
 def _verified(tag: str, targets, a: list[int], b: list[int], n: int):
-    """The pair a, b through order n, checked once against the targets."""
-    pair = TruncSeries(a[: n + 1]), TruncSeries(b[: n + 1])
+    """The pair a, b of orders 0..n, checked once against the targets."""
+    pair = TruncSeries(a), TruncSeries(b)
     report = verify_factorization(TruncSeries(targets[: n + 1]), *pair)
     if not report.passed:
         bad = next((k for k, r in enumerate(report.residuals) if r), None)
@@ -152,34 +167,21 @@ def _integer_split(targets, a0: int, n: int, tag: str):
     r2 = (f_1 - b_0*r1)/a_0."""
     b0, f1, f2 = targets[0] // a0, targets[1], targets[2]
     disc = f1 * f1 - 4 * a0 * b0 * f2
-    if any(targets[3:]) or disc < 0:
+    if disc < 0 or any(targets[3:]) or (d := isqrt(disc)) * d != disc:
         return None
-    d = isqrt(disc)
-    roots = [num // (2 * b0) for num in (f1 - d, f1 + d) if d * d == disc and num % (2 * b0) == 0]
+    roots = [num // (2 * b0) for num in (f1 - d, f1 + d) if num % (2 * b0) == 0]
     if not roots:
         return None
     pad = [0] * (n - 1)
-    a, b = [a0, roots[0]] + pad, [b0, (f1 - b0 * roots[0]) // a0] + pad
-    return _verified(tag, targets, a, b, n)
-
-
-def _start(tag: str, targets, seeds: list[int], lag: int = 1):
-    """Complete the seeds a_0..a_(k-1) from orders 0..k+lag-1.
-
-    The quotient of the targets by the seeds (a_k, a_(k+1) taken as 0) is
-    b_0..b_(k-1), then t_k = b_k + scale*a_k, which order k fixes before
-    a_k is known, and for lag two the order-(k+1) sum u of :func:`_lift2`.
-    Returns a (a copy of the seeds), b, scale = b_0/a_0 and that tail.
-    """
-    k = len(seeds)
-    h = _quotient(targets, seeds, k + lag - 1)
-    if h is None:
-        raise EngineInvariantError(f"{tag}: the seeds do not divide the head")
-    return list(seeds), h[:k], _exact_div(h[0], seeds[0], f"{tag}: head"), h[k:]
+    return _verified(tag, targets, [a0, roots[0], *pad], [b0, (f1 - b0 * roots[0]) // a0, *pad], n)
 
 
 def _lift(tag: str, targets, n: int, a: list[int], A: int = 1):
-    """Lag one.  With t_m = b_m + scale*a_m, order m + 1 reads
+    """Lag one, from the seeds a_0..a_(k-1), which it extends in place.
+
+    The quotient of the targets through order k by the seeds (a_k taken
+    as 0) is b_0..b_(k-1), then t_k = b_k + scale*a_k, which order k fixes
+    before a_k is known.  With t_m = b_m + scale*a_m, order m + 1 reads
 
         f_(m+1) = a_0*t_(m+1) + c0*a_m + a_1*t_m + sum_(j=2..m-1) a_j*b_(m+1-j)
 
@@ -190,23 +192,26 @@ def _lift(tag: str, targets, n: int, a: list[int], A: int = 1):
     A stage takes ~a_m = r*c^-1 mod a_0 for the order's remainder r over
     D, then the exact quotient (r - c*~a_m)/a_0.
     """
-    a, b, scale, (t,) = _start(tag, targets, a)
-    c0 = b[1] - scale * a[1]
-    D = A * gcd(c0, A * a[0])
+    k, a0, a1 = len(a), a[0], a[1]
+    h = _quotient(targets, a, k)
+    if h is None:
+        raise EngineInvariantError(f"{tag}: the seeds do not divide the head")
+    b, t, scale = h[:k], h[k], _exact_div(h[0], a0, f"{tag}: head")
+    c0 = b[1] - scale * a1
+    D = A * gcd(c0, A * a0)
     c = c0 * A // D
-    c_inv = _unit_inverse(a[0], c)
-    cross = None  # below the floor the sums are taken here: no generator to set up
-    if n >= _PACKED_MIN_ORDER:
-        cross = _cross_sums(a, b, max(map(int.bit_length, [A * a[0]] + a[2:])), n)
-    for m in range(len(a), n + 1):
-        v = targets[m + 1] - a[1] * t - (next(cross) if cross else sum(map(mul, a[2:m], b[m - 1 : 1 : -1])))
+    c_inv = _unit_inverse(a0, c)
+    # below the floor the stage takes its sum itself: no generator to set up
+    cross = n >= _PACKED_MIN_ORDER and _cross_sums(a, b, max(map(int.bit_length, [A * a0] + a[2:])), n)
+    for m in range(k, n + 1):
+        v = targets[m + 1] - a1 * t - (next(cross) if cross else sum(map(mul, a[2:], reversed(b))))
         r, rem = divmod(v, D)
         if rem:
             raise EngineInvariantError(f"{tag}: {v} is not divisible by {D}")
-        atil = r * c_inv % a[0]
+        atil = r * c_inv % a0
         a.append(A * atil)
         b.append(t - scale * a[m])
-        t = D * ((r - c * atil) // a[0])
+        t = D * ((r - c * atil) // a0)
     return _verified(tag, targets, a, b, n)
 
 
@@ -280,23 +285,30 @@ def _reslot(v: int, w: int, wide: int) -> int:
 
 
 def _lift2(tag: str, targets, n: int, a: list[int], A: int):
-    """Lag two, for the seeds a_0, a_1, a_2 and f_0 = a_0^2 (so b_0 = a_0).
+    """Lag two, for the seeds a_0, a_1, a_2 and f_0 = a_0^2 (so b_0 = a_0),
+    which it extends in place.
 
-    With s_m = b_m + a_m, order m + 1 gives s_(m+1) = u_m - t*~a_m with
+    The quotient of the targets through order 4 by the seeds is b_0, b_1,
+    b_2, then s_3 and the order-4 sum u_3 below.  With s_m = b_m + a_m,
+    order m + 1 gives s_(m+1) = u_m - t*~a_m with
     t = (b_1 - a_1)*A/a_0 and u_m free of ~a_m, so it cannot fix ~a_m;
     order m + 2 does, modulo a_0, with the unit c below.  The quotient of
     that solve is u_(m+1), the order-(m+2) sum the next stage needs.
     """
-    a, b, _, (s, u) = _start(tag, targets, a, 2)
-    t = _exact_div((b[1] - a[1]) * A, a[0], f"{tag}: t")
-    c = A * (b[2] - a[2]) - t * a[1]
-    c_inv = _unit_inverse(a[0], c)
+    a0, a1, a2 = a
+    h = _quotient(targets, a, 4)
+    if h is None:
+        raise EngineInvariantError(f"{tag}: the seeds do not divide the head")
+    b, s, u = h[:3], h[3], h[4]
+    t = _exact_div((b[1] - a1) * A, a0, f"{tag}: t")
+    c = A * (b[2] - a2) - t * a1
+    c_inv = _unit_inverse(a0, c)
     for m in range(3, n + 1):
-        v = targets[m + 2] - a[1] * u - a[2] * s - sum(map(mul, a[3:m], b[m - 1 : 2 : -1]))
-        atil = v * c_inv % a[0]
+        v = targets[m + 2] - a1 * u - a2 * s - sum(map(mul, a[3:], reversed(b)))
+        atil = v * c_inv % a0
         a.append(A * atil)
         b.append(s - a[m])
-        s, (u, rem) = u - t * atil, divmod(v - c * atil, a[0])
+        s, (u, rem) = u - t * atil, divmod(v - c * atil, a0)
         if rem:
             raise EngineInvariantError(f"{tag}: unit step division was not exact")
     return _verified(tag, targets, a, b, n)
@@ -320,19 +332,15 @@ def factor_simple_root(q: "QuadInput", n: int) -> tuple[TruncSeries, TruncSeries
     """
     _require(q.beta is not None or not q.tail, "beta = 0 engine takes no tail")
     _require(q.n >= 2, "needs n >= 2")
-    _require(n >= 2, "factor order must be at least 2")
-    targets = q.head_series(n).coeffs + (0,)
+    targets = _targets(q, n)
     p, s = q.p, q.n // 2 if q.beta is None else min(q.m, q.n // 2)
     ps, scale = p**s, p ** (q.n - 2 * s)
     b = 0 if q.beta is None else p ** (q.m - s) * q.beta
     classes = _root_classes(scale, -b, q.alpha, p, s)
     # g mod p has only simple roots, one double root or none: the smallest root speaks for all
     _require(bool(classes) and (2 * scale * classes[0][0] - b) % p != 0, "g has no simple root mod p")
-    if q.beta is None or q.n != 2 * q.m:
-        pair = _integer_split(targets, ps, n, "simple root poly")
-        if pair is not None:
-            return pair
-    return _lift("simple root", targets, n, [ps, classes[0][0]])
+    pair = (q.beta is None or q.n != 2 * q.m) and _integer_split(targets, ps, n, "simple root poly")
+    return pair or _lift("simple root", targets, n, [ps, classes[0][0]])
 
 
 def factor_m_eq_nu(q: "QuadInput", n: int) -> tuple[TruncSeries, TruncSeries]:
@@ -350,21 +358,19 @@ def factor_m_eq_nu(q: "QuadInput", n: int) -> tuple[TruncSeries, TruncSeries]:
     _require(not q.tail, "engine takes no tail")
     _require(q.beta is not None and q.n % 2 == 0 and q.m == q.n // 2, "engine needs m = n/2")
     _require(q.p != 2, "p = 2 is handled by the scaled engines")
-    _require(n >= 2, "factor order must be at least 2")
+    targets = _targets(q, n, 2)
     p, nu, beta, alpha = q.p, q.n // 2, q.beta, q.alpha
     pn = p**nu
-    targets = q.head_series(n).coeffs + (0, 0)
-    pair = _integer_split(targets, pn, n, "m=nu poly")
-    if pair is not None:
+    if pair := _integer_split(targets, pn, n, "m=nu poly"):
         return pair
     ell = _square_half_valuation(beta * beta - 4 * alpha, p, "beta^2 - 4*alpha")
     a = _smallest_root(1, -beta, alpha, p, 3 * max(ell, nu), "m=nu")
-    mu, r = _valuation(a * a - beta * a + alpha, p)
     ell_a, t_unit = _valuation(beta - 2 * a, p)
     if ell_a != ell:
         raise EngineInvariantError("m=nu: the seed root disagrees with the discriminant data")
     if nu > ell:
         return _lift2("m=nu nu>l", targets, n, [pn, a, 0], p ** (nu - ell))
+    mu, r = _valuation(a * a - beta * a + alpha, p)
     a2 = p ** (mu - nu - ell) * (-r * pow(t_unit, -1, pn) % pn) * a
     return _lift("m=nu nu<=l", targets, n, [pn, a, a2], p ** (2 * ell - nu))
 
@@ -383,16 +389,13 @@ def factor_p2_scaled(q: "QuadInput", n: int) -> tuple[TruncSeries, TruncSeries]:
         q.p == 2 and q.n % 2 == 0 and (q.beta is None or q.m > nu + 1),
         "engine needs p = 2, even n and m > n/2 + 1 or beta = 0",
     )
-    _require(n >= 2, "factor order must be at least 2")
-    targets = q.head_series(n).coeffs + (0,)
+    targets = _targets(q, n)
     b = 0 if q.beta is None else 2 ** (q.m - nu) * q.beta
     classes = _root_classes(1, -b, q.alpha, 2, 2 * nu + 1)
     _require(bool(classes), "mod-8 reducibility condition fails: input is irreducible")
     pn = 2**nu
     pair = _integer_split(targets, pn, n, "p2 scaled poly")
-    if pair is not None:
-        return pair
-    return _lift("p2 scaled", targets, n, [pn, classes[0][0]], pn)
+    return pair or _lift("p2 scaled", targets, n, [pn, classes[0][0]], pn)
 
 
 def factor_p2_m_eq_nu1(q: "QuadInput", n: int) -> tuple[TruncSeries, TruncSeries]:
@@ -407,12 +410,10 @@ def factor_p2_m_eq_nu1(q: "QuadInput", n: int) -> tuple[TruncSeries, TruncSeries
     _require(q.beta is not None and q.n % 2 == 0, "engine needs beta != 0 and even n")
     nu = q.n // 2
     _require(q.p == 2 and q.m == nu + 1, "engine needs p = 2 and m = nu + 1")
-    _require(n >= 2, "factor order must be at least 2")
+    targets = _targets(q, n)
     beta, alpha = q.beta, q.alpha
     pn = 2**nu
-    targets = q.head_series(n).coeffs + (0,)
-    pair = _integer_split(targets, pn, n, "p2 m=nu+1 poly")
-    if pair is not None:
+    if pair := _integer_split(targets, pn, n, "p2 m=nu+1 poly"):
         return pair
     ell = _square_half_valuation(beta * beta - alpha, 2, "beta^2 - alpha")
     a1 = _smallest_root(1, -2 * beta, alpha, 2, 2 * ell + nu + 2, "p2 m=nu+1")
@@ -438,7 +439,7 @@ def factor_coprime_constant(
     vinv = pow(v, -1, abs(u))
     a, b = [u], [v]
     for k in range(1, n + 1):
-        rhs = targets[k] - sum(map(mul, a[1:k], b[k - 1 : 0 : -1]))
+        rhs = targets[k] - sum(map(mul, a[1:], reversed(b)))
         a.append(rhs * vinv % abs(u))
         b.append(_exact_div(rhs - v * a[k], u, "coprime split"))
     return _verified("coprime constant", targets, a, b, n)
@@ -454,7 +455,7 @@ def factor_tail(q: "QuadInput", n: int) -> tuple[TruncSeries, TruncSeries]:
     tail's divisibility by p^2 = D keeps every order divisible.
     """
     _require(q.beta is not None and q.n == 2 and q.m == 1, "engine needs n = 2 and m = 1")
-    _require(n >= 2, "factor order must be at least 2")
+    targets = _targets(q, n)
     p, beta, alpha = q.p, q.beta, q.alpha
     core = beta * beta - 4 * alpha
     _require(core != 0, "zero discriminant is outside this engine")
@@ -465,4 +466,4 @@ def factor_tail(q: "QuadInput", n: int) -> tuple[TruncSeries, TruncSeries]:
     a1 = _smallest_root(1, -beta, alpha, p, 3, "tail engine")
     while a1 * a1 - beta * a1 + alpha == 0:
         a1 += p**3
-    return _lift("p^2-divisible tail", q.head_series(n).coeffs + (0,), n, [p, a1], p)
+    return _lift("p^2-divisible tail", targets, n, [p, a1], p)

@@ -4,8 +4,11 @@ The factor engines call it as the one check of each finished pair, and
 nothing here imports them.  It re-derives every residual of a*b - f by
 convolution, except that a pair which passes may instead be decided by
 one exact big-integer product (Kronecker substitution) where that is
-cheaper than the convolution; both keep the answer exact.  A
-``VerificationReport`` is a NamedTuple, so a check builds one tuple.
+cheaper than the convolution; both keep the answer exact.  Below
+``_PACKED_MIN_ORDER``, where a single answer's pair usually lies, every
+pair takes the convolution, which slices b once per order (``map`` stops
+at the shorter operand), and a passing pair costs that and one tuple: a
+``VerificationReport`` is a NamedTuple built with ``tuple.__new__``.
 This module holds the check and its packed product only; the brute-force
 references that the tests compare the fast paths against live in
 ``tests/oracles.py``.
@@ -51,7 +54,13 @@ __all__ = ["VerificationReport", "verify_factorization"]
 # 1.4 of the check's time; the packed lift takes 1.01 of the lift on plain
 # sums (the 150 cli-deep lines of order 64 at seeds 21-25, run at N = 8 to
 # 64, best of 7: 1.04 at 8, 0.94 at 32, 0.86 at 64).  Shorter pairs keep
-# plain sums.
+# plain sums.  Below the floor, the product check on one-word slots (w <= 8,
+# packed without a byte shuffle) against the convolution, on the large-p
+# pairs of padic-wide seeds 11-12 (CPython 3.11, shared 2-vCPU machine,
+# best of 15, heights included): 1.68x at N = 4, 1.27x at 6, 1.02x at 8,
+# 0.87x at 10, 0.62x at 15, and 1.14-1.47x on the pairs too wide for one
+# word, which pay for the heights and then convolve.  It does not pay at
+# N = 4..8, so the floor stays for both.
 _PACKED_MIN_ORDER = 16
 _PACKED_CROSSOVER = 5 * 10**7
 
@@ -80,8 +89,8 @@ def verify_factorization(f: TruncSeries, a: TruncSeries, b: TruncSeries) -> Veri
     if _product_vanishes(fc, ac, bc):
         residuals = (0,) * len(fc)
     else:
-        residuals = tuple(sum(map(mul, ac[: k + 1], bc[k::-1])) - fk for k, fk in enumerate(fc))
-    return VerificationReport(residuals, abs(ac[0]) != 1, abs(bc[0]) != 1)
+        residuals = tuple([sum(map(mul, ac, bc[k::-1])) - fk for k, fk in enumerate(fc)])
+    return tuple.__new__(VerificationReport, (residuals, abs(ac[0]) != 1, abs(bc[0]) != 1))
 
 
 def _product_vanishes(fc: tuple[int, ...], ac: tuple[int, ...], bc: tuple[int, ...]) -> bool:

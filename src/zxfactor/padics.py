@@ -3,10 +3,11 @@
 Everything here works with ordinary (arbitrary-precision) integers viewed
 as elements of Z_p: valuations and unit parts, classification of squares
 in Z_p, and the roots of quadratic congruences modulo prime powers.  Root
-sets are residue classes r + p^j*Z, found by Tonelli-Shanks square roots
-mod p and Hensel lifting, so the cost grows with the bit size of p and
-K, not with p^K.  Negative integers are handled exactly; no residue is
-taken until one is explicitly requested.
+sets are residue classes r + p^j*Z, found by square roots mod p (one
+power unless p = 1 mod 8, Tonelli-Shanks there) and Hensel lifting, so
+the cost grows with the bit size of p and K, not with p^K.  Negative
+integers are handled exactly; no residue is taken until one is
+explicitly requested.
 One Newton lifter, ``_hensel_lift``, takes a simple root mod p of any
 integer polynomial to mod p^e: the quadratics of ``_root_classes`` and
 the degree-t head of ``series.normalize_head``.  Each Newton step reads
@@ -246,38 +247,49 @@ def _square_class(t: int, u: int, p: int) -> SquareClass:
 
 
 def _sqrt_mod_prime(a: int, p: int) -> int | None:
-    """A square root of a modulo the odd prime p, or None (Tonelli-Shanks).
+    """A square root of a modulo the odd prime p, or None.
 
-    Cohen, A Course in Computational Algebraic Number Theory, Alg. 1.5.1.
+    One power each: x = a^((p+1)/4) for p = 3 mod 4, and Atkin's
+    x = a*v*(2a*v^2 - 1) with v = (2a)^((p-5)/8) for p = 5 mod 8; either
+    x is a root exactly when a is a residue, so x^2 = a is the test.  For
+    p = 1 mod 8, Tonelli-Shanks (Cohen, A Course in Computational
+    Algebraic Number Theory, Alg. 1.5.1), with x = a^((q+1)/2) and
+    b = a^q from one power; a non-residue shows as a b of order 2^e.
     """
     a %= p
     if a == 0:
         return 0
-    if pow(a, (p - 1) // 2, p) != 1:
-        return None
-    q, e = p - 1, 0
-    while q % 2 == 0:
-        q //= 2
-        e += 1
-    x = pow(a, (q + 1) // 2, p)
-    b = pow(a, q, p)
-    if b != 1:  # a generator y of the 2-Sylow subgroup, from a non-residue
-        z = 2
-        while pow(z, (p - 1) // 2, p) == 1:
-            z += 1
-        y = pow(z, q, p)
-    while b != 1:
-        # the least m with b^(2^m) = 1; then y^(2^(e-m-1)) fixes the order of b
-        m, b2 = 0, b
-        while b2 != 1:
-            b2 = b2 * b2 % p
-            m += 1
-        t = pow(y, 1 << (e - m - 1), p)
-        y = t * t % p
-        e = m
-        x = x * t % p
-        b = b * y % p
-    return x
+    if p % 4 == 3:
+        x = pow(a, (p + 1) // 4, p)
+    elif p % 8 == 5:
+        v = pow(2 * a, (p - 5) // 8, p)
+        x = a * v * (2 * a * v * v - 1) % p
+    else:
+        q, e = p - 1, 0
+        while q % 2 == 0:
+            q //= 2
+            e += 1
+        c = pow(a, q // 2, p)
+        x, b = c * a % p, c * c * a % p
+        if b != 1:  # a generator y of the 2-Sylow subgroup, from a non-residue
+            z = 3  # 2 is a residue mod p = 1 mod 8, and the least non-residue is an odd prime
+            while pow(z, (p - 1) // 2, p) == 1:
+                z += 2
+            y = pow(z, q, p)
+        while b != 1:
+            # the least m with b^(2^m) = 1; then y^(2^(e-m-1)) fixes the order of b
+            m, b2 = 0, b
+            while b2 != 1:
+                b2 = b2 * b2 % p
+                m += 1
+            if m == e:  # b = a^q has the order of a generator: a is a non-residue
+                return None
+            t = pow(y, 1 << (e - m - 1), p)
+            y = t * t % p
+            e = m
+            x = x * t % p
+            b = b * y % p
+    return x if x * x % p == a else None
 
 
 def _roots_mod_p(a: int, b: int, c: int, p: int) -> list[int]:
@@ -325,8 +337,9 @@ def root_classes(A: int, B: int, C: int, p: int, K: int) -> list[tuple[int, int]
     in [0, p^K) with y = r mod p^j is a root, and every root lies in
     exactly one class, so r is the smallest member of its class.  From a
     class (r, j) the polynomial g(t) = f(r + p^j*t) is stripped of its
-    content p^w.  If w >= K the whole class consists of roots; otherwise
-    each root t0 mod p of g/p^w either is simple and lifts by Hensel's
+    content p^w (w = 0, with no search, when a coefficient is a unit).
+    If w >= K the whole class consists of roots; otherwise each root t0
+    mod p of g/p^w either is simple and lifts by Hensel's
     lemma to one class mod p^(j+K-w), or refines the class to
     (r + p^j*t0, j + 1).  A quadratic has at most two roots mod p and at
     most one non-simple one, so the work grows with K, not with p^K.
@@ -350,7 +363,7 @@ def _root_classes(A: int, B: int, C: int, p: int, K: int) -> list[tuple[int, int
         r, j = pending.pop()
         pj = p**j
         a, b, c = A * pj * pj, (2 * A * r + B) * pj, (A * r + B) * r + C
-        w = _valuation(gcd(a, b, c), p)[0]
+        w = 0 if c % p or b % p or a % p else _valuation(gcd(a, b, c), p)[0]  # the content is p^w
         if w >= K:
             classes.append((r, j))
             continue

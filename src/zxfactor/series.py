@@ -98,9 +98,9 @@ def _quotient(f, g, n: int) -> list[int] | None:
     f and g are coefficient sequences, f known through n; g_0 != 0 need not
     be a unit, and the coefficients of g past its end count as zero.
     """
-    h: list[int] = []
-    for k in range(n + 1):
-        hk, rem = divmod(f[k] - sum(map(operator.mul, g[1 : k + 1], h[::-1])), g[0])
+    g0, g1, h = g[0], g[1:], []
+    for k in range(n + 1):  # g_1*h_(k-1) + g_2*h_(k-2) + ..., to the end of g or of h
+        hk, rem = divmod(f[k] - sum(map(operator.mul, g1, reversed(h))), g0)
         if rem:
             return None
         h.append(hk)

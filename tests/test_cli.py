@@ -324,6 +324,25 @@ def test_batch_line_grammar(tmp_path, capsys, line, code, alpha):
         assert json.loads(answers[1])["input"]["alpha"] == alpha
 
 
+@pytest.mark.parametrize(
+    "line, reason",
+    [
+        ("--p 4 --n 2 --m 1 --beta 1 --alpha 3", "input outside theorem hypotheses: p = 4 is not prime"),
+        ("--p 7 --n 2 --m 1 --beta 3 --alpha 2 --terms 5000", "order 5000 is beyond the limit of 4096 terms"),
+        ("--p 7 --n 2 --m 1 --alpha 2", "need --beta and --m, or --beta-zero"),
+    ],
+)
+def test_batch_names_the_line_of_a_refused_value(tmp_path, capsys, line, reason):
+    # a line that scans but whose values are refused names itself and the
+    # reason, after the lines before it have been answered
+    batch = tmp_path / "batch.txt"
+    batch.write_text(f"{VALID_LINE}\n{line}\n{VALID_LINE}\n")
+    assert main(["classify", "--batch", str(batch)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == f"error: bad batch line: {line}: {reason}\n"
+    assert len(captured.out.splitlines()) == 1
+
+
 def test_json_output_is_deterministic(capsys):
     args = ["classify", "--p", "3", "--n", "4", "--m", "2", "--beta", "1",
             "--alpha", "-29", "--format", "json", "--terms", "32"]

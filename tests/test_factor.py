@@ -20,6 +20,8 @@ from zxfactor.oracle import verify_factorization
 from zxfactor.padics import _square_class, is_square_zp
 from zxfactor.series import TruncSeries
 
+from oracles import trial_division_is_prime
+
 RNG_SEED = 42
 
 
@@ -42,18 +44,17 @@ def test_engine_check_fires_on_a_wrong_step(monkeypatch):
     # canonical a_4, appended in its place while b_4 and the next stages
     # follow from it, leaves order 5 of the product off its target
     stages = []
-    start = factor_module._start
+    lift = factor_module._lift
 
     class OffAtTheThirdStage(list):
         def append(self, a_n):
             stages.append(a_n)
             super().append(a_n + 1 if len(stages) == 3 else a_n)
 
-    def start_off(*args):
-        a, *rest = start(*args)
-        return (OffAtTheThirdStage(a), *rest)
+    def lift_off(tag, targets, n, seeds, *rest):
+        return lift(tag, targets, n, OffAtTheThirdStage(seeds), *rest)
 
-    monkeypatch.setattr(factor_module, "_start", start_off)
+    monkeypatch.setattr(factor_module, "_lift", lift_off)
     message = "simple root: first nonzero residual at product order 5;"
     with pytest.raises(EngineInvariantError, match=message):
         factor_simple_root(QuadInput(3, 5, 2, 2, 1), 16)
@@ -762,3 +763,60 @@ def test_reslot_keeps_a_half_slot_in_the_high_slot(w, wide):
     # would not fit its bytes.
     v = factor_module._reslot(2 ** (2 * w - 1) - 1, w, wide)
     assert v % 2**wide == 2**wide - 1
+
+
+def _large_p_sweep():
+    """(sha256 over every pair, rules seen) for seeded large-p answers:
+    classify_quadratic(..., attach_factors=True) on every large-p row at
+    each order 2..15 (m > nu, 2m < n, beta = 0, and m = nu with a
+    discriminant that is a nonzero residue, which lifts at lag two), for
+    primes drawn from [10^4, 3*10^5] and the primes 2^31 - 1 and 2^61 - 1;
+    then factor_coprime_constant at each order 2..15."""
+    rng = random.Random(27)
+
+    def prime():
+        pick = rng.random()
+        if pick < 0.15:
+            return 2**31 - 1
+        if pick < 0.3:
+            return 2**61 - 1
+        p = rng.randrange(10**4, 3 * 10**5) | 1
+        while not trial_division_is_prime(p):
+            p += 2
+        return p
+
+    def residue(x, p):
+        return pow(x % p, (p - 1) // 2, p) == 1
+
+    def draw(row, p):
+        while True:
+            beta, alpha = rng.randrange(1, p), rng.choice((1, -1)) * rng.randrange(1, p)
+            if row == 0 and residue(-alpha, p):  # m > nu
+                return QuadInput(p, 2, rng.randint(2, 3), beta, alpha)
+            if row == 1:  # 2m < n
+                return QuadInput(p, rng.randint(3, 4), 1, beta, alpha)
+            if row == 2 and residue(-alpha, p):  # beta = 0
+                return QuadInput(p, 2, None, None, alpha)
+            if row == 3 and residue(beta * beta - 4 * alpha, p):  # m = nu, l = 0 < nu
+                return QuadInput(p, 2, 1, beta, alpha)
+
+    lines, rules = [], set()
+    for order in range(2, 16):
+        for row in range(4):
+            for _ in range(10):
+                q = draw(row, prime())
+                v = classify_quadratic(q, terms=order, attach_factors=True)
+                rules.add(v.rule)
+                lines.append(repr((row, q, order, v.rule, tuple(s.coeffs for s in v.factors))))
+        for _ in range(4):
+            u, v = rng.choice((2, 3, 5, 7, 10**4 + 7)), rng.choice((11, 13, 2**31 - 1))
+            tail = tuple(rng.randint(-(10**6), 10**6) for _ in range(order))
+            pair = factor_coprime_constant(TruncSeries((u * v,) + tail), u, v, order)
+            lines.append(repr((u, v, order, tuple(s.coeffs for s in pair))))
+    return hashlib.sha256("\n".join(lines).encode()).hexdigest(), rules
+
+
+def test_large_p_rows_keep_their_pairs():
+    digest, rules = _large_p_sweep()
+    assert rules == {"S3.2m-lt-n", "S3.disc-square", "S3.beta0-reducible"}
+    assert digest == "47838806eadeb6117a08502057449418cdb539d1affb8b876b29ab88752bc359"

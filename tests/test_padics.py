@@ -7,6 +7,7 @@ from hypothesis import assume, given, settings, strategies as st
 
 from oracles import brute_roots_mod, brute_square_mod, trial_division_is_prime
 from test_acceptance import expand_roots
+from zxfactor import padics
 from zxfactor.limits import LIMITS
 from zxfactor.padics import (
     PROVEN_PRIME_BOUND,
@@ -228,6 +229,58 @@ def test_sqrt_mod_prime_against_sympy(n, a):
         assert s is None
     else:
         assert s in expected
+
+
+@pytest.mark.parametrize("bits", (17, 31, 61))
+@pytest.mark.parametrize("residue", (1, 3, 5, 7))
+def test_sqrt_mod_prime_against_sympy_in_each_class_mod_8(bits, residue):
+    # p = 3 mod 4 and p = 5 mod 8 take one power each, p = 1 mod 8
+    # Tonelli-Shanks; residues and non-residues alike, against sympy
+    sympy = pytest.importorskip("sympy")
+    from sympy.ntheory import sqrt_mod
+
+    rng = random.Random(bits * 8 + residue)
+    primes = []
+    while len(primes) < 4:
+        p = sympy.nextprime(rng.getrandbits(bits) | 1 << (bits - 1))
+        if p % 8 == residue and p.bit_length() == bits:
+            primes.append(p)
+    for p in primes:
+        values = [0, 1, p - 1, 2, 3] + [rng.randrange(p) for _ in range(40)]
+        non_residues = [a for a in values if not sympy.is_quad_residue(a, p)]
+        assert len(non_residues) >= 5
+        for a in values:
+            s = _sqrt_mod_prime(a, p)
+            expected = sqrt_mod(a, p, all_roots=True)
+            assert (s is None) == (not expected)
+            assert s is None or s in expected
+
+
+@pytest.mark.parametrize("K", (1, 2, 3))
+@pytest.mark.parametrize(
+    "A, B, C, p, all_primitive",
+    [
+        (1, -3, 2, 5, True),  # (y - 1)(y - 2): two simple roots mod p
+        (3, 1, -2, 7, True),  # (3y - 2)(y + 1)
+        (1, -2, 1 - 9 * 2, 3, False),  # (y - 1)^2 - 18: the class 1 mod 3 has content 9
+        (5, -15, 10, 5, False),  # 5*(y - 1)(y - 2)
+        (9, 0, -9 * 4, 3, False),  # 9*(y^2 - 4), content 9
+    ],
+)
+def test_root_classes_against_brute_force(monkeypatch, A, B, C, p, all_primitive, K):
+    # where every class polynomial is primitive, as with simple roots mod
+    # p, no content is searched and no valuation is taken
+    calls = []
+    monkeypatch.setattr(padics, "_valuation", lambda d, q: calls.append(d) or _valuation(d, q))
+    pK = p**K
+    if A % pK == 0 and B % pK == 0 and C % pK == 0:
+        with pytest.raises(ValueError, match="every residue is a root"):
+            padics._root_classes(A, B, C, p, K)
+        return
+    classes = padics._root_classes(A, B, C, p, K)
+    roots = sorted(y for r, j in classes for y in range(r, pK, p**j))
+    assert roots == brute_roots_mod(A, B, C, p, K)
+    assert bool(calls) != all_primitive
 
 
 def test_prime_power_decompose():

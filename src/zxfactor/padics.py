@@ -341,7 +341,9 @@ def root_classes(A: int, B: int, C: int, p: int, K: int) -> list[tuple[int, int]
     If w >= K the whole class consists of roots; otherwise each root t0
     mod p of g/p^w either is simple and lifts by Hensel's
     lemma to one class mod p^(j+K-w), or refines the class to
-    (r + p^j*t0, j + 1).  A quadratic has at most two roots mod p and at
+    (r + p^j*t0, j + 1).  Of two roots mod p, both simple, only the first
+    is lifted: the leading coefficient is then a unit, and the second
+    lifts to -b/a minus the first.  A quadratic has at most two roots mod p and at
     most one non-simple one, so the work grows with K, not with p^K.
     Refuses a p^K beyond ``LIMITS.max_pn_bits`` before building it.
     """
@@ -369,9 +371,16 @@ def _root_classes(A: int, B: int, C: int, p: int, K: int) -> list[tuple[int, int
             continue
         pw = p**w
         a, b, c = a // pw, b // pw, c // pw
-        for t0 in _roots_mod_p(a, b, c, p):
+        e = K - w
+        roots = _roots_mod_p(a, b, c, p)
+        if len(roots) == 2:  # two simple roots, so a is a unit: they sum to -b/a mod p^e
+            pe = p**e
+            t = _hensel_lift((c, b, a), roots[0], p, e)
+            s = (-b - t if a == 1 else -b * pow(a, -1, pe) - t) % pe
+            classes += [(r + pj * t, j + e), (r + pj * s, j + e)]
+            continue
+        for t0 in roots:
             if (2 * a * t0 + b) % p:
-                e = K - w
                 classes.append((r + pj * _hensel_lift((c, b, a), t0, p, e), j + e))
             else:
                 pending.append((r + pj * t0, j + 1))
@@ -383,9 +392,14 @@ def _root_classes(A: int, B: int, C: int, p: int, K: int) -> list[tuple[int, int
 
 _FIRST_RHO_STEPS = 1 << 10
 _HART_STEPS = 4096
-# Hart's method on a cofactor before it goes to _split: 9, 17 and 23 us for
-# 16 multipliers at 80, 135 and 256 bits, against 340, 470 and 820 us for a
-# first rho stage that finds nothing, as on two primes of 40 bits or more.
+# The close pass: Hart's method on a cofactor before its Baillie-PSW test
+# (from PROVEN_PRIME_BOUND on) or before it goes to _split (below).  9, 17
+# and 23 us for 16 multipliers at 80, 135 and 256 bits, against 340, 470
+# and 820 us for a first rho stage that finds nothing, as on two primes of
+# 40 bits or more.  On the 12- and 13-base strong pseudoprimes and a
+# product of two 21-digit primes, all above the bound, it splits each in 3
+# to 7 us and saves 33 to 90 us of Baillie-PSW and 11 to 18 us of
+# perfect-power test.
 _CLOSE_STEPS = 16
 _GCD_BATCH = 128
 _TRIAL_LIMIT = 10**6
@@ -400,14 +414,23 @@ def _smallest_block(x: int) -> tuple[int, int]:
     perfect power (its root goes back to the search) or split; only the
     first and the last need it to have at most ``LIMITS.max_p_bits`` bits,
     so p^n passes whenever p does.  Each prime found takes its whole block
-    out of x.  A split first tries Hart's method with the multipliers
-    1 .. ``_CLOSE_STEPS``: it splits two primes whose ratio lies very near
-    u/v, for odd u and v with u*v <= 16 or any u and v with 4*u*v <= 16.
-    When it gives a factor d of the cofactor r and both d and r // d are
-    prime, both are taken at once.  Otherwise :func:`_split` runs from its
-    first stage.  The guard keeps every block and refusal: on such an r,
-    ``_split`` ends in the same two primes, found by its rho or by its
-    Hart stage at the same multiplier.
+    out of x.
+
+    The close pass (:func:`_close_primes`) is Hart's method with the
+    multipliers 1 .. ``_CLOSE_STEPS``: it splits two primes whose ratio
+    lies very near u/v, for odd u and v with u*v <= 16 or any u and v
+    with 4*u*v <= 16.  When it gives a factor d of the cofactor r and
+    both d and r // d are prime, both are taken at once (d alone when
+    r = d^2).  On an r from
+    ``PROVEN_PRIME_BOUND`` on it runs before :func:`is_prime`, so a
+    product of two close primes is split without a Baillie-PSW test or a
+    perfect-power test of r, and a prime r pays one pass that finds
+    nothing.  Below the bound it runs where a split starts; either way it
+    runs at most once on r.  When it leaves r, :func:`_split` runs from
+    its first stage.  The guard keeps every block and refusal: on such an
+    r, ``_split`` ends in the same two primes, found by its rho or by its
+    Hart stage at the same multiplier, and r^(1/2) is the root the
+    perfect-power test would give.
 
     The search stops once the smallest block found is provably the
     smallest: when it is at most ``floor``, below which no cofactor left
@@ -439,6 +462,11 @@ def _smallest_block(x: int) -> tuple[int, int]:
             raise ValueError(
                 f"the constant term has a {bits}-bit cofactor, beyond the limit of {LIMITS.max_pn_bits}"
             )
+        early = PROVEN_PRIME_BOUND <= r and bits <= LIMITS.max_p_bits  # the close pass comes first
+        if early and (primes := _close_primes(r)):
+            for q in primes:
+                take(q)
+            continue
         if bits <= LIMITS.max_p_bits and is_prime(r):
             take(r)
             continue
@@ -459,14 +487,26 @@ def _smallest_block(x: int) -> tuple[int, int]:
                 f"the constant term has a {bits}-bit cofactor that is no perfect power, "
                 f"beyond the limit of {LIMITS.max_p_bits}"
             )
-        elif (d := _hart(r, _CLOSE_STEPS)) and is_prime(d) and is_prime(r // d):
-            take(d)
-            take(r // d)
-        else:
+        elif early or not (primes := _close_primes(r)):  # the close pass runs at most once on r
             d = _split(r)
             pending += [d, r // d]
+        else:
+            for q in primes:
+                take(q)
     _, p, e = min(blocks)
     return p, e
+
+
+def _close_primes(r: int) -> tuple[int, ...]:
+    """The close pass: (d, r // d), or (d,) when r = d^2, when Hart's
+    method with the multipliers 1 .. ``_CLOSE_STEPS`` gives a factor d of
+    r and both d and r // d are prime; otherwise ()."""
+    d = _hart(r, _CLOSE_STEPS)
+    if not (d and is_prime(d)):
+        return ()
+    if d * d == r:
+        return (d,)
+    return (d, r // d) if is_prime(r // d) else ()
 
 
 def _perfect_power_root(n: int) -> int | None:

@@ -462,6 +462,20 @@ def test_bpsw_prime_is_an_assumption():
     assert classify_quadratic(QuadInput(10**12 + 39, 3, 1, 5, 7), terms=8).assumption is None
 
 
+@pytest.mark.parametrize("p", (2**89 - 1, 2**127 - 1))
+def test_mersenne_prime_constant_is_a_bpsw_prime(monkeypatch, p):
+    # the close pass finds no factor, so the Baillie-PSW test decides
+    import zxfactor.padics
+
+    lucas, strong_lucas = [], zxfactor.padics._strong_lucas_probable_prime
+    monkeypatch.setattr(zxfactor.padics, "_strong_lucas_probable_prime", lambda n: lucas.append(n) or strong_lucas(n))
+    assert p >= PROVEN_PRIME_BOUND
+    for f0 in (p, -p):
+        v = classify_general(TruncSeries((f0, 1, 1)))
+        assert v.kind is VerdictKind.IRREDUCIBLE and v.rule == "S2.prime" and v.assumption == BPSW
+    assert lucas == [p, p]
+
+
 def test_limits_refuse_before_building():
     with pytest.raises(ValueError, match="bits"):
         QuadInput(2**521 - 1, 2, 1, 1, 1)
@@ -526,8 +540,10 @@ def test_factor_search_reruns_byte_identical():
 
 
 def test_tail_engines_run_no_second_factor_search(monkeypatch):
-    # the classifier's one search of the constant term proves p; the tail
-    # engine it picks takes the QuadInput and does not search again
+    # the classifier's one search of the constant term proves p (p^2 is
+    # above PROVEN_PRIME_BOUND, so its close pass splits it and only p is
+    # tested); the tail engine it picks takes the QuadInput and does not
+    # search again
     import zxfactor.classify
     import zxfactor.padics
 
@@ -544,7 +560,7 @@ def test_tail_engines_run_no_second_factor_search(monkeypatch):
     f = TruncSeries((p * p, 3 * p, 2, 5, 7))
     v = classify_general(f)
     assert v.rule == "S5.simple-root" and verify_factorization(f, *v.factors).passed
-    assert len(calls) == 2
+    assert calls == [p]
 
 
 def test_simple_root_row_finds_the_root_classes_once(monkeypatch):

@@ -1,3 +1,4 @@
+import hashlib
 import random
 import time
 from math import gcd, log2
@@ -478,3 +479,143 @@ def test_factor_search_takes_roots_before_the_bit_limit():
     # a prime exponent near the limit: every smaller prime k is tried first
     assert _smallest_block(41**24439) == (41, 24439)
     assert time.perf_counter() - started < 2.0
+
+
+def _above_bound_corpus(sympy):
+    """Seeded constants whose cofactors reach PROVEN_PRIME_BOUND or more:
+    two close primes at each ratio u/v with u*v <= 16, q^2, q^3, primes,
+    composites with a factor rho finds, two products of two primes that
+    are close to each other, close pairs times a small block, and inputs
+    the search refuses."""
+    rng = random.Random(28)
+
+    def prime(bits):
+        return sympy.nextprime(rng.getrandbits(bits) | 1 << (bits - 1))
+
+    corpus = []
+    ratios = [(u, v) for u in range(1, 17) for v in range(1, 17) if u * v <= 16 and gcd(u, v) == 1]
+    for bits in (48, 64, 100, 160, 250):
+        for u, v in ratios:
+            p = prime(bits)
+            corpus.append(p * sympy.nextprime(u * p // v + rng.randrange(bits)))
+    for bits in (40, 48, 80, 128, 170, 256):
+        q = prime(bits)
+        corpus += [q**2, q**3]
+    corpus += [prime(bits) for bits in (79, 80, 89, 127, 200, 300, 400, 511, 512)]
+    for _ in range(40):
+        x = prime(rng.randint(80, 480))
+        for _ in range(rng.randint(1, 3)):
+            x *= prime(rng.randint(10, 24)) ** rng.randint(1, 2)
+        corpus.append(x)
+    for bits in (24, 40, 64):
+        a, b, c = prime(bits), prime(bits), prime(bits)
+        corpus.append(a * b * c * sympy.nextprime(a * b // c))
+    for small in (2, 37, 41, 2**10, 43**3, 1009, 999983, 1000003, 2**20 + 7, 10**7 + 19):
+        p = prime(rng.choice((48, 64, 120)))
+        corpus.append(small * p * sympy.nextprime(3 * p + rng.randrange(64)))
+    corpus += [prime(60) * prime(62) for _ in range(3)]  # no close pass, maybe past the rho budget
+    corpus += [prime(200) * prime(320), prime(257) * sympy.nextprime(2**257), 1009**2 * prime(60) * prime(64)]
+    corpus.append(43 * 41 ** (LIMITS.max_pn_bits // 5 + 1))
+    return corpus
+
+
+def _search_outcome(x):
+    try:
+        return repr(_smallest_block(x))
+    except ValueError as err:
+        return f"error: {err}"
+
+
+@pytest.fixture(scope="module")
+def above_bound_corpus():
+    return _above_bound_corpus(pytest.importorskip("sympy"))
+
+
+def test_factor_search_above_the_proven_bound_keeps_its_blocks(above_bound_corpus):
+    corpus = above_bound_corpus
+    lines = [f"{x:x} {_search_outcome(x)}" for x in corpus]
+    assert len(lines) == 286 and sum(" error: " in line for line in lines) == 10
+    digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
+    assert digest == "e3e15e60c6f305afbb68a821429a6ffce43182bd3e9323769268c7b711674ec1"
+
+
+# padic-wide's known-defect constants: the 12- and 13-base strong
+# pseudoprimes and nextprime(10^20) * nextprime(3 * 10^20), each a product
+# of two primes with ratio near 2 or 3
+DEFECT_CONSTANTS = {
+    318665857834031151167461: (399165290221, 798330580441),
+    3317044064679887385961981: (1287836182261, 2575672364521),
+    100000000000000000039 * 300000000000000000053: (100000000000000000039, 300000000000000000053),
+}
+
+
+def _spy(monkeypatch, name):
+    calls, real = [], getattr(padics, name)
+    monkeypatch.setattr(padics, name, lambda *args: calls.append(args) or real(*args))
+    return calls
+
+
+def test_close_primes_above_the_bound_skip_the_probable_prime_test(monkeypatch):
+    lucas = _spy(monkeypatch, "_strong_lucas_probable_prime")
+    power = _spy(monkeypatch, "_perfect_power_root")
+    hart = _spy(monkeypatch, "_hart")
+    for c, parts in DEFECT_CONSTANTS.items():
+        assert c >= PROVEN_PRIME_BOUND
+        assert _smallest_block(c) == (min(parts), 1)
+        assert hart == [(c, _CLOSE_STEPS)]
+        hart.clear()
+    assert lucas == [] and power == []
+
+
+def test_close_pass_runs_once_per_cofactor(monkeypatch, above_bound_corpus):
+    hart = _spy(monkeypatch, "_hart")
+    for x in above_bound_corpus:
+        _search_outcome(x)
+        close = [n for n, steps in hart if steps == _CLOSE_STEPS]
+        assert len(close) == len(set(close))
+        hart.clear()
+
+
+def test_square_above_the_bound_takes_its_root_once(monkeypatch):
+    q = 10**12 + 39
+    tested = _spy(monkeypatch, "is_prime")
+    power = _spy(monkeypatch, "_perfect_power_root")
+    for x, block in ((q * q, (q, 2)), (7**3 * q * q, (7, 3))):
+        assert _smallest_block(x) == block
+        assert tested == [(q,)] and power == []
+        tested.clear()
+
+
+def _brute_or_sympy_roots(A, B, C, p, K):
+    """Every root in [0, p^K) of A*y^2 + B*y + C: a scan while p^K <= 10^5,
+    else, for odd p and a unit 2A, y = (z - B)/(2A) for each square root z
+    of B^2 - 4AC mod p^K (sympy.sqrt_mod)."""
+    pK = p**K
+    if pK <= 10**5:
+        return brute_roots_mod(A, B, C, p, K)
+    sympy = pytest.importorskip("sympy")
+    zs = sympy.sqrt_mod(B * B - 4 * A * C, pK, all_roots=True)
+    inv = pow(2 * A, -1, pK)
+    return sorted((z - B) * inv % pK for z in zs)
+
+
+@pytest.mark.parametrize("p", (2, 3, 10007, 100003, 2**31 - 1))
+def test_root_classes_with_two_simple_roots_against_sympy(p):
+    # A*(y - s)*(y - t) with s != t mod p: two simple roots, each lifted
+    # to a class mod p^K, for monic and non-monic A; at p = 2 a simple
+    # root needs A and B odd, so only y*(y - 1)-shaped pairs qualify
+    rng = random.Random(p)
+    for K in range(1, 6):
+        pK = p**K
+        for _ in range(6):
+            A = rng.choice((1, -1, 3, rng.randrange(1, pK)))
+            while A % p == 0:
+                A += 1
+            s = rng.randrange(pK)
+            t = s + rng.randrange(1, p) + p * rng.randrange(p ** (K - 1))
+            A, B, C = A, -A * (s + t), A * s * t
+            classes = padics._root_classes(A, B, C, p, K)
+            assert classes == sorted([(s % pK, K), (t % pK, K)])
+            roots = sorted(y for r, j in classes for y in range(r, pK, p**j))
+            assert roots == _brute_or_sympy_roots(A, B, C, p, K)
+            assert classes == root_classes(A, B, C, p, K)

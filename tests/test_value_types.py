@@ -151,8 +151,11 @@ def test_quad_input_refuses_a_string_tail():
 
 
 def test_classify_general_proves_p_once(monkeypatch):
-    # the constant-term search tests p^2, then its root p; the head and
-    # the zero-tail fallback rebuild their QuadInput without a second proof
+    # the constant-term search splits p^2 above PROVEN_PRIME_BOUND by its
+    # close pass and tests p alone (p^2 is tested below it, see
+    # test_classify_general_tests_a_square_below_the_bound_then_its_root);
+    # the head and the zero-tail fallback rebuild their QuadInput without
+    # a second proof
     calls = []
     is_prime = zxfactor.padics.is_prime
 
@@ -164,4 +167,17 @@ def test_classify_general_proves_p_once(monkeypatch):
     monkeypatch.setattr(zxfactor.classify, "is_prime", counted)
     verdict = classify_general(TruncSeries((P * P, 0, 2, 0)))
     assert verdict.rule == "S3.beta0-irreducible" and verdict.conditional_on_truncation
-    assert calls == [P * P, P]
+    assert calls == [P]
+
+
+def test_classify_general_tests_a_square_below_the_bound_then_its_root(monkeypatch):
+    # below PROVEN_PRIME_BOUND the search tests q^2, then its root q
+    q = 10**9 + 7
+    assert q * q < zxfactor.padics.PROVEN_PRIME_BOUND
+    calls = []
+    is_prime = zxfactor.padics.is_prime
+    monkeypatch.setattr(zxfactor.padics, "is_prime", lambda n: calls.append(n) or is_prime(n))
+    monkeypatch.setattr(zxfactor.classify, "is_prime", lambda n: calls.append(n) or is_prime(n))
+    verdict = classify_general(TruncSeries((q * q, 0, 2, 0)))
+    assert verdict.rule == "S3.beta0-irreducible" and verdict.conditional_on_truncation
+    assert calls == [q * q, q]

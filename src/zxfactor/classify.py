@@ -164,16 +164,8 @@ class QuadInput(_QuadFields):
     def head_series(self, order: int) -> TruncSeries:
         """The input as an explicit series through ``order`` (zero-extended)."""
         require_series(self.p, self.n, self.m, order)
-        coeffs = [0] * (order + 1)
-        coeffs[0] = self.p**self.n
-        if self.beta is not None and order >= 1:
-            coeffs[1] = self.p**self.m * self.beta
-        if order >= 2:
-            coeffs[2] = self.alpha
-        for i, c in enumerate(self.tail):
-            if 3 + i <= order:
-                coeffs[3 + i] = c
-        return TruncSeries(coeffs)
+        f = [self.p**self.n, 0 if self.beta is None else self.p**self.m * self.beta, self.alpha, *self.tail]
+        return TruncSeries((f + [0] * order)[: order + 1])
 
 
 class Verdict(NamedTuple):

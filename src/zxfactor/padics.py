@@ -393,13 +393,13 @@ def _root_classes(A: int, B: int, C: int, p: int, K: int) -> list[tuple[int, int
 _FIRST_RHO_STEPS = 1 << 10
 _HART_STEPS = 4096
 # The close pass: Hart's method on a cofactor before its Baillie-PSW test
-# (from PROVEN_PRIME_BOUND on) or before it goes to _split (below).  9, 17
-# and 23 us for 16 multipliers at 80, 135 and 256 bits, against 340, 470
-# and 820 us for a first rho stage that finds nothing, as on two primes of
-# 40 bits or more.  On the 12- and 13-base strong pseudoprimes and a
-# product of two 21-digit primes, all above the bound, it splits each in 3
-# to 7 us and saves 33 to 90 us of Baillie-PSW and 11 to 18 us of
-# perfect-power test.
+# (from PROVEN_PRIME_BOUND on) or before it goes to _split (below); both
+# parts it finds go back to the search, as a split's do.  9, 17 and 23 us
+# for 16 multipliers at 80, 135 and 256 bits, against 340, 470 and 820 us
+# for a first rho stage that finds nothing, as on two primes of 40 bits or
+# more.  On the 12- and 13-base strong pseudoprimes and a product of two
+# 21-digit primes, all above the bound, it splits each in 3 to 7 us and
+# saves 33 to 90 us of Baillie-PSW and 11 to 18 us of perfect-power test.
 _CLOSE_STEPS = 16
 _GCD_BATCH = 128
 _TRIAL_LIMIT = 10**6
@@ -416,21 +416,17 @@ def _smallest_block(x: int) -> tuple[int, int]:
     so p^n passes whenever p does.  Each prime found takes its whole block
     out of x.
 
-    The close pass (:func:`_close_primes`) is Hart's method with the
-    multipliers 1 .. ``_CLOSE_STEPS``: it splits two primes whose ratio
-    lies very near u/v, for odd u and v with u*v <= 16 or any u and v
-    with 4*u*v <= 16.  When it gives a factor d of the cofactor r and
-    both d and r // d are prime, both are taken at once (d alone when
-    r = d^2).  On an r from
-    ``PROVEN_PRIME_BOUND`` on it runs before :func:`is_prime`, so a
-    product of two close primes is split without a Baillie-PSW test or a
-    perfect-power test of r, and a prime r pays one pass that finds
-    nothing.  Below the bound it runs where a split starts; either way it
-    runs at most once on r.  When it leaves r, :func:`_split` runs from
-    its first stage.  The guard keeps every block and refusal: on such an
-    r, ``_split`` ends in the same two primes, found by its rho or by its
-    Hart stage at the same multiplier, and r^(1/2) is the root the
-    perfect-power test would give.
+    The close pass is Hart's method (:func:`_hart`) with the multipliers
+    1 .. ``_CLOSE_STEPS``: it splits r = a*b when a/b lies very near u/v,
+    for odd u and v with u*v <= 16 or any u and v with 4*u*v <= 16.  Its
+    factor d and r // d go back to the search like the two parts of any
+    split, so a prime is taken only through :func:`is_prime` or the
+    trial-division proof.  On an r from ``PROVEN_PRIME_BOUND`` on it runs
+    before :func:`is_prime`, so a product of two close primes is split
+    without a Baillie-PSW test or a perfect-power test of r, and a prime r
+    pays one pass that finds nothing.  Below the bound it runs where a
+    split starts, and :func:`_split` runs only when it finds nothing;
+    either way it runs at most once on r.
 
     The search stops once the smallest block found is provably the
     smallest: when it is at most ``floor``, below which no cofactor left
@@ -462,10 +458,9 @@ def _smallest_block(x: int) -> tuple[int, int]:
             raise ValueError(
                 f"the constant term has a {bits}-bit cofactor, beyond the limit of {LIMITS.max_pn_bits}"
             )
-        early = PROVEN_PRIME_BOUND <= r and bits <= LIMITS.max_p_bits  # the close pass comes first
-        if early and (primes := _close_primes(r)):
-            for q in primes:
-                take(q)
+        close = PROVEN_PRIME_BOUND <= r and bits <= LIMITS.max_p_bits  # the close pass comes first
+        if close and (d := _hart(r, _CLOSE_STEPS)):
+            pending += [d, r // d]
             continue
         if bits <= LIMITS.max_p_bits and is_prime(r):
             take(r)
@@ -487,26 +482,11 @@ def _smallest_block(x: int) -> tuple[int, int]:
                 f"the constant term has a {bits}-bit cofactor that is no perfect power, "
                 f"beyond the limit of {LIMITS.max_p_bits}"
             )
-        elif early or not (primes := _close_primes(r)):  # the close pass runs at most once on r
-            d = _split(r)
-            pending += [d, r // d]
         else:
-            for q in primes:
-                take(q)
+            d = (not close and _hart(r, _CLOSE_STEPS)) or _split(r)  # the close pass runs at most once on r
+            pending += [d, r // d]
     _, p, e = min(blocks)
     return p, e
-
-
-def _close_primes(r: int) -> tuple[int, ...]:
-    """The close pass: (d, r // d), or (d,) when r = d^2, when Hart's
-    method with the multipliers 1 .. ``_CLOSE_STEPS`` gives a factor d of
-    r and both d and r // d are prime; otherwise ()."""
-    d = _hart(r, _CLOSE_STEPS)
-    if not (d and is_prime(d)):
-        return ()
-    if d * d == r:
-        return (d,)
-    return (d, r // d) if is_prime(r // d) else ()
 
 
 def _perfect_power_root(n: int) -> int | None:
@@ -563,8 +543,8 @@ def _iroot(n: int, k: int) -> int:
 def _split(n: int) -> int:
     """A proper factor of n, which is composite, odd and not a perfect power.
 
-    Three stages, each cheap on the factors it finds first (a product of
-    two close primes is split before this, see :func:`_smallest_block`):
+    Three stages, each cheap on the factors it finds first (the close
+    pass of :func:`_smallest_block` has already left n whole):
 
     1. Brent's rho with batched gcds (Brent, BIT 20, 1980) for
        ``_FIRST_RHO_STEPS`` iterations: a prime factor up to about 10^5;

@@ -102,3 +102,44 @@ def _split_admits(p: int, s: int, t: int, f: list[int], depth: int, budget: list
         return False
 
     return rec(1)
+
+
+def canonical_simple_root_pair(q: QuadInput, order: int) -> tuple[list[int], list[int]]:
+    """The pair a, b through ``order`` that the A = 1 row (2m < n) must give.
+
+    The heads are a_0 = p^s with s = m and b_0 = p^(n-s).  a_1 is the
+    smallest root mod p^s of g(y) = p^(n-2s)*y^2 - beta*y + alpha, found by
+    scan.  The input through ``order``, zero beyond, has one root
+    r = p^s*y in pZ_p with y = -1/a_1 mod p: Newton's method finds y on
+    F(y) = f(p^s*y)/p^(2s), whose derivative at y is g'(a_1), a unit.
+    Then a is the base-r expansion of r with digits in [0, a_0):
+    a_k = -(S_(k-1)/r^k) mod a_0 for S_(k-1) = sum_(j<k) a_j*r^j, so
+    a(r) = 0, and b = f/a by exact division, order by order.
+    """
+    p, n, s = q.p, q.n, q.m
+    if not 2 * s < n:
+        raise ValueError("the A = 1 oracle covers 2m < n only")
+    f = [p**n, p**s * q.beta, q.alpha, *q.tail][: order + 1]
+    f += [0] * (order + 1 - len(f))
+    a = [p**s, brute_roots_mod(p ** (n - 2 * s), -q.beta, q.alpha, p, s)[0]]
+    modulus = p ** (s * (order + 2))  # r to this precision fixes every digit through order
+    F = [c * p ** (s * k) // p ** (2 * s) for k, c in enumerate(f)]
+    y = -pow(a[1], -1, p) % p
+    for _ in range(modulus.bit_length().bit_length() + 1):  # precision doubles per step
+        value = sum(c * pow(y, k, modulus) for k, c in enumerate(F))
+        slope = sum(k * c * pow(y, k - 1, modulus) for k, c in enumerate(F) if k)
+        y = (y - value * pow(slope, -1, modulus)) % modulus
+    assert sum(c * pow(y, k, modulus) for k, c in enumerate(F)) % modulus == 0
+    r = p**s * y
+    S = a[0] + a[1] * r
+    for k in range(2, order + 1):
+        rk = p ** (s * k)
+        assert S % rk == 0, "a(r) = 0 to the order so far"
+        a.append(-(S // rk) * pow(y, -k, modulus) % a[0])
+        S = (S + a[k] * pow(r, k, modulus)) % modulus
+    b = []
+    for k in range(order + 1):
+        rest = f[k] - sum(a[j] * b[k - j] for j in range(1, k + 1))
+        b.append(rest // a[0])
+        assert rest % a[0] == 0, "a divides f"
+    return a[: order + 1], b

@@ -20,7 +20,7 @@ from zxfactor.oracle import verify_factorization
 from zxfactor.padics import _square_class, is_square_zp
 from zxfactor.series import TruncSeries
 
-from oracles import trial_division_is_prime
+from oracles import canonical_simple_root_pair, trial_division_is_prime
 
 RNG_SEED = 42
 
@@ -389,6 +389,28 @@ def test_simple_root_rows_keep_their_pairs():
     digest, rules = _rows_sweep()
     assert rules >= SEED_ROOT_ROWS
     assert digest == "b344e0fd9bdb2aec6da8c1bc7009b7e273c6dfef58e4c9a2c57732b5040bf68b"
+
+
+def test_simple_root_pairs_are_the_root_expansion():
+    # the A = 1 row's pair, coefficient by coefficient, against the digits
+    # of the root of f in pZ_p that tests/oracles.py finds without factor
+    rng = random.Random(29)
+    compared = 0
+    for _ in range(240):
+        p = rng.choice((2, 3, 5, 7, 11, 13))
+        m = rng.randint(1, 4 if p < 5 else 2)
+        n = rng.randint(2 * m + 1, 2 * m + 4)
+        beta, alpha = (rng.choice([c for c in range(-40, 41) if c % p]) for _ in range(2))
+        tail = tuple(rng.randint(-50, 50) for _ in range(rng.randint(1, 5))) if rng.random() < 0.5 else ()
+        q, order = QuadInput(p, n, m, beta, alpha, tail), rng.randint(4, 24)
+        if factor_module._integer_split(factor_module._targets(q, order), p**m, order, "shortcut"):
+            continue
+        a, b = factor_simple_root(q, order)
+        for name, got, want in zip("ab", (a.coeffs, b.coeffs), canonical_simple_root_pair(q, order)):
+            k = next((k for k, (u, v) in enumerate(zip(got, want)) if u != v), None)
+            assert k is None, f"{q} at order {order}: {name}_{k} = {got[k]}, the root expansion gives {want[k]}"
+        compared += 1
+    assert compared >= 200
 
 
 def _engines_sweep():

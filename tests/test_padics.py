@@ -1,7 +1,7 @@
 import hashlib
 import random
 import time
-from math import gcd, log2
+from math import gcd, isqrt, log2
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
@@ -424,7 +424,7 @@ CLOSE_BUT_COMPOSITE = {
 
 
 @pytest.mark.parametrize("r", CLOSE_BUT_COMPOSITE)
-def test_close_pass_leaves_a_part_it_cannot_prove_to_split(monkeypatch, r):
+def test_close_pass_parts_go_back_to_the_queue(monkeypatch, r):
     sympy = pytest.importorskip("sympy")
     import zxfactor.padics
 
@@ -435,7 +435,8 @@ def test_close_pass_leaves_a_part_it_cannot_prove_to_split(monkeypatch, r):
     monkeypatch.setattr(zxfactor.padics, "_split", lambda n: calls.append(n) or split(n))
     q, e = min(sympy.factorint(r).items(), key=lambda block: block[0] ** block[1])
     assert _smallest_block(r) == (q, e)
-    assert calls[0] == r  # the whole cofactor, as without the close pass
+    # d and r // d are searched on their own: the whole r is never split
+    assert r not in calls
 
 
 def test_factor_search_matches_factorint_on_close_primes():
@@ -452,6 +453,31 @@ def test_factor_search_matches_factorint_on_close_primes():
             p = sympy.nextprime(rng.getrandbits(bits) | 1 << (bits - 1))
             q = sympy.nextprime(u * p // v + rng.randrange(bits))
             assert _smallest_block(p * q) == (min(p, q), 1)
+    # the close pass splits these, and not both parts are prime
+    cases = _close_but_composite(rng, sympy)
+    assert min(cases)[0] < PROVEN_PRIME_BOUND < max(cases)[0]
+    for x, primes in cases:
+        d = _hart(x, _CLOSE_STEPS)
+        assert d and not (sympy.isprime(d) and sympy.isprime(x // d))
+        assert _smallest_block(x) == (min(primes), 1)
+
+
+def _close_but_composite(rng, sympy):
+    """Seeded (x, the primes of x) for x = c*c' with c a product of two
+    primes with ratio near 3 and c' within sqrt(c) of c, so Hart's first
+    multiplier splits x into c and c': c' is two primes with ratio near
+    2, or the prime just below or above c."""
+    cases = []
+    for bits in (12, 16, 20, 28, 40):
+        a = sympy.nextprime(rng.getrandbits(bits) | 1 << (bits - 1))
+        a2 = sympy.nextprime(3 * a + rng.randrange(bits))
+        c = a * a2
+        b = sympy.nextprime(isqrt(c // 2))
+        while abs(b * (b2 := sympy.nextprime(c // b)) - c) > isqrt(c):
+            b = sympy.nextprime(b)
+        cases.append((c * b * b2, (a, a2, b, b2)))
+        cases += [(c * q, (a, a2, q)) for q in (sympy.prevprime(c), sympy.nextprime(c))]
+    return cases
 
 
 @settings(max_examples=300, deadline=None)

@@ -163,9 +163,13 @@ class QuadInput(_QuadFields):
 
     def head_series(self, order: int) -> TruncSeries:
         """The input as an explicit series through ``order`` (zero-extended)."""
+        return TruncSeries(self._coeffs(order))
+
+    def _coeffs(self, order: int) -> list[int]:
+        """f_0 .. f_order of the input, zero-extended; ValueError beyond the limits."""
         require_series(self.p, self.n, self.m, order)
         f = [self.p**self.n, 0 if self.beta is None else self.p**self.m * self.beta, self.alpha, *self.tail]
-        return TruncSeries((f + [0] * order)[: order + 1])
+        return (f + [0] * order)[: order + 1]
 
 
 class Verdict(NamedTuple):

@@ -37,12 +37,12 @@ classifier's helpers: whether a discriminant is a square
 (``padics._square_class``) and the roots of a seed quadratic
 (``padics._root_classes``).  Every engine takes a
 :class:`~zxfactor.classify.QuadInput` and the order N, builds its
-targets once as a list (f_0..f_N, then the zeros past N that a lift
-reads; :func:`_targets`), and checks its finished pair once with
-:func:`~zxfactor.oracle.verify_factorization` against the input through
-that order; a nonzero residual or a unit head raises
-:class:`EngineInvariantError` (a bug, never an input condition).  At
-the small orders of a single answer these fixed steps, not the stages,
+targets once as a list (f_0..f_N from the input's head list, then the
+zeros past N that a lift reads; :func:`_targets`), and checks its
+finished pair once with :func:`~zxfactor.oracle.verify_factorization`
+against the input through that order; a nonzero residual or a unit head
+raises :class:`EngineInvariantError` (a bug, never an input condition).
+At the small orders of a single answer these fixed steps, not the stages,
 are most of an engine's time, so none of them is taken twice.
 Which engine splits which input is the classifier's decision table.
 
@@ -59,7 +59,7 @@ from math import gcd, isqrt
 from operator import mul
 from typing import TYPE_CHECKING
 
-from .limits import require_series, require_terms
+from .limits import require_terms
 from .oracle import _PACKED_MIN_ORDER, verify_factorization
 from .padics import _root_classes, _square_class, _valuation
 from .series import TruncSeries, _quotient
@@ -104,9 +104,7 @@ def _require(cond: bool, message: str) -> None:
 def _targets(q: "QuadInput", n: int, lag: int = 1) -> list[int]:
     """f_0..f_n of the input, then the lag zeros past order n that a lift reads."""
     _require(n >= 2, "factor order must be at least 2")
-    require_series(q.p, q.n, q.m, n)
-    f = [q.p**q.n, 0 if q.beta is None else q.p**q.m * q.beta, q.alpha, *q.tail[: n - 2]]
-    return f + [0] * (n + 1 + lag - len(f))
+    return q._coeffs(n) + [0] * lag
 
 
 def _verified(tag: str, targets, a: list[int], b: list[int], n: int):

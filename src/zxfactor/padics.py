@@ -254,7 +254,9 @@ def _sqrt_mod_prime(a: int, p: int) -> int | None:
     x is a root exactly when a is a residue, so x^2 = a is the test.  For
     p = 1 mod 8, Tonelli-Shanks (Cohen, A Course in Computational
     Algebraic Number Theory, Alg. 1.5.1), with x = a^((q+1)/2) and
-    b = a^q from one power; a non-residue shows as a b of order 2^e.
+    b = a^q from one power; a non-residue shows as a b of order 2^e, so
+    it costs that one power: the non-residue z that gives the generator
+    y = z^q is searched for only on the way to a root.
     """
     a %= p
     if a == 0:
@@ -270,12 +272,7 @@ def _sqrt_mod_prime(a: int, p: int) -> int | None:
             q //= 2
             e += 1
         c = pow(a, q // 2, p)
-        x, b = c * a % p, c * c * a % p
-        if b != 1:  # a generator y of the 2-Sylow subgroup, from a non-residue
-            z = 3  # 2 is a residue mod p = 1 mod 8, and the least non-residue is an odd prime
-            while pow(z, (p - 1) // 2, p) == 1:
-                z += 2
-            y = pow(z, q, p)
+        x, b, y = c * a % p, c * c * a % p, 0
         while b != 1:
             # the least m with b^(2^m) = 1; then y^(2^(e-m-1)) fixes the order of b
             m, b2 = 0, b
@@ -284,6 +281,11 @@ def _sqrt_mod_prime(a: int, p: int) -> int | None:
                 m += 1
             if m == e:  # b = a^q has the order of a generator: a is a non-residue
                 return None
+            if not y:  # a generator y of the 2-Sylow subgroup, from a non-residue
+                z = 3  # 2 is a residue mod p = 1 mod 8, and the least non-residue is an odd prime
+                while pow(z, (p - 1) // 2, p) == 1:
+                    z += 2
+                y = pow(z, q, p)
             t = pow(y, 1 << (e - m - 1), p)
             y = t * t % p
             e = m
@@ -392,14 +394,18 @@ def _root_classes(A: int, B: int, C: int, p: int, K: int) -> list[tuple[int, int
 
 _FIRST_RHO_STEPS = 1 << 10
 _HART_STEPS = 4096
-# The close pass: Hart's method on a cofactor before its Baillie-PSW test
-# (from PROVEN_PRIME_BOUND on) or before it goes to _split (below); both
-# parts it finds go back to the search, as a split's do.  9, 17 and 23 us
-# for 16 multipliers at 80, 135 and 256 bits, against 340, 470 and 820 us
-# for a first rho stage that finds nothing, as on two primes of 40 bits or
-# more.  On the 12- and 13-base strong pseudoprimes and a product of two
-# 21-digit primes, all above the bound, it splits each in 3 to 7 us and
-# saves 33 to 90 us of Baillie-PSW and 11 to 18 us of perfect-power test.
+# The close pass: Hart's method on each cofactor not proven prime, at one
+# place in the search, ahead of the Baillie-PSW test (from PROVEN_PRIME_BOUND
+# on), the perfect-power test, the trial proof and _split; both parts it
+# finds go back to the search, as a split's do.  9, 17 and 23 us for 16
+# multipliers at 80, 135 and 256 bits, against 340, 470 and 820 us for a
+# first rho stage that finds nothing, as on two primes of 40 bits or more.
+# On the 12- and 13-base strong pseudoprimes and a product of two 21-digit
+# primes, all above the bound, it splits each in 3 to 7 us and saves 33 to
+# 90 us of Baillie-PSW and 11 to 18 us of perfect-power test.  Below the
+# bound it splits a close pair such as 664177*1327877 in microseconds,
+# where the trial proof would divide it by every odd number up to a known
+# block (12 ms up to 542197).
 _CLOSE_STEPS = 16
 _GCD_BATCH = 128
 _TRIAL_LIMIT = 10**6
@@ -409,31 +415,41 @@ def _smallest_block(x: int) -> tuple[int, int]:
     """(p, e) with p^e the smallest full prime-power block of x >= 2.
 
     x is a prime power exactly when p^e == x.  The primes up to 37 are
-    divided out first.  Each cofactor left, of at most
-    ``LIMITS.max_pn_bits`` bits, is then a prime (:func:`is_prime`), a
-    perfect power (its root goes back to the search) or split; only the
-    first and the last need it to have at most ``LIMITS.max_p_bits`` bits,
-    so p^n passes whenever p does.  Each prime found takes its whole block
-    out of x.
+    divided out first.  Each cofactor r left, smallest first, then goes
+    through one order of steps until one of them settles it:
+
+    1. refused beyond ``LIMITS.max_pn_bits`` bits;
+    2. below ``PROVEN_PRIME_BOUND``, taken when :func:`is_prime` proves it
+       prime;
+    3. the close pass;
+    4. from the bound on, taken when :func:`is_prime` (Baillie-PSW) passes;
+    5. a perfect power: its root goes back to the search;
+    6. the trial proof, when a block below ``_TRIAL_LIMIT`` is known;
+    7. refused beyond ``LIMITS.max_p_bits`` bits;
+    8. split by :func:`_split`, both parts back to the search.
+
+    Only steps 2 to 4 and 8 need r to have at most ``LIMITS.max_p_bits``
+    bits, so p^n passes whenever p does.  Each prime found takes its
+    whole block out of x.
 
     The close pass is Hart's method (:func:`_hart`) with the multipliers
     1 .. ``_CLOSE_STEPS``: it splits r = a*b when a/b lies very near u/v,
     for odd u and v with u*v <= 16 or any u and v with 4*u*v <= 16.  Its
     factor d and r // d go back to the search like the two parts of any
     split, so a prime is taken only through :func:`is_prime` or the
-    trial-division proof.  On an r from ``PROVEN_PRIME_BOUND`` on it runs
-    before :func:`is_prime`, so a product of two close primes is split
+    trial proof.  It runs at most once on r, and never on a prime below
+    the bound.  From the bound on, a product of two close primes is split
     without a Baillie-PSW test or a perfect-power test of r, and a prime r
-    pays one pass that finds nothing.  Below the bound it runs where a
-    split starts, and :func:`_split` runs only when it finds nothing;
-    either way it runs at most once on r.
+    pays one pass that finds nothing; below it, a close pair is split
+    before the trial proof, and a perfect power that is no square pays
+    one pass that finds nothing.
 
     The search stops once the smallest block found is provably the
     smallest: when it is at most ``floor``, below which no cofactor left
-    has a prime factor.  Before a cofactor is split, a smallest block
-    below ``_TRIAL_LIMIT`` is proved so by dividing the cofactors by every
-    odd number up to it.  The search is deterministic, and raises
-    ValueError beyond a limit or when a cofactor outlasts the rho budget.
+    has a prime factor.  The trial proof shows a smallest block below
+    ``_TRIAL_LIMIT`` to be so by dividing the cofactors by every odd
+    number up to it.  The search is deterministic, and raises ValueError
+    beyond a limit or when a cofactor outlasts the rho budget.
     """
     blocks = []  # (p^e, p, e) for each prime p of x found
     rest = x
@@ -458,15 +474,13 @@ def _smallest_block(x: int) -> tuple[int, int]:
             raise ValueError(
                 f"the constant term has a {bits}-bit cofactor, beyond the limit of {LIMITS.max_pn_bits}"
             )
-        close = PROVEN_PRIME_BOUND <= r and bits <= LIMITS.max_p_bits  # the close pass comes first
-        if close and (d := _hart(r, _CLOSE_STEPS)):
-            pending += [d, r // d]
-            continue
-        if bits <= LIMITS.max_p_bits and is_prime(r):
+        if bits <= LIMITS.max_p_bits and r < PROVEN_PRIME_BOUND and is_prime(r):
+            take(r)  # a proof, so no close pass runs on a prime below the bound
+        elif bits <= LIMITS.max_p_bits and (d := _hart(r, _CLOSE_STEPS)):
+            pending += [d, r // d]  # the close pass, once on each cofactor
+        elif bits <= LIMITS.max_p_bits and PROVEN_PRIME_BOUND <= r and is_prime(r):
             take(r)
-            continue
-        root = _perfect_power_root(r)
-        if root is not None:
+        elif (root := _perfect_power_root(r)) is not None:
             pending.append(root)
         elif blocks and min(blocks)[0] < _TRIAL_LIMIT:
             pending.append(r)
@@ -483,7 +497,7 @@ def _smallest_block(x: int) -> tuple[int, int]:
                 f"beyond the limit of {LIMITS.max_p_bits}"
             )
         else:
-            d = (not close and _hart(r, _CLOSE_STEPS)) or _split(r)  # the close pass runs at most once on r
+            d = _split(r)
             pending += [d, r // d]
     _, p, e = min(blocks)
     return p, e
@@ -543,8 +557,7 @@ def _iroot(n: int, k: int) -> int:
 def _split(n: int) -> int:
     """A proper factor of n, which is composite, odd and not a perfect power.
 
-    Three stages, each cheap on the factors it finds first (the close
-    pass of :func:`_smallest_block` has already left n whole):
+    Three stages, each cheap on the factors it finds first:
 
     1. Brent's rho with batched gcds (Brent, BIT 20, 1980) for
        ``_FIRST_RHO_STEPS`` iterations: a prime factor up to about 10^5;

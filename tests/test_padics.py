@@ -612,6 +612,89 @@ def test_square_above_the_bound_takes_its_root_once(monkeypatch):
         tested.clear()
 
 
+def _below_bound_corpus(sympy):
+    """Seeded constants whose cofactors stay below PROVEN_PRIME_BOUND:
+    squares, cubes and fifth powers of primes, squares of products of two
+    primes, two close primes at each ratio u/v with u*v <= 16, small
+    blocks times two primes that are not close and times a close pair,
+    products of two to four primes, and three products of a 38- and a
+    39-bit prime, past the rho budget."""
+    rng = random.Random(30)
+
+    def prime(bits):
+        return sympy.nextprime(rng.getrandbits(bits) | 1 << (bits - 1))
+
+    corpus = []
+    for bits in (6, 8, 12, 16, 20, 26, 38):
+        q = prime(bits)
+        corpus += [q**k for k in (2, 3, 5) if k * bits < 78]
+        corpus.append((prime(bits // 2) * prime(bits // 2)) ** 2)
+    ratios = [(u, v) for u in range(1, 17) for v in range(1, 17) if u * v <= 16 and gcd(u, v) == 1]
+    for bits in (12, 24, 36):
+        for u, v in ratios:
+            p = prime(bits)
+            corpus.append(p * sympy.nextprime(u * p // v + rng.randrange(bits)))
+    for small in (2, 37, 41, 2**10, 43**3, 1009, 65537, 999983, 1000003):
+        corpus.append(small * prime(rng.randint(10, 28)) * prime(rng.randint(29, 36)))
+        p = prime(rng.randint(12, 28))
+        corpus.append(small * p * sympy.nextprime(3 * p + rng.randrange(30)))
+    for k in (2, 3, 4):
+        for _ in range(12):
+            x = 1
+            for _ in range(k):
+                x *= prime(rng.randint(6, 76 // k))
+            corpus.append(x)
+    corpus += [prime(38) * prime(39) for _ in range(3)]
+    return corpus
+
+
+@pytest.fixture(scope="module")
+def below_bound_corpus():
+    return _below_bound_corpus(pytest.importorskip("sympy"))
+
+
+def test_factor_search_below_the_proven_bound_keeps_its_blocks(below_bound_corpus):
+    corpus = below_bound_corpus
+    for x in corpus:
+        for q in padics._SMALL_PRIMES:
+            x = _valuation(x, q)[1]
+        assert x < PROVEN_PRIME_BOUND
+    lines = [f"{x:x} {_search_outcome(x)}" for x in corpus]
+    assert len(lines) == 202 and sum(" error: " in line for line in lines) == 3
+    digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
+    assert digest == "072bec202314f55a4539aad3b9f803df91e354c216ae682c33339cad1e8be31f"
+
+
+def test_close_pass_runs_once_per_cofactor_below_the_bound(monkeypatch, below_bound_corpus):
+    test_close_pass_runs_once_per_cofactor(monkeypatch, below_bound_corpus)
+
+
+def test_close_pass_comes_before_the_trial_proof(monkeypatch):
+    # the close pass splits x into 542197*1626613 and 664177*1327877; once
+    # 542197 is taken (below _TRIAL_LIMIT), the second part is split by the
+    # close pass too, not shown free of factors below 542197 by dividing
+    # it by every odd number up to there
+    a, b = 542197 * 1626613, 664177 * 1327877
+    hart = _spy(monkeypatch, "_hart")
+    trial = _spy(monkeypatch, "prod")
+    assert _smallest_block(a * b) == (542197, 1)
+    assert (b, _CLOSE_STEPS) in hart and trial == []
+
+
+def test_non_residue_mod_a_prime_1_mod_8_costs_one_power(monkeypatch):
+    # Tonelli-Shanks sees a non-residue in b = a^q, before it searches for
+    # the non-residue whose power q a root needs
+    calls = []
+    monkeypatch.setattr(padics, "pow", lambda *args: calls.append(args) or pow(*args), raising=False)
+    for p in (17, 97, 65537, 998244353, 2013265921):
+        assert p % 8 == 1
+        non_residues = [a for a in range(2, 200) if pow(a, (p - 1) // 2, p) == p - 1][:5]
+        for a in non_residues:
+            assert _sqrt_mod_prime(a, p) is None
+            assert len(calls) == 1
+            calls.clear()
+
+
 def _brute_or_sympy_roots(A, B, C, p, K):
     """Every root in [0, p^K) of A*y^2 + B*y + C: a scan while p^K <= 10^5,
     else, for odd p and a unit 2A, y = (z - B)/(2A) for each square root z

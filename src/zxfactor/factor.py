@@ -3,26 +3,28 @@
 Each engine turns a classified-reducible input into an explicit pair of
 power-series factors a, b through a requested order N.  The engines
 differ only in their hypothesis checks and their seeds, the first
-coefficients of a; the input fixes b = f/a (``series._quotient``) up to
-the first unknown a_k, so b_0 = f_0/a_0 = scale * a_0.  One core extends
-the seeds order by order.  At stage m it sets a_m = A * ~a_m, where ~a_m is
+coefficients of a; the input fixes b = f/a up to the first unknown a_k,
+so b_0 = f_0/a_0 = scale * a_0.  One core extends the seeds order by
+order.  At stage m it sets a_m = A * ~a_m, where ~a_m is
 the canonical residue modulo a_0 that keeps order m + lag of the product
 divisible, and b_m then follows exactly from order m.  That residue is
 c^-1 times the order's remainder, where c is a unit modulo a_0, which is
-what makes the recurrence total.  At lag one the core derives each
-order's divisor D = A*p^v(c0) from c0 = b_1 - scale*a_1; the seeds make
-t_k a multiple of D, which divides A^2.  Each lift checks c and inverts
-it once; a stage is then one multiplication, one reduction and one exact
-division, after its cross sum sum_(i,j>=2) a_j*b_i over the order.  A
-lag-one lift of order N >= oracle._PACKED_MIN_ORDER, the floor of the
-product check, reads those sums from one running Kronecker-packed
-product, pushing a_m and b_m into it once each (past order (N+1)/2 into
-the unread sums alone), in slots that widen from _RUNNING_BITS bits as
-b grows and, past _RUNNING_MAX_BITS, give way to plain sums
+what makes the recurrence total.  The core derives the divisor D of
+each order from the seeds, A*p^v(c0) with c0 = b_1 - scale*a_1 at lag
+one and 1 at lags zero and two; the seeds make the last provisional
+coefficient of b a multiple of D, which divides A^2.  Each lift checks c
+and inverts it once; a stage is then one multiplication, one reduction
+and one exact division, after its sum over the order.  A lift of order
+N >= oracle._PACKED_MIN_ORDER, the floor of the product check, reads the
+part of those sums past the lag from one running Kronecker-packed
+product, pushing a_m and b_m into it once each (past order (N+lag)/2
+into the unread sums alone), in slots that widen from _RUNNING_BITS bits
+as b grows and, past _RUNNING_MAX_BITS, give way to plain sums
 (:func:`_cross_sums`).  The scale A per engine (l is half
 the valuation of beta^2 - 4*alpha, of beta^2 - alpha when p = 2):
 
     engine                      A               lag
+    factor_coprime_constant     1               0
     factor_simple_root          1               1
     factor_p2_scaled            2^nu            1
     factor_p2_m_eq_nu1          2^(l+1)         1
@@ -30,18 +32,19 @@ the valuation of beta^2 - 4*alpha, of beta^2 - alpha when p = 2):
     factor_tail                 p               1
     factor_m_eq_nu, nu>l        p^(nu-l)        2
 
-Lag one is :func:`_lift`, lag two :func:`_lift2`.  Each completes the
-seeds itself, with the one division b = f/a through order k + lag - 1,
-before its first stage.  The engines ask their Z_p questions through the
-classifier's helpers: whether a discriminant is a square
-(``padics._square_class``) and the roots of a seed quadratic
-(``padics._root_classes``).  Every engine takes a
-:class:`~zxfactor.classify.QuadInput` and the order N, builds its
+One :func:`_lift` serves every lag, which it reads from the length of
+the targets.  It completes the seeds itself, with the one division
+b = f/a through order k + lag - 1, before its first stage.  The engines
+ask their Z_p questions through the classifier's helpers: whether a
+discriminant is a square (``padics._square_class``) and the roots of a
+seed quadratic (``padics._root_classes``).  Every quadratic engine takes
+a :class:`~zxfactor.classify.QuadInput` and the order N, builds its
 targets once as a list (f_0..f_N from the input's head list, then the
-zeros past N that a lift reads; :func:`_targets`), and checks its
-finished pair once with :func:`~zxfactor.oracle.verify_factorization`
-against the input through that order; a nonzero residual or a unit head
-raises :class:`EngineInvariantError` (a bug, never an input condition).
+zeros past N that a lift reads; :func:`_targets`); the coprime split
+takes f_0..f_N of its series.  Each engine checks its finished pair once
+with :func:`~zxfactor.oracle.verify_factorization` against the input
+through that order; a nonzero residual or a unit head raises
+:class:`EngineInvariantError` (a bug, never an input condition).
 At the small orders of a single answer these fixed steps, not the stages,
 are most of an engine's time, so none of them is taken twice.
 Which engine splits which input is the classifier's decision table.
@@ -62,7 +65,7 @@ from typing import TYPE_CHECKING
 from .limits import require_terms
 from .oracle import _PACKED_MIN_ORDER, verify_factorization
 from .padics import _root_classes, _square_class, _valuation
-from .series import TruncSeries, _quotient
+from .series import TruncSeries
 
 if TYPE_CHECKING:  # pragma: no cover
     from .classify import QuadInput
@@ -87,13 +90,6 @@ def _unit_inverse(modulus: int, c: int) -> int:
         return pow(c, -1, modulus)
     except ValueError:  # c is not a unit
         raise EngineInvariantError(f"step coefficient {c} is not a unit mod {modulus}") from None
-
-
-def _exact_div(num: int, den: int, what: str) -> int:
-    q, rem = divmod(num, den)
-    if rem:
-        raise EngineInvariantError(f"{what}: {num} is not divisible by {den}")
-    return q
 
 
 def _require(cond: bool, message: str) -> None:
@@ -137,7 +133,7 @@ def _smallest_root(A: int, B: int, C: int, p: int, K: int, tag: str) -> int:
 # ---------------------------------------------------------------------------
 # the integer-root shortcut and the lifting core
 
-# A lag-one lift of order N reads its cross sums from the running product
+# A lift of order N reads its cross sums from the running product
 # of :func:`_cross_sums` from the check's floor, N >= _PACKED_MIN_ORDER
 # (measured there), in slots that start at _RUNNING_BITS bits and widen up
 # to _RUNNING_MAX_BITS, both whole bytes.  Measured on cli-deep benchmark
@@ -175,94 +171,110 @@ def _integer_split(targets, a0: int, n: int, tag: str):
 
 
 def _lift(tag: str, targets, n: int, a: list[int], A: int = 1):
-    """Lag one, from the seeds a_0..a_(k-1), which it extends in place.
+    """From the seeds a_0..a_(k-1), which it extends in place, at the lag
+    the targets carry past order n (k > lag): the x-adic linear Hensel step.
 
-    The quotient of the targets through order k by the seeds (a_k taken
-    as 0) is b_0..b_(k-1), then t_k = b_k + scale*a_k, which order k fixes
-    before a_k is known.  With t_m = b_m + scale*a_m, order m + 1 reads
+    The quotient of the targets through order k + lag - 1 by the seeds
+    (a_k, a_(k+1), ... taken as 0) is b_0..b_(k-1), then the window
+    q_k..q_(k+lag-1) of provisional coefficients.  Setting a_m changes the
+    quotient at order m + i by -a_m*rho_i for rho = b/a.  The change is
+    linear below order 2m, and m + lag < 2m holds from the first stage on,
+    since k > lag.  With g_i = A*rho_i for i < lag and C = A*a_0*rho_lag,
+    order m + lag of the product reads
 
-        f_(m+1) = a_0*t_(m+1) + c0*a_m + a_1*t_m + sum_(j=2..m-1) a_j*b_(m+1-j)
+        v = f_(m+lag) - sum_(i=1..lag) a_i*q_(m+lag-i) - sum_(j=lag+1..m-1) a_j*b_(m+lag-j),
 
-    where c0 = b_1 - scale*a_1.  Stage m takes a_m = A*~a_m with the ~a_m
-    modulo a_0 that makes t_(m+1) a multiple of D = A*gcd(c0, A*a_0); the
-    equation divided by D has the unit c = c0*A/D.  The seeds make t_k a
-    multiple of D, which divides A*A, so every later division is exact.
-    A stage takes ~a_m = r*c^-1 mod a_0 for the order's remainder r over
-    D, then the exact quotient (r - c*~a_m)/a_0.
+    and a_m = A*~a_m makes q_(m+lag) = (v - C*~a_m)/a_0.  Stage m takes
+    the ~a_m modulo |a_0| that makes that a multiple of D = gcd(C, A^2*a_0):
+    ~a_m = (v/D)*c^-1 for the unit c = C/D.  It then appends q_(m+lag),
+    takes g_i*~a_m off q_(m+i) for i < lag, and q_m is b_m.  At lag one
+    C = A*c0 with c0 = b_1 - scale*a_1, so D = A*gcd(c0, A*a_0); at lags
+    zero and two C is a unit modulo a_0 and D = 1.  The seeds make
+    q_(k+lag-1) a multiple of D, which divides A^2, so every later division
+    is exact.  No division tests its remainder: the one check of the
+    finished pair certifies it.
     """
-    k, a0, a1 = len(a), a[0], a[1]
-    h = _quotient(targets, a, k)
-    if h is None:
-        raise EngineInvariantError(f"{tag}: the seeds do not divide the head")
-    b, t, scale = h[:k], h[k], _exact_div(h[0], a0, f"{tag}: head")
-    c0 = b[1] - scale * a1
-    D = A * gcd(c0, A * a0)
-    c = c0 * A // D
-    c_inv = _unit_inverse(a0, c)
+    k, a0, lag = len(a), a[0], len(targets) - n - 1
+    b, seeds = [targets[0] // a0], a[1:]
+    for f in targets[1 : k + lag]:  # b = f/a as series._quotient does, without its call
+        b.append((f - sum(map(mul, seeds, reversed(b)))) // a0)
+    g, C = [0, 0], A * b[0]  # g_i = A*rho_i for i < lag, zeros past it, then C
+    for i in range(lag):
+        g[i] = C // a0
+        C = A * b[i + 1] - a[i + 1] * g[0] - a[i] * g[1]
+    D = gcd(C, A * A * a0)
+    c, mod = C // D, abs(a0)
+    c_inv, Dm = _unit_inverse(mod, c), D * mod
+    (g0, g1), l1 = g, lag - 1
     # below the floor the stage takes its sum itself: no generator to set up
-    cross = n >= _PACKED_MIN_ORDER and _cross_sums(a, b, max(map(int.bit_length, [A * a0] + a[2:])), n)
+    if n >= _PACKED_MIN_ORDER:
+        h1, h2, *_ = a[1 : lag + 1] + [0, 0]  # a_1, a_2 against the window
+        cross = _cross_sums(a, b, max(map(int.bit_length, [A * a0] + a[lag + 1 :])), n, lag)
+    else:
+        cross = None
     for m in range(k, n + 1):
-        v = targets[m + 1] - a1 * t - (next(cross) if cross else sum(map(mul, a[2:], reversed(b))))
-        r, rem = divmod(v, D)
-        if rem:
-            raise EngineInvariantError(f"{tag}: {v} is not divisible by {D}")
-        atil = r * c_inv % a0
+        s = cross and next(cross, None)  # None below the floor and once the slots would pass the cap
+        v = targets[m + lag] - (
+            sum(map(mul, a[1:], reversed(b))) if s is None else s + h1 * b[m + l1] + h2 * b[m + l1 - 1]
+        )
+        atil = v % Dm // D * c_inv % mod  # (v/D)*c^-1 mod |a_0|, from v mod D*|a_0|
         a.append(A * atil)
-        b.append(t - scale * a[m])
-        t = D * ((r - c * atil) // a0)
+        b.append((v - C * atil) // a0)
+        b[m] -= g0 * atil
+        b[m + l1] -= g1 * atil
+    del b[n + 1 :]
     return _verified(tag, targets, a, b, n)
 
 
-def _cross_sums(a: list[int], b: list[int], h_a: int, n: int):
-    """Yield C(m+1) = sum_(j=2..m-1) a_j*b_(m+1-j) for the stages m = len(a)..n.
+def _cross_sums(a: list[int], b: list[int], h_a: int, n: int, lag: int):
+    """Yield C(m+lag) = sum_(j=lag+1..m-1) a_j*b_(m+lag-j) for the stages
+    m = len(a)..n.
 
-    A lag-one lift of order n >= _PACKED_MIN_ORDER, the floor it shares
-    with the product check, takes its sums from here.  The caller appends
-    a_m and b_m before it asks for the next sum, and h_a bounds the bits
-    of every a_j with j >= 2, present and future.  The sums are read from
-    a running product in slots of w bits, X = 2^w: PA = sum a_j X^(j-2),
-    PB likewise for b, and R holds the partial sums of the cross sums not
+    A lift of order n >= _PACKED_MIN_ORDER, the floor it shares with the
+    product check, takes its sums from here.  The caller sets a_m and b_m
+    before it asks for the next sum, and h_a bounds the bits of every a_j
+    with j > lag, present and future.  The sums are read from a running
+    product in slots of w bits, X = 2^w: PA = sum a_j X^(j-lag-1), PB
+    likewise for b, and R holds the partial sums of the cross sums not
     yet read, the next one in slot 0.  A read takes the balanced residue
     of R mod X and shifts it off; a push adds
     a_m*PB + b_m*PA to R, the new pairs landing in the low slots.  The
-    seeds are pushed before the first read.  From 2m > N + 1 on, a_m and
-    b_m stay out of PA and PB: they meet no later pair below order N + 2,
-    and no stage reads past N + 1.  (The pair m, m lands at order 2m, so
-    at odd N the middle pair still goes in.)  Every |C(s)| <
-    (N+1) * 2^(h_a+h_b), so a read is exact, whatever the slots past
-    order N + 1 hold, while w >= h_a + h_b + bitlen(N+1) + 1.  A b_m that
-    breaks that bound, on either side of the middle order, widens the
-    slots from _RUNNING_BITS to the bound at the height b reaches by order
-    N + 1 if it keeps gaining bits over b_0 at its rate so far, in whole
-    bytes.  Every slot of R, PA and PB through order N + 1 then holds a
-    true sum or coefficient below X/2, so :func:`_reslot` moves them
-    exactly before b_m is pushed.  Past _RUNNING_MAX_BITS the sums are plain.
+    seeds are pushed before the first read.  From 2m > N + lag on, a_m and
+    b_m stay out of PA and PB: they meet no later pair below order
+    N + lag + 1, and no stage reads past N + lag.  (The pair m, m lands at
+    order 2m, so when N + lag is even the middle pair still goes in.)
+    Every |C(s)| < (N+1) * 2^(h_a+h_b), so a read is exact, whatever the
+    slots past order N + lag hold, while w >= h_a + h_b + bitlen(N+1) + 1.
+    A b_m that breaks that bound, on either side of the middle order,
+    widens the slots from _RUNNING_BITS to the bound at the height b
+    reaches by order N + lag if it keeps gaining bits over b_0 at its rate
+    so far, in whole bytes.  Every slot of R, PA and PB through order
+    N + lag then holds a true sum or coefficient below X/2, so
+    :func:`_reslot` moves them exactly before b_m is pushed.  A width past
+    _RUNNING_MAX_BITS ends the generator instead: the lift takes plain sums
+    for its remaining stages.
     """
     k, w = len(a), _RUNNING_BITS
     fixed = h_a + (n + 1).bit_length() + 1  # the bits a read needs beyond those of b
     half, mask = 1 << (w - 1), (1 << w) - 1
     pa = pb = r = 0
-    for m in range(2, n + 1):
-        if m >= k:  # a stage: read C(m+1)
-            if not w:
-                yield sum(map(mul, a[2:m], b[m - 1 : 1 : -1]))
-                continue
+    for m in range(lag + 1, n + 1):
+        if m >= k:  # a stage: read C(m+lag)
             r += half
             yield (r & mask) - half
             r >>= w
         h_b = b[m].bit_length()  # a seed (m < k) or the pair just appended
         if fixed + h_b > w:  # widen by the bits b gained over b_0 in m orders, per order left
             gain = max(h_b - b[0].bit_length(), 0)
-            wide = (fixed + h_b - (-gain * (n + 1 - m) // m) + 7) // 8 * 8
+            wide = (fixed + h_b - (-gain * (n + lag - m) // m) + 7) // 8 * 8
             if wide > _RUNNING_MAX_BITS:
-                w = 0  # plain sums from here on
-                continue
+                return  # the lift takes plain sums from here on
             pa, pb, r = (_reslot(v, w, wide) for v in (pa, pb, r))
             w, half, mask = wide, 1 << (wide - 1), (1 << wide) - 1
-        if 2 * m > n + 1:  # a_m and b_m meet no later pair below order n + 2
+        if 2 * m > n + lag:  # a_m and b_m meet no later pair below order n + lag + 1
             r += a[m] * pb + b[m] * pa
             continue
-        shift = (m - 2) * w
+        shift = (m - lag - 1) * w
         pb += b[m] << shift
         r += a[m] * pb + b[m] * pa
         pa += a[m] << shift
@@ -280,36 +292,6 @@ def _reslot(v: int, w: int, wide: int) -> int:
     for j in range(step):
         new[j::size] = old[j::step]
     return int.from_bytes(new, "little") - int.from_bytes((bias + bytes(size - step)) * slots, "little")
-
-
-def _lift2(tag: str, targets, n: int, a: list[int], A: int):
-    """Lag two, for the seeds a_0, a_1, a_2 and f_0 = a_0^2 (so b_0 = a_0),
-    which it extends in place.
-
-    The quotient of the targets through order 4 by the seeds is b_0, b_1,
-    b_2, then s_3 and the order-4 sum u_3 below.  With s_m = b_m + a_m,
-    order m + 1 gives s_(m+1) = u_m - t*~a_m with
-    t = (b_1 - a_1)*A/a_0 and u_m free of ~a_m, so it cannot fix ~a_m;
-    order m + 2 does, modulo a_0, with the unit c below.  The quotient of
-    that solve is u_(m+1), the order-(m+2) sum the next stage needs.
-    """
-    a0, a1, a2 = a
-    h = _quotient(targets, a, 4)
-    if h is None:
-        raise EngineInvariantError(f"{tag}: the seeds do not divide the head")
-    b, s, u = h[:3], h[3], h[4]
-    t = _exact_div((b[1] - a1) * A, a0, f"{tag}: t")
-    c = A * (b[2] - a2) - t * a1
-    c_inv = _unit_inverse(a0, c)
-    for m in range(3, n + 1):
-        v = targets[m + 2] - a1 * u - a2 * s - sum(map(mul, a[3:], reversed(b)))
-        atil = v * c_inv % a0
-        a.append(A * atil)
-        b.append(s - a[m])
-        s, (u, rem) = u - t * atil, divmod(v - c * atil, a0)
-        if rem:
-            raise EngineInvariantError(f"{tag}: unit step division was not exact")
-    return _verified(tag, targets, a, b, n)
 
 
 # ---------------------------------------------------------------------------
@@ -367,7 +349,7 @@ def factor_m_eq_nu(q: "QuadInput", n: int) -> tuple[TruncSeries, TruncSeries]:
     if ell_a != ell:
         raise EngineInvariantError("m=nu: the seed root disagrees with the discriminant data")
     if nu > ell:
-        return _lift2("m=nu nu>l", targets, n, [pn, a, 0], p ** (nu - ell))
+        return _lift("m=nu nu>l", targets, n, [pn, a, 0], p ** (nu - ell))
     mu, r = _valuation(a * a - beta * a + alpha, p)
     a2 = p ** (mu - nu - ell) * (-r * pow(t_unit, -1, pn) % pn) * a
     return _lift("m=nu nu<=l", targets, n, [pn, a, a2], p ** (2 * ell - nu))
@@ -424,23 +406,18 @@ def factor_coprime_constant(
     """Lift a coprime split f_0 = u * v to a factorization through order n.
 
     Each coefficient equation f_k = u*b_k + v*a_k + (cross terms) has a
-    Bezout solution; a_k is taken canonically in [0, |u|).
+    Bezout solution; a_k is taken canonically in [0, |u|).  This is the
+    lift at lag zero, with A = 1.
     """
     require_terms(n)
     if n > f.order:
         raise ValueError(f"factoring beyond the input's order {f.order} is refused")
-    targets = f.coeffs[: n + 1] + (0,)
     if gcd(u, v) != 1:
         raise ValueError("constant-term split must be coprime")
     if abs(u) < 2 or abs(v) < 2 or u * v != f.coeffs[0]:
         raise ValueError("need f_0 = u*v with both parts of size at least 2")
-    vinv = pow(v, -1, abs(u))
-    a, b = [u], [v]
-    for k in range(1, n + 1):
-        rhs = targets[k] - sum(map(mul, a[1:], reversed(b)))
-        a.append(rhs * vinv % abs(u))
-        b.append(_exact_div(rhs - v * a[k], u, "coprime split"))
-    return _verified("coprime constant", targets, a, b, n)
+    # a list like every engine's targets: the core's indexing stays on one type
+    return _lift("coprime constant", list(f.coeffs[: n + 1]), n, [u])
 
 
 def factor_tail(q: "QuadInput", n: int) -> tuple[TruncSeries, TruncSeries]:

@@ -1,5 +1,6 @@
 import hashlib
 import random
+from math import gcd, isqrt
 from operator import mul
 
 import pytest
@@ -40,25 +41,38 @@ def test_unit_inverse_rejects_non_unit():
 
 
 def test_engine_check_fires_on_a_wrong_step(monkeypatch):
-    # the third stage of the lag-one core solves a_4; one more than the
-    # canonical a_4, appended in its place while b_4 and the next stages
-    # follow from it, leaves order 5 of the product off its target
+    # The pair is checked once, after the last stage.  One more than the
+    # canonical a_(k+2), the coefficient of the third stage, put in its
+    # place before the check leaves every order below k + 2 alone and order
+    # k + 2 off by b_0, whatever the core derives from it.  One engine per
+    # lag: the coprime split (k = 1), a simple root (k = 2) and m = nu with
+    # nu > l (k = 3).
     stages = []
-    lift = factor_module._lift
+    lift, verified = factor_module._lift, factor_module._verified
 
-    class OffAtTheThirdStage(list):
-        def append(self, a_n):
-            stages.append(a_n)
-            super().append(a_n + 1 if len(stages) == 3 else a_n)
+    class Counted(list):
+        def append(self, a_m):
+            stages.append(a_m)
+            super().append(a_m)
 
-    def lift_off(tag, targets, n, seeds, *rest):
-        return lift(tag, targets, n, OffAtTheThirdStage(seeds), *rest)
+    def lift_counted(tag, targets, n, seeds, *rest):
+        return lift(tag, targets, n, Counted(seeds), *rest)
 
-    monkeypatch.setattr(factor_module, "_lift", lift_off)
-    message = "simple root: first nonzero residual at product order 5;"
-    with pytest.raises(EngineInvariantError, match=message):
-        factor_simple_root(QuadInput(3, 5, 2, 2, 1), 16)
-    assert len(stages) == 15
+    def off_at_the_third_stage(tag, targets, a, b, n):
+        a[len(a) - len(stages) + 2] += 1
+        return verified(tag, targets, a, b, n)
+
+    monkeypatch.setattr(factor_module, "_lift", lift_counted)
+    monkeypatch.setattr(factor_module, "_verified", off_at_the_third_stage)
+    for engine, args, tag, k in [
+        (factor_coprime_constant, (TruncSeries([70] + [1] * 16), 10, 7, 16), "coprime constant", 1),
+        (factor_simple_root, (QuadInput(3, 5, 2, 2, 1), 16), "simple root", 2),
+        (factor_m_eq_nu, (QuadInput(7, 2, 1, 3, 51), 16), "m=nu nu>l", 3),
+    ]:
+        stages.clear()
+        with pytest.raises(EngineInvariantError, match=f"{tag}: first nonzero residual at product order {k + 2};"):
+            engine(*args)
+        assert len(stages) == 16 - k + 1
 
 
 def test_tail_free_engines_reject_a_tail():
@@ -580,23 +594,31 @@ def test_running_product_gives_the_plain_sum_pair(monkeypatch, engine, q, order,
     assert engine(q, order) == pair
 
 
-def _driven_sums(a_all, b_all, h_a, k):
-    """The sums _cross_sums yields over the stages k..n (n = len(a_all) - 1)
-    from the seeds a_0..a_(k-1) and b_0..b_(k-1), when the lists grow as in
-    a lift, each stage appending a_m and b_m after its read."""
+def _driven_sums(a_all, b_all, h_a, k, lag=1):
+    """The sums _cross_sums yields at the lag over the stages k..n
+    (n = len(a_all) - 1) from the seeds a_0..a_(k-1) and b_0..b_(k-1), when
+    the lists grow as in a lift, each stage appending a_m and b_m after its
+    read; once the generator ends, the plain sums that the lift then takes."""
     n = len(a_all) - 1
     a, b = a_all[:k], b_all[:k]
-    sums = _cross_sums(a, b, h_a, n)
+    sums = _cross_sums(a, b, h_a, n, lag)
     out = []
     for m in range(k, n + 1):
-        out.append(next(sums))
+        s = next(sums, None)
+        out.append(sum(map(mul, a[lag + 1 :], b[m - 1 : lag : -1])) if s is None else s)
         a.append(a_all[m])
         b.append(b_all[m])
     return out
 
 
-def _plain_sums(a, b, k):
-    return [sum(map(mul, a[2:m], b[m - 1 : 1 : -1])) for m in range(k, len(a))]
+def _plain_sums(a, b, k, lag=1):
+    """C(m+lag) = sum_(j=lag+1..m-1) a_j*b_(m+lag-j) for the stages m = k..len(a) - 1."""
+    return [sum(map(mul, a[lag + 1 : m], b[m - 1 : lag : -1])) for m in range(k, len(a))]
+
+
+# (lag, k) of the lifts: the first stage at k = lag + 1, and k = 3 at lag one,
+# the m=nu nu<=l row, whose seed pair a_2, b_2 is pushed before the first read
+_SHAPES = ((0, 1), (1, 2), (1, 3), (2, 3))
 
 
 def _widths(monkeypatch):
@@ -619,59 +641,60 @@ def _widths(monkeypatch):
 )
 @pytest.mark.parametrize("sign", [1, -1])
 def test_cross_sums_stay_exact_at_the_width_bound(h_a, h_b, sign):
-    # every a_j and b_i at its full height and of one sign: C(s) = (s-3) *
-    # (2^h_a - 1) * (2^h_b - 1) is as large as the heights allow.  At
-    # N = 126, bitlen(N+1) = 7 and the last sum, C(127), holds 124 terms,
-    # above 2^(h_a+h_b+6): h_a + h_b = 48 is the most that the 56-bit start
-    # slots hold.  From 49 on, b_2 breaks the bound, and its height
-    # extrapolated from stage 2 to order 127 passes the cap: the sums must
-    # be plain sums, which a bound one bit short would read from the
-    # slots.  (56 and 57 were the bound of 64-bit slots.)  Two seeds, and
-    # three as in the m=nu nu<=l row, whose seed pair a_2, b_2 is pushed
-    # before the first read.
+    # every a_j and b_i past index 1 at its full height and of one sign:
+    # C(s) is as large as the heights allow.  At N = 126, bitlen(N+1) = 7
+    # and the last sum, C(126 + lag), holds up to 124 such terms, above
+    # 2^(h_a+h_b+6): h_a + h_b = 48 is the most that the 56-bit start slots
+    # hold.  From 49 on, the first of them, b_2 or b_3, breaks the bound, and
+    # its height extrapolated from there to order N + lag passes the cap:
+    # the sums must be plain sums, which a bound one bit short would read
+    # from the slots.  (56 and 57 were the bound of 64-bit slots.)
     n = 126
     a = [9, 1] + [2**h_a - 1] * (n - 1)
     b = [9, 1] + [sign * (2**h_b - 1)] * (n - 1)
-    for k in (2, 3):
-        assert _driven_sums(a, b, h_a, k) == _plain_sums(a, b, k)
+    for lag, k in _SHAPES:
+        assert _driven_sums(a, b, h_a, k, lag) == _plain_sums(a, b, k, lag)
 
 
 def test_cross_sums_fall_back_from_a_seed_past_the_bound():
-    # three seeds, b_2 alone past the bound (20 + 40 + 7 + 1 > 56), its
-    # extrapolated width past the cap, and every later b_i small: the sums
-    # stay plain to the end, since packing the later pairs without a_2*b_2
-    # would read every sum without its terms
+    # one seed pair, b_(lag+1) alone past the bound (20 + 40 + 7 + 1 > 56),
+    # its extrapolated width past the cap, and every later b_i small: the
+    # sums stay plain to the end, since packing the later pairs without
+    # a_(lag+1)*b_(lag+1) would read every sum without its terms.  k = 3 at
+    # lag one is the m=nu nu<=l row; lags zero and two take the same shape.
     n = 126
     a = [9, 1] + [2**20 - 1] * (n - 1)
-    b = [9, 1, 2**40 - 1] + [-(2**10 - 1)] * (n - 2)
-    assert _driven_sums(a, b, 20, 3) == _plain_sums(a, b, 3)
+    for lag in (0, 1, 2):
+        b = [9, 1, 1][: lag + 1] + [2**40 - 1] + [-(2**10 - 1)] * (n - lag - 1)
+        assert _driven_sums(a, b, 20, lag + 2, lag) == _plain_sums(a, b, lag + 2, lag)
 
 
 @pytest.mark.parametrize("n", [32, 33, 126, 127])
 def test_cross_sums_freeze_past_the_middle_order(n):
-    # From the first stage with 2m > N + 1 a pair enters R but not PA and
-    # PB: it meets no later pair below order N + 2.  At odd N the pair
-    # m = (N+1)/2 still meets itself at order N + 1, in the last sum read,
-    # so freezing from 2m > N would lose a_m*b_m there.  Mixed signs, heights
-    # 21 and 26 bits: packed throughout in the 56-bit start slots.
+    # From the first stage with 2m > N + lag a pair enters R but not PA and
+    # PB: it meets no later pair below order N + lag + 1.  When N + lag is
+    # even the pair m = (N+lag)/2 still meets itself at order N + lag, in
+    # the last sum read, so freezing from 2m >= N + lag would lose a_m*b_m
+    # there; the four N and three lags give both parities.  Mixed signs,
+    # heights 21 and 26 bits: packed throughout in the 56-bit start slots.
     rng = random.Random(n)
     a = [9, 1] + [rng.randint(-(2**20), 2**20) for _ in range(n - 1)]
     b = [9, 1] + [rng.randint(-(2**25), 2**25) for _ in range(n - 1)]
-    for k in (2, 3):
-        assert _driven_sums(a, b, 21, k) == _plain_sums(a, b, k)
+    for lag, k in _SHAPES:
+        assert _driven_sums(a, b, 21, k, lag) == _plain_sums(a, b, k, lag)
 
 
 def test_cross_sums_fall_back_past_the_middle_order():
     # b_100 alone past the bound, after the middle order of N = 127, and its
-    # width extrapolated to order 128 past the cap (29 + 250 + 69 > 320): a stage
-    # past the middle still adds b_m*PA to R, so it checks the bound first
-    # and the sums from there on are plain
+    # width extrapolated to order N + lag past the cap (29 + 250 + 69 > 320):
+    # a stage past the middle still adds b_m*PA to R, so it checks the bound
+    # first and the sums from there on are plain
     n = 127
     a = [9, 1] + [2**20 - 1] * (n - 1)
     b = [9, 1] + [-(2**10 - 1)] * (n - 1)
     b[100] = 2**250 - 1
-    for k in (2, 3):
-        assert _driven_sums(a, b, 20, k) == _plain_sums(a, b, k)
+    for lag, k in _SHAPES:
+        assert _driven_sums(a, b, 20, k, lag) == _plain_sums(a, b, k, lag)
 
 
 def test_cross_sums_match_plain_sums_on_drawn_sequences():
@@ -681,22 +704,22 @@ def test_cross_sums_match_plain_sums_on_drawn_sequences():
     # Heights on both sides of the read bound (h_b may pass 56 - h_a -
     # bitlen(N+1) - 1), b heights that grow with the order by up to 300
     # bits, so that the slots widen once or more or pass the cap, mixed
-    # signs or every value at full height, N of both parities, two or
-    # three seeds, and one b_i that may spike past the bound at any stage,
-    # before or after the middle order.
+    # signs or every value at full height, N of both parities, every lag
+    # with its seeds, and one b_i that may spike past the bound at any
+    # stage, before or after the middle order.
     @hypothesis.settings(max_examples=150, deadline=None)
     @hypothesis.given(
         h_a=st.integers(1, 24),
         h_b=st.integers(1, 45),
         growth=st.sampled_from((0, 0, 30, 100, 300)),
         n=st.integers(32, 160),
-        k=st.sampled_from((2, 3)),
+        shape=st.sampled_from(_SHAPES),
         full=st.booleans(),
         spike=st.tuples(st.floats(0, 1), st.integers(0, 64)),
         seed=st.integers(0, 2**32 - 1),
     )
-    def check(h_a, h_b, growth, n, k, full, spike, seed):
-        rng = random.Random(seed)
+    def check(h_a, h_b, growth, n, shape, full, spike, seed):
+        rng, (lag, k) = random.Random(seed), shape
 
         def draw(h):
             return rng.choice((-1, 1)) * (2**h - 1 if full else rng.randint(0, 2**h - 1))
@@ -704,8 +727,8 @@ def test_cross_sums_match_plain_sums_on_drawn_sequences():
         a = [9, 1] + [draw(h_a) for _ in range(n - 1)]
         b = [9, 1] + [draw(h_b + growth * i // n) for i in range(2, n + 1)]
         at, height = spike
-        b[2 + int(at * (n - 2))] = draw(height)
-        assert _driven_sums(a, b, h_a, k) == _plain_sums(a, b, k)
+        b[lag + 1 + int(at * (n - lag - 1))] = draw(height)
+        assert _driven_sums(a, b, h_a, k, lag) == _plain_sums(a, b, k, lag)
 
     check()
 
@@ -842,3 +865,80 @@ def test_large_p_rows_keep_their_pairs():
     digest, rules = _large_p_sweep()
     assert rules == {"S3.2m-lt-n", "S3.disc-square", "S3.beta0-reducible"}
     assert digest == "47838806eadeb6117a08502057449418cdb539d1affb8b876b29ab88752bc359"
+
+
+def _packed_orders_sweep():
+    """(sha256 over every pair, lines per lag) for seeded pairs at the packed
+    orders 16, 17, 31, 64, 129 and 256: per order, the coprime split with
+    u in {2, 9, 10007, 2^31 - 1} and v of both signs (lag zero),
+    factor_m_eq_nu with nu > l at p in {3, 7, 2^31 - 1} (lag two), and one
+    pair of each lag-one row."""
+    rng = random.Random(31)
+
+    def unit(p, bound):
+        return rng.choice([x for x in range(-bound, bound + 1) if x % p])
+
+    def residue(x, p):
+        return x % p and pow(x % p, (p - 1) // 2, p) == 1
+
+    def m_eq_nu_wide_nu(p):
+        nu = 1 if p > 7 else 2
+        ell = 1 if p == 3 else rng.randint(0, nu - 1)  # mod 3, w = beta^2 would make alpha = 0
+        while True:  # beta^2 - 4*alpha = p^(2l)*w, w a unit square mod p but not in Z
+            beta, w = rng.randrange(1, min(p, 60)), rng.randrange(2, 10**4)
+            alpha, rem = divmod(beta * beta - p ** (2 * ell) * w, 4)
+            if not rem and alpha % p and residue(w, p) and isqrt(w) ** 2 != w:
+                return QuadInput(p, 2 * nu, nu, beta, alpha)
+
+    def discriminant_p2l(p, ell):
+        while True:
+            beta = unit(p, 30)
+            alpha, rem = divmod(beta * beta - p ** (2 * ell) * unit(p, 40), 4)
+            if rem == 0 and alpha % p:
+                return beta, alpha
+
+    def simple_root():
+        p = rng.choice((3, 5, 7))
+        return QuadInput(p, 3, 1, unit(p, 20), unit(p, 40), (rng.randint(-9, 9),))
+
+    lag_one = {
+        factor_simple_root: simple_root,
+        factor_p2_scaled: lambda: QuadInput(2, 2, 4, unit(2, 11), 8 * rng.randint(-5, 5) + 7),
+        factor_p2_m_eq_nu1: lambda: QuadInput(2, 2, 2, 3, 9 - 4 ** rng.randint(1, 3) * (8 * rng.randint(1, 4) + 1)),
+        factor_m_eq_nu: lambda: QuadInput(5, 2, 1, *discriminant_p2l(5, 2)),
+        factor_tail: lambda: QuadInput(7, 2, 1, *discriminant_p2l(7, 1), (49 * rng.randint(-3, 3),)),
+    }
+
+    def line(*key_and_pair):  # hex, not repr: the lag-two pairs pass 4,300 digits
+        *key, pair = key_and_pair
+        return repr(key) + "|".join(",".join(map(hex, s.coeffs)) for s in pair)
+
+    lines, lags = [], {0: 0, 1: 0, 2: 0}
+    for order in (16, 17, 31, 64, 129, 256):
+        for u in (2, 9, 10007, 2**31 - 1):
+            for sign in (1, -1):
+                v = sign * next(v for v in iter(lambda: rng.randrange(3, 10**6), 0) if gcd(u, v) == 1)
+                f = TruncSeries([u * v] + [rng.randint(-(10**6), 10**6) for _ in range(order)])
+                lines.append(line(u, v, order, factor_coprime_constant(f, u, v, order)))
+                lags[0] += 1
+        for p in (3, 7, 2**31 - 1):
+            q = m_eq_nu_wide_nu(p)
+            lines.append(line(q, order, factor_m_eq_nu(q, order)))
+            lags[2] += 1
+        for engine, draw in lag_one.items():
+            while True:
+                try:
+                    q = draw()
+                    pair = engine(q, order)
+                except ValueError:
+                    continue
+                lines.append(line(q, order, pair))
+                lags[1] += 1
+                break
+    return hashlib.sha256("\n".join(lines).encode()).hexdigest(), lags
+
+
+def test_packed_orders_keep_their_pairs_at_every_lag():
+    digest, lags = _packed_orders_sweep()
+    assert lags == {0: 48, 1: 30, 2: 18}
+    assert digest == "2037830be8c77aec1fa4ca4ec4a986d04dec974d4807346a838e9a8207e84eba"

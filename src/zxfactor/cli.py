@@ -70,63 +70,54 @@ def _input_parser() -> argparse.ArgumentParser:
     return inputs
 
 
-def _flag_names() -> dict[str, str | None]:
-    """Each name that argparse reads as an input flag: the flag itself, and
-    each prefix (from ``--`` on) that no other flag shares.  A prefix that
-    flags share maps to None: argparse refuses it as ambiguous."""
-    flags = [flag for flag, _ in _INPUT_FLAGS]
-    names: dict[str, str | None] = {}
-    for flag in flags:
-        for end in range(2, len(flag)):
-            names[flag[:end]] = None if flag[:end] in names else flag
-    names.update((flag, flag) for flag in flags)  # an exact name wins over a prefix
-    return names
+def _refuse(message: str):
+    raise ValueError(message)
 
 
-_FLAG_NAMES = _flag_names()
+@functools.cache  # on the first batch line that needs it: full-name lines never do
+def _line_parser() -> argparse.ArgumentParser:
+    """:func:`_input_parser`, refusing a line with ValueError(argparse's reason)."""
+    inputs = _input_parser()
+    inputs.error = _refuse
+    return inputs
+
+
+_VALUED = {flag for flag, _ in _INPUT_FLAGS} - {_SWITCH}
 _UNSET = {flag[2:].replace("-", "_"): False if flag == _SWITCH else None for flag, _ in _INPUT_FLAGS}
 _QUOTING = re.compile(r"[\\'\"]").search
 _WORDS = re.compile(r"[^ \t\r\n]+").findall  # shlex.split's words when nothing is quoted
-_NEGATIVE = re.compile(r"^-\d+$|^-\d*\.\d+$").match  # argparse's negative-number rule
 
 
 def _tokens(line: str) -> list[str]:
     return shlex.split(line) if _QUOTING(line) else _WORDS(line)
 
 
-def _is_value(token: str) -> bool:
-    """Whether argparse reads ``token`` after a flag as the flag's value."""
-    if token[:1] != "-" or token == "-":
-        return True
-    if token.partition("=")[0] in _FLAG_NAMES:
-        return False
-    return bool(_NEGATIVE(token)) or " " in token
+def _require_values(args: argparse.Namespace) -> argparse.Namespace:
+    """args, unless a flag was given as --flag=--: argparse drops the -- and
+    stores [], which no command reads."""
+    empty = next((name for name, value in vars(args).items() if value == []), None)
+    if empty is not None:
+        raise ValueError(f"--{empty} needs a value")
+    return args
 
 
 def _scan(tokens: list[str]) -> argparse.Namespace:
-    """``_input_parser().parse_args(tokens)`` by one scan of the flag
-    names; ValueError where argparse refuses the tokens."""
-    args = dict(_UNSET)
-    i = 0
-    while i < len(tokens):
-        name, eq, value = tokens[i].partition("=")
-        flag = _FLAG_NAMES.get(name)
-        i += 1
-        if flag is None:
-            raise ValueError(f"not an input flag: {tokens[i - 1]}")
-        if flag == _SWITCH:
-            if eq:
-                raise ValueError(f"{flag} takes no value")
+    """``_input_parser().parse_args(tokens)``; ValueError where argparse
+    refuses the tokens.  A line of full flag names, each with ``=value``
+    or a next word that argparse always takes as a value (one that does not
+    start with ``-``, or a negative integer), is read here; argparse reads
+    every other line."""
+    args, rest = dict(_UNSET), iter(tokens)
+    for token in rest:
+        if token == _SWITCH:
             args["beta_zero"] = True
             continue
+        flag, eq, value = token.partition("=")
         if not eq:
-            if i == len(tokens) or not _is_value(tokens[i]):
-                raise ValueError(f"{flag} needs a value")
-            value = tokens[i]
-            i += 1
+            value = next(rest, "-")  # no next word: "-" hands the line to argparse, which says so
+        if flag not in _VALUED or value == "--" or not eq and value[:1] == "-" and not value[1:].isdecimal():
+            return _require_values(_line_parser().parse_args(tokens))
         args[flag[2:]] = value
-    if "--" in args.values():  # from --flag=--: argparse drops the -- and stores [], which no input reads
-        raise ValueError("an input flag needs a value")
     return argparse.Namespace(**args)
 
 
@@ -406,11 +397,7 @@ def main(argv: list[str] | None = None) -> int:
     if saved_cap is not None:
         sys.set_int_max_str_digits(0)
     try:
-        # argparse drops the -- of --flag=-- and stores [], which no command reads
-        empty = next((name for name, value in vars(args).items() if value == []), None)
-        if empty is not None:
-            raise ValueError(f"--{empty} needs a value")
-        code = args.func(args)
+        code = args.func(_require_values(args))
     except (ValueError, OSError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         code = EXIT_BAD_INPUT

@@ -156,16 +156,27 @@ _RUNNING_MAX_BITS = 320
 
 def _integer_split(targets, a0: int, n: int, tag: str):
     """(a_0 + r1*x)(b_0 + r2*x) with b_0 = f_0/a_0 and r1 the smaller
-    integer root of b_0*y^2 - f_1*y + a_0*f_2, when there is one and the
-    targets have no tail; None otherwise.  Orders 1 and 2 give
-    r2 = (f_1 - b_0*r1)/a_0."""
+    integer root of b_0*y^2 - f_1*y + a_0*f_2, when the discriminant d^2
+    is a perfect square and the targets have no tail; None otherwise.
+    Orders 1 and 2 give r2 = (f_1 - b_0*r1)/a_0.
+
+    On every engine row that calls it, a square discriminant gives an
+    integer root (f_1 +- d)/(2*b_0).  For 2m < n the halves (f_1 +- d)/2
+    sum to f_1, of valuation m, so one has valuation m and the other n - m,
+    a multiple of b_0 = p^(n-m).  For a_0 = b_0, d = a_0*k and the roots
+    read (beta +- k)/2 at m = nu, beta +- k at p = 2 and m = nu + 1,
+    2^(m-nu-1)*beta +- k (+-k at beta = 0) on the scaled p = 2 rows, and
+    (p^(m-s)*beta +- k)/2 for odd p, n even and m > n/2 or beta = 0:
+    integers, by parity where they halve.  At odd n with m > n/2 or
+    beta = 0, a_0 = p^((n-1)/2) and b_0 = p*a_0, but factor_simple_root
+    refuses first (g = alpha mod p, a unit, has no root), and the
+    discriminant is no square there: its valuation is odd, or, at p = 2
+    and m = (n+1)/2, its odd part beta^2 - 2*alpha is 3 mod 4."""
     b0, f1, f2 = targets[0] // a0, targets[1], targets[2]
     disc = f1 * f1 - 4 * a0 * b0 * f2
     if disc < 0 or any(targets[3:]) or (d := isqrt(disc)) * d != disc:
         return None
     roots = [num // (2 * b0) for num in (f1 - d, f1 + d) if num % (2 * b0) == 0]
-    if not roots:
-        return None
     pad = [0] * (n - 1)
     return _verified(tag, targets, [a0, roots[0], *pad], [b0, (f1 - b0 * roots[0]) // a0, *pad], n)
 

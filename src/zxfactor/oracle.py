@@ -49,13 +49,19 @@ __all__ = ["VerificationReport", "verify_factorization"]
 # the most: 3x at N = 64 and 8 to 11x at N = 256 for 24- to 80-bit
 # slots.  Slots of up to 8 bytes come from machine words in 0.34-0.63 of
 # the time of to_bytes at N = 256 and 0.52-0.85 at 64 (timeit, best of 5).
-# The lift's running product (factor._cross_sums) shares the floor: at
-# N = 16 both packed products break even.  The convolution takes 0.8 to
-# 1.4 of the check's time; the packed lift takes 1.01 of the lift on plain
-# sums (the 150 cli-deep lines of order 64 at seeds 21-25, run at N = 8 to
-# 64, best of 7: 1.04 at 8, 0.94 at 32, 0.86 at 64).  Shorter pairs keep
-# plain sums.  Below the floor, the product check on one-word slots (w <= 8,
-# packed without a byte shuffle) against the convolution, on the large-p
+# The lift's running product (factor._cross_sums) shares the floor.  At
+# N = 16 the convolution takes 0.8 to 1.4 of the check's time, but the
+# packed lift is slower than the lift on plain sums just above the floor:
+# packed over plain, with the floor raised on factor._PACKED_MIN_ORDER
+# alone (best of 9 in process), 1.07 at N = 16 at lag zero (a 10*7
+# coprime split), 1.13 at 16 at lag one (QuadInput(5, 4, 1, 3, 7)), and
+# 1.34 at 16, 1.17 at 24, 1.02 at 32 and 0.90 at 48 at lag two
+# (QuadInput(7, 2, 1, 3, 51), m = nu).  No benchmark workload has orders
+# 16 to 48, so none can resolve another floor, and the lift keeps this
+# one; on the 150 cli-deep lines of order 64 at seeds 21-25 (best of 7)
+# it takes 0.94 of plain sums at N = 32 and 0.86 at 64.  Below the
+# floor, the product check on one-word slots (w <= 8, packed without a
+# byte shuffle) against the convolution, on the large-p
 # pairs of padic-wide seeds 11-12 (CPython 3.11, shared 2-vCPU machine,
 # best of 15, heights included): 1.68x at N = 4, 1.27x at 6, 1.02x at 8,
 # 0.87x at 10, 0.62x at 15, and 1.14-1.47x on the pairs too wide for one

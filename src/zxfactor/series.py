@@ -5,8 +5,9 @@ coefficients beyond N are unknown, not zero.  The factor engines and the
 verifier read its ``coeffs`` and do their own arithmetic; the one product
 here, ``poly_mul``, is the full (polynomial) product ``normalize_head``
 needs, and the one division, ``_quotient``, is h = f/g for a g whose
-constant term need not be a unit; the factor engines complete their
-seeds with it (b = f/a).
+constant term need not be a unit; ``normalize_head`` is its one caller
+(``factor._lift`` completes its seeds, b = f/a, with the same loop
+written out).
 
 ``normalize_head`` implements the associate-replacement step behind the
 CLI's ``normalize`` command (no factorization engine uses it): for a

@@ -343,6 +343,56 @@ def test_batch_names_the_line_of_a_refused_value(tmp_path, capsys, line, reason)
     assert len(captured.out.splitlines()) == 1
 
 
+@pytest.mark.parametrize(
+    "line, reason",
+    [
+        ("--p 7 --n 2 --m 1 --b 3 --alpha 2", "ambiguous option: --b could match --beta, --beta-zero"),
+        ("--p 7 --n 2 --m 1 --beta 3 --alpha 2 8", "unrecognized arguments: 8"),
+        ("--p 5 --n 2 --beta-zero=1 --alpha 1", "argument --beta-zero: ignored explicit argument '1'"),
+        ("--p 3 --n 2 --m 1 --beta 1 --alpha -2 --tail -3,4", "argument --tail: expected one argument"),
+        ("--p=-- --n 2 --m 1 --beta 3 --alpha 2", "--p needs a value"),
+    ],
+)
+def test_refused_batch_line_gives_the_command_line_reason(tmp_path, capsys, line, reason):
+    # argparse reads a line it refuses, so the batch names the line with
+    # the words the same flags get on the command line (`factor`, whose
+    # flags are the batch line's and --format: no --batch to match --b)
+    batch = tmp_path / "batch.txt"
+    batch.write_text(f"{VALID_LINE}\n{line}\n")
+    assert main(["classify", "--batch", str(batch)]) == 2
+    assert capsys.readouterr().err == f"error: bad batch line: {line}: {reason}\n"
+    try:
+        code = main(["factor", *line.split()])
+    except SystemExit as exc:
+        code = exc.code
+    assert code == 2
+    assert capsys.readouterr().err.endswith(f"error: {reason}\n")
+
+
+def test_only_lines_beyond_full_names_reach_argparse(tmp_path, capsys, monkeypatch):
+    from zxfactor import cli
+
+    reached, parser = [], cli._line_parser()
+
+    class Spy:
+        def parse_args(self, tokens):
+            reached.append(" ".join(tokens))
+            return parser.parse_args(tokens)
+
+    monkeypatch.setattr(cli, "_line_parser", Spy)
+    lines = {
+        "--p 7 --n 2 --m 1 --beta 3 --alp 2 --te=8": 0,  # prefixes
+        "--p=-- --n 2 --m 1 --beta 3 --alpha 2": 2,  # argparse stores [] for --p
+        "--p 3 --n 2 --m 1 --beta 1 --alpha -2 --tail=-3,4 --terms 4": 3,  # full names
+    }
+    for line, code in lines.items():
+        batch = tmp_path / "batch.txt"
+        batch.write_text(line + "\n")
+        assert main(["classify", "--batch", str(batch)]) == code
+    capsys.readouterr()
+    assert reached == list(lines)[:2]
+
+
 def test_json_output_is_deterministic(capsys):
     args = ["classify", "--p", "3", "--n", "4", "--m", "2", "--beta", "1",
             "--alpha", "-29", "--format", "json", "--terms", "32"]

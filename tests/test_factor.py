@@ -1,3 +1,4 @@
+import contextlib
 import hashlib
 import random
 from math import gcd, isqrt
@@ -18,7 +19,7 @@ from zxfactor.factor import (
     factor_tail,
 )
 from zxfactor.oracle import verify_factorization
-from zxfactor.padics import _square_class, is_square_zp
+from zxfactor.padics import _square_class, _valuation, is_square_zp
 from zxfactor.series import TruncSeries
 
 from oracles import canonical_simple_root_pair, trial_division_is_prime
@@ -427,6 +428,51 @@ def test_simple_root_pairs_are_the_root_expansion():
     assert compared >= 200
 
 
+def test_integer_split_has_a_root_whenever_the_discriminant_is_square(monkeypatch):
+    # Seeded polynomials (c_0 + c_1 x)(d_0 + d_1 x) with c_0 d_0 = p^n, so
+    # that every discriminant is a perfect square, classified with factors
+    # attached: on each of the four engine rows that try the shortcut, the
+    # integer a_0 it is given makes one of (f_1 +- d)/(2 b_0) an integer.
+    # The simple-root row meets both parities of n (2m < n at odd n).
+    # Odd n with m > n/2 or beta = 0 never reaches the shortcut: the engine
+    # finds no root of g mod p first.
+    rng = random.Random(32)
+    tags = ("simple root poly", "m=nu poly", "p2 scaled poly", "p2 m=nu+1 poly")
+    squares = {(tag, odd): 0 for tag in tags for odd in (0, 1)}
+    drawn = {"n": 0}
+    integer_split = factor_module._integer_split
+
+    def spy(targets, a0, n, tag):
+        b0, f1, f2 = targets[0] // a0, targets[1], targets[2]
+        disc = f1 * f1 - 4 * a0 * b0 * f2
+        if disc >= 0 and not any(targets[3:]) and isqrt(disc) ** 2 == disc:
+            squares[tag, drawn["n"] % 2] += 1
+            assert any(num % (2 * b0) == 0 for num in (f1 - isqrt(disc), f1 + isqrt(disc))), (tag, targets, a0)
+        return integer_split(targets, a0, n, tag)
+
+    monkeypatch.setattr(factor_module, "_integer_split", spy)
+    for _ in range(8000):
+        p, n = rng.choice((2, 2, 2, 3, 5, 7, 11)), rng.randint(2, 8)
+        j, sign = rng.randint(1, n - 1), rng.choice((1, -1))
+        c0, d0, c1, d1 = sign * p**j, sign * p ** (n - j), rng.randint(-60, 60), rng.randint(-60, 60)
+        f1 = c0 * d1 + c1 * d0
+        m = beta = None
+        if f1:
+            m, beta = _valuation(f1, p)
+        drawn["n"] = n
+        with contextlib.suppress(ValueError):  # alpha = c_1 d_1 not a unit mod p
+            classify_quadratic(QuadInput(p, n, m, beta, c1 * d1), terms=4)
+    assert min(squares[tag, 0] + squares[tag, 1] for tag in tags) >= 100, squares
+    assert min(squares["simple root poly", 0], squares["simple root poly", 1]) >= 100, squares
+    monkeypatch.setattr(factor_module, "_integer_split", None)
+    for _ in range(500):
+        p, n = rng.choice((2, 3, 5, 7, 11)), rng.choice((3, 5, 7))
+        m = rng.choice((None, *range((n + 1) // 2, n + 2)))
+        beta = None if m is None else rng.choice((1, -1, p + 1))
+        with pytest.raises(ValueError, match="no simple root"):
+            factor_simple_root(QuadInput(p, n, m, beta, rng.choice((1, -1, p + 1, 2 * p - 1))), 5)
+
+
 def _engines_sweep():
     """(sha256 over every outcome, outcomes seen) for 6,000 seeded calls of
     the three engines that test a discriminant themselves: factor_m_eq_nu,
@@ -751,53 +797,69 @@ def test_cross_sums_widen_at_a_break(monkeypatch, n, at, wide, sign):
     # b steps from 10 to 40 bits at stage 40, before the middle order, or at
     # stage 100, after it: 20 + 40 + bitlen(N+1) + 1 > 56.  b_at has gained
     # 36 bits over b_0 = 9 in `at` orders, so the slots widen to
-    # 20 + bitlen(N+1) + 1 + 40 + ceil(36*(N+1-at)/at), rounded up to
+    # 20 + bitlen(N+1) + 1 + 40 + ceil(36*(N+lag-at)/at), rounded up to
     # bytes, and hold every later sum exactly, R, PA and PB re-slotted once
-    # each
+    # each.  These rows round to one width at every lag.
     a, b = _stepped(n, [(at, 40)], sign)
-    for k in (2, 3):
+    for lag, k in _SHAPES:
         widths = _widths(monkeypatch)
-        assert _driven_sums(a, b, 20, k) == _plain_sums(a, b, k)
+        assert _driven_sums(a, b, 20, k, lag) == _plain_sums(a, b, k, lag)
         assert widths == [wide] * 3
 
 
 @pytest.mark.parametrize("sign", [1, -1])
 def test_cross_sums_widen_twice(monkeypatch, sign):
-    # 40 bits from stage 30 widen the slots to 29 + 40 + ceil(36*98/30) =
-    # 187 -> 192 bits, which 180 bits from stage 80 break again:
-    # 29 + 180 + ceil(176*48/80) = 315 rounds up to the cap, 320, which
-    # still packs
-    a, b = _stepped(127, [(30, 40), (80, 180)], sign)
-    for k in (2, 3):
-        widths = _widths(monkeypatch)
-        assert _driven_sums(a, b, 20, k) == _plain_sums(a, b, k)
-        assert widths == [192] * 3 + [320] * 3
+    # 40 bits from stage 30 widen the slots to 29 + 40 + ceil(36*(97+lag)/30)
+    # = 186 / 187 / 188 -> 192 bits at lags 0 / 1 / 2, which 180 bits from
+    # stage 80 break again: 29 + 180 + ceil(176*(47+lag)/80) = 313 / 315 /
+    # 317 rounds up to the cap, 320, which still packs.  32 bits from stage
+    # 30 widen to 29 + 32 + ceil(28*(97+lag)/30) = 152 / 153 / 154 bits, and
+    # 133 bits from stage 80 break them again: 29 + 133 +
+    # ceil(129*(47+lag)/80) = 238 / 240 / 242.  In bytes, lag zero takes
+    # 152 bits where order N + 1 would give 160, and lag two 248 where
+    # N + 1 would give 240.
+    cases = [
+        ([(30, 40), (80, 180)], [[192] * 3 + [320] * 3] * 3),
+        ([(30, 32), (80, 133)], [[first] * 3 + [then] * 3 for first, then in ((152, 240), (160, 240), (160, 248))]),
+    ]
+    for steps, by_lag in cases:
+        a, b = _stepped(127, steps, sign)
+        for lag, k in _SHAPES:
+            widths = _widths(monkeypatch)
+            assert _driven_sums(a, b, 20, k, lag) == _plain_sums(a, b, k, lag)
+            assert widths == by_lag[lag]
 
 
 @pytest.mark.parametrize("sign", [1, -1])
 def test_cross_sums_stay_plain_past_the_cap(monkeypatch, sign):
-    # 60 bits from stage 20 extrapolate to 29 + 60 + ceil(56*108/20) = 392
-    # bits, past the cap: nothing is re-slotted and the sums from stage 20 on are
-    # plain, also once b falls back to 10 bits at stage 40
+    # 60 bits from stage 20 extrapolate to 29 + 60 + ceil(56*(107+lag)/20)
+    # >= 389 bits, past the cap: nothing is re-slotted and the sums from
+    # stage 20 on are plain, also once b falls back to 10 bits at stage 40
     a, b = _stepped(127, [(20, 60), (40, 10)], sign)
-    for k in (2, 3):
+    for lag, k in _SHAPES:
         widths = _widths(monkeypatch)
-        assert _driven_sums(a, b, 20, k) == _plain_sums(a, b, k)
+        assert _driven_sums(a, b, 20, k, lag) == _plain_sums(a, b, k, lag)
         assert widths == []
 
 
 @pytest.mark.parametrize("sign", [1, -1])
 def test_cross_sums_widen_at_the_third_seed(monkeypatch, sign):
-    # the three-seed shape of the m=nu nu<=l row, with a of 40 bits: b_2
-    # breaks the bound before the first read (40 + 10 + 6 + 1 > 56) and
-    # widens the empty product to 47 + 10 + ceil(6*31/2) = 150 -> 152 bits
-    # at N = 32; the later pairs of 10 bits fit
-    n = 32
-    a = [9, 1] + [2**40 - 1] * (n - 1)
-    b = [9, 1] + [(2**10 - 1) * sign**i for i in range(2, n + 1)]
-    widths = _widths(monkeypatch)
-    assert _driven_sums(a, b, 40, 3) == _plain_sums(a, b, 3)
-    assert widths == [152] * 3
+    # a of 40 bits and b of 10 at N = 32 and 33: every b_m breaks the
+    # bound (40 + 10 + 6 + 1 > 56).  In the three-seed shape of the m=nu
+    # nu<=l row, b_2 widens the empty product before the first read, to
+    # 47 + 10 + ceil(6*(N-1)/2) = 150 / 153 -> 152 / 160 bits, as at lag
+    # one with two seeds; at lag zero b_2 comes after the first read and
+    # extrapolates to order N: 147 / 150 -> 152 bits.  Lag two pushes no
+    # b_2: b_3 widens to 57 + ceil(6*(N-1)/3) = 119 / 121 -> 120 / 128
+    # bits.  At N = 33 lags zero and two round otherwise than order N + 1
+    # would (160 and 120).  The later pairs fit.
+    for n, by_lag in ((32, [152, 152, 120]), (33, [152, 160, 128])):
+        a = [9, 1] + [2**40 - 1] * (n - 1)
+        b = [9, 1] + [(2**10 - 1) * sign**i for i in range(2, n + 1)]
+        for lag, k in _SHAPES:
+            widths = _widths(monkeypatch)
+            assert _driven_sums(a, b, 40, k, lag) == _plain_sums(a, b, k, lag)
+            assert widths == [by_lag[lag]] * 3
 
 
 @pytest.mark.parametrize("w, wide", [(8, 16), (56, 64), (64, 72)])

@@ -21,9 +21,12 @@ they are for rebuilding a value already checked.
 Every answer with a quadratic head, from the library, the CLI or
 ``classify_general``, takes one path: ``discriminant_square_class``,
 then ``_decide``, then ``_row_verdict``.  Each unpacks its
-``QuadInput`` once and builds its value by position, so that a
-tail-free decision without factors costs little more than its one
-square test.
+``QuadInput`` once.  Values are built by position: every ``Verdict``
+here, and the ``QuadInput`` of a ``classify_general`` head, whose checks
+already hold, come from ``tuple.__new__``, past the NamedTuple's
+Python-level ``__new__`` (about 0.15 us a verdict), as
+``padics._square_class`` builds its ``SquareClass``.  So a tail-free
+decision without factors costs little more than its one square test.
 """
 
 from __future__ import annotations
@@ -102,9 +105,10 @@ RULE_INFO: dict[str, str] = {
     "unknown.no-rule": "no applicable rule for this coefficient pattern",
 }
 
-# the kinds of _decide's rows, bound once: looking a member up on an Enum
-# class goes through its metaclass and costs about 0.1 us a time
+# the kinds, bound once: looking a member up on an Enum class goes through
+# its metaclass and costs about 0.1 us a time
 _REDUCIBLE, _IRREDUCIBLE, _UNKNOWN = VerdictKind.REDUCIBLE, VerdictKind.IRREDUCIBLE, VerdictKind.UNKNOWN
+_UNIT, _ZERO_SERIES = VerdictKind.UNIT, VerdictKind.ZERO_SERIES
 _ZERO_EXTENSION = "assumes every coefficient beyond the provided order is zero"
 _PROBABLE_PRIME = "p is a BPSW probable prime"
 
@@ -311,15 +315,10 @@ def _row_verdict(
     The engine is looked up in :mod:`zxfactor.factor` at call time."""
     factors = None if engine is None else getattr(engines, engine)(q, order)
     conditional = rule == "S5.double-root-divisible-tail"
-    return Verdict(
-        kind,
-        rule,
-        sq.is_square,
-        sq,
-        factors,
-        None if factors is None else order,
-        "assumes p^2 divides every coefficient beyond the provided order" if conditional else None,
-        conditional,
+    assumption = "assumes p^2 divides every coefficient beyond the provided order" if conditional else None
+    return tuple.__new__(
+        Verdict,
+        (kind, rule, sq.is_square, sq, factors, None if factors is None else order, assumption, conditional),
     )
 
 
@@ -348,22 +347,17 @@ def classify_general(f: TruncSeries) -> Verdict:
     """
     require_terms(f.order)
     if not any(f.coeffs):
-        return Verdict(VerdictKind.ZERO_SERIES, "S2.zero-series")
+        return tuple.__new__(Verdict, (_ZERO_SERIES, "S2.zero-series", None, None, None, None, None, False))
     f0 = f.coeffs[0]
     if f0 == 0:
         return _classify_x_multiple(f)
     if abs(f0) == 1:
-        return Verdict(VerdictKind.UNIT, "S2.unit")
+        return tuple.__new__(Verdict, (_UNIT, "S2.unit", None, None, None, None, None, False))
     p, n = _smallest_block(abs(f0))
     u = p**n
     if u != abs(f0):
         factors = engines.factor_coprime_constant(f, u, f0 // u, f.order)
-        return Verdict(
-            VerdictKind.REDUCIBLE,
-            "S2.coprime-split",
-            factors=factors,
-            verified_order=f.order,
-        )
+        return tuple.__new__(Verdict, (_REDUCIBLE, "S2.coprime-split", None, None, factors, f.order, None, False))
     return _classify_block(f, p, n)
 
 
@@ -372,7 +366,9 @@ def _classify_block(f: TruncSeries, p: int, n: int) -> Verdict:
     proven prime: by the constant-term search, or by the CLI's
     :class:`QuadInput`, so that p is proven once per answer."""
     if n == 1:
-        return _with_prime_note(Verdict(VerdictKind.IRREDUCIBLE, "S2.prime"), p)
+        return _with_prime_note(
+            tuple.__new__(Verdict, (_IRREDUCIBLE, "S2.prime", None, None, None, None, None, False)), p
+        )
     if f.coeffs[0] > 0:
         verdict = _classify_prime_power(f, p, n)
     else:
@@ -386,50 +382,31 @@ def _classify_block(f: TruncSeries, p: int, n: int) -> Verdict:
 def _classify_x_multiple(f: TruncSeries) -> Verdict:
     # f has order >= 1: a series that is only a zero constant is the zero series
     if f.coeffs[1] in (1, -1):
-        return Verdict(VerdictKind.IRREDUCIBLE, "S2.x-associate")
-    return Verdict(
-        VerdictKind.REDUCIBLE,
-        "S2.x-factor",
-        factors=(TruncSeries([0, 1] + [0] * (f.order - 1)), TruncSeries(f.coeffs[1:] + (0,))),
-        verified_order=f.order,
-    )
+        return tuple.__new__(Verdict, (_IRREDUCIBLE, "S2.x-associate", None, None, None, None, None, False))
+    factors = (TruncSeries([0, 1] + [0] * (f.order - 1)), TruncSeries(f.coeffs[1:] + (0,)))
+    return tuple.__new__(Verdict, (_REDUCIBLE, "S2.x-factor", None, None, factors, f.order, None, False))
 
 
 def _classify_prime_power(f: TruncSeries, p: int, n: int) -> Verdict:
     """f has constant term +p^n with n >= 2."""
     if f.order == 0:
-        return Verdict(
-            VerdictKind.REDUCIBLE,
-            "S2.constant",
-            factors=(TruncSeries([p]), TruncSeries([p ** (n - 1)])),
-            verified_order=0,
-            assumption=_ZERO_EXTENSION,
-            conditional_on_truncation=True,
-        )
+        factors = (TruncSeries([p]), TruncSeries([p ** (n - 1)]))
+        return tuple.__new__(Verdict, (_REDUCIBLE, "S2.constant", None, None, factors, 0, _ZERO_EXTENSION, True))
     f1 = f.coeffs[1]
     if gcd(f1, p) == 1:
         zp = True if (f.order >= 2 and f.coeffs[2] != 0) else None
-        return Verdict(VerdictKind.IRREDUCIBLE, "S3.remark-m0", zp_reducible=zp)
+        return tuple.__new__(Verdict, (_IRREDUCIBLE, "S3.remark-m0", zp, None, None, None, None, False))
     if f.order >= 2 and gcd(f.coeffs[2], p) == 1:
         return _classify_quadratic_head(f, p, n)
     if all(c % p == 0 for c in f.coeffs):
-        cofactor = TruncSeries([c // p for c in f.coeffs])
-        return Verdict(
-            VerdictKind.REDUCIBLE,
-            "S2.content-p",
-            factors=(TruncSeries([p] + [0] * f.order), cofactor),
-            verified_order=f.order,
-            assumption="p divides every coefficient of any extension",
-            conditional_on_truncation=True,
-        )
-    return Verdict(
-        VerdictKind.UNKNOWN,
-        "unknown.no-rule",
-        assumption=(
-            f"constant term {p}^{n} with p | f_1 but the head is not a unit quadratic "
-            "and p does not divide every provided coefficient"
-        ),
+        factors = (TruncSeries([p] + [0] * f.order), TruncSeries([c // p for c in f.coeffs]))
+        note = "p divides every coefficient of any extension"
+        return tuple.__new__(Verdict, (_REDUCIBLE, "S2.content-p", None, None, factors, f.order, note, True))
+    reason = (
+        f"constant term {p}^{n} with p | f_1 but the head is not a unit quadratic "
+        "and p does not divide every provided coefficient"
     )
+    return tuple.__new__(Verdict, (_UNKNOWN, "unknown.no-rule", None, None, None, None, reason, False))
 
 
 def _undecided(f: TruncSeries, q: QuadInput, sq: SquareClass, reason: str) -> Verdict:
@@ -440,13 +417,7 @@ def _undecided(f: TruncSeries, q: QuadInput, sq: SquareClass, reason: str) -> Ve
     if not any(q.tail):
         base = classify_quadratic(q._replace(tail=()), terms=f.order)
         return base._replace(assumption=f"{reason}; {_ZERO_EXTENSION}", conditional_on_truncation=True)
-    return Verdict(
-        VerdictKind.UNKNOWN,
-        "S5.unknown",
-        zp_reducible=sq.is_square,
-        certificate=sq,
-        assumption=reason,
-    )
+    return tuple.__new__(Verdict, (_UNKNOWN, "S5.unknown", sq.is_square, sq, None, None, reason, False))
 
 
 def _classify_quadratic_head(f: TruncSeries, p: int, n: int) -> Verdict:
@@ -455,9 +426,9 @@ def _classify_quadratic_head(f: TruncSeries, p: int, n: int) -> Verdict:
     m, beta = _valuation(f1, p) if f1 else (None, None)
     # the checks of QuadInput hold: the search has proven p, m >= 1 and
     # beta is a unit since p | f_1, and alpha is a unit
-    q = QuadInput._make((p, n, m, beta, f.coeffs[2], f.coeffs[3:]))
+    q = tuple.__new__(QuadInput, (p, n, m, beta, f.coeffs[2], f.coeffs[3:]))
     sq = discriminant_square_class(q)
     kind, rule, engine = _decide(q, sq, f)
-    if kind is VerdictKind.UNKNOWN:
+    if kind is _UNKNOWN:
         return _undecided(f, q, sq, rule)
     return _row_verdict(q, sq, kind, rule, engine, f.order)

@@ -8,7 +8,8 @@ bound in time or memory.
 ==================  =======  ===============================================
 field               value    bounds
 ==================  =======  ===============================================
-``max_terms``       4096     the order of a series that is built or factored
+``max_terms``       4096     the order of a series that is built, factored
+                             or read from decimal strings
 ``max_pn_bits``     2^17     the bits of p^n and p^m, the prime powers in the
                              first two coefficients (so the discriminant has
                              at most twice as many), of the modulus p^k of

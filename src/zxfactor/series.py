@@ -157,7 +157,10 @@ def to_decimal_strings(s: TruncSeries) -> list[str]:
 
 
 def from_decimal_strings(items) -> TruncSeries:
-    """The inverse of :func:`to_decimal_strings`: ValueError on anything but a list of strings."""
+    """The inverse of :func:`to_decimal_strings`: ValueError on anything but
+    a list of strings, and on a series beyond ``LIMITS.max_terms`` before
+    any string is converted."""
     if not isinstance(items, list) or not all(isinstance(x, str) for x in items):
         raise ValueError("a series must be a JSON array of decimal strings")
+    require_terms(len(items) - 1)
     return TruncSeries([int(x, 10) for x in items])

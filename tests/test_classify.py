@@ -703,3 +703,91 @@ def test_quadratic_decisions_keep_their_verdicts():
     digest, rules = _decisions_sweep()
     assert rules == {rule for rule in RULE_INFO if rule[:3] in ("S3.", "S4.") and rule != "S3.remark-m0"}
     assert digest == "f6495353dad448da45906a5ebcc427ea07e46c5761e45ccd2bad57dcd8e36c6c"
+
+
+def _general_input(rng: random.Random) -> list[int]:
+    """One seeded classify_general input.  Half the draws aim at a cascade
+    row before the quadratic head (zero series, units, x-multiples, prime
+    and coprime constants, a bare prime power, a unit f_1, content p and
+    the no-rule gap); the rest are heads p^n + p^m*beta*x + alpha*x^2 with
+    a tail of 0 to 4 terms, a tenth of them beta = 0 and, for odd p, a
+    fifth aimed at the double-root rows (n = 2, m = 1, core 4*p^t*u).  The
+    tail is random, all zero, all divisible by p^2, or, on the double-root
+    draws, led by a c_3 that p divides once.  The constant term takes
+    either sign, and 2^61 - 1 and 2^89 - 1 are among the primes."""
+    p = rng.choice(DECISION_PRIMES)
+    sign = rng.choice((1, -1))
+    order = rng.randint(2, 6)
+
+    def rand(k: int) -> list[int]:
+        return [rng.randint(-60, 60) for _ in range(k)]
+
+    def unit() -> int:
+        while (x := rng.randint(-60, 60)) % p == 0:
+            pass
+        return x
+
+    shape = rng.randrange(16)
+    if shape == 0:
+        return [0] * (order + 1)
+    if shape == 1:
+        return [rng.choice((1, -1))] + rand(order)
+    if shape == 2:  # an x-multiple, an associate of x on a unit f_1
+        return [0, rng.choice((1, -1, rng.randint(-60, 60)))] + rand(order - 1)
+    if shape == 3:
+        return [sign * p] + rand(order)
+    if shape == 4:
+        q = rng.choice([r for r in DECISION_PRIMES[:7] if r != p])
+        return [sign * p ** rng.randint(1, 3) * q ** rng.randint(1, 3)] + rand(order)
+    n = rng.randint(2, 5)
+    if shape == 5:
+        return [sign * p**n]
+    if shape == 6:
+        return [sign * p**n, unit()] + rand(order - 1)
+    if shape == 7:  # content p, or with a unit last the gap no rule covers
+        coeffs = [sign * p**n] + [p * x for x in rand(order)]
+        if rng.random() < 0.5:
+            coeffs[-1] = unit()
+        return coeffs
+    n, m, beta, alpha = rng.randint(1, 5), rng.randint(1, 5), unit(), unit()
+    double = p != 2 and rng.random() < 0.2
+    if double:  # alpha = h^2 - p^t*u and beta = 2h give the core 4*p^t*u
+        h = unit()
+        n, m, beta = 2, 1, 2 * h
+        alpha = h * h - p ** rng.randint(2, 3) * rng.choice((0, 1, -1, 2, 3, 5))
+    tail = rand(order - 2)
+    fill = rng.randrange(4)
+    if fill == 1:
+        tail = [0] * len(tail)
+    elif fill == 2:
+        tail = [p * p * x for x in tail]
+    elif fill == 3 and double and tail:
+        tail = [p * unit()] + [p * p * x for x in tail[1:]]
+    f1 = 0 if rng.random() < 0.1 else p**m * beta
+    return [sign * p**n, f1, alpha] + tail
+
+
+def _general_sweep():
+    """(sha256 over every Verdict field of 4,000 seeded classify_general
+    answers, factor coefficients included; rules seen; BPSW notes seen)."""
+    rng = random.Random(3131)
+    lines, rules, notes = [], set(), 0
+    for _ in range(4000):
+        coeffs = _general_input(rng)
+        v = classify_general(TruncSeries(coeffs))
+        rules.add(v.rule)
+        notes += v.assumption is not None and v.assumption.endswith(BPSW)
+        cert = None if v.certificate is None else tuple(v.certificate)
+        factors = None if v.factors is None else tuple(s.coeffs for s in v.factors)
+        fields = (v.kind.value, v.rule, v.zp_reducible, cert, factors, v.verified_order, v.assumption,
+                  v.conditional_on_truncation)
+        lines.append(repr((tuple(coeffs),) + fields))
+    return hashlib.sha256("\n".join(lines).encode()).hexdigest(), rules, notes
+
+
+def test_general_verdicts_keep_their_fields():
+    digest, rules, notes = _general_sweep()
+    cascade = {rule for rule in RULE_INFO if rule[:3] in ("S2.", "S5.")} | {"S3.remark-m0", "unknown.no-rule"}
+    assert cascade - rules == set()
+    assert notes > 0
+    assert digest == "e59e22a0d47f9854c13452da454e9c800142c8ce466e66dea5dd1ea19f837511"

@@ -422,6 +422,29 @@ def test_classify_integers_above_the_digit_cap(capsys):
     assert sys.get_int_max_str_digits() == cap
 
 
+@pytest.mark.parametrize("extra", [0, 1])
+def test_verify_bounds_the_order_of_a_series(tmp_path, capsys, extra):
+    # a failing pair: within the limit the convolution finds every
+    # residual; one order past it nothing is converted or multiplied
+    from zxfactor.limits import LIMITS
+
+    order = LIMITS.max_terms + extra
+    paths = {}
+    for name, head in (("f", ["7", "1"]), ("a", ["2", "1"]), ("b", ["3", "1"])):
+        paths[name] = tmp_path / f"{name}.json"
+        paths[name].write_text(json.dumps(head + ["1"] * (order - 1)))
+    started = time.perf_counter()
+    code = main(["verify", "--target", str(paths["f"]), "--a", str(paths["a"]), "--b", str(paths["b"])])
+    elapsed = time.perf_counter() - started
+    captured = capsys.readouterr()
+    if extra:
+        assert code == 2 and captured.out == ""
+        assert captured.err == f"error: order {order} is beyond the limit of {LIMITS.max_terms} terms\n"
+        assert elapsed < 0.1, f"{elapsed:.3f}s"
+    else:
+        assert code == 1 and captured.out.startswith("fail\nnonzero residuals at orders [0, 1, 2, 3, ")
+
+
 @pytest.mark.parametrize(
     "argv",
     [

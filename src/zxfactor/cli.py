@@ -245,7 +245,7 @@ def cmd_classify(args) -> int:
 def _run_batch(path: str) -> int:
     """Answer each line of the file as one input, in JSON; the worst exit code."""
     worst = EXIT_OK
-    with open(path, encoding="utf-8") as handle:
+    with open(path, encoding="utf-8-sig") as handle:
         for line in handle:
             line = line.strip()
             if not line or line.startswith("#"):
@@ -316,7 +316,7 @@ def cmd_normalize(args) -> int:
 
 
 def _load_series(path: str) -> TruncSeries:
-    with open(path, encoding="utf-8") as handle:
+    with open(path, encoding="utf-8-sig") as handle:
         return from_decimal_strings(json.load(handle))
 
 

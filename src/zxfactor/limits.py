@@ -33,7 +33,7 @@ from __future__ import annotations
 from math import log2
 from typing import NamedTuple
 
-__all__ = ["LIMITS", "require_terms", "require_series", "require_power"]
+__all__ = ["LIMITS"]
 
 
 class Limits(NamedTuple):  # a tuple, so frozen, and cheaper to define than a dataclass

@@ -225,6 +225,21 @@ def test_command_documents_are_pinned(tmp_path, capsys, argv, code, expected):
     assert (got, out) == (code, expected + "\n")
 
 
+@pytest.mark.parametrize("factor, code", [("a", 0), ("h", 1)])
+def test_verify_reads_a_series_file_with_a_byte_order_mark(tmp_path, capsys, factor, code):
+    # an editor may save UTF-8 with a BOM; the answer is that of the file without it
+    answers = []
+    for bom in ("", "\ufeff"):
+        paths = {}
+        for name, doc in SERIES_FILES.items():
+            paths[name] = tmp_path / f"{name}{len(bom)}.json"
+            paths[name].write_text(bom + json.dumps(doc), encoding="utf-8")
+        answers.append(run(capsys, "verify", "--target", str(paths["f"]),
+                           "--a", str(paths[factor]), "--b", str(paths[factor])))
+    assert answers[0][0] == code
+    assert answers[1] == answers[0]
+
+
 @pytest.mark.parametrize("doc", [[1, 2], 5, {"1": "0"}])
 def test_verify_refuses_json_that_is_no_list_of_strings(tmp_path, capsys, doc):
     (tmp_path / "f.json").write_text(json.dumps(["4", "2", "1"]))
@@ -246,6 +261,18 @@ def test_batch_outputs_ordered_json(tmp_path, capsys):
     lines = [json.loads(line) for line in out.splitlines()]
     assert [doc["verdict"]["kind"] for doc in lines] == ["reducible", "irreducible"]
     assert code == 0
+
+
+def test_batch_file_with_a_byte_order_mark_is_answered_alike(tmp_path, capsys):
+    # the BOM is no part of the first line's first flag
+    text = "--p 7 --n 2 --m 1 --beta 3 --alpha 2 --terms 8\n--p 2 --n 2 --m 1 --beta 1 --alpha 1\n"
+    answers = []
+    for bom in ("", "\ufeff"):
+        batch = tmp_path / f"batch{len(bom)}.txt"
+        batch.write_text(bom + text, encoding="utf-8")
+        answers.append(run(capsys, "classify", "--batch", str(batch)))
+    assert answers[0][0] == 0 and len(answers[0][1].splitlines()) == 2
+    assert answers[1] == answers[0]
 
 
 VALID_LINE = "--p 7 --n 2 --m 1 --beta 3 --alpha 2 --terms 8"

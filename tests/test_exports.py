@@ -1,4 +1,9 @@
-"""Every exported name has a caller.
+"""Every exported name has a caller, and the package exports exactly
+what its modules list.
+
+``zxfactor.__all__`` is the sorted union of the modules' ``__all__``
+lists, and every other public name of the package is one of its six
+submodules.  The README's library example runs.
 
 A name in ``zxfactor.__all__`` or in a package module's ``__all__`` must
 be used somewhere outside its own definition: in the package, in the
@@ -16,7 +21,10 @@ wraps: plain functions and classes, looked up where they are defined.
 import ast
 import importlib
 import inspect
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import zxfactor
@@ -28,6 +36,7 @@ MODULES = [
     for module in (importlib.import_module(f"zxfactor.{path.stem}") for path in sorted(PACKAGE.glob("[a-z]*.py")))
     if hasattr(module, "__all__")
 ]
+SUBMODULES = ("classify", "factor", "limits", "oracle", "padics", "series")
 
 
 def _library_example() -> str:
@@ -70,8 +79,23 @@ def _references():
 
 
 def test_every_package_export_comes_from_a_module_export():
-    exported = {name for module in MODULES for name in module.__all__}
-    assert sorted(set(zxfactor.__all__) - exported) == []
+    assert [module.__name__ for module in MODULES] == [f"zxfactor.{name}" for name in SUBMODULES]
+    assert zxfactor.__all__ == sorted({name for module in MODULES for name in module.__all__})
+
+
+def test_every_public_name_of_the_package_is_exported():
+    # in a fresh interpreter, since importing zxfactor.cli here binds it too
+    names = subprocess.run(
+        [sys.executable, "-c", "import zxfactor; print(*sorted(vars(zxfactor)))"],
+        env={**os.environ, "PYTHONPATH": str(PACKAGE.parent)}, capture_output=True, text=True, check=True, timeout=60,
+    ).stdout.split()
+    public = {name for name in names if not name.startswith("_")}
+    assert sorted(public - set(zxfactor.__all__)) == sorted(SUBMODULES)
+    assert "__version__" in names and set(zxfactor.__all__) <= public
+
+
+def test_library_example_runs():
+    exec(compile(_library_example(), "README.md", "exec"), {})
 
 
 def test_every_export_has_a_caller():

@@ -7,12 +7,16 @@ the golden corpus (``tests/data/golden_classify.json``, one ``classify``
 call per line), seed 1 of each benchmark workload
 (``bench/workloads.generate``: decide-sweep and padic-wide through the
 library calls of ``bench/run.make_calls``, cli-deep as one
-``classify --batch`` file) and ``CONSTANTS``, two
+``classify --batch`` file), ``CONSTANTS``, two
 primes above ``PROVEN_PRIME_BOUND`` on which the constant-term search runs
-its close pass to the end, and counts with spies:
+its close pass to the end, and ``SPLITS``, two products of primes that
+``_split`` takes apart, one in its first rho stage and one in its Hart
+stage, and counts with spies:
 
-- calls of ``padics.is_prime``, ``_root_classes``, ``_square_class`` and
-  ``_smallest_block``, and of ``factor._reslot`` (a widening of the lift's
+- calls of ``padics.is_prime``, ``_root_classes``, ``_square_class``,
+  ``_smallest_block`` and ``_sqrt_mod_prime``, of the factor search's
+  splitters ``_split``, ``_hart`` (the close pass and a split's second
+  stage) and ``_rho``, and of ``factor._reslot`` (a widening of the lift's
   running product);
 - ``isqrt``: the integer square roots the padics module takes, two for
   each multiplier of Hart's method, one for each strong Lucas test and
@@ -21,7 +25,11 @@ its close pass to the end, and counts with spies:
 - ``packed_checks`` and ``convolution_checks``: the pairs
   ``oracle.verify_factorization`` decides by one product, and the rest;
 - ``verdict_new``: calls of the Python-level ``Verdict.__new__``, which
-  the package never makes, since it builds every verdict by position.
+  the package never makes, since it builds every verdict by position;
+- ``pair_bits``: the summed coefficient bit lengths of every pair that
+  ``factor._verified`` returns, so the height of what the engines build;
+- ``decimal_digits``: the characters of the strings that
+  ``to_decimal_strings`` returns, in ``series`` and in ``cli``.
 
 The counts live in ``tests/data/work_counts.json``.  A change that moves a
 count regenerates the file, and says which count moved and why, with
@@ -50,11 +58,21 @@ CALLS = (
     (padics, "_root_classes"),
     (padics, "_square_class"),
     (padics, "_smallest_block"),
+    (padics, "_sqrt_mod_prime"),
+    (padics, "_split"),
+    (padics, "_hart"),
+    (padics, "_rho"),
     (factor, "_reslot"),
 )
-COUNTERS = [name for _, name in CALLS]
+# (home, name, counter, size of a result): the spy adds the size
+MEASURED = (
+    (factor, "_verified", "pair_bits", lambda pair: sum(c.bit_length() for s in pair for c in s.coeffs)),
+    (series, "to_decimal_strings", "decimal_digits", lambda strings: sum(map(len, strings))),
+)
+COUNTERS = [name for _, name in CALLS] + [counter for _, _, counter, _ in MEASURED]
 COUNTERS += ["isqrt", "cross_sums", "packed_checks", "convolution_checks", "verdict_new"]
 CONSTANTS = ((2**89 - 1, 1, 1), (-(2**127 - 1), 1, 1))
+SPLITS = ((10007 * (2**61 - 1), 1, 1), (1000003 * 1275877, 1, 1))  # 1275877/1000003 is near 37/29
 
 
 @contextlib.contextmanager
@@ -75,12 +93,24 @@ def _spies():
 
         return spy
 
-    for home, name in CALLS:
+    def measured(fn, key, size):
+        def spy(*args):
+            result = fn(*args)
+            counts[key] += size(result)
+            return result
+
+        return spy
+
+    def patch_everywhere(home, name, spy):
         fn = getattr(home, name)
-        spy = counted(fn, name)
         for module in MODULES:
             if getattr(module, name, None) is fn:
                 patch(module, name, spy)
+
+    for home, name in CALLS:
+        patch_everywhere(home, name, counted(getattr(home, name), name))
+    for home, name, key, size in MEASURED:
+        patch_everywhere(home, name, measured(getattr(home, name), key, size))
     patch(padics, "isqrt", counted(padics.isqrt, "isqrt"))
 
     cross_sums = factor._cross_sums
@@ -141,10 +171,11 @@ def _count_corpora(tmp_dir: Path) -> dict:
         with _spies() as counts:
             cli.main(["classify", "--batch", str(batch)])
         result["cli-deep"] = counts
-        with _spies() as counts:
-            for coeffs in CONSTANTS:
-                classify_general(TruncSeries(coeffs))
-        result["constants"] = counts
+        for name, corpus in (("constants", CONSTANTS), ("splits", SPLITS)):
+            with _spies() as counts:
+                for coeffs in corpus:
+                    classify_general(TruncSeries(coeffs))
+            result[name] = counts
     return {corpus: dict(sorted(counts.items())) for corpus, counts in result.items()}
 
 
@@ -163,7 +194,7 @@ def test_work_counts_match_the_record(tmp_path):
 def test_no_verdict_is_built_through_the_python_constructor():
     want = json.loads(COUNTS.read_text(encoding="utf-8"))
     assert {corpus: counts["verdict_new"] for corpus, counts in want.items()} == dict.fromkeys(
-        ("golden", "decide-sweep", "padic-wide", "cli-deep", "constants"), 0
+        ("golden", "decide-sweep", "padic-wide", "cli-deep", "constants", "splits"), 0
     )
 
 

@@ -317,7 +317,10 @@ def cmd_normalize(args) -> int:
 
 def _load_series(path: str) -> TruncSeries:
     with open(path, encoding="utf-8-sig") as handle:
-        return from_decimal_strings(json.load(handle))
+        try:
+            return from_decimal_strings(json.load(handle))
+        except json.JSONDecodeError as exc:
+            raise ValueError(f"{path}: {exc}") from None
 
 
 def cmd_verify(args) -> int:
@@ -398,7 +401,7 @@ def main(argv: list[str] | None = None) -> int:
         sys.set_int_max_str_digits(0)
     try:
         code = args.func(_require_values(args))
-    except (ValueError, OSError, json.JSONDecodeError) as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         code = EXIT_BAD_INPUT
     finally:

@@ -32,6 +32,18 @@ def trial_division_is_prime(n: int) -> bool:
     return n >= 2 and all(n % d for d in range(2, isqrt(n) + 1))
 
 
+def convolution(a, b, n: int) -> tuple[int, ...]:
+    """Coefficients 0..n of the product of two coefficient sequences, each
+    taken as zero beyond its length."""
+    a, b = tuple(a) + (0,) * n, tuple(b) + (0,) * n
+    return tuple(sum(a[i] * b[k - i] for i in range(k + 1)) for k in range(n + 1))
+
+
+def residue(x: int, p: int) -> bool:
+    """Is x a nonzero square mod the odd prime p?  Euler's criterion."""
+    return pow(x, (p - 1) // 2, p) == 1
+
+
 def brute_square_mod(d: int, p: int, k: int) -> bool:
     """Is there y in [0, p^k) with y^2 = d mod p^k?  Exhaustive."""
     modulus = p**k

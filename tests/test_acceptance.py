@@ -11,7 +11,7 @@ import time
 
 import pytest
 
-from oracles import brute_roots_mod, brute_square_mod, exhaustive_irreducibility_probe
+from oracles import brute_roots_mod, brute_square_mod, convolution, exhaustive_irreducibility_probe
 from zxfactor.classify import QuadInput, VerdictKind, classify_general, classify_quadratic, discriminant
 from zxfactor.cli import main as cli_main
 from zxfactor.oracle import verify_factorization
@@ -26,13 +26,6 @@ SWEEP_ORDER = 64
 def expand_roots(A: int, B: int, C: int, p: int, K: int) -> list[int]:
     """Every root of A*y^2 + B*y + C mod p^K, expanded from its residue classes."""
     return sorted(y for r, j in root_classes(A, B, C, p, K) for y in range(r, p**K, p**j))
-
-
-def convolution(a, b, n: int) -> tuple[int, ...]:
-    """Coefficients 0..n of the product of two coefficient sequences, each
-    taken as zero beyond its length."""
-    a, b = tuple(a) + (0,) * n, tuple(b) + (0,) * n
-    return tuple(sum(a[i] * b[k - i] for i in range(k + 1)) for k in range(n + 1))
 
 
 def _passed(num: int, started: float, detail: str = "") -> None:

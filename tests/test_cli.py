@@ -250,6 +250,17 @@ def test_verify_refuses_json_that_is_no_list_of_strings(tmp_path, capsys, doc):
     assert "JSON array of decimal strings" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("flag", ["--target", "--a", "--b"])
+def test_verify_names_the_file_with_malformed_json(tmp_path, capsys, flag):
+    (tmp_path / "f.json").write_text(json.dumps(SERIES_FILES["f"]))
+    (tmp_path / "cut.json").write_text('["9","6",')
+    paths = {name: str(tmp_path / ("cut.json" if name == flag else "f.json")) for name in ("--target", "--a", "--b")}
+    assert main(["verify", *(x for item in paths.items() for x in item)]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == f"error: {tmp_path / 'cut.json'}: Expecting value: line 1 column 10 (char 9)\n"
+
+
 def test_batch_outputs_ordered_json(tmp_path, capsys):
     batch = tmp_path / "batch.txt"
     batch.write_text(

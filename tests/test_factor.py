@@ -1,8 +1,12 @@
 import contextlib
 import hashlib
+import json
 import random
-from math import gcd, isqrt
+import runpy
+from collections import Counter
+from math import isqrt
 from operator import mul
+from pathlib import Path
 
 import pytest
 
@@ -22,9 +26,17 @@ from zxfactor.oracle import verify_factorization
 from zxfactor.padics import _square_class, _valuation, is_square_zp
 from zxfactor.series import TruncSeries
 
-from oracles import canonical_simple_root_pair, trial_division_is_prime
+from oracles import canonical_simple_root_pair
+from pair_sweeps import engines_sweep, lag_one_sweep, large_p_sweep, packed_orders_sweep, rows_sweep
 
 RNG_SEED = 42
+TRACE = "a pinned pair moved: python tools/pair_diff.py --parent <rev> names the first line that differs"
+
+
+def _pinned(sweep):
+    """The sha256 over a sweep's lines joined by newlines, and its lines per row."""
+    keys, lines = zip(*((key, line) for key, line, _ in sweep))
+    return hashlib.sha256("\n".join(lines).encode()).hexdigest(), Counter(row for row, _ in keys)
 
 
 def check_pair(q: QuadInput, pair, n: int) -> None:
@@ -366,34 +378,6 @@ SEED_ROOT_ROWS = {
 }
 
 
-def _rows_sweep():
-    """(sha256 over every answer, rules seen) for 2,000 seeded inputs:
-    tail-free quadratics at order 8 and series with a nonzero or an
-    all-zero tail through order 8, m drawn near n/2 so that every row,
-    the integer-root heads among them, comes up."""
-    rng = random.Random(2024)
-    lines, rules = [], set()
-    for _ in range(2000):
-        p = rng.choice((2, 3, 5, 7))
-        n = rng.randint(2, 6)
-        m = beta = None
-        if rng.random() >= 0.2:
-            m = rng.choice((n // 2 or 1, n // 2 + 1, n // 2 + 2, rng.randint(1, 5)))
-            beta = rng.choice([b for b in range(-9, 10) if b % p])
-        alpha = rng.choice([a for a in range(-20, 21) if a % p])
-        zeros, digits = (0,) * rng.randint(1, 4), tuple(rng.randint(-9, 9) for _ in range(rng.randint(1, 4)))
-        tail = rng.choice(((), zeros, digits))
-        if tail:
-            f1 = 0 if beta is None else p**m * beta
-            v = classify_general(TruncSeries((p**n, f1, alpha) + tail + (0,) * (6 - len(tail))))
-        else:
-            v = classify_quadratic(QuadInput(p, n, m, beta, alpha), terms=8)
-        rules.add(v.rule)
-        pair = None if v.factors is None else tuple(s.coeffs for s in v.factors)
-        lines.append(repr((p, n, m, beta, alpha, tail, v.kind.value, v.rule, pair)))
-    return hashlib.sha256("\n".join(lines).encode()).hexdigest(), rules
-
-
 def test_simple_root_rows_keep_their_pairs():
     # n = 2m: the pair comes from the recurrence although 5y^2 + 15y + 10
     # has the integer roots -1 and -2
@@ -401,9 +385,9 @@ def test_simple_root_rows_keep_their_pairs():
     assert v.rule == "S5.simple-root"
     assert v.factors[0].coeffs == (5, 3, 3, 3, 3, 3)
     assert v.factors[1].coeffs == (5, -6, 1, 0, 0, 0)
-    digest, rules = _rows_sweep()
-    assert rules >= SEED_ROOT_ROWS
-    assert digest == "b344e0fd9bdb2aec6da8c1bc7009b7e273c6dfef58e4c9a2c57732b5040bf68b"
+    digest, rules = _pinned(rows_sweep())
+    assert rules.keys() >= SEED_ROOT_ROWS
+    assert digest == "b344e0fd9bdb2aec6da8c1bc7009b7e273c6dfef58e4c9a2c57732b5040bf68b", TRACE
 
 
 def test_simple_root_pairs_are_the_root_expansion():
@@ -473,123 +457,16 @@ def test_integer_split_has_a_root_whenever_the_discriminant_is_square(monkeypatc
             factor_simple_root(QuadInput(p, n, m, beta, rng.choice((1, -1, p + 1, 2 * p - 1))), 5)
 
 
-def _engines_sweep():
-    """(sha256 over every outcome, outcomes seen) for 6,000 seeded calls of
-    the three engines that test a discriminant themselves: factor_m_eq_nu,
-    factor_p2_m_eq_nu1 and factor_tail, a third each.  Half the inputs aim
-    the discriminant at p^(2l) times a unit, so that every check fails on
-    some of them and the rest split; an outcome is the pair or the class
-    of the error raised."""
-    rng = random.Random(14)
-    lines, seen = [], set()
-    engines = (factor_m_eq_nu, factor_p2_m_eq_nu1, factor_tail)
-    for i in range(6000):
-        kind = i % 3
-        p = (rng.choice((3, 5, 7, 11, 13)), 2, rng.choice((2, 3, 5, 7)))[kind]
-        nu = 1 if kind == 2 else rng.randint(1, 4)
-        beta = rng.choice([b for b in range(-60, 61) if b % p])
-        alpha = rng.choice([a for a in range(-300, 301) if a % p])
-        if rng.random() < 0.5:
-            ell = 1 if kind == 2 else rng.randint(0, 3)
-            w = rng.choice([c for c in range(-40, 41) if c % p])
-            core = beta * beta - p ** (2 * ell + rng.choice((0, 0, 1))) * w
-            a = core if kind == 1 else core // 4 if core % 4 == 0 else 0
-            alpha = a if a % p else alpha
-        tail = ()
-        if kind == 2 and rng.random() < 0.7:
-            tail = tuple(rng.randint(-4, 4) * rng.choice((p * p,) * 9 + (1,)) for _ in range(rng.randint(1, 4)))
-        order = rng.randint(2, 12)
-        q = QuadInput(p, 2 * nu, nu + 1 if kind == 1 else nu, beta, alpha, tail)
-        try:
-            outcome = tuple(s.coeffs for s in engines[kind](q, order))
-        except (ValueError, EngineInvariantError) as e:
-            outcome = type(e).__name__
-        seen.add((kind, outcome if isinstance(outcome, str) else "pair"))
-        lines.append(repr((q, order, outcome)))
-    return hashlib.sha256("\n".join(lines).encode()).hexdigest(), seen
-
-
 def test_discriminant_engines_keep_their_pairs():
-    digest, seen = _engines_sweep()
-    assert seen == {(kind, outcome) for kind in range(3) for outcome in ("pair", "ValueError")}
-    assert digest == "095f6ce8af1632b62b4962f940ead62586efddf631aef32be6a35ad8a7deb1ca"
-
-
-
-def _lag_one_sweep():
-    """(sha256 over every pair, rows that split) for seeded calls of the five
-    lag-one rows at orders around the running product's minimum order and
-    up to 256: factor_simple_root (tails included), factor_p2_scaled,
-    factor_p2_m_eq_nu1, factor_m_eq_nu with nu <= l and factor_tail.  Each
-    row draws inputs until six of them split at each order; the heights
-    range from a few bits, which stay packed, to hundreds, which fall back
-    to plain sums."""
-    rng = random.Random(18)
-
-    def unit(p, bound):
-        return rng.choice([x for x in range(-bound, bound + 1) if x % p])
-
-    def simple_root():
-        p, n = rng.choice((3, 5, 7)), rng.randint(2, 5)
-        if rng.random() < 0.2:
-            return QuadInput(p, 2 * (n // 2), None, None, unit(p, 40))
-        tail = tuple(rng.randint(-20, 20) for _ in range(rng.randint(0, 3)))
-        return QuadInput(p, n, rng.randint(1, 3), unit(p, 20), unit(p, 40), tail)
-
-    def p2_scaled():
-        nu = rng.randint(1, 2)
-        if rng.random() < 0.3:
-            return QuadInput(2, 2 * nu, None, None, 8 * rng.randint(-5, 5) - 1)
-        return QuadInput(2, 2 * nu, nu + rng.randint(2, 3), unit(2, 11), 8 * rng.randint(-5, 5) + rng.choice((3, 7)))
-
-    def p2_m_eq_nu1():
-        nu, beta = rng.randint(1, 2), unit(2, 11)
-        return QuadInput(2, 2 * nu, nu + 1, beta, beta * beta - 4 ** rng.randint(1, 3) * (8 * rng.randint(-4, 4) + 1))
-
-    def discriminant_p2l(p, ell):
-        """beta, alpha with beta^2 - 4*alpha = p^(2*ell) * w for a unit w."""
-        while True:
-            beta = unit(p, 30)
-            alpha, rem = divmod(beta * beta - p ** (2 * ell) * unit(p, 40), 4)
-            if rem == 0 and alpha % p:
-                return beta, alpha
-
-    def m_eq_nu_small_nu():
-        p, nu = rng.choice((3, 5, 7)), rng.randint(1, 2)
-        return QuadInput(p, 2 * nu, nu, *discriminant_p2l(p, rng.randint(nu, 2)))
-
-    def tail():
-        p = rng.choice((3, 5, 7))
-        tail = tuple(p * p * rng.randint(-3, 3) for _ in range(rng.randint(1, 3)))
-        return QuadInput(p, 2, 1, *discriminant_p2l(p, 1), tail)
-
-    rows = {
-        factor_simple_root: simple_root,
-        factor_p2_scaled: p2_scaled,
-        factor_p2_m_eq_nu1: p2_m_eq_nu1,
-        factor_m_eq_nu: m_eq_nu_small_nu,
-        factor_tail: tail,
-    }
-    lines, split = [], set()
-    for order in (31, 32, 33, 64, 128, 256):
-        for engine, draw in rows.items():
-            done = 0
-            while done < 6:
-                q = draw()
-                try:
-                    pair = tuple(s.coeffs for s in engine(q, order))
-                except ValueError:
-                    continue
-                done += 1
-                split.add(engine.__name__)
-                lines.append(repr((q, order, pair)))
-    return hashlib.sha256("\n".join(lines).encode()).hexdigest(), split
+    digest, seen = _pinned(engines_sweep())
+    assert seen.keys() == {(kind, outcome) for kind in range(3) for outcome in ("pair", "ValueError")}
+    assert digest == "095f6ce8af1632b62b4962f940ead62586efddf631aef32be6a35ad8a7deb1ca", TRACE
 
 
 def test_lag_one_rows_keep_their_pairs():
-    digest, split = _lag_one_sweep()
-    assert split == {"factor_simple_root", "factor_p2_scaled", "factor_p2_m_eq_nu1", "factor_m_eq_nu", "factor_tail"}
-    assert digest == "711e299c485fcb7ab2f7cafd26c014bb28374a4cf2384ae405421615fb780976"
+    digest, split = _pinned(lag_one_sweep())
+    assert split.keys() == {"factor_simple_root", "factor_p2_scaled", "factor_p2_m_eq_nu1", "factor_m_eq_nu", "factor_tail"}
+    assert digest == "711e299c485fcb7ab2f7cafd26c014bb28374a4cf2384ae405421615fb780976", TRACE
 
 
 @pytest.mark.parametrize(
@@ -872,135 +749,25 @@ def test_reslot_keeps_a_half_slot_in_the_high_slot(w, wide):
     assert v % 2**wide == 2**wide - 1
 
 
-def _large_p_sweep():
-    """(sha256 over every pair, rules seen) for seeded large-p answers:
-    classify_quadratic(..., attach_factors=True) on every large-p row at
-    each order 2..15 (m > nu, 2m < n, beta = 0, and m = nu with a
-    discriminant that is a nonzero residue, which lifts at lag two), for
-    primes drawn from [10^4, 3*10^5] and the primes 2^31 - 1 and 2^61 - 1;
-    then factor_coprime_constant at each order 2..15."""
-    rng = random.Random(27)
-
-    def prime():
-        pick = rng.random()
-        if pick < 0.15:
-            return 2**31 - 1
-        if pick < 0.3:
-            return 2**61 - 1
-        p = rng.randrange(10**4, 3 * 10**5) | 1
-        while not trial_division_is_prime(p):
-            p += 2
-        return p
-
-    def residue(x, p):
-        return pow(x % p, (p - 1) // 2, p) == 1
-
-    def draw(row, p):
-        while True:
-            beta, alpha = rng.randrange(1, p), rng.choice((1, -1)) * rng.randrange(1, p)
-            if row == 0 and residue(-alpha, p):  # m > nu
-                return QuadInput(p, 2, rng.randint(2, 3), beta, alpha)
-            if row == 1:  # 2m < n
-                return QuadInput(p, rng.randint(3, 4), 1, beta, alpha)
-            if row == 2 and residue(-alpha, p):  # beta = 0
-                return QuadInput(p, 2, None, None, alpha)
-            if row == 3 and residue(beta * beta - 4 * alpha, p):  # m = nu, l = 0 < nu
-                return QuadInput(p, 2, 1, beta, alpha)
-
-    lines, rules = [], set()
-    for order in range(2, 16):
-        for row in range(4):
-            for _ in range(10):
-                q = draw(row, prime())
-                v = classify_quadratic(q, terms=order, attach_factors=True)
-                rules.add(v.rule)
-                lines.append(repr((row, q, order, v.rule, tuple(s.coeffs for s in v.factors))))
-        for _ in range(4):
-            u, v = rng.choice((2, 3, 5, 7, 10**4 + 7)), rng.choice((11, 13, 2**31 - 1))
-            tail = tuple(rng.randint(-(10**6), 10**6) for _ in range(order))
-            pair = factor_coprime_constant(TruncSeries((u * v,) + tail), u, v, order)
-            lines.append(repr((u, v, order, tuple(s.coeffs for s in pair))))
-    return hashlib.sha256("\n".join(lines).encode()).hexdigest(), rules
-
-
 def test_large_p_rows_keep_their_pairs():
-    digest, rules = _large_p_sweep()
-    assert rules == {"S3.2m-lt-n", "S3.disc-square", "S3.beta0-reducible"}
-    assert digest == "47838806eadeb6117a08502057449418cdb539d1affb8b876b29ab88752bc359"
-
-
-def _packed_orders_sweep():
-    """(sha256 over every pair, lines per lag) for seeded pairs at the packed
-    orders 16, 17, 31, 64, 129 and 256: per order, the coprime split with
-    u in {2, 9, 10007, 2^31 - 1} and v of both signs (lag zero),
-    factor_m_eq_nu with nu > l at p in {3, 7, 2^31 - 1} (lag two), and one
-    pair of each lag-one row."""
-    rng = random.Random(31)
-
-    def unit(p, bound):
-        return rng.choice([x for x in range(-bound, bound + 1) if x % p])
-
-    def residue(x, p):
-        return x % p and pow(x % p, (p - 1) // 2, p) == 1
-
-    def m_eq_nu_wide_nu(p):
-        nu = 1 if p > 7 else 2
-        ell = 1 if p == 3 else rng.randint(0, nu - 1)  # mod 3, w = beta^2 would make alpha = 0
-        while True:  # beta^2 - 4*alpha = p^(2l)*w, w a unit square mod p but not in Z
-            beta, w = rng.randrange(1, min(p, 60)), rng.randrange(2, 10**4)
-            alpha, rem = divmod(beta * beta - p ** (2 * ell) * w, 4)
-            if not rem and alpha % p and residue(w, p) and isqrt(w) ** 2 != w:
-                return QuadInput(p, 2 * nu, nu, beta, alpha)
-
-    def discriminant_p2l(p, ell):
-        while True:
-            beta = unit(p, 30)
-            alpha, rem = divmod(beta * beta - p ** (2 * ell) * unit(p, 40), 4)
-            if rem == 0 and alpha % p:
-                return beta, alpha
-
-    def simple_root():
-        p = rng.choice((3, 5, 7))
-        return QuadInput(p, 3, 1, unit(p, 20), unit(p, 40), (rng.randint(-9, 9),))
-
-    lag_one = {
-        factor_simple_root: simple_root,
-        factor_p2_scaled: lambda: QuadInput(2, 2, 4, unit(2, 11), 8 * rng.randint(-5, 5) + 7),
-        factor_p2_m_eq_nu1: lambda: QuadInput(2, 2, 2, 3, 9 - 4 ** rng.randint(1, 3) * (8 * rng.randint(1, 4) + 1)),
-        factor_m_eq_nu: lambda: QuadInput(5, 2, 1, *discriminant_p2l(5, 2)),
-        factor_tail: lambda: QuadInput(7, 2, 1, *discriminant_p2l(7, 1), (49 * rng.randint(-3, 3),)),
-    }
-
-    def line(*key_and_pair):  # hex, not repr: the lag-two pairs pass 4,300 digits
-        *key, pair = key_and_pair
-        return repr(key) + "|".join(",".join(map(hex, s.coeffs)) for s in pair)
-
-    lines, lags = [], {0: 0, 1: 0, 2: 0}
-    for order in (16, 17, 31, 64, 129, 256):
-        for u in (2, 9, 10007, 2**31 - 1):
-            for sign in (1, -1):
-                v = sign * next(v for v in iter(lambda: rng.randrange(3, 10**6), 0) if gcd(u, v) == 1)
-                f = TruncSeries([u * v] + [rng.randint(-(10**6), 10**6) for _ in range(order)])
-                lines.append(line(u, v, order, factor_coprime_constant(f, u, v, order)))
-                lags[0] += 1
-        for p in (3, 7, 2**31 - 1):
-            q = m_eq_nu_wide_nu(p)
-            lines.append(line(q, order, factor_m_eq_nu(q, order)))
-            lags[2] += 1
-        for engine, draw in lag_one.items():
-            while True:
-                try:
-                    q = draw()
-                    pair = engine(q, order)
-                except ValueError:
-                    continue
-                lines.append(line(q, order, pair))
-                lags[1] += 1
-                break
-    return hashlib.sha256("\n".join(lines).encode()).hexdigest(), lags
+    digest, rules = _pinned(large_p_sweep())
+    assert rules.keys() == {"S3.2m-lt-n", "S3.disc-square", "S3.beta0-reducible", "coprime constant"}
+    assert digest == "47838806eadeb6117a08502057449418cdb539d1affb8b876b29ab88752bc359", TRACE
 
 
 def test_packed_orders_keep_their_pairs_at_every_lag():
-    digest, lags = _packed_orders_sweep()
+    digest, lags = _pinned(packed_orders_sweep())
     assert lags == {0: 48, 1: 30, 2: 18}
-    assert digest == "2037830be8c77aec1fa4ca4ec4a986d04dec974d4807346a838e9a8207e84eba"
+    assert digest == "2037830be8c77aec1fa4ca4ec4a986d04dec974d4807346a838e9a8207e84eba", TRACE
+
+
+def test_pair_diff_replays_every_pinned_line(capsys):
+    # tools/pair_diff.py's worker, in process, with the high orders cut to
+    # one: a line per sweep line (2,000 + 6,000 + 180 + 616 + 96) and per
+    # lifting-table row of that order (coprime, m = nu with nu > l, and
+    # the five lag-one rows), none of them an error.
+    runpy.run_path(str(Path(__file__).parents[1] / "tools" / "pair_diff.py"))["worker"]([20])
+    records = [json.loads(line) for line in capsys.readouterr().out.splitlines()]
+    sweeps = Counter(rec["key"][0] for rec in records)
+    assert sweeps == {"rows": 2000, "engines": 6000, "lag one": 180, "large p": 616, "packed orders": 96, "high orders": 7}
+    assert all(rec["digest"] for rec in records)

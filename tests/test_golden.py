@@ -27,6 +27,7 @@ import sys
 from math import isqrt
 from pathlib import Path
 
+from oracles import residue, trial_division_is_prime
 from test_acceptance import SWEEP_SEED, SWEEP_SIZE, _sample_inputs
 from zxfactor.classify import QuadInput, classify_quadratic
 from zxfactor import classify as classify_module
@@ -38,19 +39,10 @@ SWEEP_DATA = Path(__file__).parent / "data" / "golden_sweep.json"
 SEED = 20071
 
 
-def _is_prime(n: int) -> bool:
-    return n >= 2 and all(n % d for d in range(2, isqrt(n) + 1))
-
-
 def _next_prime(n: int) -> int:
-    while not _is_prime(n):
+    while not trial_division_is_prime(n):
         n += 1
     return n
-
-
-def _qr(u: int, p: int) -> bool:
-    """Euler's criterion for odd p and u coprime to p."""
-    return pow(u, (p - 1) // 2, p) == 1
 
 
 def _unit(rng: random.Random, p: int, bound: int = 60) -> int:
@@ -75,7 +67,7 @@ def _m_eq_nu(rng, nu, ell):
         p = rng.choice((3, 5, 7, 11))
         beta = _unit(rng, p)
         q = rng.randrange(-400, 400)
-        if q % p == 0 or not _qr(q, p) or (q >= 0 and isqrt(q) ** 2 == q):
+        if q % p == 0 or not residue(q, p) or (q >= 0 and isqrt(q) ** 2 == q):
             continue
         num = beta * beta - p ** (2 * ell) * q
         if num % 4 or (num // 4) % p == 0:
@@ -142,7 +134,7 @@ def corpus(seed: int = SEED) -> list[str]:
         elif i == 2:  # beta = 0
             lines.append(_line(p, 2, None, None, _neg_residue(rng, p, p), 8))
         else:  # m = nu with a simple root
-            while (beta * beta - 4 * alpha) % p == 0 or not _qr(beta * beta - 4 * alpha, p):
+            while (beta * beta - 4 * alpha) % p == 0 or not residue(beta * beta - 4 * alpha, p):
                 alpha = rng.randrange(1, p)
             lines.append(_line(p, 2, 1, beta, alpha, 8))
     lines.append(_line(11, 2, 1, 2, 1 - 5 * 11**6, 64))  # repeated root mod 11
@@ -210,7 +202,7 @@ def _neg_residue(rng: random.Random, p: int, bound: int) -> int:
     """A unit alpha with abs(alpha) <= bound and -alpha a residue mod odd p."""
     while True:
         alpha = _unit(rng, p, bound)
-        if _qr(-alpha, p):
+        if residue(-alpha, p):
             return alpha
 
 

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import zxfactor.oracle
-from oracles import brute_roots_mod, brute_square_mod, exhaustive_irreducibility_probe
+from oracles import brute_roots_mod, brute_square_mod, convolution, exhaustive_irreducibility_probe
 from zxfactor.classify import QuadInput, classify_quadratic
 from zxfactor.oracle import _packed, _product_vanishes, verify_factorization
 from zxfactor.series import TruncSeries
@@ -100,14 +100,10 @@ def test_probe_search_budget():
         exhaustive_irreducibility_probe(QuadInput(2, 10, 6, -33, 17), depth=4)
 
 
-def _product(a, b):
-    return [sum(a[i] * b[k - i] for i in range(k + 1)) for k in range(len(a))]
-
-
 def _convolution_report(f, a, b):
     """The report of the plain convolution, term by term."""
     f, a, b = f.coeffs, a.coeffs, b.coeffs
-    residuals = tuple(c - fk for c, fk in zip(_product(a, b), f))
+    residuals = tuple(c - fk for c, fk in zip(convolution(a, b, len(a) - 1), f))
     return residuals, abs(a[0]) != 1, abs(b[0]) != 1
 
 
@@ -134,7 +130,7 @@ def test_verify_matches_the_convolution(order, ha, hb, seed, corrupt, where, del
     # +-2^e plus a small offset, so that slot-sized errors are tried too
     rng = random.Random(seed)
     series = [None, _signed(rng, order, ha), _signed(rng, order, hb)]
-    series[0] = _product(series[1], series[2])
+    series[0] = list(convolution(series[1], series[2], order))
     if corrupt is not None:
         delta = rng.choice((-1, 1)) * ((1 << delta_bits) + rng.randint(-2, 2)) or 1
         series[corrupt][min(where, order)] += delta
@@ -153,7 +149,7 @@ def test_verify_at_the_slot_bound(monkeypatch, signs):
     order, h = 127, 39
     a = [signs[0] * ((1 << h) - 1)] * (order + 1)
     b = [signs[1] * ((1 << h) - 1)] * (order + 1)
-    ab = _product(a, b)
+    ab = convolution(a, b, order)
     w = (2 * h + (order + 1).bit_length() + 2) // 8
     assert 8 * w == 2 * h + (order + 1).bit_length() + 2
     short = 1 << (8 * w - 8)
@@ -217,7 +213,7 @@ def test_verify_rejects_a_corruption_at_every_slot_width(monkeypatch, w):
     h_a = (8 * w - 6) // 2
     a = [rng.choice((-1, 1)) * ((1 << h_a) - 1) for _ in range(order + 1)]
     b = [rng.choice((-1, 1)) * ((1 << (8 * w - 7 - h_a)) - 1) for _ in range(order + 1)]
-    ab = _product(a, b)
+    ab = convolution(a, b, order)
     widths = []
 
     def spy(coeffs, width):

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 import zxfactor.series
-from test_acceptance import convolution
+from oracles import convolution
 from zxfactor.series import (
     TruncSeries,
     _quotient,

@@ -1,6 +1,7 @@
-"""Brute-force references the tests compare the fast paths against.
+"""Brute-force references the tests compare the fast paths against, the
+rows of the classifier's decision table, and a recording spy.
 
-These deliberately re-derive everything by exhaustive scan, so that
+The references deliberately re-derive everything by exhaustive scan, so that
 agreement with the padics and factor modules is meaningful evidence;
 nothing in the package calls them.  The only concessions to speed are a
 cached square table per modulus and, in the irreducibility probe,
@@ -12,7 +13,7 @@ answers exact.
 from functools import lru_cache
 from math import isqrt
 
-from zxfactor.classify import QuadInput
+from zxfactor.classify import QuadInput, VerdictKind
 
 _SQUARE_CAP = 10**7
 _ROOTS_CAP = 10**6
@@ -25,6 +26,61 @@ def _square_table(modulus: int) -> bytes:
     for y in range(modulus):
         table[y * y % modulus] = 1
     return bytes(table)
+
+
+R, I, U = VerdictKind.REDUCIBLE, VerdictKind.IRREDUCIBLE, VerdictKind.UNKNOWN
+#: every row of the decision table as (kind, rule, engine); an UNKNOWN row
+#: carries its reason in place of the rule
+DECISION_ROWS = {
+    (R, "S3.beta0-reducible", "factor_simple_root"),
+    (I, "S3.beta0-irreducible", None),
+    (R, "S4.beta0-reducible", "factor_p2_scaled"),
+    (I, "S4.beta0-irreducible", None),
+    (R, "S3.2m-lt-n", "factor_simple_root"),
+    (R, "S4.2m-lt-n", "factor_simple_root"),
+    (I, "S3.2m-gt-n-odd", None),
+    (I, "S4.2m-gt-n-odd", None),
+    (I, "S4.n-eq-2m", None),
+    (R, "S3.disc-square", "factor_m_eq_nu"),
+    (R, "S3.disc-square", "factor_simple_root"),
+    (I, "S3.disc-nonsquare", None),
+    (R, "S4.disc-square", "factor_p2_m_eq_nu1"),
+    (R, "S4.disc-square", "factor_p2_scaled"),
+    (I, "S4.disc-nonsquare", None),
+    # tailed
+    (U, "beta = 0 with a nonzero tail has no covered criterion", None),
+    (R, "S5.2m-lt-n", "factor_simple_root"),
+    (I, "S5.2m-gt-n-odd", None),
+    (U, "p = 2 with 2m > n even and a tail has no covered criterion", None),
+    (R, "S5.2m-gt-n-even-qr", "factor_simple_root"),
+    (I, "S5.2m-gt-n-even-nonqr", None),
+    (I, "S5.no-root", None),
+    (R, "S5.simple-root", "factor_simple_root"),
+    (I, "S5.double-root-c3-unit", None),
+    (R, "S5.double-root-divisible-tail", "factor_tail"),
+    (
+        U,
+        "double root mod p with p | c_3 but p^2 does not divide every provided "
+        "c_k: reducibility depends on deeper tail coefficients",
+        None,
+    ),
+    (U, "n = 2m with only non-simple roots mod p^m and no covered tail criterion", None),
+}
+
+
+def spy(monkeypatch, name, *modules):
+    """Bind one wrapper to ``name`` on each of ``modules``: it records the
+    arguments of every call and calls what the first module bound there.
+    Returns the list of argument tuples, filled as the calls come."""
+    calls, real = [], getattr(modules[0], name)
+
+    def recording(*args):
+        calls.append(args)
+        return real(*args)
+
+    for module in modules:
+        monkeypatch.setattr(module, name, recording)
+    return calls
 
 
 def trial_division_is_prime(n: int) -> bool:

@@ -13,6 +13,10 @@ The digests pin the seeds and the draw order, so a change that moves one
 draw changes them.  This module does not import pytest: the same lines
 are replayed against another revision of the package by
 ``tools/pair_diff.py``.
+
+``sample_inputs`` draws the quadratic inputs of acceptance criterion 2,
+which the acceptance, classify and golden tests share at ``SWEEP_SIZE``
+draws from ``SWEEP_SEED``.
 """
 
 import random
@@ -51,6 +55,24 @@ def discriminant_p2l(rng, p, ell):
         alpha, rem = divmod(beta * beta - p ** (2 * ell) * unit(rng, p, 40), 4)
         if rem == 0 and alpha % p:
             return beta, alpha
+
+
+SWEEP_SEED = 20260811
+SWEEP_SIZE = 1000
+
+
+def sample_inputs(count, seed):
+    """``count`` seeded tail-free quadratics: p up to 11, n and m in 1..8,
+    beta and alpha units in [-50, 50]."""
+    rng = random.Random(seed)
+    out = []
+    for _ in range(count):
+        p = rng.choice((2, 3, 5, 7, 11))
+        n, m = rng.randint(1, 8), rng.randint(1, 8)
+        beta = rng.choice([b for b in range(-50, 51) if b and b % p])
+        alpha = rng.choice([a for a in range(-50, 51) if a and a % p])
+        out.append(QuadInput(p, n, m, beta, alpha))
+    return out
 
 
 def rows_sweep():

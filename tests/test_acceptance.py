@@ -12,14 +12,13 @@ import time
 import pytest
 
 from oracles import brute_roots_mod, brute_square_mod, convolution, exhaustive_irreducibility_probe
+from pair_sweeps import SWEEP_SEED, SWEEP_SIZE, sample_inputs
 from zxfactor.classify import QuadInput, VerdictKind, classify_general, classify_quadratic, discriminant
 from zxfactor.cli import main as cli_main
 from zxfactor.oracle import verify_factorization
 from zxfactor.padics import _valuation, is_square_zp, root_classes
 from zxfactor.series import TruncSeries, normalize_head
 
-SWEEP_SEED = 20260811
-SWEEP_SIZE = 1000
 SWEEP_ORDER = 64
 
 
@@ -33,21 +32,9 @@ def _passed(num: int, started: float, detail: str = "") -> None:
     print(f"[acceptance] criterion {num}: PASS ({time.perf_counter() - started:.2f}s){extra}")
 
 
-def _sample_inputs(count: int, seed: int):
-    rng = random.Random(seed)
-    out = []
-    for _ in range(count):
-        p = rng.choice((2, 3, 5, 7, 11))
-        n, m = rng.randint(1, 8), rng.randint(1, 8)
-        beta = rng.choice([b for b in range(-50, 51) if b and b % p])
-        alpha = rng.choice([a for a in range(-50, 51) if a and a % p])
-        out.append(QuadInput(p, n, m, beta, alpha))
-    return out
-
-
 @pytest.fixture(scope="module")
 def sweep_inputs():
-    return _sample_inputs(SWEEP_SIZE, SWEEP_SEED)
+    return sample_inputs(SWEEP_SIZE, SWEEP_SEED)
 
 
 def test_criterion_1_worked_examples():
@@ -270,7 +257,7 @@ def test_criterion_8_byte_identical_reruns(capsys):
         json.loads(line)
 
     # the randomized sweep is seed-pinned, so a fresh run reproduces itself too
-    a = [classify_quadratic(q, terms=16) for q in _sample_inputs(50, SWEEP_SEED)]
-    b = [classify_quadratic(q, terms=16) for q in _sample_inputs(50, SWEEP_SEED)]
+    a = [classify_quadratic(q, terms=16) for q in sample_inputs(50, SWEEP_SEED)]
+    b = [classify_quadratic(q, terms=16) for q in sample_inputs(50, SWEEP_SEED)]
     assert a == b
     _passed(8, started)

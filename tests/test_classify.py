@@ -9,6 +9,11 @@ from pathlib import Path
 
 import pytest
 
+import zxfactor.classify
+import zxfactor.factor
+import zxfactor.padics
+from oracles import DECISION_ROWS, spy
+from pair_sweeps import SWEEP_SEED, SWEEP_SIZE, sample_inputs
 from zxfactor.classify import (
     QuadInput,
     RULE_INFO,
@@ -85,18 +90,6 @@ def test_branch_2m_lt_n():
     v = classify_quadratic(q, terms=12)
     assert v.kind is VerdictKind.REDUCIBLE and v.rule == "S4.2m-lt-n"
     assert verify_factorization(q.head_series(12), *v.factors).passed
-
-
-def test_main_theorem_consistency_sample():
-    rng = random.Random(11)
-    for _ in range(250):
-        p = rng.choice((2, 3, 5, 7, 11))
-        n, m = rng.randint(1, 8), rng.randint(1, 8)
-        beta = rng.choice([b for b in range(-50, 51) if b and b % p])
-        alpha = rng.choice([a for a in range(-50, 51) if a and a % p])
-        q = QuadInput(p, n, m, beta, alpha)
-        v = classify_quadratic(q, attach_factors=False)
-        assert (v.kind is VerdictKind.REDUCIBLE) == is_square_zp(discriminant(q), p).is_square
 
 
 def test_every_rule_has_a_citation():
@@ -254,19 +247,8 @@ def test_reducible_factors_have_non_unit_heads():
         assert verify_factorization(q.head_series(24), *v.factors).passed
 
 
-def _sweep(count, seed):
-    """The quadratic sweep of acceptance criteria 2 and 4 (same seed and draws)."""
-    rng = random.Random(seed)
-    for _ in range(count):
-        p = rng.choice((2, 3, 5, 7, 11))
-        n, m = rng.randint(1, 8), rng.randint(1, 8)
-        beta = rng.choice([b for b in range(-50, 51) if b and b % p])
-        alpha = rng.choice([a for a in range(-50, 51) if a and a % p])
-        yield QuadInput(p, n, m, beta, alpha)
-
-
 def test_discriminant_square_class_matches_square_test():
-    inputs = list(_sweep(1000, 20260811))
+    inputs = sample_inputs(SWEEP_SIZE, SWEEP_SEED)
     for p in (3, 5, 7, 10007):
         for n in range(1, 20):
             for alpha in (1, -1, 2, -3, 6, -7):
@@ -368,8 +350,6 @@ def test_defect_constants_split_in_the_close_pass(monkeypatch, c):
     # the ratio of the two primes is near 2 or 3, so Hart's first
     # multipliers split c: neither _split nor rho runs, and the verdict is
     # the one the search gives without the close pass
-    import zxfactor.padics
-
     f = TruncSeries((c, 1, 1))
     with monkeypatch.context() as m:
         m.setattr(zxfactor.padics, "_CLOSE_STEPS", 0)
@@ -403,8 +383,6 @@ def test_general_finds_a_small_prime_before_hart(monkeypatch):
     # 41 * (10^18 + 9): the factor ratio is near no fraction with small
     # terms, so the short close pass finds nothing, and the short rho
     # ahead of the long Hart stage finds 41 at once
-    import zxfactor.padics
-
     hart = zxfactor.padics._hart
 
     def short_hart_only(n, steps):
@@ -465,15 +443,12 @@ def test_bpsw_prime_is_an_assumption():
 @pytest.mark.parametrize("p", (2**89 - 1, 2**127 - 1))
 def test_mersenne_prime_constant_is_a_bpsw_prime(monkeypatch, p):
     # the close pass finds no factor, so the Baillie-PSW test decides
-    import zxfactor.padics
-
-    lucas, strong_lucas = [], zxfactor.padics._strong_lucas_probable_prime
-    monkeypatch.setattr(zxfactor.padics, "_strong_lucas_probable_prime", lambda n: lucas.append(n) or strong_lucas(n))
+    lucas = spy(monkeypatch, "_strong_lucas_probable_prime", zxfactor.padics)
     assert p >= PROVEN_PRIME_BOUND
     for f0 in (p, -p):
         v = classify_general(TruncSeries((f0, 1, 1)))
         assert v.kind is VerdictKind.IRREDUCIBLE and v.rule == "S2.prime" and v.assumption == BPSW
-    assert lucas == [p, p]
+    assert lucas == [(p,), (p,)]
 
 
 def test_limits_refuse_before_building():
@@ -544,86 +519,23 @@ def test_tail_engines_run_no_second_factor_search(monkeypatch):
     # above PROVEN_PRIME_BOUND, so its close pass splits it and only p is
     # tested); the tail engine it picks takes the QuadInput and does not
     # search again
-    import zxfactor.classify
-    import zxfactor.padics
-
-    calls = []
-    is_prime = zxfactor.padics.is_prime
-
-    def counted(n):
-        calls.append(n)
-        return is_prime(n)
-
-    monkeypatch.setattr(zxfactor.padics, "is_prime", counted)
-    monkeypatch.setattr(zxfactor.classify, "is_prime", counted)
+    calls = spy(monkeypatch, "is_prime", zxfactor.padics, zxfactor.classify)
     p = 10**12 + 39
     f = TruncSeries((p * p, 3 * p, 2, 5, 7))
     v = classify_general(f)
     assert v.rule == "S5.simple-root" and verify_factorization(f, *v.factors).passed
-    assert calls == [p]
+    assert calls == [(p,)]
 
 
 def test_simple_root_row_finds_the_root_classes_once(monkeypatch):
     # a unit discriminant core decides the row by Euler's criterion; only
     # the engine, picking its seed, asks for the root classes
-    import zxfactor.classify
-    import zxfactor.factor
-    import zxfactor.padics
-
-    calls = []
-    root_classes = zxfactor.padics._root_classes
-
-    def counted(*args):
-        calls.append(args)
-        return root_classes(*args)
-
-    monkeypatch.setattr(zxfactor.classify, "_root_classes", counted)
-    monkeypatch.setattr(zxfactor.factor, "_root_classes", counted)
+    calls = spy(monkeypatch, "_root_classes", zxfactor.classify, zxfactor.factor)
     p = 10**12 + 39
     f = TruncSeries((p * p, 3 * p, 2, 5, 7))
     v = classify_general(f)
     assert v.rule == "S5.simple-root" and verify_factorization(f, *v.factors).passed
     assert calls == [(1, -3, 2, p, 1)]
-
-
-R, I, U = VerdictKind.REDUCIBLE, VerdictKind.IRREDUCIBLE, VerdictKind.UNKNOWN
-#: every row of the decision table as (kind, rule, engine); an UNKNOWN row
-#: carries its reason in place of the rule
-DECISION_ROWS = {
-    (R, "S3.beta0-reducible", "factor_simple_root"),
-    (I, "S3.beta0-irreducible", None),
-    (R, "S4.beta0-reducible", "factor_p2_scaled"),
-    (I, "S4.beta0-irreducible", None),
-    (R, "S3.2m-lt-n", "factor_simple_root"),
-    (R, "S4.2m-lt-n", "factor_simple_root"),
-    (I, "S3.2m-gt-n-odd", None),
-    (I, "S4.2m-gt-n-odd", None),
-    (I, "S4.n-eq-2m", None),
-    (R, "S3.disc-square", "factor_m_eq_nu"),
-    (R, "S3.disc-square", "factor_simple_root"),
-    (I, "S3.disc-nonsquare", None),
-    (R, "S4.disc-square", "factor_p2_m_eq_nu1"),
-    (R, "S4.disc-square", "factor_p2_scaled"),
-    (I, "S4.disc-nonsquare", None),
-    # tailed
-    (U, "beta = 0 with a nonzero tail has no covered criterion", None),
-    (R, "S5.2m-lt-n", "factor_simple_root"),
-    (I, "S5.2m-gt-n-odd", None),
-    (U, "p = 2 with 2m > n even and a tail has no covered criterion", None),
-    (R, "S5.2m-gt-n-even-qr", "factor_simple_root"),
-    (I, "S5.2m-gt-n-even-nonqr", None),
-    (I, "S5.no-root", None),
-    (R, "S5.simple-root", "factor_simple_root"),
-    (I, "S5.double-root-c3-unit", None),
-    (R, "S5.double-root-divisible-tail", "factor_tail"),
-    (
-        U,
-        "double root mod p with p | c_3 but p^2 does not divide every provided "
-        "c_k: reducibility depends on deeper tail coefficients",
-        None,
-    ),
-    (U, "n = 2m with only non-simple roots mod p^m and no covered tail criterion", None),
-}
 
 
 def test_decision_table_names_known_rules_and_engines():
@@ -648,8 +560,8 @@ def test_decision_table_names_known_rules_and_engines():
                             routed.append((row[2], qt))
     assert rows == DECISION_ROWS
     for kind, rule, engine in rows:
-        assert ("S5.unknown" if kind is U else rule) in RULE_INFO
-        assert (engine is not None) == (kind is R)
+        assert ("S5.unknown" if kind is VerdictKind.UNKNOWN else rule) in RULE_INFO
+        assert (engine is not None) == (kind is VerdictKind.REDUCIBLE)
         if engine is not None:
             assert engine in factor.__all__ and callable(getattr(factor, engine))
     # every input the table routes to an engine passes that engine's own check
@@ -661,6 +573,14 @@ def test_decision_table_names_known_rules_and_engines():
 
 # 2^89 - 1 is prime and above PROVEN_PRIME_BOUND, so its verdicts carry the BPSW note
 DECISION_PRIMES = (2, 3, 5, 7, 11, 13, 101, 2**61 - 1, 2**89 - 1)
+
+
+def _fields(v) -> tuple:
+    """The eight fields of a Verdict as plain values, as the sweeps hash them."""
+    cert = None if v.certificate is None else tuple(v.certificate)
+    factors = None if v.factors is None else tuple(s.coeffs for s in v.factors)
+    return (v.kind.value, v.rule, v.zp_reducible, cert, factors, v.verified_order, v.assumption,
+            v.conditional_on_truncation)
 
 
 def _decisions_sweep():
@@ -691,10 +611,7 @@ def _decisions_sweep():
             alpha += 1
         v = classify_quadratic(QuadInput(p, n, m, beta, alpha), attach_factors=False)
         rules.add(v.rule)
-        cert = None if v.certificate is None else tuple(v.certificate)
-        fields = (v.kind.value, v.rule, v.zp_reducible, cert, v.factors, v.verified_order, v.assumption,
-                  v.conditional_on_truncation)
-        lines.append(repr((p, n, m, beta, alpha) + fields))
+        lines.append(repr((p, n, m, beta, alpha) + _fields(v)))
     return hashlib.sha256("\n".join(lines).encode()).hexdigest(), rules
 
 
@@ -777,11 +694,7 @@ def _general_sweep():
         v = classify_general(TruncSeries(coeffs))
         rules.add(v.rule)
         notes += v.assumption is not None and v.assumption.endswith(BPSW)
-        cert = None if v.certificate is None else tuple(v.certificate)
-        factors = None if v.factors is None else tuple(s.coeffs for s in v.factors)
-        fields = (v.kind.value, v.rule, v.zp_reducible, cert, factors, v.verified_order, v.assumption,
-                  v.conditional_on_truncation)
-        lines.append(repr((tuple(coeffs),) + fields))
+        lines.append(repr((tuple(coeffs),) + _fields(v)))
     return hashlib.sha256("\n".join(lines).encode()).hexdigest(), rules, notes
 
 

@@ -7,6 +7,9 @@ from pathlib import Path
 
 import pytest
 
+import zxfactor.classify
+import zxfactor.padics
+from oracles import spy
 from zxfactor.cli import main
 
 
@@ -634,22 +637,11 @@ def test_classify_tailed_input_above_the_p_bit_limit(capsys):
 def test_classify_tailed_input_proves_p_once(monkeypatch, capsys):
     # the QuadInput the CLI builds proves p; the tailed classification
     # does not search the constant term p^n again
-    import zxfactor.classify
-    import zxfactor.padics
-
-    calls = []
-    is_prime = zxfactor.padics.is_prime
-
-    def counted(n):
-        calls.append(n)
-        return is_prime(n)
-
-    monkeypatch.setattr(zxfactor.padics, "is_prime", counted)
-    monkeypatch.setattr(zxfactor.classify, "is_prime", counted)
+    calls = spy(monkeypatch, "is_prime", zxfactor.padics, zxfactor.classify)
     code, out = run(capsys, "classify", "--p", "1000000000039", "--n", "2", "--m", "1",
                     "--beta", "3", "--alpha", "2", "--tail=5,7", "--format", "json")
     assert code == 0 and json.loads(out)["verdict"]["rule"] == "S5.simple-root"
-    assert calls == [1000000000039]
+    assert calls == [(1000000000039,)]
 
 
 def test_python_dash_m_runs_the_cli(capsys):
@@ -676,8 +668,7 @@ def test_cli_import_loads_neither_dataclasses_nor_inspect():
 def test_parser_is_built_once_per_process(monkeypatch, capsys):
     from zxfactor import cli
 
-    built, input_parser = [], cli._input_parser
-    monkeypatch.setattr(cli, "_input_parser", lambda: built.append(1) or input_parser())
+    built = spy(monkeypatch, "_input_parser", cli)
     cli._build_parser.cache_clear()
     argv = ["classify", "--p", "7", "--n", "2", "--m", "1", "--beta", "3", "--alpha", "2", "--format", "json"]
     try:

@@ -28,6 +28,7 @@ import sys
 from pathlib import Path
 
 import zxfactor
+from oracles import spy
 
 ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = ROOT / "src" / "zxfactor"
@@ -121,13 +122,6 @@ def test_classifier_looks_its_engine_up_at_call_time(monkeypatch):
     from zxfactor import factor
     from zxfactor.classify import QuadInput, classify_quadratic
 
-    calls = []
-    engine = factor.factor_simple_root
-
-    def spy(*args):
-        calls.append(args)
-        return engine(*args)
-
-    monkeypatch.setattr(factor, "factor_simple_root", spy)
+    calls = spy(monkeypatch, "factor_simple_root", factor)
     classify_quadratic(QuadInput(3, 5, 2, 2, 1), terms=8)
     assert len(calls) == 1

@@ -26,7 +26,7 @@ from zxfactor.oracle import verify_factorization
 from zxfactor.padics import _square_class, _valuation, is_square_zp
 from zxfactor.series import TruncSeries
 
-from oracles import canonical_simple_root_pair
+from oracles import canonical_simple_root_pair, spy
 from pair_sweeps import engines_sweep, lag_one_sweep, large_p_sweep, packed_orders_sweep, rows_sweep
 
 RNG_SEED = 42
@@ -484,8 +484,9 @@ def test_lag_one_rows_keep_their_pairs():
     ],
 )
 def test_running_product_gives_the_plain_sum_pair(monkeypatch, engine, q, order, regime):
-    widths = _widths(monkeypatch)
+    reslots = spy(monkeypatch, "_reslot", factor_module)
     pair = engine(q, order)
+    widths = _widths(reslots)
     # The regime, read from the pair: the lift packs each pair while
     # h_a + bits(b_m) + bitlen(N+1) + 1 fits the slots, and the first b_m
     # that does not widens them (R, PA and PB each re-slotted once) unless
@@ -544,18 +545,11 @@ def _plain_sums(a, b, k, lag=1):
 _SHAPES = ((0, 1), (1, 2), (1, 3), (2, 3))
 
 
-def _widths(monkeypatch):
-    """The list of the widths _cross_sums widens to, filled as it runs: one
-    entry per integer re-slotted, three (R, PA and PB) per widening."""
-    widths = []
-    reslot = factor_module._reslot
-
-    def spy(v, w, wide):
-        widths.append(wide)
-        return reslot(v, w, wide)
-
-    monkeypatch.setattr(factor_module, "_reslot", spy)
-    return widths
+def _widths(reslots):
+    """The widths _cross_sums widened to, read from the recorded _reslot
+    calls: one entry per integer re-slotted, three (R, PA and PB) per
+    widening."""
+    return [wide for _, _, wide in reslots]
 
 
 @pytest.mark.parametrize(
@@ -679,9 +673,9 @@ def test_cross_sums_widen_at_a_break(monkeypatch, n, at, wide, sign):
     # each.  These rows round to one width at every lag.
     a, b = _stepped(n, [(at, 40)], sign)
     for lag, k in _SHAPES:
-        widths = _widths(monkeypatch)
+        reslots = spy(monkeypatch, "_reslot", factor_module)
         assert _driven_sums(a, b, 20, k, lag) == _plain_sums(a, b, k, lag)
-        assert widths == [wide] * 3
+        assert _widths(reslots) == [wide] * 3
 
 
 @pytest.mark.parametrize("sign", [1, -1])
@@ -702,9 +696,9 @@ def test_cross_sums_widen_twice(monkeypatch, sign):
     for steps, by_lag in cases:
         a, b = _stepped(127, steps, sign)
         for lag, k in _SHAPES:
-            widths = _widths(monkeypatch)
+            reslots = spy(monkeypatch, "_reslot", factor_module)
             assert _driven_sums(a, b, 20, k, lag) == _plain_sums(a, b, k, lag)
-            assert widths == by_lag[lag]
+            assert _widths(reslots) == by_lag[lag]
 
 
 @pytest.mark.parametrize("sign", [1, -1])
@@ -714,9 +708,9 @@ def test_cross_sums_stay_plain_past_the_cap(monkeypatch, sign):
     # stage 20 on are plain, also once b falls back to 10 bits at stage 40
     a, b = _stepped(127, [(20, 60), (40, 10)], sign)
     for lag, k in _SHAPES:
-        widths = _widths(monkeypatch)
+        reslots = spy(monkeypatch, "_reslot", factor_module)
         assert _driven_sums(a, b, 20, k, lag) == _plain_sums(a, b, k, lag)
-        assert widths == []
+        assert _widths(reslots) == []
 
 
 @pytest.mark.parametrize("sign", [1, -1])
@@ -734,9 +728,9 @@ def test_cross_sums_widen_at_the_third_seed(monkeypatch, sign):
         a = [9, 1] + [2**40 - 1] * (n - 1)
         b = [9, 1] + [(2**10 - 1) * sign**i for i in range(2, n + 1)]
         for lag, k in _SHAPES:
-            widths = _widths(monkeypatch)
+            reslots = spy(monkeypatch, "_reslot", factor_module)
             assert _driven_sums(a, b, 40, k, lag) == _plain_sums(a, b, k, lag)
-            assert widths == [by_lag[lag]] * 3
+            assert _widths(reslots) == [by_lag[lag]] * 3
 
 
 @pytest.mark.parametrize("w, wide", [(8, 16), (56, 64), (64, 72)])

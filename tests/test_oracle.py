@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import zxfactor.oracle
-from oracles import brute_roots_mod, brute_square_mod, convolution, exhaustive_irreducibility_probe
+from oracles import brute_roots_mod, brute_square_mod, convolution, exhaustive_irreducibility_probe, spy
 from zxfactor.classify import QuadInput, classify_quadratic
 from zxfactor.oracle import _packed, _product_vanishes, verify_factorization
 from zxfactor.series import TruncSeries
@@ -159,20 +159,14 @@ def test_verify_at_the_slot_bound(monkeypatch, signs):
         digit = (rest + short // 2) % short - short // 2
         digits.append(digit)
         rest = (rest - digit) // short
-    widths = []
-
-    def spy(coeffs, width):
-        widths.append(width)
-        return _packed(coeffs, width)
-
-    monkeypatch.setattr(zxfactor.oracle, "_packed", spy)
+    packed = spy(monkeypatch, "_packed", zxfactor.oracle)
     pair = TruncSeries(a), TruncSeries(b)
     for f in (TruncSeries(digits), TruncSeries([-c for c in ab])):
         report = verify_factorization(f, *pair)
         assert not report.passed
         assert (report.residuals, report.a0_proper, report.b0_proper) == _convolution_report(f, *pair)
     assert verify_factorization(TruncSeries(ab), *pair).passed
-    assert set(widths) == {w} and len(widths) == 9
+    assert {width for _, width in packed} == {w} and len(packed) == 9
 
 
 def test_verify_takes_the_cheaper_path():
@@ -214,13 +208,7 @@ def test_verify_rejects_a_corruption_at_every_slot_width(monkeypatch, w):
     a = [rng.choice((-1, 1)) * ((1 << h_a) - 1) for _ in range(order + 1)]
     b = [rng.choice((-1, 1)) * ((1 << (8 * w - 7 - h_a)) - 1) for _ in range(order + 1)]
     ab = convolution(a, b, order)
-    widths = []
-
-    def spy(coeffs, width):
-        widths.append(width)
-        return _packed(coeffs, width)
-
-    monkeypatch.setattr(zxfactor.oracle, "_packed", spy)
+    packed = spy(monkeypatch, "_packed", zxfactor.oracle)
     assert verify_factorization(*map(TruncSeries, (ab, a, b))).residuals == (0,) * (order + 1)
     corrupted = []
     for k in range(order + 1):
@@ -235,4 +223,4 @@ def test_verify_rejects_a_corruption_at_every_slot_width(monkeypatch, w):
         report = verify_factorization(f, a2, b2)
         assert any(report.residuals)
         assert (report.residuals, report.a0_proper, report.b0_proper) == _convolution_report(f, a2, b2)
-    assert set(widths) == {w} and len(widths) == 3 * (1 + len(corrupted))
+    assert {width for _, width in packed} == {w} and len(packed) == 3 * (1 + len(corrupted))

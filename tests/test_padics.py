@@ -6,7 +6,7 @@ from math import gcd, isqrt, log2
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from oracles import brute_roots_mod, brute_square_mod, trial_division_is_prime
+from oracles import brute_roots_mod, brute_square_mod, spy, trial_division_is_prime
 from test_acceptance import expand_roots
 from zxfactor import padics
 from zxfactor.limits import LIMITS
@@ -132,19 +132,6 @@ def test_lift_roots_examples():
 def test_lift_roots_rejects_vanishing_polynomial():
     with pytest.raises(ValueError):
         root_classes(9, 27, 81, 3, 2)
-
-
-def test_lift_roots_against_oracle():
-    rng = random.Random(7)
-    for _ in range(60):
-        p = rng.choice((2, 3, 5, 7))
-        k = rng.randint(1, 5)
-        while p**k > 10**5:
-            k -= 1
-        A, B, C = (rng.randint(-30, 30) for _ in range(3))
-        if A % p**k == 0 and B % p**k == 0 and C % p**k == 0:
-            continue
-        assert expand_roots(A, B, C, p, k) == brute_roots_mod(A, B, C, p, k)
 
 
 @st.composite
@@ -426,17 +413,14 @@ CLOSE_BUT_COMPOSITE = {
 @pytest.mark.parametrize("r", CLOSE_BUT_COMPOSITE)
 def test_close_pass_parts_go_back_to_the_queue(monkeypatch, r):
     sympy = pytest.importorskip("sympy")
-    import zxfactor.padics
-
     d, primes = CLOSE_BUT_COMPOSITE[r]
     assert _hart(r, _CLOSE_STEPS) == d
     assert is_prime(d) + is_prime(r // d) == primes
-    split, calls = zxfactor.padics._split, []
-    monkeypatch.setattr(zxfactor.padics, "_split", lambda n: calls.append(n) or split(n))
+    calls = spy(monkeypatch, "_split", padics)
     q, e = min(sympy.factorint(r).items(), key=lambda block: block[0] ** block[1])
     assert _smallest_block(r) == (q, e)
     # d and r // d are searched on their own: the whole r is never split
-    assert r not in calls
+    assert (r,) not in calls
 
 
 def test_factor_search_matches_factorint_on_close_primes():
@@ -575,16 +559,10 @@ DEFECT_CONSTANTS = {
 }
 
 
-def _spy(monkeypatch, name):
-    calls, real = [], getattr(padics, name)
-    monkeypatch.setattr(padics, name, lambda *args: calls.append(args) or real(*args))
-    return calls
-
-
 def test_close_primes_above_the_bound_skip_the_probable_prime_test(monkeypatch):
-    lucas = _spy(monkeypatch, "_strong_lucas_probable_prime")
-    power = _spy(monkeypatch, "_perfect_power_root")
-    hart = _spy(monkeypatch, "_hart")
+    lucas = spy(monkeypatch, "_strong_lucas_probable_prime", padics)
+    power = spy(monkeypatch, "_perfect_power_root", padics)
+    hart = spy(monkeypatch, "_hart", padics)
     for c, parts in DEFECT_CONSTANTS.items():
         assert c >= PROVEN_PRIME_BOUND
         assert _smallest_block(c) == (min(parts), 1)
@@ -594,7 +572,7 @@ def test_close_primes_above_the_bound_skip_the_probable_prime_test(monkeypatch):
 
 
 def test_close_pass_runs_once_per_cofactor(monkeypatch, above_bound_corpus):
-    hart = _spy(monkeypatch, "_hart")
+    hart = spy(monkeypatch, "_hart", padics)
     for x in above_bound_corpus:
         _search_outcome(x)
         close = [n for n, steps in hart if steps == _CLOSE_STEPS]
@@ -604,8 +582,8 @@ def test_close_pass_runs_once_per_cofactor(monkeypatch, above_bound_corpus):
 
 def test_square_above_the_bound_takes_its_root_once(monkeypatch):
     q = 10**12 + 39
-    tested = _spy(monkeypatch, "is_prime")
-    power = _spy(monkeypatch, "_perfect_power_root")
+    tested = spy(monkeypatch, "is_prime", padics)
+    power = spy(monkeypatch, "_perfect_power_root", padics)
     for x, block in ((q * q, (q, 2)), (7**3 * q * q, (7, 3))):
         assert _smallest_block(x) == block
         assert tested == [(q,)] and power == []
@@ -675,8 +653,8 @@ def test_close_pass_comes_before_the_trial_proof(monkeypatch):
     # close pass too, not shown free of factors below 542197 by dividing
     # it by every odd number up to there
     a, b = 542197 * 1626613, 664177 * 1327877
-    hart = _spy(monkeypatch, "_hart")
-    trial = _spy(monkeypatch, "prod")
+    hart = spy(monkeypatch, "_hart", padics)
+    trial = spy(monkeypatch, "prod", padics)
     assert _smallest_block(a * b) == (542197, 1)
     assert (b, _CLOSE_STEPS) in hart and trial == []
 

@@ -7,6 +7,7 @@ import pytest
 
 import zxfactor.classify
 import zxfactor.padics
+from oracles import spy
 from zxfactor.classify import (
     QuadInput,
     Verdict,
@@ -156,28 +157,17 @@ def test_classify_general_proves_p_once(monkeypatch):
     # test_classify_general_tests_a_square_below_the_bound_then_its_root);
     # the head and the zero-tail fallback rebuild their QuadInput without
     # a second proof
-    calls = []
-    is_prime = zxfactor.padics.is_prime
-
-    def counted(n):
-        calls.append(n)
-        return is_prime(n)
-
-    monkeypatch.setattr(zxfactor.padics, "is_prime", counted)
-    monkeypatch.setattr(zxfactor.classify, "is_prime", counted)
+    calls = spy(monkeypatch, "is_prime", zxfactor.padics, zxfactor.classify)
     verdict = classify_general(TruncSeries((P * P, 0, 2, 0)))
     assert verdict.rule == "S3.beta0-irreducible" and verdict.conditional_on_truncation
-    assert calls == [P]
+    assert calls == [(P,)]
 
 
 def test_classify_general_tests_a_square_below_the_bound_then_its_root(monkeypatch):
     # below PROVEN_PRIME_BOUND the search tests q^2, then its root q
     q = 10**9 + 7
     assert q * q < zxfactor.padics.PROVEN_PRIME_BOUND
-    calls = []
-    is_prime = zxfactor.padics.is_prime
-    monkeypatch.setattr(zxfactor.padics, "is_prime", lambda n: calls.append(n) or is_prime(n))
-    monkeypatch.setattr(zxfactor.classify, "is_prime", lambda n: calls.append(n) or is_prime(n))
+    calls = spy(monkeypatch, "is_prime", zxfactor.padics, zxfactor.classify)
     verdict = classify_general(TruncSeries((q * q, 0, 2, 0)))
     assert verdict.rule == "S3.beta0-irreducible" and verdict.conditional_on_truncation
-    assert calls == [q * q, q]
+    assert calls == [(q * q,), (q,)]

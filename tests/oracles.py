@@ -1,5 +1,6 @@
 """Brute-force references the tests compare the fast paths against, the
-rows of the classifier's decision table, and a recording spy.
+rows of the classifier's decision table, the inputs shared by more than
+one test module, a pair check and a recording spy.
 
 The references deliberately re-derive everything by exhaustive scan, so that
 agreement with the padics and factor modules is meaningful evidence;
@@ -14,6 +15,8 @@ from functools import lru_cache
 from math import isqrt
 
 from zxfactor.classify import QuadInput, VerdictKind
+from zxfactor.oracle import verify_factorization
+from zxfactor.padics import root_classes
 
 _SQUARE_CAP = 10**7
 _ROOTS_CAP = 10**6
@@ -66,6 +69,30 @@ DECISION_ROWS = {
     ),
     (U, "n = 2m with only non-simple roots mod p^m and no covered tail criterion", None),
 }
+
+
+# padic-wide's known-defect constants: the 12- and 13-base strong
+# pseudoprimes and nextprime(10^20) * nextprime(3 * 10^20), each a product
+# of two primes with ratio near 2 or 3
+DEFECT_CONSTANTS = {
+    318665857834031151167461: (399165290221, 798330580441),
+    3317044064679887385961981: (1287836182261, 2575672364521),
+    100000000000000000039 * 300000000000000000053: (100000000000000000039, 300000000000000000053),
+}
+
+
+def check_pair(f, pair) -> None:
+    """The pair multiplies to the series f through its order, and neither
+    head is a unit; a_0*b_0 = f_0 is then p^n for a QuadInput's head."""
+    report = verify_factorization(f, *pair)
+    assert report.passed, report
+    a0, b0 = pair[0].coeffs[0], pair[1].coeffs[0]
+    assert a0 * b0 == f.coeffs[0] and abs(a0) != 1 and abs(b0) != 1
+
+
+def expand_roots(A: int, B: int, C: int, p: int, K: int) -> list[int]:
+    """Every root of A*y^2 + B*y + C mod p^K, expanded from its residue classes."""
+    return sorted(y for r, j in root_classes(A, B, C, p, K) for y in range(r, p**K, p**j))
 
 
 def spy(monkeypatch, name, *modules):

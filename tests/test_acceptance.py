@@ -11,20 +11,15 @@ import time
 
 import pytest
 
-from oracles import brute_roots_mod, brute_square_mod, convolution, exhaustive_irreducibility_probe
+from oracles import brute_roots_mod, brute_square_mod, convolution, exhaustive_irreducibility_probe, expand_roots
 from pair_sweeps import SWEEP_SEED, SWEEP_SIZE, sample_inputs
 from zxfactor.classify import QuadInput, VerdictKind, classify_general, classify_quadratic, discriminant
 from zxfactor.cli import main as cli_main
 from zxfactor.oracle import verify_factorization
-from zxfactor.padics import _valuation, is_square_zp, root_classes
+from zxfactor.padics import _valuation, is_square_zp
 from zxfactor.series import TruncSeries, normalize_head
 
 SWEEP_ORDER = 64
-
-
-def expand_roots(A: int, B: int, C: int, p: int, K: int) -> list[int]:
-    """Every root of A*y^2 + B*y + C mod p^K, expanded from its residue classes."""
-    return sorted(y for r, j in root_classes(A, B, C, p, K) for y in range(r, p**K, p**j))
 
 
 def _passed(num: int, started: float, detail: str = "") -> None:

@@ -12,7 +12,7 @@ import pytest
 import zxfactor.classify
 import zxfactor.factor
 import zxfactor.padics
-from oracles import DECISION_ROWS, spy
+from oracles import DECISION_ROWS, DEFECT_CONSTANTS, I, R, U, check_pair, spy
 from pair_sweeps import SWEEP_SEED, SWEEP_SIZE, sample_inputs
 from zxfactor.classify import (
     QuadInput,
@@ -29,6 +29,117 @@ from zxfactor.padics import PROVEN_PRIME_BOUND, _smallest_block, is_prime, is_sq
 from zxfactor.series import TruncSeries
 
 SRC = Path(__file__).resolve().parents[1] / "src"
+
+
+UNIT, ZERO = VerdictKind.UNIT, VerdictKind.ZERO_SERIES
+
+#: one worked example per branch of the case analysis, as (input, terms,
+#: kind, rule, pins).  A QuadInput is answered by classify_quadratic
+#: through terms, a coefficient tuple (terms None) by classify_general.
+#: A pin is a Verdict field and its value; "assumption" is a substring,
+#: and "a" and "b" are prefixes of the factors' coefficients.
+RULE_EXAMPLES = [
+    (QuadInput(3, 3, 2, 1, 1), 64, I, "S3.2m-gt-n-odd", {"zp_reducible": False}),
+    (QuadInput(2, 3, 2, 1, 1), 64, I, "S4.2m-gt-n-odd", {"zp_reducible": False}),
+    (QuadInput(2, 2, 1, 1, 1), 64, I, "S4.n-eq-2m", {}),
+    (QuadInput(7, 2, 1, 3, 2), 8, R, "S3.disc-square", {"a": (7, 1), "b": (7, 2), "verified_order": 8}),
+    # disc = 7^4 * 37 with 37 = 2 a residue mod 7, so this is reducible
+    (QuadInput(7, 4, 3, 1, 3), 8, R, "S3.disc-square", {"zp_reducible": True}),
+    # beta^2 - 4*alpha = 8 = 3 mod 5 is a non-residue
+    (QuadInput(5, 2, 1, 2, -1), 8, I, "S3.disc-nonsquare", {"zp_reducible": False}),
+    (QuadInput(2, 2, 3, 1, 3), 8, R, "S4.disc-square", {}),
+    (QuadInput(2, 2, 4, 1, 3), 8, I, "S4.disc-nonsquare", {"zp_reducible": False}),
+    (QuadInput(5, 2, None, None, 1), 8, R, "S3.beta0-reducible", {}),
+    (QuadInput(3, 2, None, None, 1), 64, I, "S3.beta0-irreducible", {}),
+    (QuadInput(2, 4, None, None, 7), 8, R, "S4.beta0-reducible", {}),  # -7 = 1 mod 8
+    (QuadInput(2, 3, None, None, 7), 64, I, "S4.beta0-irreducible", {}),
+    (QuadInput(5, 3, 1, 1, 1), 8, R, "S3.2m-lt-n", {}),
+    (QuadInput(2, 3, 1, 1, 1), 12, R, "S4.2m-lt-n", {}),
+    ((0, 0, 0), None, ZERO, "S2.zero-series", {}),
+    ((1, 7, 9), None, UNIT, "S2.unit", {}),
+    ((-1, 3), None, UNIT, "S2.unit", {}),
+    ((7, 4, 4), None, I, "S2.prime", {}),
+    ((-3, 9, 9), None, I, "S2.prime", {}),
+    # a constant +-p^n with n >= 2 splits as p times p^(n-1), for the zero extension
+    ((8,), None, R, "S2.constant", {"a": (2,), "b": (4,), "conditional_on_truncation": True}),
+    ((-8,), None, R, "S2.constant", {"a": (-2,), "b": (4,), "conditional_on_truncation": True}),
+    ((9,), None, R, "S2.constant", {"a": (3,), "b": (3,), "conditional_on_truncation": True}),
+    ((0, 1, 7), None, I, "S2.x-associate", {}),
+    ((0, 2, 7), None, R, "S2.x-factor", {"a": (0, 1), "b": (2,)}),
+    # x^2 * unit is still reducible: the cofactor x*(unit) is a non-unit
+    ((0, 0, 1, 5), None, R, "S2.x-factor", {}),
+    ((6, 2, 1), None, R, "S2.coprime-split", {"a": (2, 0, 1), "b": (3, 1, -1)}),
+    ((9, 3, 6), None, R, "S2.content-p", {"a": (3,), "conditional_on_truncation": True}),
+    ((9, 3, 3, 1), None, U, "unknown.no-rule", {}),
+    ((4, 1, 1), None, I, "S3.remark-m0", {"zp_reducible": True}),
+    ((9, 1, 1), None, I, "S3.remark-m0", {"zp_reducible": True}),
+    ((25, 1, 1), None, I, "S3.remark-m0", {"zp_reducible": True}),
+    ((49, 1, 1), None, I, "S3.remark-m0", {"zp_reducible": True}),
+    ((8, 2, 1, 5, 0), None, R, "S5.2m-lt-n", {}),
+    ((27, 9, 1, 1), None, I, "S5.2m-gt-n-odd", {}),
+    ((9, 27, -1, 4, 0, 0), None, R, "S5.2m-gt-n-even-qr", {}),
+    ((9, 27, 1, 4), None, I, "S5.2m-gt-n-even-nonqr", {}),
+    ((4, 2, 1, 9, 3), None, I, "S4.n-eq-2m", {}),
+    ((49, 21, 2, 7, 0, 0), None, R, "S5.simple-root", {}),
+    ((9, -3, -1, 5), None, I, "S5.no-root", {}),  # y^2 + y - 1 has no root mod 3
+    # the double root: a unit c_3 decides, p | c_3 alone does not, p^2 | c_k for every k does
+    ((9, 3, -2, 1), None, I, "S5.double-root-c3-unit", {}),
+    ((9, 3, -2, 3), None, U, "S5.unknown", {"assumption": "p^2 does not divide every provided c_k"}),
+    ((9, 3, -2, 9, 0, 0, 18), None, R, "S5.double-root-divisible-tail", {"conditional_on_truncation": True}),
+    # no tail criterion covers p = 2 with 2m > n even, or beta = 0: an all-zero
+    # tail is answered for the zero extension, flagged
+    ((4, 8, 3, 1), None, U, "S5.unknown", {"assumption": "p = 2 with 2m > n even"}),
+    ((4, 8, 3, 0, 0, 0), None, R, "S4.disc-square", {"conditional_on_truncation": True}),
+    ((25, 0, 1, 5), None, U, "S5.unknown", {"assumption": "beta = 0 with a nonzero tail"}),
+    ((25, 0, 1, 0, 0), None, R, "S3.beta0-reducible", {"conditional_on_truncation": True}),
+]
+
+
+def _example_id(given, rule) -> str:
+    shown = f"q{tuple(given[:5])}" if isinstance(given, QuadInput) else f"f{given}"
+    return rule + "-" + shown.replace(" ", "")
+
+
+@pytest.mark.parametrize(
+    "given, terms, kind, rule, pins", RULE_EXAMPLES, ids=[_example_id(row[0], row[3]) for row in RULE_EXAMPLES]
+)
+def test_rule_example(given, terms, kind, rule, pins):
+    if isinstance(given, QuadInput):
+        f, v = given.head_series(terms), classify_quadratic(given, terms)
+    else:
+        f = TruncSeries(given)
+        v = classify_general(f)
+    assert (v.kind, v.rule) == (kind, rule)
+    for field, want in pins.items():
+        if field in ("a", "b"):
+            assert v.factors["ab".index(field)].coeffs[: len(want)] == want, field
+        elif field == "assumption":
+            assert want in v.assumption
+        else:
+            assert getattr(v, field) == want, field
+    if v.factors is not None:
+        check_pair(f, v.factors)
+
+
+def test_rule_examples_reach_every_tag():
+    assert {rule for _, _, _, rule, _ in RULE_EXAMPLES} == set(RULE_INFO)
+
+
+def test_every_rule_has_a_citation():
+    assert all(isinstance(text, str) and text for text in RULE_INFO.values())
+
+
+def test_rule5_fires_exactly_on_unit_linear_coefficient():
+    # flipping f_1 to a multiple of p must leave the rule-5 branch
+    assert classify_general(TruncSeries((9, 1, 1, 0))).rule == "S3.remark-m0"
+    assert classify_general(TruncSeries((9, 3, 1, 0))).rule == "S3.disc-nonsquare"
+
+
+def test_general_negative_prime_power_head():
+    f = TruncSeries((-49, -21, -2, 0, 0))
+    v = classify_general(f)
+    assert (v.kind, v.rule) == (R, "S5.simple-root")
+    check_pair(f, v.factors)
 
 
 def test_quad_input_validation():
@@ -48,185 +159,6 @@ def test_quad_input_validation():
 def test_classify_rejects_tail():
     with pytest.raises(ValueError, match="classify_general"):
         classify_quadratic(QuadInput(5, 2, 1, 1, 1, tail=(1,)))
-
-
-def test_branch_2m_gt_n_odd():
-    v = classify_quadratic(QuadInput(3, 3, 2, 1, 1))
-    assert v.kind is VerdictKind.IRREDUCIBLE and v.rule == "S3.2m-gt-n-odd"
-    assert v.zp_reducible is False
-
-
-def test_branch_p2_n_eq_2m():
-    v = classify_quadratic(QuadInput(2, 2, 1, 1, 1))
-    assert v.kind is VerdictKind.IRREDUCIBLE and v.rule == "S4.n-eq-2m"
-
-
-def test_branch_disc_square_with_factors():
-    v = classify_quadratic(QuadInput(7, 2, 1, 3, 2), terms=8)
-    assert v.kind is VerdictKind.REDUCIBLE and v.rule == "S3.disc-square"
-    a, b = v.factors
-    assert {a.coeffs[:2], b.coeffs[:2]} == {(7, 1), (7, 2)}
-    assert v.verified_order == 8
-
-
-def test_branch_p2_m_gt_nu1():
-    q = QuadInput(2, 2, 3, 1, 3)
-    v = classify_quadratic(q, terms=8)
-    assert v.kind is VerdictKind.REDUCIBLE
-    assert verify_factorization(q.head_series(8), *v.factors).passed
-
-
-def test_branch_beta_zero():
-    v = classify_quadratic(QuadInput(5, 2, None, None, 1), terms=8)
-    assert v.kind is VerdictKind.REDUCIBLE and v.rule == "S3.beta0-reducible"
-    v = classify_quadratic(QuadInput(3, 2, None, None, 1))
-    assert v.kind is VerdictKind.IRREDUCIBLE and v.rule == "S3.beta0-irreducible"
-    v = classify_quadratic(QuadInput(2, 3, None, None, 7))
-    assert v.kind is VerdictKind.IRREDUCIBLE and v.rule == "S4.beta0-irreducible"
-
-
-def test_branch_2m_lt_n():
-    q = QuadInput(2, 3, 1, 1, 1)
-    v = classify_quadratic(q, terms=12)
-    assert v.kind is VerdictKind.REDUCIBLE and v.rule == "S4.2m-lt-n"
-    assert verify_factorization(q.head_series(12), *v.factors).passed
-
-
-def test_every_rule_has_a_citation():
-    assert all(isinstance(text, str) and text for text in RULE_INFO.values())
-
-
-def test_general_unit():
-    assert classify_general(TruncSeries((1, 7, 9))).kind is VerdictKind.UNIT
-    assert classify_general(TruncSeries((-1, 3))).kind is VerdictKind.UNIT
-
-
-def test_general_prime_constant():
-    v = classify_general(TruncSeries((7, 4, 4)))
-    assert v.kind is VerdictKind.IRREDUCIBLE and v.rule == "S2.prime"
-    assert classify_general(TruncSeries((-3, 9, 9))).kind is VerdictKind.IRREDUCIBLE
-
-
-def test_general_constant_prime_power():
-    # a constant +-p^n with n >= 2 splits as p times p^(n-1), for the zero extension
-    for c, pair in ((8, ((2,), (4,))), (-8, ((-2,), (4,))), (9, ((3,), (3,)))):
-        f = TruncSeries([c])
-        v = classify_general(f)
-        assert v.kind is VerdictKind.REDUCIBLE and v.rule == "S2.constant"
-        assert v.conditional_on_truncation
-        assert tuple(s.coeffs for s in v.factors) == pair
-        assert verify_factorization(f, *v.factors).passed
-
-
-def test_general_zero_and_x_rules():
-    assert classify_general(TruncSeries((0, 0, 0))).kind is VerdictKind.ZERO_SERIES
-    assert classify_general(TruncSeries((0, 1, 7))).rule == "S2.x-associate"
-    v = classify_general(TruncSeries((0, 2, 7)))
-    assert v.kind is VerdictKind.REDUCIBLE and v.rule == "S2.x-factor"
-    assert v.factors[0].coeffs[1] == 1 and v.factors[1].coeffs[0] == 2
-    # x^2 * unit is still reducible: the cofactor x*(unit) is a non-unit
-    assert classify_general(TruncSeries((0, 0, 1, 5))).kind is VerdictKind.REDUCIBLE
-
-
-def test_general_coprime_split():
-    f = TruncSeries((6, 2, 1))
-    v = classify_general(f)
-    assert v.kind is VerdictKind.REDUCIBLE and v.rule == "S2.coprime-split"
-    assert v.factors[0].coeffs == (2, 0, 1) and v.factors[1].coeffs == (3, 1, -1)
-    assert verify_factorization(f, *v.factors).passed
-
-
-def test_general_rule5_power_head():
-    for p in (2, 3, 5, 7):
-        v = classify_general(TruncSeries((p * p, 1, 1)))
-        assert v.kind is VerdictKind.IRREDUCIBLE and v.rule == "S3.remark-m0"
-        assert v.zp_reducible is True
-
-
-def test_rule5_fires_exactly_on_unit_linear_coefficient():
-    # flipping f_1 to a multiple of p must leave the rule-5 branch
-    v_unit = classify_general(TruncSeries((9, 1, 1, 0)))
-    assert v_unit.rule == "S3.remark-m0"
-    v_mult = classify_general(TruncSeries((9, 3, 1, 0)))
-    assert v_mult.rule != "S3.remark-m0"
-
-
-def test_general_double_root_dichotomy():
-    assert classify_general(TruncSeries((9, 3, -2, 1))).rule == "S5.double-root-c3-unit"
-    v = classify_general(TruncSeries((9, 3, -2, 3)))
-    assert v.kind is VerdictKind.UNKNOWN and v.assumption
-    f = TruncSeries((9, 3, -2, 9, 0, 0, 18))
-    v = classify_general(f)
-    assert v.kind is VerdictKind.REDUCIBLE and v.rule == "S5.double-root-divisible-tail"
-    assert v.conditional_on_truncation
-    assert verify_factorization(f, *v.factors).passed
-
-
-def test_general_simple_root_tail():
-    f = TruncSeries((49, 21, 2, 7, 0, 0))
-    v = classify_general(f)
-    assert v.kind is VerdictKind.REDUCIBLE and v.rule == "S5.simple-root"
-    assert verify_factorization(f, *v.factors).passed
-
-
-def test_general_no_root_is_irreducible():
-    # 9 - 3x - x^2: y^2 + y - 1 has no root mod 3
-    v = classify_general(TruncSeries((9, -3, -1, 5)))
-    assert v.kind is VerdictKind.IRREDUCIBLE and v.rule == "S5.no-root"
-
-
-def test_general_tail_head_cases():
-    f = TruncSeries((8, 2, 1, 5, 0))
-    v = classify_general(f)
-    assert v.rule == "S5.2m-lt-n" and verify_factorization(f, *v.factors).passed
-    v = classify_general(TruncSeries((27, 9, 1, 1)))
-    assert v.rule == "S5.2m-gt-n-odd" and v.kind is VerdictKind.IRREDUCIBLE
-    f = TruncSeries((9, 27, -1, 4, 0, 0))
-    v = classify_general(f)
-    assert v.rule == "S5.2m-gt-n-even-qr" and verify_factorization(f, *v.factors).passed
-    v = classify_general(TruncSeries((9, 27, 1, 4)))
-    assert v.rule == "S5.2m-gt-n-even-nonqr" and v.kind is VerdictKind.IRREDUCIBLE
-
-
-def test_general_p2_n_eq_2m_with_tail():
-    v = classify_general(TruncSeries((4, 2, 1, 9, 3)))
-    assert v.kind is VerdictKind.IRREDUCIBLE and v.rule == "S4.n-eq-2m"
-
-
-def test_general_p2_tail_unknown_vs_fallback():
-    assert classify_general(TruncSeries((4, 8, 3, 1))).kind is VerdictKind.UNKNOWN
-    f = TruncSeries((4, 8, 3, 0, 0, 0))
-    v = classify_general(f)
-    assert v.kind is VerdictKind.REDUCIBLE and v.conditional_on_truncation
-    assert verify_factorization(f, *v.factors).passed
-
-
-def test_general_beta_zero_tail():
-    assert classify_general(TruncSeries((25, 0, 1, 5))).kind is VerdictKind.UNKNOWN
-    v = classify_general(TruncSeries((25, 0, 1, 0, 0)))
-    assert v.kind is VerdictKind.REDUCIBLE and v.rule == "S3.beta0-reducible"
-    assert v.conditional_on_truncation
-
-
-def test_general_content_rule():
-    f = TruncSeries((9, 3, 6))
-    v = classify_general(f)
-    assert v.kind is VerdictKind.REDUCIBLE and v.rule == "S2.content-p"
-    assert v.factors[0].coeffs[0] == 3
-    assert verify_factorization(f, *v.factors).passed
-    assert v.conditional_on_truncation
-
-
-def test_general_gap_is_unknown():
-    v = classify_general(TruncSeries((9, 3, 3, 1)))
-    assert v.kind is VerdictKind.UNKNOWN and v.rule == "unknown.no-rule"
-
-
-def test_general_negative_prime_power_head():
-    f = TruncSeries((-49, -21, -2, 0, 0))
-    v = classify_general(f)
-    assert v.kind is VerdictKind.REDUCIBLE
-    assert verify_factorization(f, *v.factors).passed
 
 
 def test_reducible_factors_have_non_unit_heads():
@@ -319,15 +251,6 @@ def test_general_huge_prime_power_head_is_fast():
     assert v.rule == "S5.2m-gt-n-even-qr"
     assert verify_factorization(f, *v.factors).passed
     assert elapsed < 2.0, f"{elapsed:.3f}s"
-
-
-# constant terms that a 12-base Miller-Rabin test called prime, and the
-# semiprime nextprime(10^20) * nextprime(3*10^20)
-DEFECT_CONSTANTS = (
-    318665857834031151167461,
-    3317044064679887385961981,
-    100000000000000000039 * 300000000000000000053,
-)
 
 
 @pytest.mark.parametrize("c", DEFECT_CONSTANTS)
@@ -501,7 +424,7 @@ print(json.dumps(out))
 
 def test_factor_search_reruns_byte_identical():
     # criterion 8: a fresh process, with a different hash seed, prints the same bytes
-    constants = DEFECT_CONSTANTS + (2**5 * 41**3 * 1000003, 1000003 * 1000033 * 7**2)
+    constants = tuple(DEFECT_CONSTANTS) + (2**5 * 41**3 * 1000003, 1000003 * 1000033 * 7**2)
     outs = []
     for hash_seed in ("1", "2"):
         env = {**os.environ, "PYTHONHASHSEED": hash_seed}

@@ -124,24 +124,15 @@ def test_factor_unknown_exits_1(capsys):
 
 
 def test_square_golden(capsys):
-    code, out = run(capsys, "square", "--d", "-20", "--p", "3")
-    assert code == 0
-    assert out.strip() == "square in Z_3: yes (valuation 0, unit residue 1 mod 3)"
-    code, out = run(capsys, "square", "--d", "-20", "--p", "2")
-    assert "no" in out
+    out = run(capsys, "square", "--d", "-20", "--p", "3")
+    assert out == (0, "square in Z_3: yes (valuation 0, unit residue 1 mod 3)\n")
+    out = run(capsys, "square", "--d", "-20", "--p", "2")
+    assert out == (0, "square in Z_2: no (valuation 2, unit residue 3 mod 8)\n")
 
 
 def test_roots_golden(capsys):
-    code, out = run(capsys, "roots", "--A", "1", "--B", "0", "--C", "1", "--p", "5", "--k", "2")
-    assert code == 0
-    assert out.strip() == "7, 18"
-    code, out = run(capsys, "roots", "--A", "1", "--B", "0", "--C", "1", "--p", "3", "--k", "1")
-    assert out.strip() == "none"
-    # a precision below one digit is refused
-    code = main(["roots", "--A", "1", "--B", "0", "--C", "1", "--p", "5", "--k", "0"])
-    captured = capsys.readouterr()
-    assert code == 2 and captured.out == ""
-    assert captured.err == "error: K must be a positive integer\n"
+    assert run(capsys, "roots", "--A", "1", "--B", "0", "--C", "1", "--p", "5", "--k", "2") == (0, "7, 18\n")
+    assert run(capsys, "roots", "--A", "1", "--B", "0", "--C", "1", "--p", "3", "--k", "1") == (0, "none\n")
 
 
 def test_roots_refuses_to_list_too_many(capsys):
@@ -162,9 +153,8 @@ def test_roots_refuses_to_list_too_many(capsys):
 
 
 def test_normalize_golden(capsys):
-    code, out = run(capsys, "normalize", "--p", "3", "--coeffs", "3,1,1", "--t", "2")
-    assert code == 0
-    assert out.splitlines() == ["u = [1, -1]", "q = [3, -2, 0, -1]"]
+    out = run(capsys, "normalize", "--p", "3", "--coeffs", "3,1,1", "--t", "2")
+    assert out == (0, "u = [1, -1]\nq = [3, -2, 0, -1]\n")
 
 
 def test_factor_verify_roundtrip(tmp_path, capsys):
@@ -188,15 +178,12 @@ def test_factor_verify_roundtrip(tmp_path, capsys):
 
 
 def test_verify_failure(tmp_path, capsys):
+    # (2 + x)^2 = 4 + 4x + x^2 misses 4 + 2x + x^2 at order 1
     (tmp_path / "f.json").write_text(json.dumps(["4", "2", "1"]))
     (tmp_path / "g.json").write_text(json.dumps(["2", "1", "0"]))
-    code, out = run(
-        capsys, "verify",
-        "--target", str(tmp_path / "f.json"),
-        "--a", str(tmp_path / "g.json"),
-        "--b", str(tmp_path / "g.json"),
-    )
-    assert code == 1 and out.splitlines()[0] == "fail"
+    out = run(capsys, "verify", "--target", str(tmp_path / "f.json"), "--a", str(tmp_path / "g.json"),
+              "--b", str(tmp_path / "g.json"))
+    assert out == (1, "fail\nnonzero residuals at orders [1]\n")
 
 
 SERIES_FILES = {"f": ["9", "6", "1"], "a": ["3", "1", "0"], "g": ["1", "2", "1"], "h": ["1", "1", "0"]}
@@ -577,6 +564,8 @@ CLASSIFY_7 = ("classify", "--p", "7", "--n", "2")
         (("normalize", "--p", "3", "--coeffs", "3,1,1", "--t", "1"), "t must be at least 2"),
         (("normalize", "--p", "3", "--coeffs", "3,1", "--t", "2"),
          "normalize_head: input known only through order 1, need 2"),
+        # a precision below one digit is refused
+        (("roots", "--A", "1", "--B", "0", "--C", "1", "--p", "5", "--k", "0"), "K must be a positive integer"),
     ],
 )
 def test_malformed_requests_are_refused(capsys, argv, message):

@@ -22,11 +22,10 @@ from zxfactor.factor import (
     factor_simple_root,
     factor_tail,
 )
-from zxfactor.oracle import verify_factorization
 from zxfactor.padics import _square_class, _valuation, is_square_zp
 from zxfactor.series import TruncSeries
 
-from oracles import canonical_simple_root_pair, spy
+from oracles import canonical_simple_root_pair, check_pair, spy
 from pair_sweeps import engines_sweep, lag_one_sweep, large_p_sweep, packed_orders_sweep, rows_sweep
 
 RNG_SEED = 42
@@ -37,15 +36,6 @@ def _pinned(sweep):
     """The sha256 over a sweep's lines joined by newlines, and its lines per row."""
     keys, lines = zip(*((key, line) for key, line, _ in sweep))
     return hashlib.sha256("\n".join(lines).encode()).hexdigest(), Counter(row for row, _ in keys)
-
-
-def check_pair(q: QuadInput, pair, n: int) -> None:
-    report = verify_factorization(q.head_series(n), *pair)
-    assert report.passed, report
-    a, b = pair
-    # seed identity: the head coefficients are reproduced exactly
-    assert a.coeffs[0] * b.coeffs[0] == q.p**q.n
-    assert abs(a.coeffs[0]) >= 2 and abs(b.coeffs[0]) >= 2
 
 
 def test_unit_inverse_rejects_non_unit():
@@ -99,222 +89,119 @@ def test_tail_free_engines_reject_a_tail():
         factor_p2_m_eq_nu1(QuadInput(2, 2, 2, 1, -67, tail=(4,)), 8)
 
 
-def test_2m_lt_n_walkthrough():
-    q = QuadInput(5, 3, 1, 1, 1)
-    a, b = factor_simple_root(q, 2)
-    assert a.coeffs == (5, 1, 4)
-    assert b.coeffs == (25, -4, -19)
-    check_pair(q, (a, b), 2)
+#: worked examples of the engines, as (engine, input, order, a, b): a and b
+#: are prefixes of the factors' coefficients (the whole factor at order + 1
+#: terms), () where nothing is pinned.  The input is a QuadInput, or
+#: (coefficients, u, v) for the coprime split f_0 = u*v.
+ENGINE_EXAMPLES = [
+    (factor_simple_root, QuadInput(5, 3, 1, 1, 1), 2, (5, 1, 4), (25, -4, -19)),
+    (factor_simple_root, QuadInput(5, 3, 1, 1, 1, tail=(7, -2, 0, 11)), 10, (), ()),
+    # m > nu: (3 + x)(3 + 2x) is a polynomial pair
+    (factor_simple_root, QuadInput(3, 2, 2, 1, 2), 4, (3, 1, 0, 0, 0), (3, 2, 0, 0, 0)),
+    (factor_simple_root, QuadInput(3, 2, 2, 1, 11), 3, (3, 1, 0, 1), (3, 2, 3, -2)),
+    # disc = 7^4 * 37 with 37 = 2 a residue mod 7, so this is reducible
+    (factor_simple_root, QuadInput(7, 4, 3, 1, 3), 16, (), ()),
+    (factor_m_eq_nu, QuadInput(7, 2, 1, 3, 2), 3, (7, 1, 0, 0), (7, 2, 0, 0)),
+    # the seed is the smallest root of y^2 - 3y + 51 mod 7^3, with g(50) = 7^4
+    (factor_m_eq_nu, QuadInput(7, 2, 1, 3, 51), 32, (7, 50, 0), ()),
+    # nu > l >= 1
+    (factor_m_eq_nu, QuadInput(3, 4, 2, 1, -29), 24, (), ()),  # disc 117 = 9 * 13, 13 a residue mod 3
+    (factor_m_eq_nu, QuadInput(3, 6, 3, 1, -29), 24, (), ()),  # nu = 3 > l = 1
+    # nu <= l
+    (factor_m_eq_nu, QuadInput(3, 2, 1, 1, -29), 24, (), ()),  # l = 1 >= nu = 1
+    # disc 1053 = 81 * 13: l = 2 > nu = 1
+    (factor_m_eq_nu, QuadInput(3, 2, 1, 1, -263), 24, (3, 32, 864, 54, 54, 0), (3, -31, -621, 15498, 14040, -4601448)),
+    (factor_simple_root, QuadInput(5, 2, None, None, -1), 4, (5, -1), (5, 1)),  # a difference of squares
+    (factor_simple_root, QuadInput(5, 2, None, None, 1), 3, (5, 2, 3, 2), (5, -2, -2, 0)),
+    (factor_p2_scaled, QuadInput(2, 4, None, None, 7), 16, (), ()),  # -7 = 1 mod 8
+    (factor_p2_scaled, QuadInput(2, 2, 3, 1, 3), 8, (2, 1), (2, 3)),  # 4 + 8x + 3x^2 = (2 + x)(2 + 3x)
+    (factor_p2_m_eq_nu1, QuadInput(2, 2, 2, 1, -3), 8, (2, -1), (2, 3)),  # 4 + 4x - 3x^2 = (2 - x)(2 + 3x)
+    (factor_p2_m_eq_nu1, QuadInput(2, 4, 3, 3, -7), 16, (), ()),  # beta^2 - alpha = 16
+    (factor_p2_m_eq_nu1, QuadInput(2, 2, 2, 1, -67), 24, (), ()),  # beta^2 - alpha = 68 = 4 * 17
+    (factor_coprime_constant, ((6, 2, 1), 2, 3), 2, (2, 0, 1), (3, 1, -1)),
+    (factor_coprime_constant, ((15, 0, 0), 3, 5), 2, (3, 0, 0), (5, 0, 0)),
+    (factor_coprime_constant, ((10, 1, 0, 0, 0), 2, 5), 4, (), ()),
+    (factor_tail, QuadInput(3, 2, 1, 1, -2, tail=(9, 0, 0)), 5, (3, 29, 6), (3, -28, 264)),
+    # p = 5: beta = 1, alpha = -6 gives beta^2 - 4*alpha = 25 = 5^2 * 1
+    (factor_tail, QuadInput(5, 2, 1, 1, -6, tail=(25,) + (0,) * 5), 8, (), ()),
+    (factor_simple_root, QuadInput(7, 2, 1, 3, 2, tail=(7,) + (0,) * 5), 8, (), ()),
+]
+
+#: inputs the engines refuse, as (engine, input, order, message)
+ENGINE_REFUSALS = [
+    # beta^2 - 4*alpha = 8 = 3 mod 5 is a non-residue
+    (factor_m_eq_nu, QuadInput(5, 2, 1, 2, -1), 8, "beta^2 - 4*alpha is not a square in Z_5: input is irreducible"),
+    (factor_simple_root, QuadInput(3, 2, None, None, 1), 8, "g has no simple root mod p"),  # -1 = 2 mod 3
+    (factor_p2_scaled, QuadInput(2, 2, 4, 1, 3), 8, "mod-8 reducibility condition fails: input is irreducible"),
+    # beta^2 - alpha = 8 = 2^3: no 2^(2l) * (1 mod 8) shape
+    (factor_p2_m_eq_nu1, QuadInput(2, 2, 2, 3, 1), 8, "beta^2 - alpha is not a square in Z_2: input is irreducible"),
+    (factor_tail, QuadInput(3, 2, 1, 1, -2, tail=(3, 0)), 4, "tail coefficients not divisible by p^2 at orders [3]"),
+]
+
+
+def _engine_id(row) -> str:
+    engine, given, order = row[:3]
+    return f"{engine.__name__}{tuple(given)}@{order}".replace(" ", "")
+
+
+def _run(engine, given, order):
+    """The series a row's pair must multiply to, and the engine's pair."""
+    if isinstance(given, QuadInput):
+        return given.head_series(order), engine(given, order)
+    f = TruncSeries(given[0])
+    return f, engine(f, *given[1:], order)
+
+
+@pytest.mark.parametrize("engine, given, order, a, b", ENGINE_EXAMPLES, ids=map(_engine_id, ENGINE_EXAMPLES))
+def test_engine_example(engine, given, order, a, b):
+    f, pair = _run(engine, given, order)
+    assert (pair[0].coeffs[: len(a)], pair[1].coeffs[: len(b)]) == (a, b)
+    check_pair(f, pair)
+
+
+@pytest.mark.parametrize("engine, given, order, message", ENGINE_REFUSALS, ids=map(_engine_id, ENGINE_REFUSALS))
+def test_engine_refusal(engine, given, order, message):
+    assert _refusal(engine, given, order) == message
+
+
+def _refusal(engine, given, order) -> str:
+    with pytest.raises(ValueError) as info:
+        _run(engine, given, order)
+    return str(info.value)
 
 
 def test_2m_lt_n_deeper():
     for q in (QuadInput(2, 3, 1, 1, 1), QuadInput(3, 5, 2, 2, 1)):
-        n = 16
-        pair = factor_simple_root(q, n)
-        check_pair(q, pair, n)
-
-
-def test_2m_lt_n_with_tail():
-    q = QuadInput(5, 3, 1, 1, 1, tail=(7, -2, 0, 11))
-    pair = factor_simple_root(q, 10)
-    check_pair(q, pair, 10)
-
-
-def test_m_gt_nu_degenerate_polynomial():
-    q = QuadInput(3, 2, 2, 1, 2)
-    a, b = factor_simple_root(q, 4)
-    assert a.coeffs[:2] == (3, 1) and b.coeffs[:2] == (3, 2)
-    assert set(a.coeffs[2:]) == {0} and set(b.coeffs[2:]) == {0}
-
-
-def test_m_gt_nu_walkthrough():
-    q = QuadInput(3, 2, 2, 1, 11)
-    a, b = factor_simple_root(q, 3)
-    assert a.coeffs == (3, 1, 0, 1)
-    assert b.coeffs == (3, 2, 3, -2)
-    check_pair(q, (a, b), 3)
-
-
-def test_m_gt_nu_deeper():
-    # disc = 7^4 * 37 with 37 = 2 a residue mod 7, so this is reducible
-    q = QuadInput(7, 4, 3, 1, 3)
-    assert is_square_zp(7**6 - 4 * 3 * 7**4, 7).is_square
-    pair = factor_simple_root(q, 16)
-    check_pair(q, pair, 16)
-
-
-def test_m_eq_nu_degenerate():
-    q = QuadInput(7, 2, 1, 3, 2)
-    a, b = factor_m_eq_nu(q, 3)
-    assert a.coeffs == (7, 1, 0, 0) and b.coeffs == (7, 2, 0, 0)
-
-
-def test_m_eq_nu_certificate_case():
-    q = QuadInput(7, 2, 1, 3, 51)
-    pair = factor_m_eq_nu(q, 32)
-    check_pair(q, pair, 32)
-    # the seed is the smallest root of y^2 - 3y + 51 mod 7^3, with g(50) = 7^4
-    assert pair[0].coeffs[:3] == (7, 50, 0)
-
-
-def test_m_eq_nu_rejects_nonsquare_disc():
-    # beta^2 - 4*alpha = 8 = 3 mod 5 is a non-residue: the engine must refuse
-    with pytest.raises(ValueError):
-        factor_m_eq_nu(QuadInput(5, 2, 1, 2, -1), 8)
-
-
-def test_m_eq_nu_scaled_subcases():
-    # nu > l >= 1
-    q = QuadInput(3, 4, 2, 1, -29)  # disc 117 = 9 * 13, 13 a residue mod 3
-    check_pair(q, factor_m_eq_nu(q, 24), 24)
-    q = QuadInput(3, 6, 3, 1, -29)  # nu = 3 > l = 1
-    check_pair(q, factor_m_eq_nu(q, 24), 24)
-    # nu <= l
-    q = QuadInput(3, 2, 1, 1, -29)  # l = 1 >= nu = 1
-    check_pair(q, factor_m_eq_nu(q, 24), 24)
-    q = QuadInput(3, 2, 1, 1, -263)  # disc 1053 = 81 * 13: l = 2 > nu = 1
-    a, b = factor_m_eq_nu(q, 24)
-    assert a.coeffs[:6] == (3, 32, 864, 54, 54, 0)
-    assert b.coeffs[:6] == (3, -31, -621, 15498, 14040, -4601448)
-    check_pair(q, (a, b), 24)
-
-
-def test_beta_zero_difference_of_squares():
-    q = QuadInput(5, 2, None, None, -1)
-    a, b = factor_simple_root(q, 4)
-    assert a.coeffs[:2] == (5, -1) and b.coeffs[:2] == (5, 1)
-
-
-def test_beta_zero_walkthrough():
-    q = QuadInput(5, 2, None, None, 1)
-    a, b = factor_simple_root(q, 3)
-    assert a.coeffs == (5, 2, 3, 2)
-    assert b.coeffs == (5, -2, -2, 0)
-    check_pair(q, (a, b), 3)
-
-
-def test_beta_zero_p2():
-    q = QuadInput(2, 4, None, None, 7)  # -7 = 1 mod 8
-    pair = factor_p2_scaled(q, 16)
-    check_pair(q, pair, 16)
-
-
-def test_beta_zero_rejects_nonresidue():
-    with pytest.raises(ValueError):
-        factor_simple_root(QuadInput(3, 2, None, None, 1), 8)  # -1 = 2 mod 3
-
-
-def test_p2_m_gt_nu1_shortcut_matches_expansion():
-    q = QuadInput(2, 2, 3, 1, 3)  # 4 + 8x + 3x^2 = (2 + x)(2 + 3x)
-    a, b = factor_p2_scaled(q, 8)
-    assert a.coeffs[:2] == (2, 1) and b.coeffs[:2] == (2, 3)
-    check_pair(q, (a, b), 8)
+        check_pair(q.head_series(16), factor_simple_root(q, 16))
 
 
 def test_p2_m_gt_nu1_both_mod8_branches():
-    q = QuadInput(2, 2, 4, 1, 7)  # gap >= 2 needs alpha = 7 mod 8
-    check_pair(q, factor_p2_scaled(q, 16), 16)
-    q = QuadInput(2, 4, 4, 3, 3)  # gap = 1 needs alpha = 3 mod 8
-    check_pair(q, factor_p2_scaled(q, 16), 16)
-
-
-def test_p2_m_gt_nu1_rejects_wrong_residue():
-    with pytest.raises(ValueError):
-        factor_p2_scaled(QuadInput(2, 2, 4, 1, 3), 8)
-
-
-def test_p2_m_eq_nu1_degenerate():
-    q = QuadInput(2, 2, 2, 1, -3)  # (2 + 3x)(2 - x) up to ordering
-    a, b = factor_p2_m_eq_nu1(q, 8)
-    assert {(a.coeffs[0], a.coeffs[1]), (b.coeffs[0], b.coeffs[1])} == {(2, -1), (2, 3)}
-    check_pair(q, (a, b), 8)
-
-
-def test_p2_m_eq_nu1_perfect_square_core():
-    q = QuadInput(2, 4, 3, 3, -7)  # beta^2 - alpha = 16
-    pair = factor_p2_m_eq_nu1(q, 16)
-    check_pair(q, pair, 16)
-
-
-def test_p2_m_eq_nu1_nondegenerate():
-    q = QuadInput(2, 2, 2, 1, -67)  # beta^2 - alpha = 68 = 4 * 17
-    pair = factor_p2_m_eq_nu1(q, 24)
-    check_pair(q, pair, 24)
-
-
-def test_p2_m_eq_nu1_rejects_odd_valuation():
-    # beta^2 - alpha = 8 = 2^3: no 2^(2l) * (1 mod 8) shape
-    with pytest.raises(ValueError):
-        factor_p2_m_eq_nu1(QuadInput(2, 2, 2, 3, 1), 8)
-
-
-def test_coprime_constant_walkthrough():
-    f = TruncSeries((6, 2, 1))
-    a, b = factor_coprime_constant(f, 2, 3, 2)
-    assert a.coeffs == (2, 0, 1)
-    assert b.coeffs == (3, 1, -1)
-
-
-def test_coprime_constant_more():
-    a, b = factor_coprime_constant(TruncSeries((15, 0, 0)), 3, 5, 2)
-    assert a.coeffs == (3, 0, 0) and b.coeffs == (5, 0, 0)
-    f = TruncSeries((10, 1, 0, 0, 0))
-    pair = factor_coprime_constant(f, 2, 5, 4)
-    assert verify_factorization(f, *pair).passed
+    # gap >= 2 needs alpha = 7 mod 8, gap = 1 needs alpha = 3 mod 8
+    for q in (QuadInput(2, 2, 4, 1, 7), QuadInput(2, 4, 4, 3, 3)):
+        check_pair(q.head_series(16), factor_p2_scaled(q, 16))
 
 
 def test_coprime_constant_rejects_bad_split():
-    with pytest.raises(ValueError):
-        factor_coprime_constant(TruncSeries((12, 0)), 2, 6, 1)
+    assert _refusal(factor_coprime_constant, ((12, 0), 2, 6), 1) == "constant-term split must be coprime"
     # a unit part would make its factor a unit
     for u, v in ((1, 12), (-1, -12), (12, 1)):
-        with pytest.raises(ValueError, match="both parts of size at least 2"):
-            factor_coprime_constant(TruncSeries((12, 0)), u, v, 1)
-
-
-def test_tail_engine_walkthrough():
-    q = QuadInput(3, 2, 1, 1, -2, tail=(9, 0, 0))
-    a, b = factor_tail(q, 5)
-    assert a.coeffs[:3] == (3, 29, 6)
-    assert b.coeffs[:3] == (3, -28, 264)
-    assert verify_factorization(q.head_series(5), a, b).passed
-
-
-def test_tail_engine_rejects_underdivisible_tail():
-    with pytest.raises(ValueError, match="not divisible"):
-        factor_tail(QuadInput(3, 2, 1, 1, -2, tail=(3, 0)), 4)
-
-
-def test_tail_engine_deeper():
-    # p = 5: beta = 1, alpha = -6 gives beta^2 - 4*alpha = 25 = 5^2 * 1
-    q = QuadInput(5, 2, 1, 1, -6, tail=(25,) + (0,) * 5)
-    pair = factor_tail(q, 8)
-    assert verify_factorization(q.head_series(8), *pair).passed
-
-
-def test_simple_root_tail():
-    q = QuadInput(7, 2, 1, 3, 2, tail=(7,) + (0,) * 5)
-    pair = factor_simple_root(q, 8)
-    assert verify_factorization(q.head_series(8), *pair).passed
+        message = _refusal(factor_coprime_constant, ((12, 0), u, v), 1)
+        assert message == "need f_0 = u*v with both parts of size at least 2"
 
 
 def test_simple_root_tail_rejects_double_roots():
-    with pytest.raises(ValueError, match="simple root"):
-        factor_simple_root(QuadInput(3, 2, 1, 1, -2, tail=(0, 0)), 4)
-    with pytest.raises(ValueError, match="simple root"):
-        factor_simple_root(QuadInput(5, 4, 2, 2, 1, tail=(0, 0)), 4)
+    for q in (QuadInput(3, 2, 1, 1, -2, tail=(0, 0)), QuadInput(5, 4, 2, 2, 1, tail=(0, 0))):
+        assert _refusal(factor_simple_root, q, 4) == "g has no simple root mod p"
 
 
 def test_refuses_to_factor_beyond_input_order():
-    # a QuadInput's tail is exact (zero beyond its length), so the tail
-    # engines factor through any order against the input's head series
-    q = QuadInput(3, 2, 1, 1, -2, tail=(9,))
-    assert verify_factorization(q.head_series(5), *factor_tail(q, 5)).passed
-    q = QuadInput(7, 2, 1, 3, 2)
-    assert verify_factorization(q.head_series(5), *factor_simple_root(q, 5)).passed
+    # a QuadInput's tail is exact (zero beyond its length), so the engines
+    # factor through any order against the input's head series
+    for engine, q in ((factor_tail, QuadInput(3, 2, 1, 1, -2, tail=(9,))), (factor_simple_root, QuadInput(7, 2, 1, 3, 2))):
+        check_pair(q.head_series(5), engine(q, 5))
     # a truncated series is known only through its order
-    with pytest.raises(ValueError, match="refused"):
-        factor_coprime_constant(TruncSeries((6, 2, 1)), 2, 3, 3)
+    message = _refusal(factor_coprime_constant, ((6, 2, 1), 2, 3), 3)
+    assert message == "factoring beyond the input's order 2 is refused"
 
 
 @pytest.mark.parametrize(
@@ -328,7 +215,7 @@ def test_refuses_to_factor_beyond_input_order():
     ],
 )
 def test_engines_refuse_order_one_in_one_message(engine, q):
-    check_pair(q, engine(q, 2), 2)
+    check_pair(q.head_series(2), engine(q, 2))
     with pytest.raises(ValueError, match="^factor order must be at least 2$"):
         engine(q, 1)
 
@@ -353,7 +240,7 @@ def test_randomized_engines_verify_and_are_deterministic():
         first = classify_quadratic(q, terms=40).factors
         again = classify_quadratic(q, terms=40).factors
         assert first == again
-        check_pair(q, first, 40)
+        check_pair(q.head_series(40), first)
 
 
 def test_beta_zero_randomized():
@@ -367,7 +254,7 @@ def test_beta_zero_randomized():
             continue
         q = QuadInput(p, 2 * nu, None, None, alpha)
         engine = factor_p2_scaled if p == 2 else factor_simple_root
-        check_pair(q, engine(q, 24), 24)
+        check_pair(q.head_series(24), engine(q, 24))
         done += 1
 
 

@@ -6,8 +6,7 @@ from math import gcd, isqrt, log2
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from oracles import brute_roots_mod, brute_square_mod, spy, trial_division_is_prime
-from test_acceptance import expand_roots
+from oracles import DEFECT_CONSTANTS, brute_roots_mod, brute_square_mod, expand_roots, spy, trial_division_is_prime
 from zxfactor import padics
 from zxfactor.limits import LIMITS
 from zxfactor.padics import (
@@ -549,16 +548,6 @@ def test_factor_search_above_the_proven_bound_keeps_its_blocks(above_bound_corpu
     assert digest == "e3e15e60c6f305afbb68a821429a6ffce43182bd3e9323769268c7b711674ec1"
 
 
-# padic-wide's known-defect constants: the 12- and 13-base strong
-# pseudoprimes and nextprime(10^20) * nextprime(3 * 10^20), each a product
-# of two primes with ratio near 2 or 3
-DEFECT_CONSTANTS = {
-    318665857834031151167461: (399165290221, 798330580441),
-    3317044064679887385961981: (1287836182261, 2575672364521),
-    100000000000000000039 * 300000000000000000053: (100000000000000000039, 300000000000000000053),
-}
-
-
 def test_close_primes_above_the_bound_skip_the_probable_prime_test(monkeypatch):
     lucas = spy(monkeypatch, "_strong_lucas_probable_prime", padics)
     power = spy(monkeypatch, "_perfect_power_root", padics)
@@ -703,6 +692,5 @@ def test_root_classes_with_two_simple_roots_against_sympy(p):
             A, B, C = A, -A * (s + t), A * s * t
             classes = padics._root_classes(A, B, C, p, K)
             assert classes == sorted([(s % pK, K), (t % pK, K)])
-            roots = sorted(y for r, j in classes for y in range(r, pK, p**j))
-            assert roots == _brute_or_sympy_roots(A, B, C, p, K)
+            assert expand_roots(A, B, C, p, K) == _brute_or_sympy_roots(A, B, C, p, K)
             assert classes == root_classes(A, B, C, p, K)
